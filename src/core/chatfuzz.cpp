@@ -1,5 +1,7 @@
 #include "core/chatfuzz.h"
 
+#include <algorithm>
+
 #include "riscv/disasm.h"
 
 namespace chatfuzz::core {
@@ -56,11 +58,23 @@ void write_generation(ser::Writer& w, const ml::Generation& g) {
   w.vec_f32(g.response_logps);
 }
 
-bool read_generation(ser::Reader& r, ml::Generation& g) {
+/// Reads one pending rollout and accepts it only if PpoTrainer::update can
+/// consume it: every token inside the vocabulary (tokens index the
+/// embedding table), one logp per response token, and a non-empty prompt
+/// (its last position scores the first response token).
+bool read_generation(ser::Reader& r, ml::Generation& g, int vocab) {
   const std::vector<std::uint32_t> prompt = r.vec_u32();
   const std::vector<std::uint32_t> response = r.vec_u32();
   g.response_logps = r.vec_f32();
   if (!r.ok()) return false;
+  const auto in_vocab = [vocab](std::uint32_t t) {
+    return t < static_cast<std::uint32_t>(vocab);
+  };
+  if (prompt.empty() || g.response_logps.size() != response.size() ||
+      !std::all_of(prompt.begin(), prompt.end(), in_vocab) ||
+      !std::all_of(response.begin(), response.end(), in_vocab)) {
+    return false;
+  }
   g.prompt.assign(prompt.begin(), prompt.end());
   g.response.assign(response.begin(), response.end());
   return true;
@@ -93,7 +107,7 @@ bool ChatFuzzGenerator::restore_state(ser::Reader& r) {
   if (!r.ok() || n > r.remaining() / 24) return false;
   std::vector<ml::Generation> gens(static_cast<std::size_t>(n));
   for (auto& g : gens) {
-    if (!read_generation(r, g)) return false;
+    if (!read_generation(r, g, cfg_.model.vocab)) return false;
   }
   std::vector<std::size_t> prompt_words = r.vec_size();
   if (!r.ok()) return false;

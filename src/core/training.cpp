@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "ml/adamw.h"
-#include "ml/kernels.h"
 #include "ml/schedule.h"
 #include "ml/tokenizer.h"
 #include "riscv/decode.h"
@@ -14,7 +13,6 @@ namespace chatfuzz::core {
 std::vector<PretrainEpochStats> pretrain(ml::Gpt& model,
                                          const std::vector<corpus::Program>& data,
                                          const PretrainConfig& cfg, Rng& rng) {
-  if (cfg.ml_threads > 0) ml::kern::set_num_threads(cfg.ml_threads);
   ml::Tokenizer tok;
   // One training row per sample, aligned so BOS sits at position 0. This
   // keeps the byte phase within each instruction a pure function of the
@@ -34,6 +32,7 @@ std::vector<PretrainEpochStats> pretrain(ml::Gpt& model,
   ml::AdamW opt(model.num_params(), ml::AdamWConfig{cfg.lr});
   std::vector<int> inputs(static_cast<std::size_t>(B) * T);
   std::vector<int> targets(static_cast<std::size_t>(B) * T);
+  std::vector<int> head_rows;  // rows with a target: the only ones scored
 
   const std::size_t steps_per_epoch =
       std::max<std::size_t>(1, rows.size() / static_cast<std::size_t>(B));
@@ -59,7 +58,11 @@ std::vector<PretrainEpochStats> pretrain(ml::Gpt& model,
               idx + 1 < row.size() ? row[idx + 1] : -1;  // -1 = ignore
         }
       }
-      model.forward(inputs.data(), B, T);
+      head_rows.clear();
+      for (int n = 0; n < B * T; ++n) {
+        if (targets[n] >= 0) head_rows.push_back(n);
+      }
+      model.forward(inputs.data(), B, T, head_rows);
       model.zero_grad();
       loss_sum += model.backward_lm(inputs.data(), targets.data(), B, T);
       opt.set_lr(sched.at(global_step++));
@@ -100,7 +103,6 @@ std::vector<CleanupIterStats> cleanup_stage(ml::Gpt& policy,
                                             const ml::Gpt& reference,
                                             corpus::CorpusGenerator& corpus,
                                             const CleanupConfig& cfg, Rng& rng) {
-  if (cfg.ml_threads > 0) ml::kern::set_num_threads(cfg.ml_threads);
   ml::Tokenizer tok;
   ml::Sampler sampler(cfg.sample);
   ml::PpoTrainer ppo(policy, reference, cfg.ppo);

@@ -29,11 +29,6 @@ struct PretrainConfig {
   int warmup_steps = 0;
   bool cosine = false;
   float min_lr_frac = 0.1f;
-  /// Intra-batch kernel worker threads for the matmul forward/backward
-  /// passes (ml/kernels.h). 0 = leave the process-wide setting alone
-  /// (CHATFUZZ_ML_THREADS, default 1). Results are bit-identical for any
-  /// value; only wall clock moves.
-  int ml_threads = 0;
 };
 
 struct PretrainEpochStats {
@@ -55,8 +50,6 @@ struct CleanupConfig {
   unsigned prompt_max = 5;
   ml::PpoConfig ppo;
   ml::SampleConfig sample;
-  /// See PretrainConfig::ml_threads.
-  int ml_threads = 0;
 };
 
 struct CleanupIterStats {

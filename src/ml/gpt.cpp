@@ -1,10 +1,12 @@
 #include "ml/gpt.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 
 #include "ml/kernels.h"
 #include "obs/trace.h"
@@ -78,7 +80,8 @@ void mm_bwd(bool ref, float* dinp, float* dw, float* dbias, const float* dout,
   }
 }
 
-// ---- layer kernels (llm.c style, naive CPU loops) -------------------------
+// ---- embedding and residual loops (llm.c style) ----------------------------
+// Attention, layernorm and softmax live in ml/kernels (kernels_exact.cpp).
 
 void encoder_forward(float* out, const int* tokens, const float* wte,
                      const float* wpe, int B, int T, int C) {
@@ -107,166 +110,9 @@ void encoder_backward(float* dwte, float* dwpe, const float* dout,
   }
 }
 
-void layernorm_forward(float* out, float* mean, float* rstd, const float* inp,
-                       const float* w, const float* b, int N, int C) {
-  for (int n = 0; n < N; ++n) {
-    const float* x = inp + n * C;
-    float m = 0.f;
-    for (int c = 0; c < C; ++c) m += x[c];
-    m /= static_cast<float>(C);
-    float v = 0.f;
-    for (int c = 0; c < C; ++c) {
-      const float d = x[c] - m;
-      v += d * d;
-    }
-    v /= static_cast<float>(C);
-    const float rs = 1.f / std::sqrt(v + 1e-5f);
-    float* o = out + n * C;
-    for (int c = 0; c < C; ++c) o[c] = (x[c] - m) * rs * w[c] + b[c];
-    mean[n] = m;
-    rstd[n] = rs;
-  }
-}
-
-void layernorm_backward(float* dinp, float* dw, float* db, const float* dout,
-                        const float* inp, const float* mean, const float* rstd,
-                        const float* w, int N, int C) {
-  for (int n = 0; n < N; ++n) {
-    const float* x = inp + n * C;
-    const float* d = dout + n * C;
-    const float m = mean[n], rs = rstd[n];
-    float dnorm_mean = 0.f, dnorm_norm_mean = 0.f;
-    for (int c = 0; c < C; ++c) {
-      const float norm = (x[c] - m) * rs;
-      const float dnorm = w[c] * d[c];
-      dnorm_mean += dnorm;
-      dnorm_norm_mean += dnorm * norm;
-    }
-    dnorm_mean /= static_cast<float>(C);
-    dnorm_norm_mean /= static_cast<float>(C);
-    float* di = dinp + n * C;
-    for (int c = 0; c < C; ++c) {
-      const float norm = (x[c] - m) * rs;
-      const float dnorm = w[c] * d[c];
-      dw[c] += norm * d[c];
-      db[c] += d[c];
-      di[c] += (dnorm - dnorm_mean - norm * dnorm_norm_mean) * rs;
-    }
-  }
-}
-
-void attention_forward(float* out, float* preatt, float* att, const float* qkv,
-                       int B, int T, int C, int NH) {
-  const int hs = C / NH;
-  const float scale = 1.f / std::sqrt(static_cast<float>(hs));
-  for (int b = 0; b < B; ++b) {
-    for (int t = 0; t < T; ++t) {
-      for (int h = 0; h < NH; ++h) {
-        const float* q = qkv + (b * T + t) * 3 * C + h * hs;
-        float* pre = preatt + ((b * NH + h) * T + t) * T;
-        float* a = att + ((b * NH + h) * T + t) * T;
-        float maxv = -1e30f;
-        for (int t2 = 0; t2 <= t; ++t2) {
-          const float* k = qkv + (b * T + t2) * 3 * C + C + h * hs;
-          float dot = 0.f;
-          for (int i = 0; i < hs; ++i) dot += q[i] * k[i];
-          dot *= scale;
-          pre[t2] = dot;
-          if (dot > maxv) maxv = dot;
-        }
-        float sum = 0.f;
-        for (int t2 = 0; t2 <= t; ++t2) {
-          const float e = std::exp(pre[t2] - maxv);
-          a[t2] = e;
-          sum += e;
-        }
-        const float inv = sum > 0.f ? 1.f / sum : 0.f;
-        for (int t2 = 0; t2 <= t; ++t2) a[t2] *= inv;
-        for (int t2 = t + 1; t2 < T; ++t2) {
-          pre[t2] = 0.f;
-          a[t2] = 0.f;
-        }
-        float* o = out + (b * T + t) * C + h * hs;
-        for (int i = 0; i < hs; ++i) o[i] = 0.f;
-        for (int t2 = 0; t2 <= t; ++t2) {
-          const float* v = qkv + (b * T + t2) * 3 * C + 2 * C + h * hs;
-          const float w = a[t2];
-          for (int i = 0; i < hs; ++i) o[i] += w * v[i];
-        }
-      }
-    }
-  }
-}
-
-void attention_backward(float* dqkv, float* dpreatt, float* datt,
-                        const float* dout, const float* qkv, const float* att,
-                        int B, int T, int C, int NH) {
-  const int hs = C / NH;
-  const float scale = 1.f / std::sqrt(static_cast<float>(hs));
-  for (int b = 0; b < B; ++b) {
-    for (int t = 0; t < T; ++t) {
-      for (int h = 0; h < NH; ++h) {
-        const float* a = att + ((b * NH + h) * T + t) * T;
-        float* da = datt + ((b * NH + h) * T + t) * T;
-        float* dpre = dpreatt + ((b * NH + h) * T + t) * T;
-        const float* d = dout + (b * T + t) * C + h * hs;
-        // through weighted sum of V
-        for (int t2 = 0; t2 <= t; ++t2) {
-          const float* v = qkv + (b * T + t2) * 3 * C + 2 * C + h * hs;
-          float* dv = dqkv + (b * T + t2) * 3 * C + 2 * C + h * hs;
-          float acc = 0.f;
-          for (int i = 0; i < hs; ++i) {
-            acc += v[i] * d[i];
-            dv[i] += a[t2] * d[i];
-          }
-          da[t2] += acc;
-        }
-        // through softmax
-        for (int t2 = 0; t2 <= t; ++t2) {
-          float acc = 0.f;
-          for (int t3 = 0; t3 <= t; ++t3) {
-            const float indicator = t2 == t3 ? 1.f : 0.f;
-            acc += a[t3] * (indicator - a[t2]) * da[t3];
-          }
-          dpre[t2] += acc;
-        }
-        // through q.k
-        const float* q = qkv + (b * T + t) * 3 * C + h * hs;
-        float* dq = dqkv + (b * T + t) * 3 * C + h * hs;
-        for (int t2 = 0; t2 <= t; ++t2) {
-          const float* k = qkv + (b * T + t2) * 3 * C + C + h * hs;
-          float* dk = dqkv + (b * T + t2) * 3 * C + C + h * hs;
-          const float g = dpre[t2] * scale;
-          for (int i = 0; i < hs; ++i) {
-            dq[i] += g * k[i];
-            dk[i] += g * q[i];
-          }
-        }
-      }
-    }
-  }
-}
-
 void residual_forward(float* out, const float* a, const float* b, int N) {
   for (int n = 0; n < N; ++n) out[n] = a[n] + b[n];
 }
-
-void softmax_forward(float* probs, const float* logits, int N, int V) {
-  for (int n = 0; n < N; ++n) {
-    const float* l = logits + n * V;
-    float* p = probs + n * V;
-    float maxv = -1e30f;
-    for (int v = 0; v < V; ++v) maxv = l[v] > maxv ? l[v] : maxv;
-    float sum = 0.f;
-    for (int v = 0; v < V; ++v) {
-      p[v] = std::exp(l[v] - maxv);
-      sum += p[v];
-    }
-    const float inv = 1.f / sum;
-    for (int v = 0; v < V; ++v) p[v] *= inv;
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -274,6 +120,8 @@ void softmax_forward(float* probs, const float* logits, int N, int V) {
 // ---------------------------------------------------------------------------
 namespace {
 struct ActLayout {
+  // The final layernorm and the heads (lnf .. values) hold only the head
+  // rows of the last forward, packed in head-row order; sized for all B*T.
   // per-layer strides
   std::size_t ln1, ln1_mean, ln1_rstd, qkv, atty, preatt, att, attproj,
       res2, ln2, ln2_mean, ln2_rstd, fch, fch_gelu, fcproj, res3, per_layer;
@@ -374,21 +222,17 @@ void Gpt::copy_params_from(const Gpt& other) {
 }
 
 void Gpt::ensure_acts(int B, int T) {
-  if (B == B_ && T == T_ && !acts_.empty()) return;
   B_ = B;
   T_ = T;
-  const ActLayout a = ActLayout::make(cfg_, B, T);
-  acts_.assign(a.total, 0.f);
-  dacts_.assign(a.total, 0.f);
+  // forward() writes every activation before anything reads it, so a new
+  // (B, T) reuses the arena as it is; it is only ever grown.
+  const std::size_t total = ActLayout::make(cfg_, B, T).total;
+  if (acts_.size() < total) acts_.assign(total, 0.f);
 }
 
 const float* Gpt::acts_ptr(ActName which) const {
   const ActLayout a = ActLayout::make(cfg_, B_, T_);
   switch (which) {
-    case kActEncoded: return acts_.data() + a.encoded;
-    case kActLnf: return acts_.data() + a.lnf;
-    case kActLnfMean: return acts_.data() + a.lnf_mean;
-    case kActLnfRstd: return acts_.data() + a.lnf_rstd;
     case kActLogits: return acts_.data() + a.logits;
     case kActProbs: return acts_.data() + a.probs;
     case kActValues: return acts_.data() + a.values;
@@ -397,6 +241,27 @@ const float* Gpt::acts_ptr(ActName which) const {
 }
 
 void Gpt::forward(const int* tokens, int B, int T) {
+  head_rows_.resize(static_cast<std::size_t>(B) * T);
+  std::iota(head_rows_.begin(), head_rows_.end(), 0);
+  forward_body(tokens, B, T);
+}
+
+void Gpt::forward(const int* tokens, int B, int T,
+                  const std::vector<int>& head_rows) {
+  for (std::size_t r = 0; r < head_rows.size(); ++r) {
+    if (head_rows[r] < 0 || head_rows[r] >= B * T ||
+        (r > 0 && head_rows[r] <= head_rows[r - 1])) {
+      std::fprintf(stderr,
+                   "Gpt::forward: head rows must be strictly ascending in "
+                   "[0, B*T)\n");
+      std::abort();
+    }
+  }
+  head_rows_ = head_rows;
+  forward_body(tokens, B, T);
+}
+
+void Gpt::forward_body(const int* tokens, int B, int T) {
   assert(T <= cfg_.ctx);
   ensure_acts(B, T);
   const Layout p = Layout::make(cfg_);
@@ -413,20 +278,21 @@ void Gpt::forward(const int* tokens, int B, int T) {
   for (int l = 0; l < cfg_.n_layer; ++l) {
     const std::size_t pb = p.layer_base + l * p.per_layer;
     const std::size_t ab = a.layer_base + l * a.per_layer;
-    layernorm_forward(acts + ab + a.ln1, acts + ab + a.ln1_mean,
-                      acts + ab + a.ln1_rstd, residual, prm + pb + p.ln1w,
-                      prm + pb + p.ln1b, BT, C);
+    kern::layernorm_forward(acts + ab + a.ln1, acts + ab + a.ln1_mean,
+                            acts + ab + a.ln1_rstd, residual, prm + pb + p.ln1w,
+                            prm + pb + p.ln1b, nullptr, BT, C);
     mm_fwd(ref, acts + ab + a.qkv, acts + ab + a.ln1, prm + pb + p.qkvw,
            prm + pb + p.qkvb, BT, C, 3 * C);
-    attention_forward(acts + ab + a.atty, acts + ab + a.preatt,
-                      acts + ab + a.att, acts + ab + a.qkv, B, T, C, NH);
+    kern::attention_forward(acts + ab + a.atty, acts + ab + a.preatt,
+                            acts + ab + a.att, acts + ab + a.qkv, B, T, C, NH);
     mm_fwd(ref, acts + ab + a.attproj, acts + ab + a.atty,
            prm + pb + p.attprojw, prm + pb + p.attprojb, BT, C, C);
     residual_forward(acts + ab + a.res2, residual, acts + ab + a.attproj,
                      BT * C);
-    layernorm_forward(acts + ab + a.ln2, acts + ab + a.ln2_mean,
-                      acts + ab + a.ln2_rstd, acts + ab + a.res2,
-                      prm + pb + p.ln2w, prm + pb + p.ln2b, BT, C);
+    kern::layernorm_forward(acts + ab + a.ln2, acts + ab + a.ln2_mean,
+                            acts + ab + a.ln2_rstd, acts + ab + a.res2,
+                            prm + pb + p.ln2w, prm + pb + p.ln2b, nullptr, BT,
+                            C);
     if (ref) {
       kern::matmul_forward_ref(acts + ab + a.fch, acts + ab + a.ln2,
                                prm + pb + p.fcw, prm + pb + p.fcb, BT, C,
@@ -444,20 +310,33 @@ void Gpt::forward(const int* tokens, int B, int T) {
                      acts + ab + a.fcproj, BT * C);
     residual = acts + ab + a.res3;
   }
-  layernorm_forward(acts + a.lnf, acts + a.lnf_mean, acts + a.lnf_rstd,
-                    residual, prm + p.lnfw, prm + p.lnfb, BT, C);
-  // tied LM head: logits = lnf @ wte^T
-  mm_fwd(ref, acts + a.logits, acts + a.lnf, prm + p.wte, nullptr, BT, C, V);
-  softmax_forward(acts + a.probs, acts + a.logits, BT, V);
-  // value head
+  // Final layernorm, tied LM head (logits = lnf @ wte^T), softmax and value
+  // head at the head rows only. Every row is computed independently, so a
+  // head row's outputs do not depend on which other rows are heads.
+  const int R = static_cast<int>(head_rows_.size());
+  kern::layernorm_forward(acts + a.lnf, acts + a.lnf_mean, acts + a.lnf_rstd,
+                          residual, prm + p.lnfw, prm + p.lnfb,
+                          head_rows_.data(), R, C);
+  mm_fwd(ref, acts + a.logits, acts + a.lnf, prm + p.wte, nullptr, R, C, V);
+  kern::softmax_forward(acts + a.probs, acts + a.logits, R, V);
   mm_fwd(ref, acts + a.values, acts + a.lnf, prm + p.valw, prm + p.valb,
-         BT, C, 1);
+         R, C, 1);
+}
+
+int Gpt::head_index(int b, int t) const {
+  const int n = b * T_ + t;
+  const auto it = std::lower_bound(head_rows_.begin(), head_rows_.end(), n);
+  return it != head_rows_.end() && *it == n
+             ? static_cast<int>(it - head_rows_.begin())
+             : -1;
 }
 
 float Gpt::logprob(int b, int t, int tok) const {
   const ActLayout a = ActLayout::make(cfg_, B_, T_);
-  const float pr = acts_[a.probs + (static_cast<std::size_t>(b) * T_ + t) *
-                                       cfg_.vocab + tok];
+  const int r = head_index(b, t);
+  assert(r >= 0);
+  const float pr =
+      acts_[a.probs + static_cast<std::size_t>(r) * cfg_.vocab + tok];
   return std::log(pr + 1e-10f);
 }
 
@@ -468,20 +347,23 @@ void Gpt::backward_from(const int* tokens, const float* dlogits,
   const ActLayout a = ActLayout::make(cfg_, B, T);
   const int C = cfg_.n_embd, NH = cfg_.n_head, V = cfg_.vocab;
   const int BT = B * T;
+  const int R = static_cast<int>(head_rows_.size());
   const float* acts = acts_.data();
-  float* dacts = dacts_.data();
   const float* prm = params_.data();
   float* grd = grads_.data();
-  std::fill(dacts_.begin(), dacts_.end(), 0.f);
+  // Sized here rather than with acts_: a model that only runs forward (the
+  // frozen PPO reference) never holds a gradient arena.
+  dacts_.assign(a.total, 0.f);
+  float* dacts = dacts_.data();
 
   // value head backward: dlnf += dvalues * valw; dvalw += sum dvalues*lnf
   if (dvalues != nullptr) {
-    for (int n = 0; n < BT; ++n) {
-      const float g = dvalues[n];
+    for (int r = 0; r < R; ++r) {
+      const float g = dvalues[r];
       if (g == 0.f) continue;
       grd[p.valb] += g;
-      const float* lnfx = acts + a.lnf + static_cast<std::size_t>(n) * C;
-      float* dlnfx = dacts + a.lnf + static_cast<std::size_t>(n) * C;
+      const float* lnfx = acts + a.lnf + static_cast<std::size_t>(r) * C;
+      float* dlnfx = dacts + a.lnf + static_cast<std::size_t>(r) * C;
       for (int c = 0; c < C; ++c) {
         grd[p.valw + c] += g * lnfx[c];
         dlnfx[c] += g * prm[p.valw + c];
@@ -491,7 +373,7 @@ void Gpt::backward_from(const int* tokens, const float* dlogits,
   const bool ref = use_ref_kernels_;
   // LM head backward (tied weights): dlnf += dlogits @ wte; dwte += ...
   mm_bwd(ref, dacts + a.lnf, grd + p.wte, nullptr, dlogits, acts + a.lnf,
-         prm + p.wte, BT, C, V);
+         prm + p.wte, R, C, V);
 
   // final layernorm
   const std::size_t last_ab = a.layer_base + (cfg_.n_layer - 1) * a.per_layer;
@@ -499,9 +381,10 @@ void Gpt::backward_from(const int* tokens, const float* dlogits,
                                            : acts + a.encoded;
   float* dresidual = cfg_.n_layer > 0 ? dacts + last_ab + a.res3
                                       : dacts + a.encoded;
-  layernorm_backward(dresidual, grd + p.lnfw, grd + p.lnfb, dacts + a.lnf,
-                     residual, acts + a.lnf_mean, acts + a.lnf_rstd,
-                     prm + p.lnfw, BT, C);
+  kern::layernorm_backward(dresidual, grd + p.lnfw, grd + p.lnfb,
+                           dacts + a.lnf, residual, acts + a.lnf_mean,
+                           acts + a.lnf_rstd, prm + p.lnfw, head_rows_.data(),
+                           R, C);
 
   for (int l = cfg_.n_layer - 1; l >= 0; --l) {
     const std::size_t pb = p.layer_base + l * p.per_layer;
@@ -527,10 +410,10 @@ void Gpt::backward_from(const int* tokens, const float* dlogits,
     mm_bwd(ref, dacts + ab + a.ln2, grd + pb + p.fcw, grd + pb + p.fcb,
            dacts + ab + a.fch, acts + ab + a.ln2, prm + pb + p.fcw,
            BT, C, 4 * C);
-    layernorm_backward(dres2, grd + pb + p.ln2w, grd + pb + p.ln2b,
-                       dacts + ab + a.ln2, acts + ab + a.res2,
-                       acts + ab + a.ln2_mean, acts + ab + a.ln2_rstd,
-                       prm + pb + p.ln2w, BT, C);
+    kern::layernorm_backward(dres2, grd + pb + p.ln2w, grd + pb + p.ln2b,
+                             dacts + ab + a.ln2, acts + ab + a.res2,
+                             acts + ab + a.ln2_mean, acts + ab + a.ln2_rstd,
+                             prm + pb + p.ln2w, nullptr, BT, C);
     // res2 = residual_in + attproj
     float* dattproj = dacts + ab + a.attproj;
     for (int n = 0; n < BT * C; ++n) {
@@ -540,15 +423,16 @@ void Gpt::backward_from(const int* tokens, const float* dlogits,
     mm_bwd(ref, dacts + ab + a.atty, grd + pb + p.attprojw,
            grd + pb + p.attprojb, dattproj, acts + ab + a.atty,
            prm + pb + p.attprojw, BT, C, C);
-    attention_backward(dacts + ab + a.qkv, dacts + ab + a.preatt,
-                       dacts + ab + a.att, dacts + ab + a.atty,
-                       acts + ab + a.qkv, acts + ab + a.att, B, T, C, NH);
+    kern::attention_backward(dacts + ab + a.qkv, dacts + ab + a.preatt,
+                             dacts + ab + a.att, dacts + ab + a.atty,
+                             acts + ab + a.qkv, acts + ab + a.att, B, T, C, NH);
     mm_bwd(ref, dacts + ab + a.ln1, grd + pb + p.qkvw, grd + pb + p.qkvb,
            dacts + ab + a.qkv, acts + ab + a.ln1, prm + pb + p.qkvw,
            BT, C, 3 * C);
-    layernorm_backward(dres_in, grd + pb + p.ln1w, grd + pb + p.ln1b,
-                       dacts + ab + a.ln1, res_in, acts + ab + a.ln1_mean,
-                       acts + ab + a.ln1_rstd, prm + pb + p.ln1w, BT, C);
+    kern::layernorm_backward(dres_in, grd + pb + p.ln1w, grd + pb + p.ln1b,
+                             dacts + ab + a.ln1, res_in, acts + ab + a.ln1_mean,
+                             acts + ab + a.ln1_rstd, prm + pb + p.ln1w, nullptr,
+                             BT, C);
   }
   encoder_backward(grd + p.wte, grd + p.wpe, dacts + a.encoded, tokens, B, T,
                    C);
@@ -563,18 +447,28 @@ float Gpt::backward_lm(const int* tokens, const int* targets, int B, int T) {
   for (int n = 0; n < BT; ++n) count += targets[n] >= 0 ? 1 : 0;
   if (count == 0) return 0.f;
 
-  std::vector<float> dlogits(static_cast<std::size_t>(BT) * V, 0.f);
+  const std::size_t R = head_rows_.size();
+  std::vector<float> dlogits(R * V, 0.f);
   const float* probs = acts_.data() + a.probs;
   float loss = 0.f;
   const float inv = 1.f / static_cast<float>(count);
-  for (int n = 0; n < BT; ++n) {
-    const int tgt = targets[n];
+  int seen = 0;
+  for (std::size_t r = 0; r < R; ++r) {
+    const int tgt = targets[head_rows_[r]];
     if (tgt < 0) continue;
-    const float* pr = probs + static_cast<std::size_t>(n) * V;
+    ++seen;
+    const float* pr = probs + r * V;
     loss += -std::log(pr[tgt] + 1e-10f);
-    float* dl = dlogits.data() + static_cast<std::size_t>(n) * V;
+    float* dl = dlogits.data() + r * V;
     for (int v = 0; v < V; ++v) dl[v] = pr[v] * inv;
     dl[tgt] -= inv;
+  }
+  if (seen != count) {
+    std::fprintf(stderr,
+                 "Gpt::backward_lm: %d target rows are not head rows of the "
+                 "last forward\n",
+                 count - seen);
+    std::abort();
   }
   backward_from(tokens, dlogits.data(), nullptr, B, T);
   return loss * inv;
@@ -654,8 +548,8 @@ void Gpt::gen_step(GenState& s, const int* tokens_t, float* logits_out) const {
 
   for (int l = 0; l < cfg_.n_layer; ++l) {
     const std::size_t pb = p.layer_base + l * p.per_layer;
-    layernorm_forward(ln, mean, rstd, x, prm + pb + p.ln1w,
-                      prm + pb + p.ln1b, B, C);
+    kern::layernorm_forward(ln, mean, rstd, x, prm + pb + p.ln1w,
+                            prm + pb + p.ln1b, nullptr, B, C);
     if (ref) {
       kern::matmul_forward_ref(qkv, ln, prm + pb + p.qkvw, prm + pb + p.qkvb,
                                B, C, 3 * C);
@@ -712,8 +606,8 @@ void Gpt::gen_step(GenState& s, const int* tokens_t, float* logits_out) const {
                                   prm + pb + p.attprojb, B);
     }
     for (int n = 0; n < B * C; ++n) x[n] += proj[n];
-    layernorm_forward(ln, mean, rstd, x, prm + pb + p.ln2w,
-                      prm + pb + p.ln2b, B, C);
+    kern::layernorm_forward(ln, mean, rstd, x, prm + pb + p.ln2w,
+                            prm + pb + p.ln2b, nullptr, B, C);
     if (ref) {
       kern::matmul_forward_ref(fch, ln, prm + pb + p.fcw, prm + pb + p.fcb,
                                B, C, 4 * C);
@@ -728,7 +622,8 @@ void Gpt::gen_step(GenState& s, const int* tokens_t, float* logits_out) const {
     }
     for (int n = 0; n < B * C; ++n) x[n] += proj[n];
   }
-  layernorm_forward(ln, mean, rstd, x, prm + p.lnfw, prm + p.lnfb, B, C);
+  kern::layernorm_forward(ln, mean, rstd, x, prm + p.lnfw, prm + p.lnfb,
+                          nullptr, B, C);
   if (ref) {
     kern::matmul_forward_ref(logits_out, ln, prm + p.wte, nullptr, B, C, V);
   } else {

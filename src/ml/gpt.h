@@ -54,27 +54,39 @@ class Gpt {
 
   // ---- training-path forward/backward -------------------------------------
   /// Forward over a [B,T] token batch. Computes logits, log-softmax-ready
-  /// probs, and the value head. T must be <= ctx; tokens in [0, vocab).
+  /// probs, and the value head at every row. T must be <= ctx; tokens in
+  /// [0, vocab).
   void forward(const int* tokens, int B, int T);
 
+  /// Forward that runs the final layernorm, LM head, softmax and value head
+  /// only at `head_rows`: flat indices b*T+t, strictly ascending. The
+  /// transformer blocks still cover every row. Head outputs are packed in
+  /// head_rows order, so logits()/probs() are [R, V] and values() is [R];
+  /// they equal the all-rows forward's outputs at those rows, bit for bit.
+  void forward(const int* tokens, int B, int T,
+               const std::vector<int>& head_rows);
+
   /// Language-model loss vs. targets [B,T] (target -1 = ignore position).
-  /// Must follow forward() on the same batch. Accumulates gradients and
-  /// returns mean cross-entropy over non-ignored positions.
+  /// Must follow forward() on the same batch, and every row with a target
+  /// must be a head row of it. Accumulates gradients and returns mean
+  /// cross-entropy over non-ignored positions.
   float backward_lm(const int* tokens, const int* targets, int B, int T);
 
-  /// Policy-gradient path: caller supplies dL/dlogits [B,T,V] and
-  /// dL/dvalue [B,T]; gradients are accumulated into grads().
+  /// Policy-gradient path: caller supplies dL/dlogits [R,V] and dL/dvalue
+  /// [R] (or null) at the last forward's R head rows (R = B*T after the
+  /// all-rows forward); gradients are accumulated into grads().
   void backward_from(const int* tokens, const float* dlogits,
                      const float* dvalues, int B, int T);
 
-  /// Views of the last forward's outputs.
+  /// Views of the last forward's head outputs (see forward()).
   const float* logits() const { return acts_ptr(kActLogits); }
   const float* probs() const { return acts_ptr(kActProbs); }
   const float* values() const { return acts_ptr(kActValues); }
   int last_B() const { return B_; }
   int last_T() const { return T_; }
 
-  /// Log-probability of token `tok` at (b, t) from the last forward.
+  /// Log-probability of token `tok` at (b, t), which must be a head row of
+  /// the last forward.
   float logprob(int b, int t, int tok) const;
 
   // ---- incremental (KV-cache) generation path ------------------------------
@@ -115,27 +127,30 @@ class Gpt {
 
   /// Route all matmul/GELU work through the seed's naive reference kernels
   /// instead of the vectorized subsystem (ml/kernels.h). Benchmark and
-  /// parity-test hook; off by default.
+  /// parity-test hook; off by default. Attention, layernorm and softmax
+  /// reproduce their references bit for bit, so they have no switch.
   void set_use_ref_kernels(bool ref) { use_ref_kernels_ = ref; }
   bool use_ref_kernels() const { return use_ref_kernels_; }
 
  private:
-  enum ActName {
-    kActEncoded, kActLnf, kActLnfMean, kActLnfRstd, kActLogits, kActProbs,
-    kActValues,
-  };
+  enum ActName { kActLogits, kActProbs, kActValues };
+  /// Position of row (b, t) among the last forward's head rows, or -1.
+  int head_index(int b, int t) const;
   const float* acts_ptr(ActName which) const;
   void ensure_acts(int B, int T);
+  void forward_body(const int* tokens, int B, int T);
 
   GptConfig cfg_;
   std::vector<float> params_;
   std::vector<float> grads_;
   bool use_ref_kernels_ = false;
 
-  // Activation & activation-gradient arenas for the current (B,T).
+  // Activation & activation-gradient arenas, laid out for the current (B,T)
+  // and sized for the largest seen so far.
   int B_ = 0, T_ = 0;
   std::vector<float> acts_;
   std::vector<float> dacts_;
+  std::vector<int> head_rows_;  // ascending b*T+t rows of the last forward
 
   struct Layout;  // parameter/activation offset tables
 };

@@ -20,7 +20,8 @@ namespace chatfuzz::ml::kern {
 // fixed list of disjoint [lo, hi) ranges — one per participant, computed from
 // the range arithmetic alone — so the partitioning (and therefore every
 // output bit) is independent of scheduling. The calling thread always
-// executes partition 0 itself.
+// executes partition 0 itself. One dispatch owns the pool at a time; any
+// other call runs all of its partitions inline, in partition order.
 // ===========================================================================
 namespace {
 
@@ -43,11 +44,13 @@ class Pool {
   }
 
   /// Run fn(part) for part in [0, parts) using parts-1 pooled workers plus
-  /// the caller. Returns after every part has finished.
+  /// the caller. Returns after every part has finished. While the pool is
+  /// busy — a second calling thread, or a kernel inside a pool body — the
+  /// caller runs every part itself: the dispatch has a single slot.
   void run(int parts, const std::function<void(int)>& fn) {
     assert(parts >= 1);
-    if (parts == 1) {
-      fn(0);
+    if (parts == 1 || busy_.exchange(true, std::memory_order_acquire)) {
+      for (int part = 0; part < parts; ++part) fn(part);
       return;
     }
     ensure_workers(parts - 1);
@@ -63,6 +66,7 @@ class Pool {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [this] { return pending_ == 0; });
     fn_ = nullptr;
+    busy_.store(false, std::memory_order_release);
   }
 
  private:
@@ -105,39 +109,21 @@ class Pool {
   int pending_ = 0;
   std::uint64_t epoch_ = 0;
   bool quit_ = false;
+  std::atomic<bool> busy_{false};
 };
 
-int g_threads = 0;  // 0 = not yet initialized from the environment
+std::atomic<int> g_threads{0};  // 0 = not yet initialized from the environment
+
+int hardware_threads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
 
 /// Deterministic contiguous partition of [0, total) into `parts` ranges.
 std::pair<int, int> partition(int total, int parts, int part) {
   const int base = total / parts, rem = total % parts;
   const int lo = part * base + (part < rem ? part : rem);
   return {lo, lo + base + (part < rem ? 1 : 0)};
-}
-
-/// Split [0, total) across the configured threads and run body(lo, hi) on
-/// each range. Falls back to a single inline call when the work is too small
-/// to amortize the dispatch or threading is off.
-template <typename Body>
-void parallel_ranges(int total, std::size_t work_per_item, const Body& body) {
-  const int nt = num_threads();
-  constexpr std::size_t kMinWorkPerThread = 1 << 15;
-  int parts = nt;
-  if (parts > total) parts = total;
-  if (parts > 1 &&
-      static_cast<std::size_t>(total) * work_per_item / parts < kMinWorkPerThread) {
-    parts = 1;
-  }
-  if (parts <= 1) {
-    body(0, total);
-    return;
-  }
-  const std::function<void(int)> fn = [&](int part) {
-    const auto [lo, hi] = partition(total, parts, part);
-    body(lo, hi);
-  };
-  Pool::instance().run(parts, fn);
 }
 
 // ---- vectorizable GELU for the incremental-decode path ---------------------
@@ -259,29 +245,54 @@ void transpose_into(float* dst, const float* w, int Cout, int Cin) {
 }  // namespace
 
 int env_threads() {
+  const int hw = hardware_threads();
   const char* env = std::getenv("CHATFUZZ_ML_THREADS");
-  if (env == nullptr) return 1;
+  if (env == nullptr) return hw;
   const auto parsed = parse_count(env);
   if (!parsed) {
     std::fprintf(stderr,
                  "[kernels] ignoring malformed CHATFUZZ_ML_THREADS=\"%s\" "
-                 "(using 1 thread)\n",
-                 env);
-    return 1;
+                 "(using %d threads)\n",
+                 env, hw);
+    return hw;
   }
-  if (*parsed == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
-  }
+  if (*parsed == 0 || *parsed > static_cast<std::size_t>(hw)) return hw;
   return static_cast<int>(*parsed);
 }
 
 int num_threads() {
-  if (g_threads == 0) g_threads = env_threads();
-  return g_threads;
+  int n = g_threads.load(std::memory_order_relaxed);
+  if (n == 0) {
+    int unset = 0;
+    g_threads.compare_exchange_strong(unset, env_threads(),
+                                      std::memory_order_relaxed);
+    n = g_threads.load(std::memory_order_relaxed);
+  }
+  return n;
 }
 
-void set_num_threads(int n) { g_threads = n < 1 ? 1 : n; }
+void set_num_threads(int n) {
+  g_threads.store(n < 1 ? 1 : n, std::memory_order_relaxed);
+}
+
+void parallel_ranges(int total, std::size_t work_per_item,
+                     const std::function<void(int, int)>& body) {
+  constexpr std::size_t kMinWorkPerThread = 1 << 15;
+  int parts = num_threads();
+  if (parts > total) parts = total;
+  if (parts > 1 &&
+      static_cast<std::size_t>(total) * work_per_item / parts < kMinWorkPerThread) {
+    parts = 1;
+  }
+  if (parts <= 1) {
+    body(0, total);
+    return;
+  }
+  Pool::instance().run(parts, [&](int part) {
+    const auto [lo, hi] = partition(total, parts, part);
+    body(lo, hi);
+  });
+}
 
 // ===========================================================================
 // Optimized kernels.
@@ -295,23 +306,15 @@ void pack_transpose(PackedMat& dst, const float* w, int Cout, int Cin) {
 
 void matmul_forward_packed(float* out, const float* inp, const PackedMat& wt,
                            const float* bias, int N) {
-  const int Cin = wt.cin, Cout = wt.cout;
-  parallel_ranges(N, static_cast<std::size_t>(Cin) * Cout, [&](int n0, int n1) {
-    range_forward_packed(out, inp, wt.t.data(), bias, n0, n1, Cin, Cout);
-  });
+  range_forward_packed(out, inp, wt.t.data(), bias, 0, N, wt.cin, wt.cout);
 }
 
 void matmul_bias_gelu_forward_packed(float* pre, float* post, const float* inp,
                                      const PackedMat& wt, const float* bias,
                                      int N) {
-  const int Cin = wt.cin, Cout = wt.cout;
-  parallel_ranges(N, static_cast<std::size_t>(Cin) * Cout, [&](int n0, int n1) {
-    range_forward_packed(pre, inp, wt.t.data(), bias, n0, n1, Cin, Cout);
-    float* p = pre + static_cast<std::size_t>(n0) * Cout;
-    float* g = post + static_cast<std::size_t>(n0) * Cout;
-    const std::size_t cnt = static_cast<std::size_t>(n1 - n0) * Cout;
-    for (std::size_t k = 0; k < cnt; ++k) g[k] = gelu_fast(p[k]);
-  });
+  range_forward_packed(pre, inp, wt.t.data(), bias, 0, N, wt.cin, wt.cout);
+  const std::size_t cnt = static_cast<std::size_t>(N) * wt.cout;
+  for (std::size_t k = 0; k < cnt; ++k) post[k] = gelu_fast(pre[k]);
 }
 
 void matmul_forward(float* out, const float* inp, const float* w,
@@ -378,7 +381,11 @@ void gelu_forward(float* out, const float* inp, int N) {
 }
 
 void gelu_backward(float* dinp, const float* inp, const float* dout, int N) {
-  gelu_backward_ref(dinp, inp, dout, N);
+  // Per element and free of reductions, so any split keeps the bits; the
+  // work runs in kernels_ref.cpp's loop, whose tanh argument is not fused.
+  parallel_ranges(N, 64, [&](int lo, int hi) {
+    gelu_backward_ref(dinp + lo, inp + lo, dout + lo, hi - lo);
+  });
 }
 
 }  // namespace chatfuzz::ml::kern

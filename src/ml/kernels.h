@@ -15,21 +15,25 @@
 // depend on the thread count, so results are bit-identical run to run and
 // for any set_num_threads() value. Threads only ever split work across
 // *disjoint* output ranges (rows for forward/dinp, output channels for
-// dweight/dbias), never across a reduction.
+// dweight/dbias, batch rows for attention), never across a reduction.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 namespace chatfuzz::ml::kern {
 
 // ---- intra-batch thread splitter -------------------------------------------
 // A small persistent worker pool (the campaign engine's pool idiom, scoped
-// to kernel calls). Default is single-threaded; CHATFUZZ_ML_THREADS seeds
-// the initial value ("0" = all hardware threads). Campaign workers already
-// parallelize across tests, so kernel threading is opt-in for the training
-// benches that run one big model on an otherwise idle machine.
+// to kernel calls). It defaults to every hardware thread: in a closed-loop
+// campaign the simulation workers sit idle while the model trains, so the
+// training kernels take the cores. CHATFUZZ_ML_THREADS overrides the default
+// ("0" = all hardware threads; larger values are clamped to the hardware
+// thread count). The pool runs one dispatch at a time: a kernel called from
+// a second thread while it is busy, or from inside a pool body, runs its
+// ranges inline on the caller. The ranges are the same, so the bits are too.
 
 /// Current kernel thread count (>= 1).
 int num_threads();
@@ -39,9 +43,16 @@ int num_threads();
 /// between training phases.
 void set_num_threads(int n);
 
-/// Thread count requested by CHATFUZZ_ML_THREADS (default 1, "0" = all
-/// hardware threads, malformed values fall back to 1).
+/// Thread count requested by CHATFUZZ_ML_THREADS: unset, "0" or malformed
+/// mean all hardware threads, and no value exceeds that count.
 int env_threads();
+
+/// Split [0, total) into one contiguous range per thread and run
+/// body(lo, hi) on each; the partition depends only on `total` and the
+/// thread count. `work_per_item` (roughly flops per item) decides whether
+/// the split pays for waking the pool; small calls run inline.
+void parallel_ranges(int total, std::size_t work_per_item,
+                     const std::function<void(int, int)>& body);
 
 // ---- scalar GELU (shared by both implementations) ---------------------------
 inline float gelu_scalar(float x) {
@@ -64,6 +75,19 @@ void matmul_backward_ref(float* dinp, float* dw, float* dbias,
 void gelu_forward_ref(float* out, const float* inp, int N);
 void gelu_backward_ref(float* dinp, const float* inp, const float* dout,
                        int N);
+void attention_forward_ref(float* out, float* preatt, float* att,
+                           const float* qkv, int B, int T, int C, int NH);
+void attention_backward_ref(float* dqkv, float* dpreatt, float* datt,
+                            const float* dout, const float* qkv,
+                            const float* att, int B, int T, int C, int NH);
+void layernorm_forward_ref(float* out, float* mean, float* rstd,
+                           const float* inp, const float* w, const float* b,
+                           int N, int C);
+void layernorm_backward_ref(float* dinp, float* dw, float* db,
+                            const float* dout, const float* inp,
+                            const float* mean, const float* rstd,
+                            const float* w, int N, int C);
+void softmax_forward_ref(float* probs, const float* logits, int N, int V);
 
 // ---- optimized kernels -------------------------------------------------------
 /// Row-blocked, vectorizable matmul. Same signature and math as the
@@ -86,7 +110,41 @@ void matmul_bias_gelu_forward(float* pre, float* post, const float* inp,
                               int Cin, int Cout);
 
 void gelu_forward(float* out, const float* inp, int N);
+/// dinp += gelu'(inp) * dout, split by element. Recomputes tanh and cosh
+/// exactly as gelu_backward_ref does (the fused forward's tanh argument is
+/// contracted differently, so reusing it would change bits).
 void gelu_backward(float* dinp, const float* inp, const float* dout, int N);
+
+// ---- transformer layer kernels (kernels_exact.cpp) -------------------------
+// The training path's attention, layernorm and softmax. Each reproduces its
+// *_ref loop bit for bit, so kernels_exact.cpp is compiled with FMA
+// contraction off; the loops are only reshaped where that keeps every
+// output element's operations and their order.
+
+/// Causal self-attention. qkv is [B, T, 3C]; out is [B, T, C]; preatt and
+/// att are [B, NH, T, T] (zero above the diagonal). Split by batch row; the
+/// query-key dot products run lane-parallel across keys.
+void attention_forward(float* out, float* preatt, float* att, const float* qkv,
+                       int B, int T, int C, int NH);
+/// Accumulates into dqkv, dpreatt and datt (callers zero them). Split by
+/// batch row; the softmax-Jacobian loop runs lane-parallel across keys.
+void attention_backward(float* dqkv, float* dpreatt, float* datt,
+                        const float* dout, const float* qkv, const float* att,
+                        int B, int T, int C, int NH);
+
+/// Row n of out (and mean[n], rstd[n]) normalizes input row rows[n], or
+/// row n when rows is null. Split by row.
+void layernorm_forward(float* out, float* mean, float* rstd, const float* inp,
+                       const float* w, const float* b, const int* rows, int N,
+                       int C);
+/// Backward of layernorm_forward with the same `rows` (which must be
+/// distinct): dinp rows split by row, dw/db split by channel.
+void layernorm_backward(float* dinp, float* dw, float* db, const float* dout,
+                        const float* inp, const float* mean, const float* rstd,
+                        const float* w, const int* rows, int N, int C);
+
+/// Row-wise softmax over V logits, split by row.
+void softmax_forward(float* probs, const float* logits, int N, int V);
 
 // ---- packed weights for incremental decode -----------------------------------
 /// A transposed ([Cin, Cout], unit stride over Cout) copy of a [Cout, Cin]
@@ -101,6 +159,8 @@ struct PackedMat {
 };
 
 /// Fill `dst` with the transpose of w ([Cout, Cin] row-major).
+/// The packed matvecs below run on the calling thread: decode steps are too
+/// small to pay for waking the pool.
 void pack_transpose(PackedMat& dst, const float* w, int Cout, int Cin);
 
 /// out[n, o] = bias[o] + sum_i inp[n, i] * W[o, i], with W pre-packed.

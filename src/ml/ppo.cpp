@@ -21,10 +21,12 @@ PpoStats PpoTrainer::update(const std::vector<Generation>& gens,
   OBS_SPAN("ml.ppo_update");
   PpoStats stats;
 
-  // Keep only sequences with a non-empty response.
+  // Keep only sequences with a non-empty response. The first action's
+  // logits come from the last prompt position, so the prompt must not be
+  // empty either.
   std::vector<std::size_t> keep;
   for (std::size_t i = 0; i < gens.size(); ++i) {
-    if (!gens[i].response.empty()) keep.push_back(i);
+    if (!gens[i].prompt.empty() && !gens[i].response.empty()) keep.push_back(i);
   }
   if (keep.empty()) return stats;
 
@@ -70,9 +72,17 @@ PpoStats PpoTrainer::update(const std::vector<Generation>& gens,
   if (actions.empty()) return stats;
   stats.num_actions = actions.size();
 
+  // Nothing reads the LM and value heads outside the action rows, so both
+  // models run them only there. Actions are in ascending (b, t) order, so
+  // head output i belongs to action i.
+  std::vector<int> rows(actions.size());
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    rows[i] = actions[i].b * T + actions[i].t_logits;
+  }
+
   // Reference logprobs (frozen model) for the KL penalty.
   Gpt& mutable_ref = const_cast<Gpt&>(ref_);  // forward only; no grads
-  mutable_ref.forward(tokens.data(), B, T);
+  mutable_ref.forward(tokens.data(), B, T, rows);
   std::vector<float> logp_ref(actions.size());
   for (std::size_t i = 0; i < actions.size(); ++i) {
     const Action& a = actions[i];
@@ -115,12 +125,10 @@ PpoStats PpoTrainer::update(const std::vector<Generation>& gens,
   }
 
   // Advantages from the pre-update value estimates.
-  policy_.forward(tokens.data(), B, T);
+  policy_.forward(tokens.data(), B, T, rows);
   std::vector<float> adv(actions.size());
   for (std::size_t i = 0; i < actions.size(); ++i) {
-    const Action& a = actions[i];
-    const float v = policy_.values()[a.b * T + a.t_logits];
-    adv[i] = returns[i] - v;
+    adv[i] = returns[i] - policy_.values()[i];
   }
   if (cfg_.whiten_advantages && adv.size() > 1) {
     double mean = 0.0;
@@ -135,10 +143,12 @@ PpoStats PpoTrainer::update(const std::vector<Generation>& gens,
 
   // PPO epochs.
   const float inv_n = 1.f / static_cast<float>(actions.size());
+  std::vector<float> dlogits(actions.size() * V);
+  std::vector<float> dvalues(actions.size());
   for (int epoch = 0; epoch < cfg_.ppo_epochs; ++epoch) {
-    if (epoch > 0) policy_.forward(tokens.data(), B, T);
-    std::vector<float> dlogits(static_cast<std::size_t>(B) * T * V, 0.f);
-    std::vector<float> dvalues(static_cast<std::size_t>(B) * T, 0.f);
+    if (epoch > 0) policy_.forward(tokens.data(), B, T, rows);
+    std::fill(dlogits.begin(), dlogits.end(), 0.f);
+    std::fill(dvalues.begin(), dvalues.end(), 0.f);
 
     double pol_loss = 0.0, val_loss = 0.0, entropy_sum = 0.0;
     std::size_t clipped = 0;
@@ -158,27 +168,21 @@ PpoStats PpoTrainer::update(const std::vector<Generation>& gens,
       if (unclipped <= clippedv || !clip_active) {
         g = -inv_n * ratio * adv[i];  // dL/dlogp_new
       }
+      const float* pr = policy_.probs() + i * V;
+      float* dl = dlogits.data() + i * V;
       if (g != 0.f) {
-        const float* pr = policy_.probs() +
-                          (static_cast<std::size_t>(a.b) * T + a.t_logits) * V;
-        float* dl = dlogits.data() +
-                    (static_cast<std::size_t>(a.b) * T + a.t_logits) * V;
         for (int v = 0; v < V; ++v) dl[v] += g * -pr[v];
         dl[a.token] += g;
       }
       // Entropy bonus: maximizing H adds entropy_coef * p_v*(log p_v + H)
       // to dL/dlogit_v (loss carries -entropy_coef * H).
       if (cfg_.entropy_coef > 0.f || epoch == 0) {
-        const float* pr = policy_.probs() +
-                          (static_cast<std::size_t>(a.b) * T + a.t_logits) * V;
         double h = 0.0;
         for (int v = 0; v < V; ++v) {
           if (pr[v] > 1e-12f) h -= pr[v] * std::log(pr[v]);
         }
         if (epoch == 0) entropy_sum += h;
         if (cfg_.entropy_coef > 0.f) {
-          float* dl = dlogits.data() +
-                      (static_cast<std::size_t>(a.b) * T + a.t_logits) * V;
           const auto hf = static_cast<float>(h);
           for (int v = 0; v < V; ++v) {
             if (pr[v] > 1e-12f) {
@@ -189,10 +193,9 @@ PpoStats PpoTrainer::update(const std::vector<Generation>& gens,
         }
       }
       // Value loss on the same positions.
-      const float v_now = policy_.values()[a.b * T + a.t_logits];
-      const float verr = v_now - returns[i];
+      const float verr = policy_.values()[i] - returns[i];
       val_loss += 0.5 * verr * verr;
-      dvalues[a.b * T + a.t_logits] += cfg_.vf_coef * verr * inv_n;
+      dvalues[i] += cfg_.vf_coef * verr * inv_n;
     }
     policy_.zero_grad();
     policy_.backward_from(tokens.data(), dlogits.data(), dvalues.data(), B, T);

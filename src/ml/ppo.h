@@ -44,8 +44,9 @@ class PpoTrainer {
   PpoTrainer(Gpt& policy, const Gpt& reference, PpoConfig cfg = {});
 
   /// One PPO update on a batch of generations with their terminal rewards
-  /// (rewards[i] corresponds to gens[i]). Sequences with empty responses are
-  /// skipped.
+  /// (rewards[i] corresponds to gens[i]). Sequences with an empty response
+  /// or an empty prompt are skipped. The LM and value heads run only at the
+  /// action rows.
   ///
   /// `token_rewards`, when non-null, supplies dense per-response-token shaping
   /// (same outer size as gens; inner size = response length). Deterministic

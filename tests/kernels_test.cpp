@@ -1,9 +1,15 @@
 // Parity and determinism tests for the vectorized ML kernel subsystem
 // (ml/kernels.h): every optimized kernel against its naive reference on
-// randomized shapes, bit-identical results across thread counts, and
-// end-to-end incremental-vs-full generation parity.
+// randomized shapes (bit for bit for the layer kernels), bit-identical
+// results across thread counts, pool re-entrancy, and end-to-end
+// incremental-vs-full generation parity.
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -171,6 +177,275 @@ TEST(Kernels, ThreadSplitterIsBitIdentical) {
                              dws[0].size() * sizeof(float)));
     EXPECT_EQ(0, std::memcmp(dbs[0].data(), dbs[i].data(),
                              dbs[0].size() * sizeof(float)));
+  }
+}
+
+// ---- transformer layer kernels: bit-exact against the seed loops ----------
+// The attention, layernorm and softmax kernels promise the *_ref bits, not
+// merely close values, at every thread count.
+
+namespace {
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Runs `body` at kernel thread counts 1..4, restoring the setting after.
+template <typename Body>
+void at_thread_counts(const Body& body) {
+  const int saved = kern::num_threads();
+  for (const int nt : {1, 2, 3, 4}) {
+    kern::set_num_threads(nt);
+    SCOPED_TRACE("threads=" + std::to_string(nt));
+    body();
+  }
+  kern::set_num_threads(saved);
+}
+
+struct AttnShape {
+  int B, T, C, NH;
+};
+
+// T = 1, T not a multiple of 4 or 8, T a multiple of 8, and one shape with
+// enough work per batch row to engage the pool.
+const AttnShape kAttnShapes[] = {
+    {2, 1, 16, 2}, {1, 5, 8, 1}, {3, 13, 32, 4}, {2, 16, 16, 2}, {3, 37, 64, 4},
+};
+
+}  // namespace
+
+TEST(Kernels, AttentionForwardMatchesRefBits) {
+  Rng rng(21);
+  for (const AttnShape& s : kAttnShapes) {
+    SCOPED_TRACE("T=" + std::to_string(s.T));
+    const std::size_t BT = static_cast<std::size_t>(s.B) * s.T;
+    const std::size_t TT = static_cast<std::size_t>(s.B) * s.NH * s.T * s.T;
+    const auto qkv = random_vec(rng, BT * 3 * s.C, 4.f);
+    std::vector<float> out_ref(BT * s.C), pre_ref(TT), att_ref(TT);
+    kern::attention_forward_ref(out_ref.data(), pre_ref.data(), att_ref.data(),
+                                qkv.data(), s.B, s.T, s.C, s.NH);
+    at_thread_counts([&] {
+      // Stale values in every output must be overwritten, as the ref does.
+      std::vector<float> out(out_ref.size(), 7.f), pre(TT, 7.f), att(TT, 7.f);
+      kern::attention_forward(out.data(), pre.data(), att.data(), qkv.data(),
+                              s.B, s.T, s.C, s.NH);
+      EXPECT_TRUE(same_bits(out, out_ref));
+      EXPECT_TRUE(same_bits(pre, pre_ref));
+      EXPECT_TRUE(same_bits(att, att_ref));
+    });
+  }
+}
+
+TEST(Kernels, AttentionBackwardMatchesRefBits) {
+  Rng rng(22);
+  for (const AttnShape& s : kAttnShapes) {
+    SCOPED_TRACE("T=" + std::to_string(s.T));
+    const std::size_t BT = static_cast<std::size_t>(s.B) * s.T;
+    const std::size_t TT = static_cast<std::size_t>(s.B) * s.NH * s.T * s.T;
+    const auto qkv = random_vec(rng, BT * 3 * s.C, 4.f);
+    std::vector<float> out(BT * s.C), pre(TT), att(TT);
+    kern::attention_forward_ref(out.data(), pre.data(), att.data(), qkv.data(),
+                                s.B, s.T, s.C, s.NH);
+    const auto dout = random_vec(rng, BT * s.C);
+    // Non-zero initial accumulators: the kernel adds into all three.
+    const auto seed_dqkv = random_vec(rng, qkv.size(), 0.1f);
+    const auto seed_dpre = random_vec(rng, TT, 0.1f);
+    const auto seed_datt = random_vec(rng, TT, 0.1f);
+    auto dqkv_ref = seed_dqkv, dpre_ref = seed_dpre, datt_ref = seed_datt;
+    kern::attention_backward_ref(dqkv_ref.data(), dpre_ref.data(),
+                                 datt_ref.data(), dout.data(), qkv.data(),
+                                 att.data(), s.B, s.T, s.C, s.NH);
+    at_thread_counts([&] {
+      auto dqkv = seed_dqkv, dpre = seed_dpre, datt = seed_datt;
+      kern::attention_backward(dqkv.data(), dpre.data(), datt.data(),
+                               dout.data(), qkv.data(), att.data(), s.B, s.T,
+                               s.C, s.NH);
+      EXPECT_TRUE(same_bits(dqkv, dqkv_ref));
+      EXPECT_TRUE(same_bits(dpre, dpre_ref));
+      EXPECT_TRUE(same_bits(datt, datt_ref));
+    });
+  }
+}
+
+TEST(Kernels, LayernormMatchesRefBits) {
+  Rng rng(23);
+  for (const std::pair<int, int>& shape : {std::pair{1, 16}, std::pair{7, 37},
+                                          std::pair{600, 64}}) {
+    const int N = shape.first, C = shape.second;
+    SCOPED_TRACE("N=" + std::to_string(N));
+    const std::size_t NC = static_cast<std::size_t>(N) * C;
+    const auto inp = random_vec(rng, NC, 3.f);
+    const auto w = random_vec(rng, C, 2.f);
+    const auto b = random_vec(rng, C);
+    const auto dout = random_vec(rng, NC);
+    const auto seed_dinp = random_vec(rng, NC, 0.1f);
+    const auto seed_dw = random_vec(rng, C, 0.1f);
+    const auto seed_db = random_vec(rng, C, 0.1f);
+    std::vector<float> out_ref(NC), mean_ref(N), rstd_ref(N);
+    kern::layernorm_forward_ref(out_ref.data(), mean_ref.data(),
+                                rstd_ref.data(), inp.data(), w.data(), b.data(),
+                                N, C);
+    auto dinp_ref = seed_dinp, dw_ref = seed_dw, db_ref = seed_db;
+    kern::layernorm_backward_ref(dinp_ref.data(), dw_ref.data(), db_ref.data(),
+                                 dout.data(), inp.data(), mean_ref.data(),
+                                 rstd_ref.data(), w.data(), N, C);
+    at_thread_counts([&] {
+      std::vector<float> out(NC), mean(N), rstd(N);
+      kern::layernorm_forward(out.data(), mean.data(), rstd.data(), inp.data(),
+                              w.data(), b.data(), nullptr, N, C);
+      EXPECT_TRUE(same_bits(out, out_ref));
+      EXPECT_TRUE(same_bits(mean, mean_ref));
+      EXPECT_TRUE(same_bits(rstd, rstd_ref));
+      auto dinp = seed_dinp, dw = seed_dw, db = seed_db;
+      kern::layernorm_backward(dinp.data(), dw.data(), db.data(), dout.data(),
+                               inp.data(), mean.data(), rstd.data(), w.data(),
+                               nullptr, N, C);
+      EXPECT_TRUE(same_bits(dinp, dinp_ref));
+      EXPECT_TRUE(same_bits(dw, dw_ref));
+      EXPECT_TRUE(same_bits(db, db_ref));
+    });
+  }
+}
+
+TEST(Kernels, LayernormOnGatheredRowsMatchesRefOnCopies) {
+  Rng rng(24);
+  const int M = 900, C = 64;
+  std::vector<int> rows;
+  for (int n = 0; n < M; ++n) {
+    if (rng.below(3) != 0) rows.push_back(n);
+  }
+  const int N = static_cast<int>(rows.size());
+  const auto inp = random_vec(rng, static_cast<std::size_t>(M) * C, 3.f);
+  const auto w = random_vec(rng, C, 2.f);
+  const auto b = random_vec(rng, C);
+  const auto dout = random_vec(rng, static_cast<std::size_t>(N) * C);
+  const auto seed_dinp = random_vec(rng, inp.size(), 0.1f);
+  // The reference runs on packed copies of the selected rows.
+  std::vector<float> g_inp, g_dinp;
+  for (const int r : rows) {
+    g_inp.insert(g_inp.end(), inp.begin() + r * C, inp.begin() + (r + 1) * C);
+    g_dinp.insert(g_dinp.end(), seed_dinp.begin() + r * C,
+                  seed_dinp.begin() + (r + 1) * C);
+  }
+  std::vector<float> out_ref(g_inp.size()), mean_ref(N), rstd_ref(N);
+  kern::layernorm_forward_ref(out_ref.data(), mean_ref.data(), rstd_ref.data(),
+                              g_inp.data(), w.data(), b.data(), N, C);
+  std::vector<float> dw_ref(C, 0.f), db_ref(C, 0.f);
+  kern::layernorm_backward_ref(g_dinp.data(), dw_ref.data(), db_ref.data(),
+                               dout.data(), g_inp.data(), mean_ref.data(),
+                               rstd_ref.data(), w.data(), N, C);
+  auto dinp_ref = seed_dinp;  // scatter the packed result back
+  for (int n = 0; n < N; ++n) {
+    std::copy(g_dinp.begin() + n * C, g_dinp.begin() + (n + 1) * C,
+              dinp_ref.begin() + rows[n] * C);
+  }
+  at_thread_counts([&] {
+    std::vector<float> out(out_ref.size()), mean(N), rstd(N);
+    kern::layernorm_forward(out.data(), mean.data(), rstd.data(), inp.data(),
+                            w.data(), b.data(), rows.data(), N, C);
+    EXPECT_TRUE(same_bits(out, out_ref));
+    EXPECT_TRUE(same_bits(mean, mean_ref));
+    EXPECT_TRUE(same_bits(rstd, rstd_ref));
+    auto dinp = seed_dinp;
+    std::vector<float> dw(C, 0.f), db(C, 0.f);
+    kern::layernorm_backward(dinp.data(), dw.data(), db.data(), dout.data(),
+                             inp.data(), mean.data(), rstd.data(), w.data(),
+                             rows.data(), N, C);
+    EXPECT_TRUE(same_bits(dinp, dinp_ref));
+    EXPECT_TRUE(same_bits(dw, dw_ref));
+    EXPECT_TRUE(same_bits(db, db_ref));
+  });
+}
+
+TEST(Kernels, SoftmaxMatchesRefBits) {
+  Rng rng(25);
+  for (const std::pair<int, int>& shape : {std::pair{1, 7}, std::pair{5, 259},
+                                          std::pair{64, 259}}) {
+    const int N = shape.first, V = shape.second;
+    const auto logits = random_vec(rng, static_cast<std::size_t>(N) * V, 20.f);
+    std::vector<float> ref(logits.size());
+    kern::softmax_forward_ref(ref.data(), logits.data(), N, V);
+    at_thread_counts([&] {
+      std::vector<float> probs(logits.size());
+      kern::softmax_forward(probs.data(), logits.data(), N, V);
+      EXPECT_TRUE(same_bits(probs, ref));
+    });
+  }
+}
+
+TEST(Kernels, GeluBackwardMatchesRefBits) {
+  Rng rng(26);
+  const int N = 40000;  // enough to split across the pool
+  const auto inp = random_vec(rng, N, 8.f);
+  const auto dout = random_vec(rng, N);
+  const auto seed = random_vec(rng, N, 0.1f);
+  auto ref = seed;
+  kern::gelu_backward_ref(ref.data(), inp.data(), dout.data(), N);
+  at_thread_counts([&] {
+    auto d = seed;
+    kern::gelu_backward(d.data(), inp.data(), dout.data(), N);
+    EXPECT_TRUE(same_bits(d, ref));
+  });
+}
+
+// ---- the pool itself -------------------------------------------------------
+
+TEST(Kernels, NestedAndConcurrentCallsRunInlineWithSameBits) {
+  Rng rng(27);
+  const Shape s{61, 96, 224};
+  const auto inp = random_vec(rng, static_cast<std::size_t>(s.N) * s.Cin);
+  const auto w =
+      random_vec(rng, static_cast<std::size_t>(s.Cout) * s.Cin, 0.2f);
+  std::vector<float> want(static_cast<std::size_t>(s.N) * s.Cout);
+  kern::matmul_forward(want.data(), inp.data(), w.data(), nullptr, s.N, s.Cin,
+                       s.Cout);
+  const int saved = kern::num_threads();
+  kern::set_num_threads(4);
+  // A kernel inside a pool body finds the pool busy and runs inline.
+  std::vector<std::vector<float>> nested(4, std::vector<float>(want.size()));
+  kern::parallel_ranges(4, 1 << 20, [&](int lo, int hi) {
+    for (int k = lo; k < hi; ++k) {
+      kern::matmul_forward(nested[k].data(), inp.data(), w.data(), nullptr,
+                           s.N, s.Cin, s.Cout);
+    }
+  });
+  // Several threads dispatching at once: one owns the pool, the rest run
+  // inline.
+  std::vector<std::vector<float>> concurrent(4,
+                                            std::vector<float>(want.size()));
+  std::vector<std::thread> callers;
+  for (auto& out : concurrent) {
+    callers.emplace_back([&] {
+      for (int rep = 0; rep < 20; ++rep) {
+        kern::matmul_forward(out.data(), inp.data(), w.data(), nullptr, s.N,
+                             s.Cin, s.Cout);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  kern::set_num_threads(saved);
+  for (const auto& out : nested) EXPECT_TRUE(same_bits(out, want));
+  for (const auto& out : concurrent) EXPECT_TRUE(same_bits(out, want));
+}
+
+TEST(Kernels, EnvThreadsDefaultsToAndClampsAtHardwareThreads) {
+  const int hw =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const char* saved = std::getenv("CHATFUZZ_ML_THREADS");
+  const std::string keep = saved != nullptr ? saved : "";
+  unsetenv("CHATFUZZ_ML_THREADS");
+  EXPECT_EQ(kern::env_threads(), hw);
+  setenv("CHATFUZZ_ML_THREADS", "100000", 1);
+  EXPECT_EQ(kern::env_threads(), hw);
+  setenv("CHATFUZZ_ML_THREADS", "0", 1);
+  EXPECT_EQ(kern::env_threads(), hw);
+  setenv("CHATFUZZ_ML_THREADS", "1", 1);
+  EXPECT_EQ(kern::env_threads(), 1);
+  if (saved != nullptr) {
+    setenv("CHATFUZZ_ML_THREADS", keep.c_str(), 1);
+  } else {
+    unsetenv("CHATFUZZ_ML_THREADS");
   }
 }
 

@@ -1,13 +1,19 @@
 // ML subsystem tests: tokenizer round-trips, finite-difference gradient
 // checks on the hand-written backprop, LM training convergence, KV-cache
-// generation vs. full forward consistency, sampler determinism, AdamW, and
-// a PPO sanity task (policy learns to prefer a rewarded token).
+// generation vs. full forward consistency, sampler determinism, AdamW, a
+// PPO sanity task (policy learns to prefer a rewarded token), and bit
+// identity of the training path across kernel thread counts and between
+// the action-row and all-rows LM head.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "ml/adamw.h"
 #include "ml/gpt.h"
+#include "ml/kernels.h"
 #include "ml/ppo.h"
 #include "ml/sampler.h"
 #include "ml/tokenizer.h"
@@ -374,6 +380,348 @@ TEST(Ppo, EmptyResponsesAreSkipped) {
   PpoTrainer ppo(policy, ref, PpoConfig{});
   Generation g;
   g.prompt = {1, 2};
+  const PpoStats st = ppo.update({g}, {1.0});
+  EXPECT_EQ(st.num_actions, 0u);
+}
+
+// ---- thread-count and head-row bit identity -------------------------------
+
+namespace {
+
+bool same_bits(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && same_bits(a.data(), b.data(), a.size());
+}
+
+/// Restores the kernel thread count when a test ends.
+struct ThreadCountGuard {
+  int saved = kern::num_threads();
+  ~ThreadCountGuard() { kern::set_num_threads(saved); }
+};
+
+struct TrainingBatch {
+  int B = 16, T = 48;
+  std::vector<int> tokens, targets;
+  std::vector<float> dlogits, dvalues;
+};
+
+TrainingBatch make_training_batch(const GptConfig& cfg, std::uint64_t seed) {
+  TrainingBatch tb;
+  Rng rng(seed);
+  const std::size_t BT = static_cast<std::size_t>(tb.B) * tb.T;
+  for (std::size_t n = 0; n < BT; ++n) {
+    tb.tokens.push_back(static_cast<int>(rng.below(cfg.vocab)));
+    tb.targets.push_back(
+        rng.below(4) == 0 ? -1 : static_cast<int>(rng.below(cfg.vocab)));
+  }
+  for (std::size_t i = 0; i < BT * cfg.vocab; ++i) {
+    tb.dlogits.push_back(static_cast<float>(rng.uniform()) - 0.5f);
+  }
+  for (std::size_t n = 0; n < BT; ++n) {
+    tb.dvalues.push_back(static_cast<float>(rng.uniform()) - 0.5f);
+  }
+  return tb;
+}
+
+}  // namespace
+
+TEST(GptThreads, TrainingPathIsBitIdenticalAtAnyThreadCount) {
+  // Big enough that every pooled kernel (attention, layernorm rows and
+  // channels, softmax, GELU, matmuls) actually splits at 2-4 threads.
+  const GptConfig cfg = GptConfig::small();
+  const TrainingBatch tb = make_training_batch(cfg, 41);
+  const ThreadCountGuard guard;
+  struct Out {
+    std::vector<float> logits, probs, values, grads_from, grads_lm;
+    float loss = 0.f;
+  };
+  std::vector<Out> outs;
+  for (const int nt : {1, 2, 3, 4}) {
+    kern::set_num_threads(nt);
+    Gpt model(cfg, 5);
+    Out o;
+    model.forward(tb.tokens.data(), tb.B, tb.T);
+    const std::size_t BT = static_cast<std::size_t>(tb.B) * tb.T;
+    o.logits.assign(model.logits(), model.logits() + BT * cfg.vocab);
+    o.probs.assign(model.probs(), model.probs() + BT * cfg.vocab);
+    o.values.assign(model.values(), model.values() + BT);
+    model.zero_grad();
+    model.backward_from(tb.tokens.data(), tb.dlogits.data(), tb.dvalues.data(),
+                        tb.B, tb.T);
+    o.grads_from = model.grads();
+    model.zero_grad();
+    o.loss = model.backward_lm(tb.tokens.data(), tb.targets.data(), tb.B, tb.T);
+    o.grads_lm = model.grads();
+    outs.push_back(std::move(o));
+  }
+  for (std::size_t i = 1; i < outs.size(); ++i) {
+    SCOPED_TRACE("threads=" + std::to_string(i + 1));
+    EXPECT_TRUE(same_bits(outs[i].logits, outs[0].logits));
+    EXPECT_TRUE(same_bits(outs[i].probs, outs[0].probs));
+    EXPECT_TRUE(same_bits(outs[i].values, outs[0].values));
+    EXPECT_TRUE(same_bits(outs[i].grads_from, outs[0].grads_from));
+    EXPECT_TRUE(same_bits(outs[i].grads_lm, outs[0].grads_lm));
+    EXPECT_TRUE(same_bits(&outs[i].loss, &outs[0].loss, 1));
+  }
+}
+
+TEST(GptThreads, HeadRowsMatchTheAllRowsForwardAndBackward) {
+  const GptConfig cfg = GptConfig::small();
+  const TrainingBatch tb = make_training_batch(cfg, 42);
+  const int V = cfg.vocab;
+  std::vector<int> rows;  // the rows that carry a target
+  for (int n = 0; n < tb.B * tb.T; ++n) {
+    if (tb.targets[n] >= 0) rows.push_back(n);
+  }
+  const std::size_t R = rows.size();
+  Gpt full(cfg, 6), head(cfg, 6);
+
+  full.forward(tb.tokens.data(), tb.B, tb.T);
+  head.forward(tb.tokens.data(), tb.B, tb.T, rows);
+  for (std::size_t r = 0; r < R; ++r) {
+    const std::size_t n = static_cast<std::size_t>(rows[r]);
+    ASSERT_TRUE(same_bits(head.logits() + r * V, full.logits() + n * V, V));
+    ASSERT_TRUE(same_bits(head.probs() + r * V, full.probs() + n * V, V));
+    ASSERT_TRUE(same_bits(head.values() + r, full.values() + n, 1));
+    const int b = rows[r] / tb.T, t = rows[r] % tb.T;
+    EXPECT_EQ(head.logprob(b, t, 3), full.logprob(b, t, 3));
+  }
+
+  // backward_from: packed gradients at the head rows == full-size gradients
+  // that are zero everywhere else.
+  std::vector<float> dl_full(tb.dlogits.size(), 0.f);
+  std::vector<float> dv_full(tb.dvalues.size(), 0.f);
+  std::vector<float> dl_head(R * V), dv_head(R);
+  for (std::size_t r = 0; r < R; ++r) {
+    const std::size_t n = static_cast<std::size_t>(rows[r]);
+    std::copy_n(tb.dlogits.begin() + n * V, V, dl_full.begin() + n * V);
+    std::copy_n(tb.dlogits.begin() + n * V, V, dl_head.begin() + r * V);
+    dv_full[n] = dv_head[r] = tb.dvalues[n];
+  }
+  full.zero_grad();
+  head.zero_grad();
+  full.backward_from(tb.tokens.data(), dl_full.data(), dv_full.data(), tb.B,
+                     tb.T);
+  head.backward_from(tb.tokens.data(), dl_head.data(), dv_head.data(), tb.B,
+                     tb.T);
+  EXPECT_TRUE(same_bits(head.grads(), full.grads()));
+
+  // backward_lm: scoring only the target rows gives the same loss and grads.
+  full.zero_grad();
+  head.zero_grad();
+  const float lf =
+      full.backward_lm(tb.tokens.data(), tb.targets.data(), tb.B, tb.T);
+  const float lh =
+      head.backward_lm(tb.tokens.data(), tb.targets.data(), tb.B, tb.T);
+  EXPECT_TRUE(same_bits(&lh, &lf, 1));
+  EXPECT_TRUE(same_bits(head.grads(), full.grads()));
+}
+
+namespace {
+
+/// PpoTrainer::update as it was before the LM head ran only at action rows:
+/// every forward scores all B*T rows and the policy gradient goes through
+/// full [B*T, V] dlogits. Frozen here as the reference for the action-row
+/// path.
+void full_row_ppo_update(Gpt& policy, Gpt& ref, AdamW& opt,
+                         const PpoConfig& cfg,
+                         const std::vector<Generation>& gens,
+                         const std::vector<double>& rewards,
+                         const std::vector<std::vector<float>>& token_rewards) {
+  std::vector<std::size_t> keep;
+  for (std::size_t i = 0; i < gens.size(); ++i) {
+    if (!gens[i].response.empty()) keep.push_back(i);
+  }
+  const int B = static_cast<int>(keep.size());
+  int T = 0;
+  for (std::size_t i : keep) {
+    T = std::max(T, static_cast<int>(gens[i].prompt.size() +
+                                     gens[i].response.size()));
+  }
+  T = std::min(T, policy.config().ctx);
+  const int V = policy.config().vocab;
+  std::vector<int> tokens(static_cast<std::size_t>(B) * T, Tokenizer::kPad);
+  struct Action {
+    int b, t_logits, token;
+    float logp_old, shaped;
+  };
+  std::vector<Action> actions;
+  for (int bi = 0; bi < B; ++bi) {
+    const Generation& g = gens[keep[bi]];
+    const int plen = static_cast<int>(g.prompt.size());
+    int t = 0;
+    for (int tok : g.prompt) {
+      if (t >= T) break;
+      tokens[bi * T + t++] = tok;
+    }
+    for (std::size_t j = 0; j < g.response.size(); ++j) {
+      if (t >= T) break;
+      tokens[bi * T + t] = g.response[j];
+      const std::vector<float>& tr = token_rewards[keep[bi]];
+      actions.push_back({bi, plen + static_cast<int>(j) - 1, g.response[j],
+                         g.response_logps[j], j < tr.size() ? tr[j] : 0.f});
+      ++t;
+    }
+  }
+  ref.forward(tokens.data(), B, T);
+  std::vector<float> act_rewards(actions.size());
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    const Action& a = actions[i];
+    const float kl = a.logp_old - ref.logprob(a.b, a.t_logits, a.token);
+    act_rewards[i] = -cfg.kl_beta * kl + cfg.reward_scale * a.shaped;
+  }
+  for (int bi = 0; bi < B; ++bi) {
+    for (std::size_t i = actions.size(); i-- > 0;) {
+      if (actions[i].b == bi) {
+        act_rewards[i] +=
+            cfg.reward_scale * static_cast<float>(rewards[keep[bi]]);
+        break;
+      }
+    }
+  }
+  std::vector<float> returns(actions.size(), 0.f);
+  for (int bi = 0; bi < B; ++bi) {
+    float acc = 0.f;
+    for (std::size_t i = actions.size(); i-- > 0;) {
+      if (actions[i].b != bi) continue;
+      acc += act_rewards[i];
+      returns[i] = acc;
+    }
+  }
+  policy.forward(tokens.data(), B, T);
+  std::vector<float> adv(actions.size());
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    adv[i] = returns[i] -
+             policy.values()[actions[i].b * T + actions[i].t_logits];
+  }
+  if (cfg.whiten_advantages && adv.size() > 1) {
+    double mean = 0.0;
+    for (float x : adv) mean += x;
+    mean /= static_cast<double>(adv.size());
+    double var = 0.0;
+    for (float x : adv) var += (x - mean) * (x - mean);
+    var /= static_cast<double>(adv.size());
+    const float inv = 1.f / (std::sqrt(static_cast<float>(var)) + 1e-6f);
+    for (float& x : adv) x = (x - static_cast<float>(mean)) * inv;
+  }
+  const float inv_n = 1.f / static_cast<float>(actions.size());
+  for (int epoch = 0; epoch < cfg.ppo_epochs; ++epoch) {
+    if (epoch > 0) policy.forward(tokens.data(), B, T);
+    std::vector<float> dlogits(static_cast<std::size_t>(B) * T * V, 0.f);
+    std::vector<float> dvalues(static_cast<std::size_t>(B) * T, 0.f);
+    for (std::size_t i = 0; i < actions.size(); ++i) {
+      const Action& a = actions[i];
+      const std::size_t row = static_cast<std::size_t>(a.b) * T + a.t_logits;
+      const float ratio =
+          std::exp(policy.logprob(a.b, a.t_logits, a.token) - a.logp_old);
+      const float lo = 1.f - cfg.clip, hi = 1.f + cfg.clip;
+      const float unclipped = ratio * adv[i];
+      const float clippedv = std::clamp(ratio, lo, hi) * adv[i];
+      const bool clip_active = ratio < lo || ratio > hi;
+      float g = 0.f;
+      if (unclipped <= clippedv || !clip_active) g = -inv_n * ratio * adv[i];
+      const float* pr = policy.probs() + row * V;
+      float* dl = dlogits.data() + row * V;
+      if (g != 0.f) {
+        for (int v = 0; v < V; ++v) dl[v] += g * -pr[v];
+        dl[a.token] += g;
+      }
+      if (cfg.entropy_coef > 0.f) {
+        double h = 0.0;
+        for (int v = 0; v < V; ++v) {
+          if (pr[v] > 1e-12f) h -= pr[v] * std::log(pr[v]);
+        }
+        const auto hf = static_cast<float>(h);
+        for (int v = 0; v < V; ++v) {
+          if (pr[v] > 1e-12f) {
+            dl[v] += cfg.entropy_coef * inv_n * pr[v] * (std::log(pr[v]) + hf);
+          }
+        }
+      }
+      const float verr = policy.values()[row] - returns[i];
+      dvalues[row] += cfg.vf_coef * verr * inv_n;
+    }
+    policy.zero_grad();
+    policy.backward_from(tokens.data(), dlogits.data(), dvalues.data(), B, T);
+    opt.step(policy.params(), policy.grads());
+  }
+}
+
+std::string optimizer_bytes(const AdamW& opt) {
+  ser::Writer w;
+  opt.save_state(w);
+  return w.buffer();
+}
+
+}  // namespace
+
+TEST(PpoThreads, UpdateIsBitIdenticalAtAnyThreadCountAndMatchesFullRows) {
+  const GptConfig cfg = GptConfig::small();
+  Gpt start(cfg, 21);
+  SampleConfig sc;
+  sc.max_new_tokens = 40;
+  sc.eos_token = 999;
+  const Sampler sampler(sc);
+  Rng rng(9);
+  std::vector<std::vector<int>> prompts;
+  for (int b = 0; b < 12; ++b) {
+    prompts.emplace_back(1 + b % 5, 1 + b);  // prompt lengths 1..5
+  }
+  const std::vector<Generation> gens = sampler.generate(start, prompts, rng);
+  std::vector<double> rewards;
+  std::vector<std::vector<float>> dense;
+  for (std::size_t i = 0; i < gens.size(); ++i) {
+    rewards.push_back(static_cast<double>(i % 3) - 1.0);
+    std::vector<float> d;
+    for (int t : gens[i].response) d.push_back(t % 2 == 0 ? 0.5f : -0.25f);
+    dense.push_back(std::move(d));
+  }
+  const ThreadCountGuard guard;
+  for (const float entropy : {0.f, 0.01f}) {
+    SCOPED_TRACE("entropy_coef=" + std::to_string(entropy));
+    PpoConfig pc;
+    pc.entropy_coef = entropy;
+    pc.lr = 1e-3f;
+    std::vector<std::vector<float>> params;
+    std::vector<std::string> moments;
+    for (const int nt : {1, 4}) {
+      kern::set_num_threads(nt);
+      Gpt policy = start, ref = start;
+      PpoTrainer ppo(policy, ref, pc);
+      ppo.update(gens, rewards, &dense);
+      ppo.update(gens, rewards, &dense);  // a second step reads the moments
+      params.push_back(policy.params());
+      moments.push_back(optimizer_bytes(ppo.optimizer()));
+    }
+    kern::set_num_threads(1);
+    Gpt policy = start, ref = start;
+    AdamW opt(policy.num_params(), AdamWConfig{pc.lr});
+    full_row_ppo_update(policy, ref, opt, pc, gens, rewards, dense);
+    full_row_ppo_update(policy, ref, opt, pc, gens, rewards, dense);
+    params.push_back(policy.params());
+    moments.push_back(optimizer_bytes(opt));
+
+    EXPECT_NE(params[0], start.params());  // the update did something
+    for (std::size_t i = 1; i < params.size(); ++i) {
+      EXPECT_TRUE(same_bits(params[i], params[0])) << "run " << i;
+      EXPECT_EQ(moments[i], moments[0]) << "run " << i;
+    }
+  }
+}
+
+TEST(Ppo, EmptyPromptsAreSkipped) {
+  // The first action's logits come from the last prompt position; without a
+  // prompt there is none.
+  const GptConfig cfg = GptConfig::tiny();
+  Gpt policy(cfg, 7), ref(cfg, 7);
+  ref.copy_params_from(policy);
+  PpoTrainer ppo(policy, ref, PpoConfig{});
+  Generation g;
+  g.response = {1, 2};
+  g.response_logps = {-1.f, -1.f};
   const PpoStats st = ppo.update({g}, {1.0});
   EXPECT_EQ(st.num_actions, 0u);
 }

@@ -23,6 +23,7 @@
 #include "mismatch/detect.h"
 #include "ml/bpe.h"
 #include "ml/gpt.h"
+#include "ml/tokenizer.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 
@@ -676,6 +677,94 @@ TEST(SnapshotRoundTrip, MutationalFuzzerContinuesIdentically) {
     baselines::TheHuzzFuzzer other(1);
     ser::Reader rc(w.buffer().substr(0, cut));
     EXPECT_FALSE(other.restore_state(rc)) << "prefix " << cut;
+  }
+}
+
+// ---- ChatFuzz pending rollouts ----------------------------------------------
+
+namespace {
+
+core::ChatFuzzConfig tiny_chatfuzz() {
+  core::ChatFuzzConfig cc;
+  cc.model = ml::GptConfig{ml::Tokenizer::kVocabSize, 32, 1, 2, 16};
+  cc.gen_tokens = 8;
+  cc.seed = 5;
+  return cc;
+}
+
+/// `gen`'s checkpoint bytes with `gens` as its pending rollouts. Those, and
+/// their prompt lengths, are the last fields ChatFuzzGenerator::save_state
+/// writes; an idle generator ends with two empty ones (16 zero bytes).
+std::string with_pending(const core::ChatFuzzGenerator& gen,
+                         const std::vector<ml::Generation>& gens) {
+  ser::Writer idle;
+  gen.save_state(idle);
+  std::string bytes = idle.buffer();
+  EXPECT_EQ(bytes.substr(bytes.size() - 16), std::string(16, '\0'));
+  bytes.resize(bytes.size() - 16);
+  ser::Writer tail;
+  tail.u64(gens.size());
+  for (const ml::Generation& g : gens) {
+    tail.vec_u32(std::vector<std::uint32_t>(g.prompt.begin(), g.prompt.end()));
+    tail.vec_u32(
+        std::vector<std::uint32_t>(g.response.begin(), g.response.end()));
+    tail.vec_f32(g.response_logps);
+  }
+  tail.vec_size(std::vector<std::size_t>(gens.size(), 1));
+  return bytes + tail.buffer();
+}
+
+}  // namespace
+
+TEST(SnapshotRoundTrip, ChatFuzzRejectsCorruptPendingRollouts) {
+  const core::ChatFuzzConfig cc = tiny_chatfuzz();
+  const core::ChatFuzzGenerator source(cc);
+  ml::Generation good;
+  good.prompt = {ml::Tokenizer::kBos, 19, 3};
+  good.response = {7, 200, ml::Tokenizer::kPad};
+  good.response_logps = {-1.f, -2.f, -0.5f};
+
+  // A well-formed rollout restores, and the next feedback trains on it.
+  {
+    core::ChatFuzzGenerator gen(cc);
+    const std::string bytes = with_pending(source, {good});
+    ser::Reader r(bytes);
+    ASSERT_TRUE(gen.restore_state(r));
+    ASSERT_TRUE(r.done());
+    std::vector<cov::TestCoverage> tcs(1);
+    core::Feedback fb;
+    fb.coverages = &tcs;
+    gen.feedback(fb);
+    EXPECT_EQ(gen.last_ppo_stats().num_actions, good.response.size());
+  }
+
+  // Each of these would break that feedback: a token past the vocabulary
+  // reads the embedding table out of bounds, a short logp list is read past
+  // its end, and an empty prompt has no position to score the first action.
+  struct Case {
+    std::string what;
+    ml::Generation g;
+  };
+  std::vector<Case> cases;
+  const auto variant = [&](std::string what, auto mutate) {
+    ml::Generation g = good;
+    mutate(g);
+    cases.push_back({std::move(what), std::move(g)});
+  };
+  variant("response token == vocab", [](ml::Generation& g) {
+    g.response[1] = ml::Tokenizer::kVocabSize;
+  });
+  variant("prompt token 2^32-1", [](ml::Generation& g) { g.prompt[1] = -1; });
+  variant("fewer logps than tokens",
+          [](ml::Generation& g) { g.response_logps.pop_back(); });
+  variant("more logps than tokens",
+          [](ml::Generation& g) { g.response_logps.push_back(-1.f); });
+  variant("empty prompt", [](ml::Generation& g) { g.prompt.clear(); });
+  for (const Case& c : cases) {
+    core::ChatFuzzGenerator gen(cc);
+    const std::string bytes = with_pending(source, {good, c.g});
+    ser::Reader r(bytes);
+    EXPECT_FALSE(gen.restore_state(r)) << c.what;
   }
 }
 
