@@ -352,9 +352,19 @@ void Gpt::backward_from(const int* tokens, const float* dlogits,
   const float* prm = params_.data();
   float* grd = grads_.data();
   // Sized here rather than with acts_: a model that only runs forward (the
-  // frozen PPO reference) never holds a gradient arena.
-  dacts_.assign(a.total, 0.f);
+  // frozen PPO reference) never holds a gradient arena. Backward accumulates
+  // into every slot before the head outputs (logits, probs, values), which
+  // it never touches, so only those slots are zeroed, across the pool.
+  if (dacts_.size() < a.total) dacts_.resize(a.total);
   float* dacts = dacts_.data();
+  constexpr std::size_t kChunk = std::size_t{1} << 14;
+  const std::size_t zeroed = a.logits;
+  kern::parallel_ranges(static_cast<int>((zeroed + kChunk - 1) / kChunk),
+                        kChunk, [&](int c0, int c1) {
+    const std::size_t lo = c0 * kChunk;
+    const std::size_t hi = std::min(zeroed, c1 * kChunk);
+    std::memset(dacts + lo, 0, (hi - lo) * sizeof(float));
+  });
 
   // value head backward: dlnf += dvalues * valw; dvalw += sum dvalues*lnf
   if (dvalues != nullptr) {
@@ -489,10 +499,11 @@ Gpt::GenState Gpt::gen_begin(int B) const {
   // scratch: x, ln, qkv, atty, proj, fch, fgel per batch row
   const std::size_t C = cfg_.n_embd;
   s.scratch.assign(static_cast<std::size_t>(B) * (C * 5 + 3 * C + 8 * C), 0.f);
-  // Attention-score and layernorm scratch, sized from the config (the seed
-  // used a fixed float[512] stack buffer here, which a large-ctx config
-  // would silently overrun).
-  s.att.assign(static_cast<std::size_t>(cfg_.ctx), 0.f);
+  // Attention-score and layernorm scratch, one slice per row so the rows
+  // can decode in parallel, sized from the config (the seed used a fixed
+  // float[512] stack buffer here, which a large-ctx config would silently
+  // overrun).
+  s.att.assign(static_cast<std::size_t>(B) * cfg_.ctx, 0.f);
   s.norm.assign(static_cast<std::size_t>(2) * B, 0.f);
   if (!use_ref_kernels_) {
     // Packed (transposed) weight views: one pack per generation, then every
@@ -517,31 +528,49 @@ Gpt::GenState Gpt::gen_begin(int B) const {
 
 void Gpt::gen_step(GenState& s, const int* tokens_t, float* logits_out) const {
   OBS_SPAN("ml.gen_step");
+  assert(s.t < cfg_.ctx);
+  // One pool dispatch per token, split by batch row: rows never meet in a
+  // decode step, so each part runs every layer for its own rows and the
+  // bits do not depend on the split.
+  const std::size_t C = cfg_.n_embd, L = cfg_.n_layer;
+  const std::size_t work = 2 * C * (12 * C * L + cfg_.vocab) +
+                           4 * C * L * static_cast<std::size_t>(s.t + 1);
+  kern::parallel_ranges(s.B, work, [&](int b0, int b1) {
+    gen_rows(s, tokens_t, logits_out, b0, b1);
+  });
+  ++s.t;
+}
+
+void Gpt::gen_rows(GenState& s, const int* tokens_t, float* logits_out, int b0,
+                   int b1) const {
   const Layout p = Layout::make(cfg_);
   const int C = cfg_.n_embd, NH = cfg_.n_head, V = cfg_.vocab;
   const int hs = C / NH;
-  const int B = s.B;
+  const int B = s.B, nb = b1 - b0;
   const int pos = s.t;
-  assert(pos < cfg_.ctx);
   const float* prm = params_.data();
   const float scale = 1.f / std::sqrt(static_cast<float>(hs));
   // Packed weights are built by gen_begin; toggling the kernel path between
   // gen_begin and gen_step is not supported.
   const bool ref = s.wpack.empty();
 
-  float* x = s.scratch.data();               // [B, C]
-  float* ln = x + static_cast<std::size_t>(B) * C;       // [B, C]
-  float* qkv = ln + static_cast<std::size_t>(B) * C;     // [B, 3C]
-  float* atty = qkv + static_cast<std::size_t>(B) * 3 * C;  // [B, C]
-  float* proj = atty + static_cast<std::size_t>(B) * C;     // [B, C]
-  float* fch = proj + static_cast<std::size_t>(B) * C;      // [B, 4C]
-  float* fgel = fch + static_cast<std::size_t>(B) * 4 * C;  // [B, 4C]
-  float* att = s.att.data();                                // [ctx]
-  float* mean = s.norm.data();                              // [B]
-  float* rstd = mean + B;                                   // [B]
+  // This part's rows of each [B, ...] scratch buffer.
+  float* base = s.scratch.data();
+  const std::size_t BC = static_cast<std::size_t>(B) * C, r0 = b0;
+  float* x = base + r0 * C;                   // [B, C]
+  float* ln = base + BC + r0 * C;             // [B, C]
+  float* qkv = base + 2 * BC + r0 * 3 * C;    // [B, 3C]
+  float* atty = base + 5 * BC + r0 * C;       // [B, C]
+  float* proj = base + 6 * BC + r0 * C;       // [B, C]
+  float* fch = base + 7 * BC + r0 * 4 * C;    // [B, 4C]
+  float* fgel = base + 11 * BC + r0 * 4 * C;  // [B, 4C]
+  float* mean = s.norm.data() + r0;           // [B]
+  float* rstd = s.norm.data() + B + r0;       // [B]
+  float* logits = logits_out + r0 * V;
 
-  for (int b = 0; b < B; ++b) {
-    const float* we = prm + p.wte + static_cast<std::size_t>(tokens_t[b]) * C;
+  for (int b = 0; b < nb; ++b) {
+    const float* we =
+        prm + p.wte + static_cast<std::size_t>(tokens_t[b0 + b]) * C;
     const float* pe = prm + p.wpe + static_cast<std::size_t>(pos) * C;
     for (int c = 0; c < C; ++c) x[b * C + c] = we[c] + pe[c];
   }
@@ -549,31 +578,27 @@ void Gpt::gen_step(GenState& s, const int* tokens_t, float* logits_out) const {
   for (int l = 0; l < cfg_.n_layer; ++l) {
     const std::size_t pb = p.layer_base + l * p.per_layer;
     kern::layernorm_forward(ln, mean, rstd, x, prm + pb + p.ln1w,
-                            prm + pb + p.ln1b, nullptr, B, C);
+                            prm + pb + p.ln1b, nullptr, nb, C);
     if (ref) {
       kern::matmul_forward_ref(qkv, ln, prm + pb + p.qkvw, prm + pb + p.qkvb,
-                               B, C, 3 * C);
+                               nb, C, 3 * C);
     } else {
       kern::matmul_forward_packed(qkv, ln, s.wpack[l * 4 + 0],
-                                  prm + pb + p.qkvb, B);
+                                  prm + pb + p.qkvb, nb);
     }
-    // append k/v to cache
-    for (int b = 0; b < B; ++b) {
-      float* kc = s.kcache.data() +
-                  ((static_cast<std::size_t>(l) * B + b) * cfg_.ctx + pos) * C;
-      float* vc = s.vcache.data() +
-                  ((static_cast<std::size_t>(l) * B + b) * cfg_.ctx + pos) * C;
-      std::memcpy(kc, qkv + b * 3 * C + C, sizeof(float) * C);
-      std::memcpy(vc, qkv + b * 3 * C + 2 * C, sizeof(float) * C);
-    }
-    // attention over cache
-    for (int b = 0; b < B; ++b) {
-      const float* kbase =
-          s.kcache.data() + (static_cast<std::size_t>(l) * B + b) * cfg_.ctx * C;
-      const float* vbase =
-          s.vcache.data() + (static_cast<std::size_t>(l) * B + b) * cfg_.ctx * C;
+    // append k/v to the cache, then attend over it
+    for (int b = 0; b < nb; ++b) {
+      const std::size_t row = static_cast<std::size_t>(l) * B + b0 + b;
+      float* kbase = s.kcache.data() + row * cfg_.ctx * C;
+      float* vbase = s.vcache.data() + row * cfg_.ctx * C;
+      const float* qkv_b = qkv + static_cast<std::size_t>(b) * 3 * C;
+      std::memcpy(kbase + static_cast<std::size_t>(pos) * C, qkv_b + C,
+                  sizeof(float) * C);
+      std::memcpy(vbase + static_cast<std::size_t>(pos) * C, qkv_b + 2 * C,
+                  sizeof(float) * C);
+      float* att = s.att.data() + (r0 + b) * cfg_.ctx;
       for (int h = 0; h < NH; ++h) {
-        const float* q = qkv + b * 3 * C + h * hs;
+        const float* q = qkv_b + h * hs;
         float maxv = -1e30f;
         for (int t2 = 0; t2 <= pos; ++t2) {
           const float* k = kbase + static_cast<std::size_t>(t2) * C + h * hs;
@@ -600,36 +625,35 @@ void Gpt::gen_step(GenState& s, const int* tokens_t, float* logits_out) const {
     }
     if (ref) {
       kern::matmul_forward_ref(proj, atty, prm + pb + p.attprojw,
-                               prm + pb + p.attprojb, B, C, C);
+                               prm + pb + p.attprojb, nb, C, C);
     } else {
       kern::matmul_forward_packed(proj, atty, s.wpack[l * 4 + 1],
-                                  prm + pb + p.attprojb, B);
+                                  prm + pb + p.attprojb, nb);
     }
-    for (int n = 0; n < B * C; ++n) x[n] += proj[n];
+    for (int n = 0; n < nb * C; ++n) x[n] += proj[n];
     kern::layernorm_forward(ln, mean, rstd, x, prm + pb + p.ln2w,
-                            prm + pb + p.ln2b, nullptr, B, C);
+                            prm + pb + p.ln2b, nullptr, nb, C);
     if (ref) {
       kern::matmul_forward_ref(fch, ln, prm + pb + p.fcw, prm + pb + p.fcb,
-                               B, C, 4 * C);
-      kern::gelu_forward_ref(fgel, fch, B * 4 * C);
+                               nb, C, 4 * C);
+      kern::gelu_forward_ref(fgel, fch, nb * 4 * C);
       kern::matmul_forward_ref(proj, fgel, prm + pb + p.fcprojw,
-                               prm + pb + p.fcprojb, B, 4 * C, C);
+                               prm + pb + p.fcprojb, nb, 4 * C, C);
     } else {
       kern::matmul_bias_gelu_forward_packed(fch, fgel, ln, s.wpack[l * 4 + 2],
-                                            prm + pb + p.fcb, B);
+                                            prm + pb + p.fcb, nb);
       kern::matmul_forward_packed(proj, fgel, s.wpack[l * 4 + 3],
-                                  prm + pb + p.fcprojb, B);
+                                  prm + pb + p.fcprojb, nb);
     }
-    for (int n = 0; n < B * C; ++n) x[n] += proj[n];
+    for (int n = 0; n < nb * C; ++n) x[n] += proj[n];
   }
   kern::layernorm_forward(ln, mean, rstd, x, prm + p.lnfw, prm + p.lnfb,
-                          nullptr, B, C);
+                          nullptr, nb, C);
   if (ref) {
-    kern::matmul_forward_ref(logits_out, ln, prm + p.wte, nullptr, B, C, V);
+    kern::matmul_forward_ref(logits, ln, prm + p.wte, nullptr, nb, C, V);
   } else {
-    kern::matmul_forward_packed(logits_out, ln, s.wpack.back(), nullptr, B);
+    kern::matmul_forward_packed(logits, ln, s.wpack.back(), nullptr, nb);
   }
-  ++s.t;
 }
 
 // ---------------------------------------------------------------------------

@@ -92,14 +92,15 @@ class Gpt {
   // ---- incremental (KV-cache) generation path ------------------------------
   /// Opaque per-generation state: per-layer K/V caches for a batch, packed
   /// (transposed) weight views so each per-token matvec streams weights
-  /// linearly, and all decode scratch (including the attention-score buffer,
-  /// sized from cfg.ctx — no fixed-size stack arrays).
+  /// linearly, and all decode scratch, one slice per batch row (the
+  /// attention-score buffer is sized from cfg.ctx — no fixed-size stack
+  /// arrays).
   struct GenState {
     int B = 0;
     int t = 0;  // positions already consumed
     std::vector<float> kcache, vcache;  // [L, B, ctx, C]
     std::vector<float> scratch;
-    std::vector<float> att;          // [ctx] attention-score scratch
+    std::vector<float> att;          // [B, ctx] attention-score scratch
     std::vector<float> norm;         // [2, B] layernorm mean/rstd scratch
     std::vector<kern::PackedMat> wpack;  // per layer: qkv, attproj, fc,
                                          // fcproj; then the tied LM head
@@ -108,8 +109,10 @@ class Gpt {
   /// Begin incremental generation for a batch of B sequences.
   GenState gen_begin(int B) const;
 
-  /// Feed one token per sequence (tokens_t[B], position = state.t) and get
-  /// next-token logits [B, vocab] in logits_out. Advances state.t.
+  /// Feed one token per sequence (tokens_t[B], each in [0, vocab);
+  /// position = state.t) and get next-token logits [B, vocab] in
+  /// logits_out. Advances state.t. The batch rows are split across the
+  /// kernel pool; the logits are the same bits at any thread count.
   void gen_step(GenState& state, const int* tokens_t, float* logits_out) const;
 
   // ---- persistence ----------------------------------------------------------
@@ -139,6 +142,9 @@ class Gpt {
   const float* acts_ptr(ActName which) const;
   void ensure_acts(int B, int T);
   void forward_body(const int* tokens, int B, int T);
+  /// gen_step's work for batch rows [b0, b1), every layer.
+  void gen_rows(GenState& s, const int* tokens_t, float* logits_out, int b0,
+                int b1) const;
 
   GptConfig cfg_;
   std::vector<float> params_;

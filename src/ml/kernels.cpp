@@ -13,6 +13,10 @@
 
 #include "util/parse.h"
 
+#if defined(__AVX2__) && defined(__FMA__)
+#include <immintrin.h>
+#endif
+
 namespace chatfuzz::ml::kern {
 
 // ===========================================================================
@@ -164,55 +168,167 @@ inline float gelu_fast(float x) {
   return 0.5f * x * (1.f + fast_tanh(kS * (x + cube)));
 }
 
-/// NB output rows in SAXPY order: each row starts at bias and accumulates
-/// x[n, i] * wt_row_i with ascending i. Unit stride on every stream and no
-/// loop-carried dependence in the oc loop, so it vectorizes as-is — and
-/// blocking NB rows per weight pass means the packed matrix is streamed
-/// from memory once per block instead of once per row (the matvec is
-/// bandwidth-bound; this is worth more than any further unrolling).
-/// Accumulation order per output element is ascending i for every NB, so
-/// results do not depend on the blocking.
-template <int NB>
-void rows_forward_packed(float* out, const float* inp, const float* wt,
-                         const float* bias, int Cin, int Cout) {
-  for (int n = 0; n < NB; ++n) {
-    float* o = out + static_cast<std::size_t>(n) * Cout;
-    if (bias != nullptr) {
-      for (int oc = 0; oc < Cout; ++oc) o[oc] = bias[oc];
+// ---- register-tiled GEMM ---------------------------------------------------
+// Every matmul here is one shape: C[m, j] = start + sum_k A(m, k) * B[k, j],
+// with B and C unit-stride over j. The start value is the bias, zero, or C
+// itself (the backward passes accumulate into their gradients). Each output
+// element gets one multiply-add per k, in ascending k, whatever the tiling,
+// the thread split or the k-blocking: the bits are those of a scalar chain
+// of madd() calls.
+//
+// A tile holds kMR x 16 outputs in registers while k runs innermost, so an
+// accumulator is loaded and stored once per k-block instead of once per k.
+
+/// The build's multiply-add: one rounding where the target has a fast fmaf
+/// (x86 FMA, aarch64 and others alike), two (multiply, then add) where it
+/// does not. Both are spelled out rather than left to FP contraction, which
+/// the compiler may apply to some loops of a kernel and not to others.
+#if defined(__FP_FAST_FMAF)
+constexpr bool kFma = true;
+inline float madd(float a, float b, float c) { return std::fma(a, b, c); }
+#else
+constexpr bool kFma = false;
+inline float madd(float a, float b, float c) { return a * b + c; }
+#endif
+
+constexpr int kMR = 6;     // rows per tile: 2 x kMR accumulators + 3 inputs
+constexpr int kNR = 16;    // columns per tile
+constexpr int kKC = 256;   // k per block; a C reload between blocks is exact
+
+struct Gemm {
+  const float* a;
+  std::size_t a_row, a_k;  // A(m, k) = a[m * a_row + k * a_k]
+  const float* b;
+  std::size_t ldb;  // B[k, j] = b[k * ldb + j]
+  float* c;
+  std::size_t ldc;  // C[m, j] = c[m * ldc + j]
+  const float* bias;  // start value bias[j] (null: zero) unless accumulating
+  bool accumulate;    // start from C itself
+  int K, cols;
+};
+
+#if defined(__AVX2__) && defined(__FMA__)
+/// Tile of MR rows from m and w <= 16 columns from j over k in [k0, k1), in
+/// 2 * MR ymm accumulators. `from_c` starts from C (accumulating, or any
+/// k-block after the first). A tail tile (w < 16) masks its loads and
+/// stores; its dead lanes compute on zeros and are never stored. With
+/// w <= 8 the upper half's mask is empty, and its pointers stay at the
+/// lower half's so that none points past the end of a row.
+template <int MR, bool kTail>
+void tile(const Gemm& g, int m, int j, int w, int k0, int k1, bool from_c) {
+  const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i lo = _mm256_cmpgt_epi32(_mm256_set1_epi32(w), lanes);
+  const __m256i hi = _mm256_cmpgt_epi32(_mm256_set1_epi32(w - 8), lanes);
+  const int h = kTail && w <= 8 ? 0 : 8;  // offset of the upper half
+  const auto load = [&](const float* p, __m256i mask) {
+    if constexpr (kTail) return _mm256_maskload_ps(p, mask);
+    return _mm256_loadu_ps(p);
+  };
+  __m256 acc[MR][2];
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+    if (from_c) {
+      const float* cr = g.c + (m + r) * g.ldc + j;
+      acc[r][0] = load(cr, lo);
+      acc[r][1] = load(cr + h, hi);
+    } else if (g.bias != nullptr) {
+      acc[r][0] = load(g.bias + j, lo);
+      acc[r][1] = load(g.bias + j + h, hi);
     } else {
-      for (int oc = 0; oc < Cout; ++oc) o[oc] = 0.f;
+      acc[r][0] = acc[r][1] = _mm256_setzero_ps();
     }
   }
-  for (int i = 0; i < Cin; ++i) {
-    const float* wr = wt + static_cast<std::size_t>(i) * Cout;
-    for (int n = 0; n < NB; ++n) {
-      const float a = inp[static_cast<std::size_t>(n) * Cin + i];
-      float* o = out + static_cast<std::size_t>(n) * Cout;
-      for (int oc = 0; oc < Cout; ++oc) o[oc] += a * wr[oc];
+  const std::size_t a_row = g.a_row, a_k = g.a_k, ldb = g.ldb;
+  const float* ak = g.a + m * a_row + k0 * a_k;
+  const float* bk = g.b + k0 * ldb + j;
+  for (int k = k0; k < k1; ++k) {
+    const __m256 b0 = load(bk, lo);
+    const __m256 b1 = load(bk + h, hi);
+#pragma GCC unroll 8
+    for (int r = 0; r < MR; ++r) {
+      const __m256 a = _mm256_broadcast_ss(ak + r * a_row);
+      acc[r][0] = _mm256_fmadd_ps(a, b0, acc[r][0]);
+      acc[r][1] = _mm256_fmadd_ps(a, b1, acc[r][1]);
+    }
+    if (k + 1 < k1) {  // never step a pointer past its array
+      ak += a_k;
+      bk += ldb;
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+    float* cr = g.c + (m + r) * g.ldc + j;
+    if constexpr (kTail) {
+      _mm256_maskstore_ps(cr, lo, acc[r][0]);
+      _mm256_maskstore_ps(cr + h, hi, acc[r][1]);
+    } else {
+      _mm256_storeu_ps(cr, acc[r][0]);
+      _mm256_storeu_ps(cr + 8, acc[r][1]);
     }
   }
 }
+#else
+/// Portable tile, for targets without AVX2+FMA: the same loop nest over a
+/// plain array, one madd() per output and k. A full tile fixes w at 16,
+/// so the compiler can vectorize its column loop.
+template <int MR, bool kTail>
+void tile(const Gemm& g, int m, int j, int w, int k0, int k1, bool from_c) {
+  if constexpr (!kTail) w = kNR;
+  float acc[MR][kNR];
+  for (int r = 0; r < MR; ++r) {
+    const float* cr = g.c + (m + r) * g.ldc + j;
+    for (int c = 0; c < w; ++c) {
+      acc[r][c] = from_c ? cr[c] : (g.bias != nullptr ? g.bias[j + c] : 0.f);
+    }
+  }
+  for (int k = k0; k < k1; ++k) {
+    const float* bk = g.b + k * g.ldb + j;
+    for (int r = 0; r < MR; ++r) {
+      const float a = g.a[(m + r) * g.a_row + k * g.a_k];
+      for (int c = 0; c < w; ++c) acc[r][c] = madd(a, bk[c], acc[r][c]);
+    }
+  }
+  for (int r = 0; r < MR; ++r) {
+    float* cr = g.c + (m + r) * g.ldc + j;
+    for (int c = 0; c < w; ++c) cr[c] = acc[r][c];
+  }
+}
+#endif
 
-/// Forward rows [n0, n1) against a packed matrix, blocked 8/4/1.
-void range_forward_packed(float* out, const float* inp, const float* wt,
-                          const float* bias, int n0, int n1, int Cin,
-                          int Cout) {
-  int n = n0;
-  for (; n + 8 <= n1; n += 8) {
-    rows_forward_packed<8>(out + static_cast<std::size_t>(n) * Cout,
-                           inp + static_cast<std::size_t>(n) * Cin, wt, bias,
-                           Cin, Cout);
-  }
-  for (; n + 4 <= n1; n += 4) {
-    rows_forward_packed<4>(out + static_cast<std::size_t>(n) * Cout,
-                           inp + static_cast<std::size_t>(n) * Cin, wt, bias,
-                           Cin, Cout);
-  }
-  for (; n < n1; ++n) {
-    rows_forward_packed<1>(out + static_cast<std::size_t>(n) * Cout,
-                           inp + static_cast<std::size_t>(n) * Cin, wt, bias,
-                           Cin, Cout);
-  }
+/// Rows [m0, m1) of C, every column, every k.
+void gemm_rows(const Gemm& g, int m0, int m1) {
+  using TileFn = void (*)(const Gemm&, int, int, int, int, int, bool);
+  static_assert(kMR == 6, "the tables below list one tile per row count");
+  static constexpr TileFn kFull[kMR + 1] = {
+      nullptr,         tile<1, false>, tile<2, false>, tile<3, false>,
+      tile<4, false>,  tile<5, false>, tile<6, false>};
+  static constexpr TileFn kPart[kMR + 1] = {
+      nullptr,        tile<1, true>, tile<2, true>, tile<3, true>,
+      tile<4, true>,  tile<5, true>, tile<6, true>};
+  int k0 = 0;
+  do {
+    const int k1 = g.K - k0 < kKC ? g.K : k0 + kKC;
+    const bool from_c = g.accumulate || k0 > 0;
+    for (int j = 0; j < g.cols; j += kNR) {
+      const int w = g.cols - j < kNR ? g.cols - j : kNR;
+      const TileFn* tiles = w == kNR ? kFull : kPart;
+      for (int m = m0; m < m1; m += kMR) {
+        tiles[m1 - m < kMR ? m1 - m : kMR](g, m, j, w, k0, k1, from_c);
+      }
+    }
+    k0 = k1;
+  } while (k0 < g.K);
+}
+
+/// out[n, o] = bias[o] (or 0) + sum_i inp[n, i] * wt[i, o] for n in [n0, n1).
+void forward_rows(float* out, const float* inp, const float* wt,
+                  const float* bias, int n0, int n1, int Cin, int Cout) {
+  const auto cin = static_cast<std::size_t>(Cin);
+  const auto cout = static_cast<std::size_t>(Cout);
+  gemm_rows(Gemm{.a = inp, .a_row = cin, .a_k = 1, .b = wt, .ldb = cout,
+                 .c = out, .ldc = cout, .bias = bias, .accumulate = false,
+                 .K = Cin, .cols = Cout},
+            n0, n1);
 }
 
 /// Per-thread transpose scratch. Each campaign/training thread that calls
@@ -306,16 +422,18 @@ void pack_transpose(PackedMat& dst, const float* w, int Cout, int Cin) {
 
 void matmul_forward_packed(float* out, const float* inp, const PackedMat& wt,
                            const float* bias, int N) {
-  range_forward_packed(out, inp, wt.t.data(), bias, 0, N, wt.cin, wt.cout);
+  forward_rows(out, inp, wt.t.data(), bias, 0, N, wt.cin, wt.cout);
 }
 
 void matmul_bias_gelu_forward_packed(float* pre, float* post, const float* inp,
                                      const PackedMat& wt, const float* bias,
                                      int N) {
-  range_forward_packed(pre, inp, wt.t.data(), bias, 0, N, wt.cin, wt.cout);
+  forward_rows(pre, inp, wt.t.data(), bias, 0, N, wt.cin, wt.cout);
   const std::size_t cnt = static_cast<std::size_t>(N) * wt.cout;
   for (std::size_t k = 0; k < cnt; ++k) post[k] = gelu_fast(pre[k]);
 }
+
+bool madd_is_fused() { return kFma; }
 
 void matmul_forward(float* out, const float* inp, const float* w,
                     const float* bias, int N, int Cin, int Cout) {
@@ -323,7 +441,7 @@ void matmul_forward(float* out, const float* inp, const float* w,
   wt.resize(static_cast<std::size_t>(Cout) * Cin);
   transpose_into(wt.data(), w, Cout, Cin);
   parallel_ranges(N, static_cast<std::size_t>(Cin) * Cout, [&](int n0, int n1) {
-    range_forward_packed(out, inp, wt.data(), bias, n0, n1, Cin, Cout);
+    forward_rows(out, inp, wt.data(), bias, n0, n1, Cin, Cout);
   });
 }
 
@@ -334,7 +452,7 @@ void matmul_bias_gelu_forward(float* pre, float* post, const float* inp,
   wt.resize(static_cast<std::size_t>(Cout) * Cin);
   transpose_into(wt.data(), w, Cout, Cin);
   parallel_ranges(N, static_cast<std::size_t>(Cin) * Cout, [&](int n0, int n1) {
-    range_forward_packed(pre, inp, wt.data(), bias, n0, n1, Cin, Cout);
+    forward_rows(pre, inp, wt.data(), bias, n0, n1, Cin, Cout);
     float* p = pre + static_cast<std::size_t>(n0) * Cout;
     float* g = post + static_cast<std::size_t>(n0) * Cout;
     const std::size_t cnt = static_cast<std::size_t>(n1 - n0) * Cout;
@@ -345,33 +463,27 @@ void matmul_bias_gelu_forward(float* pre, float* post, const float* inp,
 void matmul_backward(float* dinp, float* dw, float* dbias, const float* dout,
                      const float* inp, const float* w, int N, int Cin,
                      int Cout) {
-  // dinp[n, :] += sum_oc dout[n, oc] * w[oc, :] — already SAXPY over i in
-  // the reference order; rows are independent, so split by n.
-  parallel_ranges(N, static_cast<std::size_t>(Cin) * Cout, [&](int n0, int n1) {
-    for (int n = n0; n < n1; ++n) {
-      const float* d = dout + static_cast<std::size_t>(n) * Cout;
-      float* di = dinp + static_cast<std::size_t>(n) * Cin;
-      for (int oc = 0; oc < Cout; ++oc) {
-        const float* wr = w + static_cast<std::size_t>(oc) * Cin;
-        const float g = d[oc];
-        for (int i = 0; i < Cin; ++i) di[i] += g * wr[i];
-      }
-    }
-  });
-  // dw[oc, :] += sum_n dout[n, oc] * inp[n, :], dbias[oc] += sum_n dout[n, oc].
-  // Each thread owns a contiguous oc range and walks n in ascending order,
-  // so every dw/dbias element sees the same accumulation order as the
-  // reference no matter how many threads run.
-  parallel_ranges(Cout, static_cast<std::size_t>(Cin) * N, [&](int o0, int o1) {
+  // dinp[n, i] += sum_oc dout[n, oc] * w[oc, i]: rows are independent, so
+  // split by n.
+  const auto cin = static_cast<std::size_t>(Cin);
+  const auto cout = static_cast<std::size_t>(Cout);
+  const Gemm dx{.a = dout, .a_row = cout, .a_k = 1, .b = w, .ldb = cin,
+                .c = dinp, .ldc = cin, .bias = nullptr, .accumulate = true,
+                .K = Cout, .cols = Cin};
+  parallel_ranges(N, cin * cout,
+                  [&](int n0, int n1) { gemm_rows(dx, n0, n1); });
+  // dw[oc, i] += sum_n dout[n, oc] * inp[n, i] and dbias[oc] += sum_n
+  // dout[n, oc], split by output channel; every element sums over n in
+  // ascending order, as the reference does.
+  const Gemm dwg{.a = dout, .a_row = 1, .a_k = cout, .b = inp, .ldb = cin,
+                 .c = dw, .ldc = cin, .bias = nullptr, .accumulate = true,
+                 .K = N, .cols = Cin};
+  parallel_ranges(Cout, cin * N, [&](int o0, int o1) {
+    gemm_rows(dwg, o0, o1);
+    if (dbias == nullptr) return;
     for (int n = 0; n < N; ++n) {
       const float* d = dout + static_cast<std::size_t>(n) * Cout;
-      const float* x = inp + static_cast<std::size_t>(n) * Cin;
-      for (int oc = o0; oc < o1; ++oc) {
-        float* dwr = dw + static_cast<std::size_t>(oc) * Cin;
-        const float g = d[oc];
-        if (dbias != nullptr) dbias[oc] += g;
-        for (int i = 0; i < Cin; ++i) dwr[i] += g * x[i];
-      }
+      for (int oc = o0; oc < o1; ++oc) dbias[oc] += d[oc];
     }
   });
 }

@@ -4,18 +4,23 @@
 //
 //   *_ref    — the seed's naive triple loops, kept verbatim as the semantic
 //              reference for parity tests and speedup benches;
-//   the rest — cache-friendly, compiler-vectorizable rewrites. The key
-//              transform is the SAXPY loop order (accumulate whole output
-//              rows with unit stride) which the compiler vectorizes without
-//              -ffast-math, because no floating-point reduction has to be
-//              reassociated.
+//   the rest — cache-friendly, vectorized rewrites. Every matmul runs
+//              through one register-tiled GEMM kernel: a 6x16 block of
+//              outputs stays in registers while the reduction index runs
+//              innermost, with no -ffast-math, because no floating-point
+//              reduction is ever reassociated.
 //
 // Determinism contract: for a given build, every kernel accumulates each
 // output element in a fixed order (ascending reduction index) that does not
 // depend on the thread count, so results are bit-identical run to run and
 // for any set_num_threads() value. Threads only ever split work across
 // *disjoint* output ranges (rows for forward/dinp, output channels for
-// dweight/dbias, batch rows for attention), never across a reduction.
+// dweight/dbias, batch rows for attention and decode), never across a
+// reduction. A matmul output element is one multiply-add per reduction
+// index from its start value (bias, zero or the accumulator): fused, with
+// one rounding, when the kernels' target has FMA, and a multiply then an
+// add otherwise. The fusing is explicit (intrinsics, std::fma), not left to
+// the compiler's FP contraction.
 #pragma once
 
 #include <cmath>
@@ -90,14 +95,21 @@ void layernorm_backward_ref(float* dinp, float* dw, float* db,
 void softmax_forward_ref(float* probs, const float* logits, int N, int V);
 
 // ---- optimized kernels -------------------------------------------------------
-/// Row-blocked, vectorizable matmul. Same signature and math as the
-/// reference; internally transposes `w` into a per-thread scratch so the
-/// inner loop streams both operands with unit stride.
+/// Whether the matmul kernels' multiply-add is fused (one rounding, on a
+/// target with a fast fmaf) or a multiply then an add (two roundings).
+/// Every matmul output is a chain of these, one per reduction index in
+/// ascending order, from its start value (bias, zero or the accumulator).
+bool madd_is_fused();
+
+/// Tiled matmul. Same signature and math as the reference; internally
+/// transposes `w` into a per-thread scratch so the tile reads weight rows
+/// with unit stride. Split by row.
 void matmul_forward(float* out, const float* inp, const float* w,
                     const float* bias, int N, int Cin, int Cout);
 
-/// dinp += dout @ w, dw += dout^T @ inp, dbias += colsum(dout).
-/// Accumulation order per element matches the reference exactly.
+/// dinp += dout @ w (split by row), dw += dout^T @ inp and dbias +=
+/// colsum(dout) (split by output channel). Accumulation order per element
+/// matches the reference exactly.
 void matmul_backward(float* dinp, float* dw, float* dbias, const float* dout,
                      const float* inp, const float* w, int N, int Cin,
                      int Cout);
@@ -159,8 +171,9 @@ struct PackedMat {
 };
 
 /// Fill `dst` with the transpose of w ([Cout, Cin] row-major).
-/// The packed matvecs below run on the calling thread: decode steps are too
-/// small to pay for waking the pool.
+/// The packed matvecs below never wake the pool themselves: gen_step
+/// already splits its batch rows across it, once per token, and each part
+/// runs them on its own rows.
 void pack_transpose(PackedMat& dst, const float* w, int Cout, int Cin);
 
 /// out[n, o] = bias[o] + sum_i inp[n, i] * W[o, i], with W pre-packed.

@@ -8,6 +8,7 @@
 // order — work is split across independent outputs (batch rows, rows,
 // channels) and vector lanes run across independent keys, never across a
 // sum.
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -243,18 +244,29 @@ void layernorm_backward(float* dinp, float* dw, float* db, const float* dout,
     }
   });
   // dw/db sum over rows: each thread owns a channel range and walks the
-  // rows in ascending order, as the reference does.
+  // rows in ascending order, as the reference does. The sums run in a
+  // private buffer and are stored once, so no thread writes a cache line
+  // it shares with a neighbouring channel range row after row.
   parallel_ranges(C, static_cast<std::size_t>(4) * N, [&](int c0, int c1) {
+    static thread_local std::vector<float> sums;
+    const int w = c1 - c0;
+    sums.assign(dw + c0, dw + c1);
+    sums.insert(sums.end(), db + c0, db + c1);
+    float* sw = sums.data();
+    float* sb = sw + w;
     for (int n = 0; n < N; ++n) {
-      const float* x = inp + static_cast<std::size_t>(rows ? rows[n] : n) * C;
-      const float* d = dout + static_cast<std::size_t>(n) * C;
+      const std::size_t r = static_cast<std::size_t>(rows ? rows[n] : n);
+      const float* x = inp + r * C + c0;
+      const float* d = dout + static_cast<std::size_t>(n) * C + c0;
       const float m = mean[n], rs = rstd[n];
-      for (int c = c0; c < c1; ++c) {
+      for (int c = 0; c < w; ++c) {
         const float norm = (x[c] - m) * rs;
-        dw[c] += norm * d[c];
-        db[c] += d[c];
+        sw[c] += norm * d[c];
+        sb[c] += d[c];
       }
     }
+    std::copy(sw, sw + w, dw + c0);
+    std::copy(sb, sb + w, db + c0);
   });
 }
 

@@ -2,31 +2,53 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+
+#include "ml/kernels.h"
 
 namespace chatfuzz::ml {
 
-int Sampler::sample_row(const float* logits, int vocab, Rng& rng,
-                        bool ban_eos, float* logp_out) const {
+namespace {
+
+/// One row's sampling state for one step: everything but the random draw.
+/// Rows are independent, so this part runs across the kernel pool; the
+/// draws then run in row order, which keeps the Rng stream the same.
+struct RowDraw {
+  std::vector<std::pair<float, int>> scored;  // [vocab], top k sorted first
+  std::vector<float> mass;  // exp(score - smax) of the k kept candidates
+  float maxv = 0.f;         // full-distribution logit max
+  double log_denom = 0.0;   // log sum exp(logit - maxv) over the vocabulary
+  double ssum = 0.0;        // sum of mass
+  int k = 0;                // candidates kept after top-k and top-p
+};
+
+/// Full-distribution log-softmax terms, then the tempered top-k/top-p cut
+/// and its sampling mass, for one row of logits.
+void prepare(RowDraw& d, const float* logits, int vocab,
+             const SampleConfig& cfg, bool ban_eos) {
   // Full-distribution log-softmax (PPO's logp_old must match what training
   // recomputes, independent of sampling temperature / top-k truncation).
   float maxv = -1e30f;
   for (int v = 0; v < vocab; ++v) maxv = std::max(maxv, logits[v]);
   double denom = 0.0;
   for (int v = 0; v < vocab; ++v) denom += std::exp(logits[v] - maxv);
-  const double log_denom = std::log(denom);
+  d.maxv = maxv;
+  d.log_denom = std::log(denom);
 
   // Sampling distribution: temperature + top-k.
-  const float invt = cfg_.temperature > 0.f ? 1.f / cfg_.temperature : 1.f;
-  std::vector<std::pair<float, int>> scored(vocab);
+  const float invt = cfg.temperature > 0.f ? 1.f / cfg.temperature : 1.f;
+  std::vector<std::pair<float, int>>& scored = d.scored;
+  scored.resize(vocab);
   for (int v = 0; v < vocab; ++v) {
-    const bool banned = ban_eos && v == cfg_.eos_token;
+    const bool banned = ban_eos && v == cfg.eos_token;
     scored[v] = {banned ? -1e30f : logits[v] * invt, v};
   }
-  int k = cfg_.top_k > 0 ? std::min(cfg_.top_k, vocab) : vocab;
+  int k = cfg.top_k > 0 ? std::min(cfg.top_k, vocab) : vocab;
   std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
                     [](auto& x, auto& y) { return x.first > y.first; });
-  float smax = scored[0].first;
-  if (cfg_.top_p < 1.f) {
+  const float smax = scored[0].first;
+  if (cfg.top_p < 1.f) {
     // Nucleus filter (applied after top-k, as in the HF generate stack):
     // keep the smallest sorted prefix holding >= top_p of the *tempered*
     // distribution's mass; the mass denominator spans the full vocabulary.
@@ -37,33 +59,66 @@ int Sampler::sample_row(const float* logits, int vocab, Rng& rng,
     while (kept < k) {
       cum += std::exp(scored[kept].first - smax);
       ++kept;
-      if (cum / full >= cfg_.top_p) break;
+      if (cum / full >= cfg.top_p) break;
     }
     k = kept;
   }
-  double ssum = 0.0;
-  for (int i = 0; i < k; ++i) ssum += std::exp(scored[i].first - smax);
-  double r = rng.uniform() * ssum;
-  int chosen = scored[k - 1].second;
+  d.k = k;
+  d.mass.resize(k);
+  d.ssum = 0.0;
   for (int i = 0; i < k; ++i) {
-    const double p = std::exp(scored[i].first - smax);
+    d.mass[i] = std::exp(scored[i].first - smax);
+    d.ssum += d.mass[i];
+  }
+}
+
+/// Draw from a prepared row; returns the token and its full-distribution
+/// log-probability.
+int draw(const RowDraw& d, const float* logits, Rng& rng, float* logp) {
+  double r = rng.uniform() * d.ssum;
+  int chosen = d.scored[d.k - 1].second;
+  for (int i = 0; i < d.k; ++i) {
+    const double p = d.mass[i];
     if (r < p) {
-      chosen = scored[i].second;
+      chosen = d.scored[i].second;
       break;
     }
     r -= p;
   }
-  if (logp_out != nullptr) {
-    *logp_out = static_cast<float>(logits[chosen] - maxv - log_denom);
-  }
+  *logp = static_cast<float>(logits[chosen] - d.maxv - d.log_denom);
   return chosen;
 }
+
+[[noreturn]] void reject(const char* what, int token, int vocab) {
+  std::fprintf(stderr,
+               "Sampler::generate: %s %d is outside the vocabulary [0, %d)\n",
+               what, token, vocab);
+  std::abort();
+}
+
+}  // namespace
 
 std::vector<Generation> Sampler::generate(
     const Gpt& model, const std::vector<std::vector<int>>& prompts,
     Rng& rng) const {
   const int B = static_cast<int>(prompts.size());
   const int ctx = model.config().ctx;
+  const int vocab = model.config().vocab;
+  // Every token reaches gen_step as an embedding row index: the EOS token
+  // is fed to finished lanes, and prompt tokens are fed as they are.
+  if (cfg_.eos_token < 0 || cfg_.eos_token >= vocab) {
+    reject("eos_token", cfg_.eos_token, vocab);
+  }
+  for (const std::vector<int>& prompt : prompts) {
+    if (prompt.empty()) {
+      std::fprintf(stderr, "Sampler::generate: empty prompt\n");
+      std::abort();
+    }
+    for (const int tok : prompt) {
+      if (tok < 0 || tok >= vocab) reject("prompt token", tok, vocab);
+    }
+  }
+
   std::vector<Generation> gens(B);
   for (int b = 0; b < B; ++b) gens[b].prompt = prompts[b];
 
@@ -72,8 +127,10 @@ std::vector<Generation> Sampler::generate(
   std::vector<bool> done(B, false);
   for (int b = 0; b < B; ++b) cur[b] = prompts[b].front();
 
-  std::vector<float> logits(static_cast<std::size_t>(B) * model.config().vocab);
-  const int vocab = model.config().vocab;
+  std::vector<float> logits(static_cast<std::size_t>(B) * vocab);
+  std::vector<RowDraw> draws(B);
+  std::vector<int> sampling;  // rows that draw a token this step, ascending
+  sampling.reserve(B);
 
   for (int pos = 0; pos + 1 < ctx; ++pos) {
     bool any_active = false;
@@ -82,22 +139,34 @@ std::vector<Generation> Sampler::generate(
 
     model.gen_step(state, cur.data(), logits.data());
 
+    sampling.clear();
     for (int b = 0; b < B; ++b) {
       const auto prompt_len = static_cast<int>(prompts[b].size());
       if (pos + 1 < prompt_len) {
         cur[b] = prompts[b][pos + 1];  // still consuming the prompt
-        continue;
-      }
-      if (done[b]) {
+      } else if (done[b]) {
         cur[b] = cfg_.eos_token;  // keep the lane warm; outputs discarded
-        continue;
+      } else {
+        sampling.push_back(b);
       }
+    }
+    // An exp and a partial-sort step per candidate, a few dozen flops.
+    kern::parallel_ranges(static_cast<int>(sampling.size()),
+                          static_cast<std::size_t>(64) * vocab,
+                          [&](int lo, int hi) {
+      for (int i = lo; i < hi; ++i) {
+        const int b = sampling[i];
+        const bool ban_eos =
+            static_cast<int>(gens[b].response.size()) < cfg_.min_new_tokens;
+        prepare(draws[b], logits.data() + static_cast<std::size_t>(b) * vocab,
+                vocab, cfg_, ban_eos);
+      }
+    });
+    for (const int b : sampling) {
       float logp = 0.f;
-      const bool ban_eos =
-          static_cast<int>(gens[b].response.size()) < cfg_.min_new_tokens;
-      const int tok = sample_row(logits.data() +
-                                     static_cast<std::size_t>(b) * vocab,
-                                 vocab, rng, ban_eos, &logp);
+      const int tok = draw(draws[b],
+                           logits.data() + static_cast<std::size_t>(b) * vocab,
+                           rng, &logp);
       gens[b].response.push_back(tok);
       gens[b].response_logps.push_back(logp);
       cur[b] = tok;

@@ -35,15 +35,17 @@ class Sampler {
   const SampleConfig& config() const { return cfg_; }
 
   /// Generate continuations for a batch of prompts (ragged). All prompts
-  /// must be non-empty and fit within model ctx together with
-  /// max_new_tokens.
+  /// must fit within model ctx together with max_new_tokens. An empty
+  /// prompt, or a prompt token or eos_token outside [0, vocab), is a hard
+  /// error: each token is fed to the model as an embedding row. Each
+  /// step's per-row sampling work runs across the kernel pool and the draws
+  /// run in row order, so the tokens and logps are the same at any thread
+  /// count.
   std::vector<Generation> generate(const Gpt& model,
                                    const std::vector<std::vector<int>>& prompts,
                                    Rng& rng) const;
 
  private:
-  int sample_row(const float* logits, int vocab, Rng& rng, bool ban_eos,
-                 float* logp_out) const;
   SampleConfig cfg_;
 };
 

@@ -1,8 +1,9 @@
 // Parity and determinism tests for the vectorized ML kernel subsystem
 // (ml/kernels.h): every optimized kernel against its naive reference on
-// randomized shapes (bit for bit for the layer kernels), bit-identical
-// results across thread counts, pool re-entrancy, and end-to-end
-// incremental-vs-full generation parity.
+// randomized shapes (bit for bit for the layer kernels), the GEMM against a
+// scalar multiply-add chain bit for bit, bit-identical results across
+// thread counts, pool re-entrancy, and end-to-end incremental-vs-full
+// generation parity.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -387,6 +388,135 @@ TEST(Kernels, GeluBackwardMatchesRefBits) {
     kern::gelu_backward(d.data(), inp.data(), dout.data(), N);
     EXPECT_TRUE(same_bits(d, ref));
   });
+}
+
+// ---- the GEMM kernel: bit-exact against a scalar multiply-add chain --------
+// Every matmul output element is one multiply-add per reduction index, in
+// ascending order, from its start value (bias, zero, or the accumulator).
+// The oracle computes exactly that, one element at a time, fused (one
+// rounding) or not as the kernels' own build reports.
+
+namespace {
+
+float oracle_madd(float a, float b, float c) {
+  return kern::madd_is_fused() ? std::fma(a, b, c) : a * b + c;
+}
+
+/// out[n, o] = start + sum_i inp[n, i] * w[o, i], start = bias[o] or 0.
+std::vector<float> oracle_forward(const std::vector<float>& inp,
+                                  const std::vector<float>& w,
+                                  const float* bias, const Shape& s) {
+  std::vector<float> out(static_cast<std::size_t>(s.N) * s.Cout);
+  for (int n = 0; n < s.N; ++n) {
+    for (int o = 0; o < s.Cout; ++o) {
+      float acc = bias != nullptr ? bias[o] : 0.f;
+      for (int i = 0; i < s.Cin; ++i) {
+        acc = oracle_madd(inp[static_cast<std::size_t>(n) * s.Cin + i],
+                          w[static_cast<std::size_t>(o) * s.Cin + i], acc);
+      }
+      out[static_cast<std::size_t>(n) * s.Cout + o] = acc;
+    }
+  }
+  return out;
+}
+
+// N not a multiple of the tile's 6 rows, column tails of every width class
+// (Cout 1, 7, 91, 259), Cin = 1, and N > 256 so the dw pass spans several
+// reduction blocks.
+const Shape kGemmShapes[] = {
+    {1, 1, 1},    {5, 1, 7},     {13, 64, 1},  {7, 37, 91},  {11, 64, 259},
+    {19, 1, 259}, {8, 259, 7},   {301, 64, 91}, {263, 37, 259}, {50, 128, 48},
+};
+
+}  // namespace
+
+TEST(Kernels, GemmForwardPathsMatchScalarMaddChainBits) {
+  Rng rng(31);
+  for (const Shape& s : kGemmShapes) {
+    SCOPED_TRACE("N=" + std::to_string(s.N) + " Cin=" + std::to_string(s.Cin) +
+                 " Cout=" + std::to_string(s.Cout));
+    const auto inp = random_vec(rng, static_cast<std::size_t>(s.N) * s.Cin);
+    const auto w =
+        random_vec(rng, static_cast<std::size_t>(s.Cout) * s.Cin, 0.2f);
+    const auto bias = random_vec(rng, s.Cout);
+    const auto want = oracle_forward(inp, w, bias.data(), s);
+    const auto want_nobias = oracle_forward(inp, w, nullptr, s);
+    kern::PackedMat packed;
+    kern::pack_transpose(packed, w.data(), s.Cout, s.Cin);
+    at_thread_counts([&] {
+      std::vector<float> out(want.size(), 7.f), post(want.size());
+      kern::matmul_forward(out.data(), inp.data(), w.data(), bias.data(), s.N,
+                           s.Cin, s.Cout);
+      EXPECT_TRUE(same_bits(out, want));
+      kern::matmul_forward(out.data(), inp.data(), w.data(), nullptr, s.N,
+                           s.Cin, s.Cout);
+      EXPECT_TRUE(same_bits(out, want_nobias));
+      std::fill(out.begin(), out.end(), 7.f);
+      kern::matmul_bias_gelu_forward(out.data(), post.data(), inp.data(),
+                                     w.data(), bias.data(), s.N, s.Cin,
+                                     s.Cout);
+      EXPECT_TRUE(same_bits(out, want));
+      std::fill(out.begin(), out.end(), 7.f);
+      kern::matmul_forward_packed(out.data(), inp.data(), packed, bias.data(),
+                                  s.N);
+      EXPECT_TRUE(same_bits(out, want));
+      kern::matmul_forward_packed(out.data(), inp.data(), packed, nullptr,
+                                  s.N);
+      EXPECT_TRUE(same_bits(out, want_nobias));
+    });
+  }
+}
+
+TEST(Kernels, GemmBackwardMatchesScalarMaddChainBits) {
+  Rng rng(32);
+  for (const Shape& s : kGemmShapes) {
+    SCOPED_TRACE("N=" + std::to_string(s.N) + " Cin=" + std::to_string(s.Cin) +
+                 " Cout=" + std::to_string(s.Cout));
+    const auto inp = random_vec(rng, static_cast<std::size_t>(s.N) * s.Cin);
+    const auto w =
+        random_vec(rng, static_cast<std::size_t>(s.Cout) * s.Cin, 0.2f);
+    const auto dout = random_vec(rng, static_cast<std::size_t>(s.N) * s.Cout);
+    // Non-zero starting accumulators: the passes add into their gradients.
+    const auto seed_di = random_vec(rng, inp.size(), 0.1f);
+    const auto seed_dw = random_vec(rng, w.size(), 0.1f);
+    const auto seed_db = random_vec(rng, s.Cout, 0.1f);
+    auto want_di = seed_di, want_dw = seed_dw, want_db = seed_db;
+    for (int n = 0; n < s.N; ++n) {
+      for (int i = 0; i < s.Cin; ++i) {
+        float& acc = want_di[static_cast<std::size_t>(n) * s.Cin + i];
+        for (int o = 0; o < s.Cout; ++o) {
+          acc = oracle_madd(dout[static_cast<std::size_t>(n) * s.Cout + o],
+                            w[static_cast<std::size_t>(o) * s.Cin + i], acc);
+        }
+      }
+    }
+    for (int o = 0; o < s.Cout; ++o) {
+      for (int i = 0; i < s.Cin; ++i) {
+        float& acc = want_dw[static_cast<std::size_t>(o) * s.Cin + i];
+        for (int n = 0; n < s.N; ++n) {
+          acc = oracle_madd(dout[static_cast<std::size_t>(n) * s.Cout + o],
+                            inp[static_cast<std::size_t>(n) * s.Cin + i], acc);
+        }
+      }
+      for (int n = 0; n < s.N; ++n) {
+        want_db[o] += dout[static_cast<std::size_t>(n) * s.Cout + o];
+      }
+    }
+    at_thread_counts([&] {
+      auto di = seed_di, dw = seed_dw, db = seed_db;
+      kern::matmul_backward(di.data(), dw.data(), db.data(), dout.data(),
+                            inp.data(), w.data(), s.N, s.Cin, s.Cout);
+      EXPECT_TRUE(same_bits(di, want_di));
+      EXPECT_TRUE(same_bits(dw, want_dw));
+      EXPECT_TRUE(same_bits(db, want_db));
+      // No bias gradient: dinp and dw are unchanged.
+      auto di2 = seed_di, dw2 = seed_dw;
+      kern::matmul_backward(di2.data(), dw2.data(), nullptr, dout.data(),
+                            inp.data(), w.data(), s.N, s.Cin, s.Cout);
+      EXPECT_TRUE(same_bits(di2, want_di));
+      EXPECT_TRUE(same_bits(dw2, want_dw));
+    });
+  }
 }
 
 // ---- the pool itself -------------------------------------------------------

@@ -231,7 +231,8 @@ TEST(Sampler, DeterministicUnderFixedSeed) {
   Gpt model(cfg, 30);
   SampleConfig sc;
   sc.max_new_tokens = 12;
-  sc.eos_token = 999;  // never sampled: outside vocab
+  sc.stop_at_eos = false;  // every lane runs to max_new_tokens
+  sc.eos_token = cfg.vocab - 1;  // still fed to finished lanes
   Sampler sampler(sc);
   Rng r1(5), r2(5);
   const std::vector<std::vector<int>> prompts = {{1, 2, 3}, {4}};
@@ -248,7 +249,8 @@ TEST(Sampler, RespectsMaxNewTokens) {
   Gpt model(cfg, 30);
   SampleConfig sc;
   sc.max_new_tokens = 7;
-  sc.eos_token = 999;
+  sc.stop_at_eos = false;  // every lane runs to max_new_tokens
+  sc.eos_token = cfg.vocab - 1;  // still fed to finished lanes
   Sampler sampler(sc);
   Rng rng(5);
   const auto gens = sampler.generate(model, {{1, 2}}, rng);
@@ -276,7 +278,8 @@ TEST(Sampler, LogpsAreSane) {
   Gpt model(cfg, 30);
   SampleConfig sc;
   sc.max_new_tokens = 5;
-  sc.eos_token = 999;
+  sc.stop_at_eos = false;  // every lane runs to max_new_tokens
+  sc.eos_token = cfg.vocab - 1;  // still fed to finished lanes
   Sampler sampler(sc);
   Rng rng(5);
   const auto gens = sampler.generate(model, {{1, 2, 3}}, rng);
@@ -284,6 +287,25 @@ TEST(Sampler, LogpsAreSane) {
     EXPECT_LE(lp, 0.f);
     EXPECT_GT(lp, -20.f);
   }
+}
+
+TEST(SamplerDeathTest, RejectsTokensOutsideTheVocabulary) {
+  // Each of these would be fed to gen_step as an embedding row index.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const GptConfig cfg = GptConfig::tiny();
+  const Gpt model(cfg, 30);
+  SampleConfig sc;
+  sc.eos_token = cfg.vocab;
+  Rng rng(5);
+  EXPECT_DEATH(Sampler(sc).generate(model, {{1}}, rng),
+               "eos_token 64 is outside the vocabulary");
+  sc.eos_token = -1;
+  EXPECT_DEATH(Sampler(sc).generate(model, {{1}}, rng), "eos_token -1");
+  sc.eos_token = 0;
+  EXPECT_DEATH(Sampler(sc).generate(model, {{1, cfg.vocab}}, rng),
+               "prompt token 64 is outside the vocabulary");
+  EXPECT_DEATH(Sampler(sc).generate(model, {{-2}}, rng), "prompt token -2");
+  EXPECT_DEATH(Sampler(sc).generate(model, {{1}, {}}, rng), "empty prompt");
 }
 
 // ---- AdamW -----------------------------------------------------------------------
@@ -328,7 +350,8 @@ TEST(Ppo, PolicyLearnsRewardedToken) {
   PpoTrainer ppo(policy, ref, pc);
   SampleConfig sc;
   sc.max_new_tokens = 6;
-  sc.eos_token = 999;
+  sc.stop_at_eos = false;  // every lane runs to max_new_tokens
+  sc.eos_token = cfg.vocab - 1;  // still fed to finished lanes
   sc.top_k = 0;
   Sampler sampler(sc);
   Rng rng(8);
@@ -363,7 +386,8 @@ TEST(Ppo, StatsArePopulated) {
   PpoTrainer ppo(policy, ref, PpoConfig{});
   SampleConfig sc;
   sc.max_new_tokens = 6;
-  sc.eos_token = 999;
+  sc.stop_at_eos = false;  // every lane runs to max_new_tokens
+  sc.eos_token = cfg.vocab - 1;  // still fed to finished lanes
   Sampler sampler(sc);
   Rng rng(3);
   const auto gens = sampler.generate(policy, {{1}, {2}}, rng);
@@ -663,7 +687,7 @@ TEST(PpoThreads, UpdateIsBitIdenticalAtAnyThreadCountAndMatchesFullRows) {
   Gpt start(cfg, 21);
   SampleConfig sc;
   sc.max_new_tokens = 40;
-  sc.eos_token = 999;
+  sc.stop_at_eos = false;  // every lane runs to max_new_tokens
   const Sampler sampler(sc);
   Rng rng(9);
   std::vector<std::vector<int>> prompts;
@@ -708,6 +732,91 @@ TEST(PpoThreads, UpdateIsBitIdenticalAtAnyThreadCountAndMatchesFullRows) {
     for (std::size_t i = 1; i < params.size(); ++i) {
       EXPECT_TRUE(same_bits(params[i], params[0])) << "run " << i;
       EXPECT_EQ(moments[i], moments[0]) << "run " << i;
+    }
+  }
+}
+
+TEST(DecodeThreads, GenStepAndSamplerAreBitIdenticalAtAnyThreadCount) {
+  // gen_step splits its batch rows and Sampler::generate its per-row
+  // sampling work across the pool; neither may move a bit. B = 7 and 32
+  // both engage the pool, prompts are ragged, and some rows stop at EOS
+  // while others go on decoding.
+  const GptConfig cfg = GptConfig::small();
+  const Gpt model(cfg, 41);
+  const ThreadCountGuard guard;
+  for (const int B : {7, 32}) {
+    SCOPED_TRACE("B=" + std::to_string(B));
+    Rng prompt_rng(static_cast<std::uint64_t>(B));
+    std::vector<std::vector<int>> prompts(B);
+    for (int b = 0; b < B; ++b) {
+      for (int t = 0; t < 1 + b % 6; ++t) {
+        prompts[b].push_back(static_cast<int>(prompt_rng.below(cfg.vocab)));
+      }
+    }
+    SampleConfig sc;
+    sc.temperature = 0.85f;
+    sc.top_k = 20;
+    sc.min_new_tokens = 2;
+    sc.max_new_tokens = 24;
+    // EOS is a token row 0 samples mid-response without EOS stops, so rows
+    // stop early once EOS stops are on.
+    {
+      kern::set_num_threads(1);
+      SampleConfig probe = sc;
+      probe.stop_at_eos = false;
+      Rng rng(3);
+      sc.eos_token = Sampler(probe).generate(model, prompts, rng)[0].response[6];
+    }
+
+    std::vector<std::vector<Generation>> gens;
+    std::vector<std::vector<float>> logits;
+    for (const int nt : {1, 2, 3, 4}) {
+      kern::set_num_threads(nt);
+      Rng rng(3);
+      gens.push_back(Sampler(sc).generate(model, prompts, rng));
+      // Every step's logits over the sampled sequences, padded with EOS.
+      std::size_t T = 0;
+      for (const Generation& g : gens.back()) {
+        T = std::max(T, g.prompt.size() + g.response.size());
+      }
+      Gpt::GenState st = model.gen_begin(B);
+      std::vector<float> step(static_cast<std::size_t>(B) * cfg.vocab);
+      std::vector<int> column(B);
+      logits.emplace_back();
+      for (std::size_t t = 0; t < T; ++t) {
+        for (int b = 0; b < B; ++b) {
+          const Generation& g = gens.back()[b];
+          const std::size_t P = g.prompt.size();
+          column[b] = t < P                       ? g.prompt[t]
+                      : t - P < g.response.size() ? g.response[t - P]
+                                                  : sc.eos_token;
+        }
+        model.gen_step(st, column.data(), step.data());
+        logits.back().insert(logits.back().end(), step.begin(), step.end());
+      }
+    }
+    int stopped = 0;
+    for (const Generation& g : gens[0]) {
+      stopped += static_cast<int>(g.response.size()) < sc.max_new_tokens;
+    }
+    EXPECT_GT(stopped, 0);
+    EXPECT_LT(stopped, B);
+    for (std::size_t i = 1; i < gens.size(); ++i) {
+      SCOPED_TRACE("threads=" + std::to_string(i + 1));
+      for (int b = 0; b < B; ++b) {
+        EXPECT_EQ(gens[i][b].response, gens[0][b].response) << "row " << b;
+        ASSERT_EQ(gens[i][b].response_logps.size(),
+                  gens[0][b].response_logps.size());
+        EXPECT_EQ(std::memcmp(gens[i][b].response_logps.data(),
+                              gens[0][b].response_logps.data(),
+                              gens[0][b].response_logps.size() * sizeof(float)),
+                  0)
+            << "row " << b;
+      }
+      ASSERT_EQ(logits[i].size(), logits[0].size());
+      EXPECT_EQ(std::memcmp(logits[i].data(), logits[0].data(),
+                            logits[0].size() * sizeof(float)),
+                0);
     }
   }
 }

@@ -80,7 +80,9 @@ TEST(Serialize, ReaderNeverCrashesOnTruncation) {
   w.str("payload");
   const std::string full = w.buffer();
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
-    ser::Reader r(full.substr(0, cut));
+    // ser::Reader keeps a view, so the bytes live in a named local.
+    const std::string prefix = full.substr(0, cut);
+    ser::Reader r(prefix);
     (void)r.u64();
     (void)r.vec_u64();
     (void)r.str();
@@ -240,7 +242,8 @@ TEST(SnapshotRoundTrip, CoverageDbTruncationsFailCleanly) {
   db.save_state(w);
   for (std::size_t cut = 0; cut < w.buffer().size(); ++cut) {
     cov::CoverageDB other = make_db(16);
-    ser::Reader r(w.buffer().substr(0, cut));
+    const std::string prefix = w.buffer().substr(0, cut);
+    ser::Reader r(prefix);
     EXPECT_FALSE(other.restore_state(r)) << "prefix " << cut;
   }
 }
@@ -309,7 +312,8 @@ TEST(SnapshotRoundTrip, MetricSuiteTruncationsFailCleanly) {
   // Sample the cuts (the blob is a few KiB; step keeps the test fast).
   for (std::size_t cut = 0; cut < w.buffer().size(); cut += 7) {
     cov::MetricSuite restored;
-    ser::Reader r(w.buffer().substr(0, cut));
+    const std::string prefix = w.buffer().substr(0, cut);
+    ser::Reader r(prefix);
     EXPECT_FALSE(restored.restore_state(r)) << "prefix " << cut;
   }
 }
@@ -350,7 +354,8 @@ TEST(SnapshotRoundTrip, MismatchDetectorTallyBitExact) {
 
   for (std::size_t cut = 0; cut < w.buffer().size(); ++cut) {
     mismatch::MismatchDetector other;
-    ser::Reader rc(w.buffer().substr(0, cut));
+    const std::string prefix = w.buffer().substr(0, cut);
+    ser::Reader rc(prefix);
     EXPECT_FALSE(other.restore_state(rc)) << "prefix " << cut;
   }
 }
@@ -475,7 +480,8 @@ TEST(SnapshotRoundTrip, CheckpointCampaignConfigRoundTripsDutList) {
   // and the per-backend records (the n_duts payload-bound guard).
   for (std::size_t cut = 0; cut < w.buffer().size(); cut += 3) {
     core::CampaignConfig other;
-    ser::Reader rc(w.buffer().substr(0, cut));
+    const std::string prefix = w.buffer().substr(0, cut);
+    ser::Reader rc(prefix);
     EXPECT_FALSE(core::read_campaign_config(rc, other)) << "prefix " << cut;
   }
 }
@@ -624,7 +630,8 @@ TEST(SnapshotRoundTrip, BpeVocabBitExact) {
 
   for (std::size_t cut = 0; cut + 1 < w.buffer().size(); cut += 3) {
     ml::BpeTokenizer other = ml::BpeTokenizer::train(data, 259);
-    ser::Reader rc(w.buffer().substr(0, cut));
+    const std::string prefix = w.buffer().substr(0, cut);
+    ser::Reader rc(prefix);
     EXPECT_FALSE(other.restore_state(rc)) << "prefix " << cut;
   }
 }
@@ -675,7 +682,8 @@ TEST(SnapshotRoundTrip, MutationalFuzzerContinuesIdentically) {
 
   for (std::size_t cut = 0; cut < w.buffer().size(); cut += 11) {
     baselines::TheHuzzFuzzer other(1);
-    ser::Reader rc(w.buffer().substr(0, cut));
+    const std::string prefix = w.buffer().substr(0, cut);
+    ser::Reader rc(prefix);
     EXPECT_FALSE(other.restore_state(rc)) << "prefix " << cut;
   }
 }
