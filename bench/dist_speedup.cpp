@@ -11,8 +11,8 @@
 //
 // --smoke (or CHATFUZZ_SMOKE=1) shrinks the campaign to CI size; `procs`
 // defaults to 2 (the acceptance point: >= 1.7x at 2 processes). The binary
-// is its own worker: the coordinator re-execs it via /proc/self/exe in the
-// hidden `worker <fd>` mode.
+// is its own worker: the coordinator re-execs it via /proc/self/exe as
+// `worker --connect`, dialing back over loopback.
 //
 // --faults switches to the degradation bench: the same dist campaign runs
 // once clean and once under a seeded hostile wire-fault schedule on the TCP
@@ -115,10 +115,9 @@ int main(int argc, char** argv) {
   dist_cfg.dist.num_procs = procs;
 
   if (faults) {
-    // Degradation cell: clean TCP fleet vs the same fleet under a seeded
-    // hostile schedule. TCP (not socketpairs) so dropped workers redial and
-    // the churn is survivable by design rather than by budget.
-    dist_cfg.dist.listen = "127.0.0.1:0";
+    // Degradation cell: clean fleet vs the same fleet under a seeded
+    // hostile schedule. Dropped workers redial, so the churn is survivable
+    // by design rather than by budget.
     double sec_clean = 0.0, sec_fault = 0.0;
     const core::CampaignResult clean = timed_run(dist_cfg, &sec_clean);
 

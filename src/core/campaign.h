@@ -55,8 +55,9 @@ struct FaultPlan {
 };
 
 /// Multi-process fan-out (src/dist/): the coordinator re-execs this binary
-/// in a hidden worker mode, hands out fixed-size test-index ranges of every
-/// batch as leases over a framed wire protocol, and folds the returned
+/// as `worker --connect` children that dial its TCP listener back, hands
+/// out fixed-size test-index ranges of every batch as leases over a framed
+/// wire protocol, and folds the returned
 /// per-test artifacts in canonical order — so the campaign output is
 /// bit-identical to the in-process engine for any process count, worker
 /// thread count and lease schedule. Scheduling only; never persisted in
@@ -72,27 +73,31 @@ struct DistConfig {
   std::size_t lease_tests = 0;
 
   /// Binary to re-exec for workers. Empty = /proc/self/exe (the normal
-  /// case: any binary that routes a "worker <fd>" argv through
+  /// case: any binary that routes a "worker --connect" argv through
   /// dist::maybe_worker_main can be its own worker).
   std::string worker_exe;
 
-  /// Kill a worker that has held leases without delivering a result for
+  /// Drop a worker that has held leases without delivering a result for
   /// this long (hung-worker detection); its outstanding leases re-issue to
   /// survivors. 0 = wait forever (a dead worker is still detected
   /// immediately via EOF on its socket).
   std::uint32_t lease_timeout_ms = 0;
 
-  // ---- TCP transport (multi-host fleets) ---------------------------------
-  /// Non-empty "host:port" switches the coordinator from socketpairs to a
-  /// TCP listener: num_procs local children are spawned with
-  /// `worker --connect` pointing back at it (0 = none; wait for external
-  /// dial-ins only), and remote `chatfuzz worker --connect <addr> --token`
-  /// processes can join — or rejoin after a failure — at any time. Port 0
-  /// binds an ephemeral port (see port_file).
+  // ---- TCP transport -----------------------------------------------------
+  /// "host:port" the coordinator listens on. Empty = an ephemeral port on
+  /// 127.0.0.1, for the local children alone. The num_procs local children
+  /// always dial the listener back over loopback as `worker --connect`;
+  /// with an address set, remote `chatfuzz worker --connect <addr> --token`
+  /// processes can join — or rejoin after a failure — at any time, and
+  /// num_procs may be 0 (external dial-ins only). Port 0 binds an ephemeral
+  /// port (see port_file).
   std::string listen;
   /// Shared secret for the protocol-v4 handshake: a worker whose hello
   /// carries a different token is rejected before any campaign state flows.
-  /// Empty = no authentication (trusted links, e.g. socketpairs).
+  /// Spawned children receive it through their environment, never argv.
+  /// Empty with `listen` set = no authentication (trusted networks); empty
+  /// without it = a fresh random token per campaign, so only the spawned
+  /// children get in.
   std::string token;
   /// When set, the coordinator writes the actually-bound "host:port\n" here
   /// after listen() — how tests and scripts discover an ephemeral port.
@@ -104,9 +109,10 @@ struct DistConfig {
   std::uint32_t heartbeat_ms = 250;
   /// Silence window before a peer is declared dead. 0 = 8 * heartbeat_ms.
   std::uint32_t heartbeat_timeout_ms = 0;
-  /// TCP only: when every peer has been lost, wait this long for a
-  /// reconnect before failing the campaign (workers redial with capped
-  /// exponential backoff, so a transient total outage heals itself).
+  /// When every peer has been lost, wait this long for a reconnect before
+  /// failing the campaign (workers redial with capped exponential backoff,
+  /// so a transient total outage heals itself). Skipped at start-up when
+  /// every spawned child has already exited.
   std::uint32_t reconnect_wait_ms = 10'000;
 
   // ---- fault injection (tests / CI only) ---------------------------------

@@ -2,14 +2,15 @@
 
 #include <poll.h>
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <map>
+#include <random>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -33,6 +34,22 @@ std::int64_t now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// The campaign config with its handshake token settled. A default fleet
+/// (neither --listen nor --token) gets a fresh per-campaign secret, so its
+/// loopback listener trusts only the children it spawned. The secret comes
+/// from std::random_device, never the campaign RNG: campaign bytes must not
+/// depend on it, and nobody may derive it from the seed.
+core::CampaignConfig with_fleet_token(core::CampaignConfig cfg) {
+  if (cfg.dist.token.empty() && cfg.dist.listen.empty()) {
+    std::random_device rd;
+    char hex[33];
+    std::snprintf(hex, sizeof(hex), "%08x%08x%08x%08x", rd(), rd(), rd(),
+                  rd());
+    cfg.dist.token = hex;
+  }
+  return cfg;
 }
 
 }  // namespace
@@ -59,7 +76,7 @@ std::int64_t Coordinator::effective_heartbeat_timeout_ms() const {
 }
 
 Coordinator::Coordinator(const core::CampaignConfig& cfg, bool use_suite)
-    : cfg_(cfg), use_suite_(use_suite),
+    : cfg_(with_fleet_token(cfg)), use_suite_(use_suite),
       lease_tests_(effective_lease_tests(cfg)) {
   set_log_role("coord");
   if (cfg_.dist.fault.any()) {
@@ -68,15 +85,15 @@ Coordinator::Coordinator(const core::CampaignConfig& cfg, bool use_suite)
     injector_ =
         std::make_shared<FaultInjector>(cfg_.dist.fault, Rng(cfg_.seed));
   }
-  transport_ = make_transport(cfg_);
-  std::vector<Peer> peers = transport_->start();
-  for (Peer& p : peers) {
-    (void)add_peer(std::move(p), kHandshakeTimeoutMs);
+  transport_ = std::make_unique<Transport>(cfg_);
+  for (std::unique_ptr<Channel>& chan : transport_->start()) {
+    (void)add_peer(std::move(chan), kHandshakeTimeoutMs);
   }
-  if (live_workers() == 0 && transport_->listen_fd() >= 0) {
+  if (live_workers() == 0 && !transport_->children_gone()) {
     // Handshake faults can wipe the whole initial fleet; the workers are
     // redialing right now, so give them the reconnect window before
-    // declaring the campaign dead on arrival.
+    // declaring the campaign dead on arrival. When every spawned child has
+    // already exited, nobody local is left to redial.
     await_reconnect(static_cast<int>(cfg_.dist.reconnect_wait_ms));
   }
   if (live_workers() == 0) {
@@ -85,11 +102,10 @@ Coordinator::Coordinator(const core::CampaignConfig& cfg, bool use_suite)
   }
 }
 
-bool Coordinator::add_peer(Peer peer, int handshake_timeout_ms) {
-  if (!peer.chan || !peer.chan->valid()) return false;
-  std::unique_ptr<Channel> chan =
-      maybe_wrap_faulty(std::move(peer.chan), injector_,
-                        next_channel_ordinal_++);
+bool Coordinator::add_peer(std::unique_ptr<Channel> chan,
+                           int handshake_timeout_ms) {
+  if (!chan || !chan->valid()) return false;
+  chan = maybe_wrap_faulty(std::move(chan), injector_, next_channel_ordinal_++);
 
   std::string payload;
   ser::Status s = chan->recv_frame(&payload, handshake_timeout_ms);
@@ -159,7 +175,6 @@ bool Coordinator::add_peer(Peer peer, int handshake_timeout_ms) {
 
   WorkerPeer w;
   w.chan = std::move(chan);
-  w.child_pid = peer.child_pid;
   w.hello_pid = static_cast<std::int64_t>(hello.pid);
   w.alive = true;
   w.last_progress_ms = now_ms();
@@ -170,16 +185,13 @@ bool Coordinator::add_peer(Peer peer, int handshake_timeout_ms) {
 }
 
 void Coordinator::accept_pending() {
-  if (transport_->listen_fd() < 0) return;
-  while (auto p = transport_->accept_peer()) {
+  while (auto chan = transport_->accept_peer()) {
     ++stats_.peers_accepted;
-    (void)add_peer(std::move(*p), kLateHandshakeTimeoutMs);
+    (void)add_peer(std::move(chan), kLateHandshakeTimeoutMs);
   }
 }
 
 void Coordinator::await_reconnect(int window_ms) {
-  const int lfd = transport_->listen_fd();
-  if (lfd < 0) return;
   OBS_SPAN("dist.await_reconnect");
   LOG_WARN("dist: fleet empty, waiting up to %dms for a reconnect",
            window_ms);
@@ -187,7 +199,7 @@ void Coordinator::await_reconnect(int window_ms) {
   while (live_workers() == 0) {
     const std::int64_t left = deadline - now_ms();
     if (left <= 0) return;
-    struct pollfd pfd = {lfd, POLLIN, 0};
+    struct pollfd pfd = {transport_->listen_fd(), POLLIN, 0};
     const int pr = ::poll(&pfd, 1, static_cast<int>(left));
     if (pr < 0 && errno != EINTR) return;
     if (pr > 0) accept_pending();
@@ -210,14 +222,9 @@ void Coordinator::lose_worker(std::size_t index, LossCause cause,
            "leases_requeued=%zu",
            index, static_cast<long long>(w.hello_pid), why.c_str(),
            w.leases.size());
+  // A lost local child is not killed: a disconnected one redials on its
+  // own, and teardown reaps whatever is left.
   w.chan->close();
-  if (w.child_pid >= 0 && transport_->listen_fd() < 0) {
-    // Socketpair children cannot reconnect — a lost one is dead weight,
-    // kill and reap it now. TCP children stay: a disconnected one redials
-    // on its own, and teardown reaps whatever is left.
-    ::kill(w.child_pid, SIGKILL);
-    ::waitpid(w.child_pid, nullptr, 0);
-  }
   w.alive = false;
   ++stats_.workers_lost;
   if (requeue != nullptr) {
@@ -339,11 +346,9 @@ void Coordinator::maybe_fire_kill_injection() {
   kill_fired_ = true;
   if (workers_[target].alive) {
     // SIGKILL only — detection and lease reassignment must flow through the
-    // same EOF path a real worker crash takes. TCP dial-ins carry no child
-    // pid, so fall back to the pid from the hello (test fleets are local).
-    const pid_t pid = workers_[target].child_pid >= 0
-                          ? workers_[target].child_pid
-                          : static_cast<pid_t>(workers_[target].hello_pid);
+    // same EOF path a real worker crash takes. The pid is the one from the
+    // hello (test fleets are local).
+    const pid_t pid = static_cast<pid_t>(workers_[target].hello_pid);
     if (pid > 0) ::kill(pid, SIGKILL);
   }
 }
@@ -446,13 +451,9 @@ void Coordinator::run_batch(const std::vector<core::Program>& batch,
     // heartbeat deadline to pass, or a new peer to dial in.
     struct pollfd pfds[66];
     std::size_t worker_of_pfd[66];
-    std::size_t n_pfds = 0;
-    const int lfd = transport_->listen_fd();
-    if (lfd >= 0) {
-      pfds[n_pfds] = {lfd, POLLIN, 0};
-      worker_of_pfd[n_pfds] = static_cast<std::size_t>(-1);
-      ++n_pfds;
-    }
+    pfds[0] = {transport_->listen_fd(), POLLIN, 0};
+    worker_of_pfd[0] = static_cast<std::size_t>(-1);
+    std::size_t n_pfds = 1;
     int timeout = -1;
     const auto consider_deadline = [&](std::int64_t deadline) {
       const std::int64_t left = deadline - now_ms();
@@ -483,7 +484,6 @@ void Coordinator::run_batch(const std::vector<core::Program>& batch,
       }
     }
     if (busy == 0 && !queue.empty()) continue;  // survivors idle: reassign
-    if (n_pfds == 0) continue;
     const int pr = ::poll(pfds, static_cast<nfds_t>(n_pfds), timeout);
     if (pr < 0) {
       if (errno == EINTR) continue;

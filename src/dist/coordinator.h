@@ -1,13 +1,14 @@
 // Coordinator of the distributed campaign subsystem: owns a fleet of worker
-// peers (local socketpair children, or TCP dial-ins that may join and
-// REJOIN mid-campaign), splits every batch into fixed-size test-index
-// leases, and collects one TestArtifact per test back into the batch's
-// canonical slots. The campaign engine then folds those artifacts exactly
-// as it folds thread-pool artifacts — which is the whole determinism story:
-// the coordinator changes WHERE tests run, never what is folded or in what
-// order, so results, coverage DB bytes, mismatch DB bytes and corpus-store
-// bytes are bit-identical to a single-process run for any process count,
-// worker thread count, lease schedule — and any fault schedule.
+// peers (local children dialing back over loopback, and remote dial-ins,
+// any of which may join and REJOIN mid-campaign), splits every batch into
+// fixed-size test-index leases, and collects one TestArtifact per test
+// back into the batch's canonical slots. The campaign engine then folds
+// those artifacts exactly as it folds thread-pool artifacts — which is the
+// whole determinism story: the coordinator changes WHERE tests run, never
+// what is folded or in what order, so results, coverage DB bytes, mismatch
+// DB bytes and corpus-store bytes are bit-identical to a single-process run
+// for any process count, worker thread count, lease schedule — and any
+// fault schedule.
 //
 // Fault tolerance: a worker that disconnects (EOF/SIGKILL/crash/wire
 // fault), goes silent past the heartbeat window (dead host), or keeps
@@ -15,14 +16,12 @@
 // its outstanding leases re-issue to survivors; the three causes are
 // counted separately. A lease is folded exactly once — reassignment only
 // ever happens after the original worker's channel is closed, so a
-// duplicate result cannot arrive. On the TCP transport a dropped worker
-// redials with capped exponential backoff and comes back as a fresh peer;
-// persistently slow hosts keep working but lose their double-buffer slot.
+// duplicate result cannot arrive. A dropped worker redials with capped
+// exponential backoff and comes back as a fresh peer; persistently slow
+// hosts keep working but lose their double-buffer slot.
 // Only when every peer is gone AND nobody redials within reconnect_wait_ms
 // does the batch (and campaign) fail with std::runtime_error.
 #pragma once
-
-#include <sys/types.h>
 
 #include <cstdint>
 #include <functional>
@@ -44,7 +43,8 @@ struct CoordinatorStats {
   std::size_t workers_lost = 0;      // = the three lost_* causes below
   std::size_t leases_issued = 0;     // first-time assignments
   std::size_t leases_reissued = 0;   // reassignments after a lost worker
-  std::size_t peers_accepted = 0;    // TCP accepts, initial + redials
+  std::size_t peers_accepted = 0;    // accepts outside the spawn window:
+                                     // external joiners + redials
   std::size_t peers_rejected = 0;    // refused at handshake (token/version/
                                      // config fingerprint/role)
   std::size_t lost_disconnect = 0;   // EOF, wire fault, protocol violation
@@ -56,8 +56,8 @@ struct CoordinatorStats {
 
 class Coordinator {
  public:
-  /// Brings up the transport (spawn and/or listen+accept) and handshakes
-  /// the initial fleet. Throws std::runtime_error when no worker comes up.
+  /// Brings up the transport (listen, spawn, accept) and handshakes the
+  /// initial fleet. Throws std::runtime_error when no worker comes up.
   Coordinator(const core::CampaignConfig& cfg, bool use_suite);
   /// Sends shutdown to survivors and reaps every spawned child.
   ~Coordinator();
@@ -104,7 +104,6 @@ class Coordinator {
  private:
   struct WorkerPeer {
     std::unique_ptr<Channel> chan;
-    pid_t child_pid = -1;       // local child behind this channel, if any
     std::int64_t hello_pid = 0; // pid the worker reported in its hello
     bool alive = false;
     /// Outstanding leases, FIFO (workers serve strictly in order, so
@@ -131,10 +130,10 @@ class Coordinator {
 
   enum class LossCause { kDisconnect, kNoProgress, kNoHeartbeat };
 
-  /// Handshake one transport peer into the fleet (wraps the channel with
+  /// Handshake one dialed-in peer into the fleet (wraps the channel with
   /// the fault injector when armed). Returns false when the peer was
   /// rejected or the handshake failed.
-  bool add_peer(Peer peer, int handshake_timeout_ms);
+  bool add_peer(std::unique_ptr<Channel> chan, int handshake_timeout_ms);
   /// Drain the transport's pending accepts (nonblocking).
   void accept_pending();
   /// Block up to `window_ms` waiting for a dial-in to restore the fleet.
@@ -150,6 +149,8 @@ class Coordinator {
   /// The kStatus handshake answer: fleet table + aggregated metrics.
   StatsReplyMsg build_fleet_reply();
 
+  /// The campaign config; dist.token holds the fleet's handshake token
+  /// (minted per campaign for a default fleet).
   core::CampaignConfig cfg_;
   bool use_suite_ = false;
   std::size_t lease_tests_ = 1;

@@ -1,6 +1,6 @@
 // Wire protocol of the distributed campaign subsystem: length-prefixed,
-// CRC'd frames over a connected stream socket (the coordinator/worker
-// socketpair), with versioned messages encoded through util/serialize.
+// CRC'd frames over a connected stream socket (the coordinator/worker TCP
+// connection), with versioned messages encoded through util/serialize.
 //
 //   frame   := [magic u32][payload_len u32][crc32(payload) u32][payload]
 //   payload := [msg type u8][fields...]
@@ -14,7 +14,7 @@
 // anything else.
 //
 // Message flow (coordinator <-> worker):
-//   worker -> kHello            once, immediately after exec
+//   worker -> kHello            once per connection, right after dialing
 //   coord  -> kConfig           campaign config + per-worker knobs
 //   coord  -> kLease            a [base, base+n) slice of a batch, with
 //                               the test programs (the generator lives on

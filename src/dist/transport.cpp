@@ -11,12 +11,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/log.h"
 
@@ -32,15 +34,13 @@ std::int64_t now_ms() {
       .count();
 }
 
-/// How long TcpTransport::start() waits for its own spawned children to
-/// dial back over loopback. Covers exec + library init, same rationale as
-/// the coordinator's handshake window.
+/// How long Transport::start() waits for its own spawned children to dial
+/// back over loopback. Covers exec + library init, same rationale as the
+/// coordinator's handshake window.
 constexpr std::int64_t kLoopbackDialWindowMs = 60'000;
-
-std::string worker_exe_of(const core::CampaignConfig& cfg) {
-  return cfg.dist.worker_exe.empty() ? std::string("/proc/self/exe")
-                                     : cfg.dist.worker_exe;
-}
+/// Poll slice of that wait: how soon a child that exited without dialing
+/// is noticed.
+constexpr std::int64_t kChildPollMs = 50;
 
 void set_cloexec(int fd) { ::fcntl(fd, F_SETFD, FD_CLOEXEC); }
 
@@ -182,100 +182,19 @@ std::uint16_t bound_port(int listen_fd) {
   return ntohs(addr.sin_port);
 }
 
-// ---- Transport base -------------------------------------------------------
+// ---- Transport -----------------------------------------------------------
 
-pid_t Transport::spawn(const std::string& exe,
-                       const std::vector<std::string>& args) {
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 2);
-  argv.push_back(const_cast<char*>(exe.c_str()));
-  for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
-  argv.push_back(nullptr);
-  pid_t pid = -1;
-  const int rc =
-      ::posix_spawn(&pid, exe.c_str(), nullptr, nullptr, argv.data(), environ);
-  if (rc != 0) {
-    LOG_ERROR("dist transport: cannot spawn %s: %s", exe.c_str(),
-              std::strerror(rc));
-    return -1;
-  }
-  children_.push_back(pid);
-  return pid;
-}
-
-void Transport::reap_children(int grace_ms) {
-  std::vector<std::uint8_t> pending(children_.size(), 1);
-  std::size_t left = children_.size();
-  const std::int64_t deadline = now_ms() + grace_ms;
-  while (left > 0 && now_ms() < deadline) {
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-      if (pending[i] == 0) continue;
-      const pid_t rc = ::waitpid(children_[i], nullptr, WNOHANG);
-      // rc < 0 (ECHILD): the caller already reaped this child after killing
-      // it — nothing left to wait for.
-      if (rc != 0) {
-        pending[i] = 0;
-        --left;
-      }
-    }
-    if (left > 0) ::usleep(100'000);
-  }
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (pending[i] == 0) continue;
-    ::kill(children_[i], SIGKILL);
-    ::waitpid(children_[i], nullptr, 0);
-  }
-  children_.clear();
-}
-
-// ---- SpawnTransport -------------------------------------------------------
-
-SpawnTransport::SpawnTransport(const core::CampaignConfig& cfg)
+Transport::Transport(const core::CampaignConfig& cfg)
     : num_procs_(std::min<std::size_t>(cfg.dist.num_procs, 64)),
-      worker_exe_(worker_exe_of(cfg)),
-      token_(cfg.dist.token) {}
-
-std::vector<Peer> SpawnTransport::start() {
-  std::vector<Peer> peers;
-  peers.reserve(num_procs_);
-  for (std::size_t i = 0; i < num_procs_; ++i) {
-    int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-      LOG_ERROR("dist transport: socketpair failed: %s", std::strerror(errno));
-      continue;
-    }
-    // The parent end must not leak into workers spawned later (a held-open
-    // copy would mask this worker's EOF-on-death signal).
-    set_cloexec(sv[0]);
-    std::vector<std::string> args = {"worker", std::to_string(sv[1])};
-    if (!token_.empty()) {
-      args.push_back("--token");
-      args.push_back(token_);
-    }
-    const pid_t pid = spawn(worker_exe_, args);
-    ::close(sv[1]);
-    if (pid < 0) {
-      ::close(sv[0]);
-      continue;
-    }
-    Peer p;
-    p.chan = std::make_unique<SocketChannel>(sv[0]);
-    p.child_pid = pid;
-    peers.push_back(std::move(p));
-  }
-  return peers;
-}
-
-// ---- TcpTransport ---------------------------------------------------------
-
-TcpTransport::TcpTransport(const core::CampaignConfig& cfg)
-    : num_procs_(std::min<std::size_t>(cfg.dist.num_procs, 64)),
-      worker_exe_(worker_exe_of(cfg)),
+      worker_exe_(cfg.dist.worker_exe.empty() ? std::string("/proc/self/exe")
+                                              : cfg.dist.worker_exe),
       token_(cfg.dist.token) {
-  const auto hp = parse_hostport(cfg.dist.listen);
+  const std::string listen =
+      cfg.dist.listen.empty() ? std::string("127.0.0.1:0") : cfg.dist.listen;
+  const auto hp = parse_hostport(listen);
   if (!hp) {
     throw std::runtime_error("dist transport: bad --listen address '" +
-                             cfg.dist.listen + "' (want host:port)");
+                             listen + "' (want host:port)");
   }
   std::string err;
   listen_fd_ = tcp_listen(*hp, &err);
@@ -296,57 +215,95 @@ TcpTransport::TcpTransport(const core::CampaignConfig& cfg)
            static_cast<unsigned>(port_));
 }
 
-TcpTransport::~TcpTransport() {
+Transport::~Transport() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
-std::vector<Peer> TcpTransport::start() {
+void Transport::spawn_child() {
   const std::string connect_arg = "127.0.0.1:" + std::to_string(port_);
-  for (std::size_t i = 0; i < num_procs_; ++i) {
-    std::vector<std::string> args = {"worker", "--connect", connect_arg};
-    if (!token_.empty()) {
-      args.push_back("--token");
-      args.push_back(token_);
+  char* argv[] = {const_cast<char*>(worker_exe_.c_str()),
+                  const_cast<char*>("worker"), const_cast<char*>("--connect"),
+                  const_cast<char*>(connect_arg.c_str()), nullptr};
+  // Our environment minus any inherited spawn variables, plus this
+  // coordinator's: the token must stay out of argv, and the pid lets the
+  // child tell its coordinator's death from a transient disconnect.
+  const std::string token_var = std::string(kWorkerTokenEnv) + "=";
+  const std::string pid_var = std::string(kCoordinatorPidEnv) + "=";
+  std::vector<char*> envp;
+  for (char** e = environ; *e != nullptr; ++e) {
+    const std::string_view var(*e);
+    if (!var.starts_with(token_var) && !var.starts_with(pid_var)) {
+      envp.push_back(*e);
     }
-    (void)spawn(worker_exe_, args);
   }
-  // Wait for the spawned children to dial back. External workers may land
-  // in the same window — a peer is a peer. With num_procs == 0 nothing is
-  // awaited here: the campaign waits for external dial-ins via
-  // accept_peer() from the coordinator's poll loop.
-  std::vector<Peer> peers;
+  const std::string token_def = token_var + token_;
+  const std::string pid_def = pid_var + std::to_string(::getpid());
+  if (!token_.empty()) envp.push_back(const_cast<char*>(token_def.c_str()));
+  envp.push_back(const_cast<char*>(pid_def.c_str()));
+  envp.push_back(nullptr);
+  pid_t pid = -1;
+  const int rc = ::posix_spawn(&pid, worker_exe_.c_str(), nullptr, nullptr,
+                               argv, envp.data());
+  if (rc != 0) {
+    LOG_ERROR("dist transport: cannot spawn %s: %s", worker_exe_.c_str(),
+              std::strerror(rc));
+    return;
+  }
+  children_.push_back(pid);
+}
+
+std::size_t Transport::running_children() {
+  // waitpid < 0 (ECHILD): somebody else already reaped it — gone as well.
+  std::erase_if(children_, [](pid_t pid) {
+    return ::waitpid(pid, nullptr, WNOHANG) != 0;
+  });
+  return children_.size();
+}
+
+bool Transport::children_gone() {
+  return num_procs_ > 0 && running_children() == 0;
+}
+
+std::vector<std::unique_ptr<Channel>> Transport::start() {
+  for (std::size_t i = 0; i < num_procs_; ++i) spawn_child();
+  // Collect the children's dial-ins, in short polls so a child that exits
+  // without dialing (bad worker_exe, crash at start-up) ends the wait
+  // instead of costing the whole window. A child that dialed and then
+  // exited counts twice, so this can return early; whoever is still on the
+  // way joins through accept_peer(). With num_procs == 0 nothing is awaited
+  // here: the coordinator waits for external dial-ins itself.
+  std::vector<std::unique_ptr<Channel>> peers;
   const std::int64_t deadline = now_ms() + kLoopbackDialWindowMs;
-  while (peers.size() < children_.size() && now_ms() < deadline) {
+  while (peers.size() < running_children() && now_ms() < deadline) {
     struct pollfd pfd = {listen_fd_, POLLIN, 0};
     const std::int64_t left = deadline - now_ms();
-    if (::poll(&pfd, 1, static_cast<int>(std::max<std::int64_t>(0, left))) <=
-        0) {
-      break;
+    if (::poll(&pfd, 1, static_cast<int>(std::clamp<std::int64_t>(
+                            left, 0, kChildPollMs))) > 0) {
+      if (auto chan = accept_peer()) peers.push_back(std::move(chan));
     }
-    auto p = accept_peer();
-    if (p) peers.push_back(std::move(*p));
   }
   return peers;
 }
 
-std::optional<Peer> TcpTransport::accept_peer() {
+std::unique_ptr<Channel> Transport::accept_peer() {
   const int fd = ::accept(listen_fd_, nullptr, nullptr);
-  if (fd < 0) return std::nullopt;
+  if (fd < 0) return nullptr;
   set_cloexec(fd);
   // accept() on Linux inherits O_NONBLOCK on some paths; frame I/O wants
   // blocking semantics with its own poll-based deadlines.
   ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
   tune_stream_socket(fd);
-  Peer p;
-  p.chan = std::make_unique<SocketChannel>(fd);
-  return p;
+  return std::make_unique<SocketChannel>(fd);
 }
 
-std::unique_ptr<Transport> make_transport(const core::CampaignConfig& cfg) {
-  if (!cfg.dist.listen.empty()) {
-    return std::make_unique<TcpTransport>(cfg);
+void Transport::reap_children(int grace_ms) {
+  const std::int64_t deadline = now_ms() + grace_ms;
+  while (running_children() > 0 && now_ms() < deadline) ::usleep(100'000);
+  for (const pid_t pid : children_) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
   }
-  return std::make_unique<SpawnTransport>(cfg);
+  children_.clear();
 }
 
 }  // namespace chatfuzz::dist

@@ -1,19 +1,19 @@
 // Transport seam of the distributed campaign subsystem: where worker
-// connections come from, abstracted away from the coordinator's scheduling
-// logic. Two backends:
+// connections come from, kept apart from the coordinator's scheduling
+// logic. There is one transport, TCP. The coordinator binds a listener
+// (cfg.dist.listen, or an ephemeral 127.0.0.1 port when that is empty),
+// spawns num_procs local children of this binary that dial it back as
+// `worker --connect 127.0.0.1:<port>`, and accepts external
+// `chatfuzz worker --connect` dial-ins — before AND during the campaign,
+// which is what makes worker reconnect-with-backoff work: a reconnected
+// worker is just a freshly accepted peer.
 //
-//   SpawnTransport  the PR-5 path — posix_spawn children of this binary
-//                   over socketpairs, one per worker slot. No late joiners:
-//                   a lost child stays lost.
-//   TcpTransport    bind+listen on cfg.dist.listen; spawn num_procs local
-//                   children that dial the listener back over loopback
-//                   (self-contained fleets for tests/CI), and accept
-//                   external `chatfuzz worker --connect` dial-ins — before
-//                   AND during the campaign, which is what makes worker
-//                   reconnect-with-backoff work: a reconnected worker is
-//                   just a freshly accepted peer.
+// Spawned children learn two things through their environment, never
+// their argv (/proc/<pid>/cmdline is world-readable): the handshake token
+// (kWorkerTokenEnv) and the coordinator's pid (kCoordinatorPidEnv), so a
+// child stops redialing once its coordinator is gone.
 //
-// The Channel interface is the same seam one level down: FrameChannel is
+// The Channel interface is the same seam one level down: SocketChannel is
 // the concrete socket implementation, and dist::FaultyChannel (fault.h)
 // wraps any Channel to inject wire faults for the dist_fault suite.
 #pragma once
@@ -66,76 +66,57 @@ class SocketChannel final : public Channel {
   FrameChannel chan_;
 };
 
-/// A connected (not yet handshaked) peer as handed to the coordinator.
-struct Peer {
-  std::unique_ptr<Channel> chan;
-  /// Local child pid when this transport spawned the process behind the
-  /// channel; -1 for TCP dial-ins (the worker reports its pid in the hello,
-  /// but a remote pid is not killable — only the channel is).
-  pid_t child_pid = -1;
-};
+/// Environment variables the transport sets for the children it spawns
+/// (and strips from the environment they would otherwise inherit).
+inline constexpr const char* kWorkerTokenEnv = "CHATFUZZ_WORKER_TOKEN";
+inline constexpr const char* kCoordinatorPidEnv = "CHATFUZZ_COORDINATOR_PID";
 
+/// The coordinator's end of the fleet: a TCP listener plus the local
+/// children that dial it. Throws std::runtime_error from the constructor
+/// when the listener cannot be bound.
 class Transport {
  public:
-  virtual ~Transport() = default;
-  /// Bring up the initial fleet: spawn children and/or wait for dial-ins.
-  /// May return fewer peers than configured (each missing one is logged);
-  /// deciding whether zero is fatal is the caller's job.
-  virtual std::vector<Peer> start() = 0;
-  /// fd to poll for late arrivals, or -1 when the backend cannot accept any.
-  virtual int listen_fd() const { return -1; }
-  /// Accept one pending late peer without blocking; nullopt when none.
-  virtual std::optional<Peer> accept_peer() { return std::nullopt; }
+  /// Binds the listener and writes cfg.dist.port_file. Spawned children
+  /// authenticate with cfg.dist.token.
+  explicit Transport(const core::CampaignConfig& cfg);
+  ~Transport();
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
 
-  /// Every child process this transport spawned (reconnecting TCP workers
-  /// keep their pid across redials; the list never shrinks).
-  const std::vector<pid_t>& child_pids() const { return children_; }
+  /// Spawn the local children and accept dial-ins until every child has
+  /// either dialed or exited. May return fewer channels than children (a
+  /// late dialer joins through accept_peer()); external workers landing
+  /// in the same window are peers too. Deciding whether zero is fatal is
+  /// the caller's job.
+  std::vector<std::unique_ptr<Channel>> start();
+  /// fd to poll for dial-ins.
+  int listen_fd() const { return listen_fd_; }
+  /// Accept one pending dial-in without blocking; null when none.
+  std::unique_ptr<Channel> accept_peer();
+  /// True when children were asked for and none is running any more, so
+  /// no local dial-in can still arrive.
+  bool children_gone();
   /// Reap all spawned children: a shared grace window for voluntary exits
   /// (the coordinator has already sent shutdown frames / closed channels),
   /// then SIGKILL for the stragglers. Idempotent; never hangs.
   void reap_children(int grace_ms);
 
- protected:
-  /// posix_spawn `exe` with `args` (argv[0] = exe). Returns -1 on failure.
-  pid_t spawn(const std::string& exe, const std::vector<std::string>& args);
-
-  std::vector<pid_t> children_;
-};
-
-/// Socketpair backend (cfg.dist.listen empty).
-class SpawnTransport final : public Transport {
- public:
-  explicit SpawnTransport(const core::CampaignConfig& cfg);
-  std::vector<Peer> start() override;
-
  private:
-  std::size_t num_procs_;
-  std::string worker_exe_;
-  std::string token_;
-};
+  /// posix_spawn one `worker --connect` child (a failure is logged).
+  void spawn_child();
+  /// Reap the children that have exited, without blocking; returns how
+  /// many are still running.
+  std::size_t running_children();
 
-/// TCP backend (cfg.dist.listen = "host:port"). Throws std::runtime_error
-/// when the listener cannot be bound.
-class TcpTransport final : public Transport {
- public:
-  explicit TcpTransport(const core::CampaignConfig& cfg);
-  ~TcpTransport() override;
-  std::vector<Peer> start() override;
-  int listen_fd() const override { return listen_fd_; }
-  std::optional<Peer> accept_peer() override;
-  std::uint16_t port() const { return port_; }
-
- private:
   std::size_t num_procs_;
   std::string worker_exe_;
   std::string token_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
+  /// Spawned children not yet reaped (reconnecting workers keep their pid
+  /// across redials).
+  std::vector<pid_t> children_;
 };
-
-/// Backend selection: TcpTransport when cfg.dist.listen is set, the
-/// socketpair SpawnTransport otherwise.
-std::unique_ptr<Transport> make_transport(const core::CampaignConfig& cfg);
 
 // ---- TCP plumbing (shared with the worker / federation dial side) ---------
 

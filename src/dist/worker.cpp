@@ -23,6 +23,9 @@ namespace chatfuzz::dist {
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: worker --connect host:port [--token t] [--retries n]";
+
 int fail(const char* what, const std::string& detail) {
   std::fprintf(stderr, "chatfuzz worker: %s%s%s\n", what,
                detail.empty() ? "" : ": ", detail.c_str());
@@ -94,7 +97,7 @@ class HeartbeatThread {
 enum class ServeOutcome {
   kShutdown,   // clean end of campaign
   kRejected,   // coordinator refused us — fatal, do not redial
-  kTransient,  // connection-level failure — redial (TCP mode)
+  kTransient,  // connection-level failure — redial
 };
 
 /// One full serve session over a connected channel: handshake, then leases
@@ -190,9 +193,8 @@ ServeOutcome serve(FrameChannel& chan, const WorkerOptions& opts,
   bool hang_armed = config.debug_hang;
   for (;;) {
     s = chan.recv_frame(&payload);
-    // EOF here means the coordinator died or dropped us. In socketpair
-    // mode there is nobody left to report to; in TCP mode the caller
-    // redials.
+    // EOF here means the coordinator died or dropped us; the caller
+    // redials (or, for a spawned child whose coordinator died, gives up).
     if (!s.ok()) {
       fail("lost coordinator", s.message());
       return ServeOutcome::kTransient;
@@ -249,17 +251,6 @@ ServeOutcome serve(FrameChannel& chan, const WorkerOptions& opts,
 
 }  // namespace
 
-int worker_main(int fd, const WorkerOptions& opts) {
-  FrameChannel chan(fd);
-  bool handshook = false;
-  switch (serve(chan, opts, &handshook)) {
-    case ServeOutcome::kShutdown: return 0;
-    case ServeOutcome::kRejected: return 2;
-    case ServeOutcome::kTransient: return 1;
-  }
-  return 1;
-}
-
 int worker_connect_main(const std::string& hostport,
                         const WorkerOptions& opts) {
   const auto hp = parse_hostport(hostport);
@@ -291,6 +282,11 @@ int worker_connect_main(const std::string& hostport,
         backoff_ms = 50;
       }
     }
+    // Reparented: the coordinator that spawned us is gone, and nobody will
+    // ever accept our redial.
+    if (opts.coordinator_pid != 0 && ::getppid() != opts.coordinator_pid) {
+      return fail("coordinator exited, not redialing", "");
+    }
     if (++failures > opts.max_retries) {
       return fail("giving up after repeated connection failures",
                   std::to_string(failures - 1) + " consecutive");
@@ -308,9 +304,11 @@ int worker_connect_main(const std::string& hostport,
 std::optional<int> maybe_worker_main(int argc, char** argv) {
   if (argc < 2 || std::strcmp(argv[1], "worker") != 0) return std::nullopt;
   WorkerOptions opts;
+  if (const char* token = std::getenv(kWorkerTokenEnv)) opts.token = token;
+  if (const char* pid = std::getenv(kCoordinatorPidEnv)) {
+    opts.coordinator_pid = static_cast<pid_t>(std::atol(pid));
+  }
   std::string connect;
-  long fd = -1;
-  bool have_fd = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--connect" && i + 1 < argc) {
@@ -319,27 +317,14 @@ std::optional<int> maybe_worker_main(int argc, char** argv) {
       opts.token = argv[++i];
     } else if (arg == "--retries" && i + 1 < argc) {
       opts.max_retries = std::atoi(argv[++i]);
-    } else if (!have_fd && arg.rfind("--", 0) != 0) {
-      char* end = nullptr;
-      fd = std::strtol(argv[i], &end, 10);
-      if (end == argv[i] || *end != '\0' || fd < 0) {
-        return fail("worker fd must be a non-negative integer", argv[i]);
-      }
-      have_fd = true;
     } else {
-      return fail("usage: worker <fd> [--token t] | worker --connect "
-                  "host:port [--token t] [--retries n]",
-                  arg);
+      return fail(kUsage, arg);
     }
   }
-  if (!connect.empty() && have_fd) {
-    return fail("worker takes either <fd> or --connect, not both", "");
+  if (connect.empty()) {
+    return fail(kUsage, "missing --connect");
   }
-  if (!connect.empty()) return worker_connect_main(connect, opts);
-  if (have_fd) return worker_main(static_cast<int>(fd), opts);
-  return fail("usage: worker <fd> [--token t] | worker --connect host:port "
-              "[--token t] [--retries n]",
-              "(internal mode; spawned by fuzz --procs / --listen)");
+  return worker_connect_main(connect, opts);
 }
 
 }  // namespace chatfuzz::dist

@@ -1,21 +1,23 @@
 // Worker-process entry point of the distributed campaign subsystem. A
-// worker is this same binary re-exec'ed in a hidden argv mode: either
-// `worker <fd>` (spawned over a socketpair by the local coordinator) or
-// `worker --connect host:port [--token t]` (a multi-host fleet member
-// dialing a TCP coordinator). Both speak the dist protocol over one framed
-// channel, build a pool of core::SimStack simulation stacks from the
-// coordinator's Config message, and run each incoming lease through the
-// streaming engine — multi-threaded inside the process exactly like the
-// in-process pool — shipping back one TestArtifact per test.
+// worker is this same binary re-exec'ed as `worker --connect host:port
+// [--token t]`: either a local child the coordinator spawned (it dials the
+// coordinator's listener back over loopback) or a multi-host fleet member.
+// It speaks the dist protocol over one framed TCP channel, builds a pool of
+// core::SimStack simulation stacks from the coordinator's Config message,
+// and runs each incoming lease through the streaming engine —
+// multi-threaded inside the process exactly like the in-process pool —
+// shipping back one TestArtifact per test.
 //
-// Fault tolerance (TCP mode): a transient failure — dropped connection,
-// corrupt frame, coordinator restart — sends the worker back into a
-// redial loop with capped exponential backoff + jitter; a kReject from the
-// coordinator (bad token, version/config mismatch) is fatal and stops the
-// redialing, because an incompatible worker never becomes compatible.
-// While serving, a background heartbeat thread beats every
-// config.heartbeat_ms so the coordinator can tell this process being HUNG
-// (heartbeats flowing, no results) from being DEAD (silence).
+// Fault tolerance: a transient failure — dropped connection, corrupt
+// frame, coordinator restart — sends the worker back into a redial loop
+// with capped exponential backoff + jitter; a kReject from the coordinator
+// (bad token, version/config mismatch) is fatal and stops the redialing,
+// because an incompatible worker never becomes compatible. A spawned child
+// also stops redialing once its coordinator is gone (it is no longer the
+// child's parent), so local workers die with their coordinator. While
+// serving, a background heartbeat thread beats every config.heartbeat_ms
+// so the coordinator can tell this process being HUNG (heartbeats flowing,
+// no results) from being DEAD (silence).
 //
 // Determinism: artifacts depend only on (program, campaign seed, global
 // test index). The one piece of stack state that could leak between work
@@ -24,34 +26,38 @@
 // in what order, or after how many reassignments or reconnects.
 #pragma once
 
+#include <sys/types.h>
+
 #include <optional>
 #include <string>
 
 namespace chatfuzz::dist {
 
 struct WorkerOptions {
-  /// Auth token sent in the hello; must match the coordinator's --token.
+  /// Auth token sent in the hello; must match the coordinator's token.
   std::string token;
-  /// TCP mode: give up after this many consecutive failed dial/handshake
-  /// attempts (the counter resets every time a handshake completes).
+  /// Give up after this many consecutive failed dial/handshake attempts
+  /// (the counter resets every time a handshake completes).
   int max_retries = 60;
+  /// Spawned children only: the pid of the coordinator that spawned this
+  /// process. The redial loop gives up once that process is no longer our
+  /// parent. 0 = not spawned by a coordinator (redial until max_retries).
+  pid_t coordinator_pid = 0;
 };
 
-/// Serve leases over an already-connected `fd` until shutdown/EOF. Returns
-/// the process exit code: 0 on a clean shutdown, 1 on protocol violation,
-/// coordinator death, or a simulation failure, 2 when the coordinator
-/// rejected us (diagnostics on stderr). Never throws.
-int worker_main(int fd, const WorkerOptions& opts = {});
-
-/// TCP fleet member: dial `hostport`, serve, and redial with capped
-/// exponential backoff + jitter on transient failures. Exit codes as
-/// worker_main; a kReject ends the loop immediately.
+/// Dial `hostport`, serve leases until shutdown, and redial with capped
+/// exponential backoff + jitter on transient failures. Returns the process
+/// exit code: 0 on a clean shutdown, 1 when it gives up (retries spent,
+/// coordinator gone, bad address), 2 when the coordinator rejected us
+/// (diagnostics on stderr). Never throws.
 int worker_connect_main(const std::string& hostport, const WorkerOptions& opts);
 
-/// Route a `worker ...` argv into the right entry point. Call first thing
-/// in main() of any binary that wants to serve as its own campaign worker
-/// (the CLI, the dist tests, the dist bench); returns the exit code to
-/// propagate, or nullopt when the invocation is not a worker re-exec.
+/// Route a `worker ...` argv into worker_connect_main. A spawned child
+/// takes its token and its coordinator's pid from the environment (see
+/// kWorkerTokenEnv in dist/transport.h); an explicit --token wins. Call
+/// first thing in main() of any binary that wants to serve as its own
+/// campaign worker (the CLI, the dist tests, the dist bench); returns the
+/// exit code to propagate, or nullopt when the invocation is not a worker.
 std::optional<int> maybe_worker_main(int argc, char** argv);
 
 }  // namespace chatfuzz::dist

@@ -8,14 +8,15 @@
 // to a single-process run. Plus the wire-robustness contract: malformed
 // frames and payloads error out through ser::Status, they never crash.
 //
-// This binary is its own worker fleet: main() routes the hidden
-// `worker <fd>` argv (what the coordinator re-execs /proc/self/exe with)
-// into dist::worker_main before gtest ever runs.
+// This binary is its own worker fleet: main() routes the
+// `worker --connect` argv (what the coordinator re-execs /proc/self/exe
+// with) into dist::maybe_worker_main before gtest ever runs.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -260,7 +261,11 @@ TEST(DistDeterminism, CampaignFailsCleanlyWhenNoWorkerSurvives) {
   cfg.dist.worker_exe = "/bin/true";
   baselines::RandomFuzzer gen(11);
   cfg.checkpoint_dir = fresh_dir("dead");
+  // Fails fast: once every spawned child has exited, neither the loopback
+  // dial window nor the reconnect window is worth waiting out.
+  const auto t0 = std::chrono::steady_clock::now();
   EXPECT_THROW(run_campaign(gen, cfg), std::runtime_error);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
   fs::remove_all(cfg.checkpoint_dir);
 }
 
@@ -620,7 +625,7 @@ TEST(DistProtocol, DecodersRejectGarbageAndWrongTypes) {
 
 int main(int argc, char** argv) {
   // Worker re-exec: the coordinator spawns /proc/self/exe (this binary)
-  // with `worker <fd>`; serve leases instead of running the test suite.
+  // with `worker --connect`; serve leases instead of running the suite.
   if (const auto rc = chatfuzz::dist::maybe_worker_main(argc, argv)) {
     return *rc;
   }

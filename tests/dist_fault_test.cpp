@@ -10,7 +10,8 @@
 // SIGTERM graceful drain with bit-identical resume.
 //
 // Like dist_determinism_test, this binary is its own worker fleet: main()
-// routes the hidden worker argv into dist::maybe_worker_main before gtest.
+// routes the `worker --connect` argv into dist::maybe_worker_main before
+// gtest.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -20,6 +21,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -351,28 +353,6 @@ TEST(DistFault, TcpFaultMatrixIsBitIdenticalToCleanRun) {
   fs::remove_all(base_dir);
 }
 
-TEST(DistFault, SocketpairFaultsAreEquallyTransparent) {
-  // Same property on the spawn transport, where a dropped channel kills the
-  // worker for good (no redial): survivors absorb the re-issued leases.
-  // Handshake faults stay off — a socketpair worker that loses its first
-  // exchange is lost forever — and the budget stays below the fleet size
-  // (worst case every fault is channel-fatal), so at least one worker always
-  // survives to drain the re-issued leases. Wiping the whole fleet would
-  // (correctly) fail the campaign rather than degrade it.
-  const CampaignConfig clean = small_campaign();
-  const std::string da = fresh_dir("sp_clean"), db = fresh_dir("sp_fault");
-  const CampaignResult base = run_with(clean, 1, 1, da);
-  CampaignConfig cfg = small_campaign();
-  cfg.dist.fault = hostile_network(0xF00D);
-  cfg.dist.fault.p_handshake = 0;
-  cfg.dist.fault.max_faults = 3;
-  const CampaignResult r = run_with(cfg, 4, 2, db);
-  expect_identical(base, r);
-  expect_same_persisted_state(da, db);
-  fs::remove_all(da);
-  fs::remove_all(db);
-}
-
 TEST(DistFault, FaultsActuallyFireAndLeasesReissue) {
   // Coordinator-level cell where the counters are visible: an aggressive
   // schedule must actually inject, cost peers, re-issue leases — and still
@@ -464,6 +444,61 @@ TEST(DistFault, WorkerWithBadTokenIsRejectedAndStopsRedialing) {
     EXPECT_GT(arts[i].steps, 0u) << "artifact slot " << i << " never filled";
   }
   fs::remove(cfg.dist.port_file);
+}
+
+TEST(DistFault, DefaultFleetRejectsForeignDialIn) {
+  // A default fleet (no listen, no token) still listens on loopback, so it
+  // must not trust whoever dials in: the coordinator mints a per-campaign
+  // token that only its spawned children receive. A foreign local process
+  // that dials in mid-campaign with an empty token is rejected, and the
+  // campaign output stays byte-identical to a single-process run.
+  const std::string da = fresh_dir("priv_clean"), db = fresh_dir("priv_fleet");
+  const CampaignResult base = run_with(small_campaign(), 1, 1, da);
+
+  CampaignConfig cfg = small_campaign();
+  cfg.dist.num_procs = 2;
+  cfg.num_workers = 1;
+  cfg.dist.port_file = db + ".port";
+  cfg.stats_path = db + ".ndjson";
+  cfg.checkpoint_dir = db;
+  std::unique_ptr<dist::SocketChannel> foreign;
+  baselines::RandomFuzzer gen(11);
+  const CampaignResult r =
+      run_campaign(gen, cfg, [&](const CampaignPoint&) {
+        if (foreign) return;
+        // First curve point: the fleet is up and later batches remain. Dial
+        // in and say hello with no token; the coordinator answers when its
+        // poll loop next accepts.
+        const auto hp =
+            dist::parse_hostport(read_port_file(cfg.dist.port_file));
+        ASSERT_TRUE(hp.has_value());
+        std::string err;
+        const int fd = dist::tcp_connect(*hp, 5'000, &err);
+        ASSERT_GE(fd, 0) << err;
+        foreign = std::make_unique<dist::SocketChannel>(fd);
+        dist::HelloMsg hello;
+        hello.pid = static_cast<std::uint64_t>(::getpid());
+        ASSERT_TRUE(
+            foreign->send_frame(dist::encode_hello(hello), 5'000).ok());
+      });
+
+  ASSERT_TRUE(foreign);
+  std::string payload;
+  ASSERT_TRUE(foreign->recv_frame(&payload, 5'000).ok());
+  dist::RejectMsg reject;
+  ASSERT_TRUE(dist::decode_reject(payload, &reject).ok());
+  EXPECT_EQ(reject.reason, "bad auth token");
+  const std::string ndjson = file_bytes(cfg.stats_path);
+  const std::string key = "\"fleet.peers_rejected\":";
+  const std::size_t at = ndjson.rfind(key);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_GE(std::strtod(ndjson.c_str() + at + key.size(), nullptr), 1.0);
+  expect_identical(base, r);
+  expect_same_persisted_state(da, db);
+  fs::remove_all(da);
+  fs::remove_all(db);
+  fs::remove(cfg.dist.port_file);
+  fs::remove(cfg.stats_path);
 }
 
 TEST(DistFault, HungWorkerIsNoProgressNotNoHeartbeat) {
@@ -634,7 +669,7 @@ TEST(DistFault, DrainRequestedBetweenCampaignsStopsAfterFirstBatch) {
 
 int main(int argc, char** argv) {
   // Worker re-exec: the coordinator spawns /proc/self/exe (this binary)
-  // with a hidden worker argv; serve leases instead of running the suite.
+  // with `worker --connect`; serve leases instead of running the suite.
   if (const auto rc = chatfuzz::dist::maybe_worker_main(argc, argv)) {
     return *rc;
   }

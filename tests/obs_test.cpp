@@ -9,7 +9,7 @@
 // answers `fleet status` queries (with auth) while a campaign runs.
 //
 // Like the dist determinism suite this binary is its own worker fleet:
-// main() routes the hidden `worker ...` argv into dist::maybe_worker_main
+// main() routes the `worker --connect` argv into dist::maybe_worker_main
 // before gtest runs (campaigns with --procs re-exec /proc/self/exe).
 #include <gtest/gtest.h>
 
@@ -496,7 +496,7 @@ TEST(CorpusStatsJson, RoundTripsThroughParseExactly) {
 
 int main(int argc, char** argv) {
   // Worker re-exec: campaigns with --procs spawn /proc/self/exe (this
-  // binary) in the hidden worker mode; route it before gtest runs.
+  // binary) as `worker --connect`; route it before gtest runs.
   if (const auto rc = chatfuzz::dist::maybe_worker_main(argc, argv)) {
     return *rc;
   }

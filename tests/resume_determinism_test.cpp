@@ -471,7 +471,7 @@ TEST(ResumeDeterminism, MultiDutResumeAcrossProcessTopologies) {
 
 int main(int argc, char** argv) {
   // Worker re-exec: the coordinator spawns /proc/self/exe (this binary)
-  // with `worker <fd>`; serve leases instead of running the test suite.
+  // with `worker --connect`; serve leases instead of running the suite.
   if (const auto rc = chatfuzz::dist::maybe_worker_main(argc, argv)) {
     return *rc;
   }

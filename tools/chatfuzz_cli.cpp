@@ -16,9 +16,9 @@
 //                                          exchange corpus deltas over TCP
 //   chatfuzz fleet status <host:port>     live state of a fuzz --listen fleet
 //   chatfuzz solve <point-name>           directed test for a coverage point
-//   chatfuzz worker <fd>|--connect <a>    (internal) distributed-campaign
-//                                          worker; spawned by fuzz --procs
-//                                          or dialing a fuzz --listen fleet
+//   chatfuzz worker --connect <a>         distributed-campaign worker;
+//                                          spawned by fuzz --procs or
+//                                          dialing a fuzz --listen fleet
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -81,15 +81,16 @@ constexpr CommandDoc kCommands[] = {
      "ooo, comma-separated; default inorder) against one golden model;\n"
      "the first entry is primary (metrics/BBV/replay). Stored in\n"
      "checkpoints; resume keeps the stored list.\n"
-     "--procs fans the campaign out across <n> worker processes\n"
-     "(coordinator folds, workers simulate). Results are bit-identical\n"
-     "for any worker/process count.\n"
-     "--listen switches the fleet to TCP: local workers dial back over\n"
-     "loopback and remote `chatfuzz worker --connect` processes can join\n"
-     "or rejoin at any time (--procs 0 = external workers only); --token\n"
-     "authenticates them; --port-file records the bound address (port 0 =\n"
-     "ephemeral). SIGTERM drains gracefully: finish the batch, checkpoint,\n"
-     "exit as paused.\n"
+     "--procs fans the campaign out across <n> worker processes that\n"
+     "dial the coordinator back over loopback (coordinator folds, workers\n"
+     "simulate). Results are bit-identical for any worker/process count.\n"
+     "--listen opens the fleet to other hosts: remote `chatfuzz worker\n"
+     "--connect` processes can join or rejoin at any time (--procs 0 =\n"
+     "external workers only); --token authenticates them (with neither,\n"
+     "a random per-campaign token admits only the local workers);\n"
+     "--port-file records the bound address (port 0 = ephemeral).\n"
+     "SIGTERM drains gracefully: finish the batch, checkpoint, exit as\n"
+     "paused.\n"
      "--checkpoint snapshots state + corpus to <dir> every <n> tests;\n"
      "--bbv records per-test basic-block vectors to <file>;\n"
      "--no-superblocks disables superblock dispatch (same results, slower);\n"
@@ -131,10 +132,10 @@ constexpr CommandDoc kCommands[] = {
      "campaign metrics snapshot. Observation-only (never joins the fleet)"},
     {"solve", "<point-name>",
      "synthesize + verify a directed test for a coverage point"},
-    {"worker", "<fd> | --connect <host:port> [--token <t>] [--retries <n>]",
-     "(internal) distributed-campaign worker: either over an inherited\n"
-     "socketpair fd (spawned by fuzz --procs) or dialing a fuzz --listen\n"
-     "coordinator over TCP, redialing with capped backoff until rejected"},
+    {"worker", "--connect <host:port> [--token <t>] [--retries <n>]",
+     "distributed-campaign worker: dials a fuzz --listen coordinator over\n"
+     "TCP (fuzz --procs spawns its local ones the same way, over\n"
+     "loopback) and redials with capped backoff until rejected"},
 };
 
 int usage() {
@@ -772,7 +773,7 @@ int cmd_solve(const char* point_name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Hidden worker mode: `chatfuzz worker <fd>` is what the dist
+  // Worker mode: `chatfuzz worker --connect` is also what the dist
   // coordinator re-execs; it must win before any other parsing.
   if (const auto rc = dist::maybe_worker_main(argc, argv)) return *rc;
   if (argc < 2) return usage();
