@@ -1,8 +1,8 @@
 #include "ml/gpt.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -113,6 +113,30 @@ void encoder_backward(float* dwte, float* dwpe, const float* dout,
 void residual_forward(float* out, const float* a, const float* b, int N) {
   for (int n = 0; n < N; ++n) out[n] = a[n] + b[n];
 }
+
+// ---- precondition checks ------------------------------------------------------
+// The public entry points index activations, KV caches and embedding rows
+// with their arguments, so a broken precondition must stop the process with
+// a message, in Release builds too, rather than read or write out of bounds.
+
+[[gnu::format(printf, 2, 3)]] void require(bool ok, const char* fmt, ...) {
+  if (ok) return;
+  va_list args;
+  va_start(args, fmt);
+  std::vfprintf(stderr, fmt, args);
+  va_end(args);
+  std::fputc('\n', stderr);
+  std::abort();
+}
+
+/// Every one of tokens[0, n) must be an embedding row.
+void require_tokens(const char* who, const int* tokens, int n, int vocab) {
+  for (int i = 0; i < n; ++i) {
+    require(tokens[i] >= 0 && tokens[i] < vocab,
+            "%s: token %d at %d is outside the vocabulary [0, %d)", who,
+            tokens[i], i, vocab);
+  }
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -172,15 +196,13 @@ Gpt::Gpt(GptConfig cfg, std::uint64_t seed) : cfg_(cfg) {
   // buffer — KV caches, generation scratch, the attention-score buffer —
   // is sized from these fields, so a bad config must fail here, loudly,
   // not as an out-of-bounds write deep inside gen_step.
-  if (cfg_.ctx <= 0 || cfg_.vocab <= 0 || cfg_.n_layer < 0 ||
-      cfg_.n_head <= 0 || cfg_.n_embd <= 0 || cfg_.n_embd % cfg_.n_head != 0) {
-    std::fprintf(stderr,
-                 "Gpt: invalid config (vocab=%d ctx=%d n_layer=%d n_head=%d "
-                 "n_embd=%d); ctx/vocab/n_embd must be positive and n_embd "
-                 "divisible by n_head\n",
-                 cfg_.vocab, cfg_.ctx, cfg_.n_layer, cfg_.n_head, cfg_.n_embd);
-    std::abort();
-  }
+  require(cfg_.ctx > 0 && cfg_.vocab > 0 && cfg_.n_layer >= 0 &&
+              cfg_.n_head > 0 && cfg_.n_embd > 0 &&
+              cfg_.n_embd % cfg_.n_head == 0,
+          "Gpt: invalid config (vocab=%d ctx=%d n_layer=%d n_head=%d "
+          "n_embd=%d); ctx/vocab/n_embd must be positive and n_embd "
+          "divisible by n_head",
+          cfg_.vocab, cfg_.ctx, cfg_.n_layer, cfg_.n_head, cfg_.n_embd);
   const Layout lay = Layout::make(cfg_);
   params_.assign(lay.total, 0.f);
   grads_.assign(lay.total, 0.f);
@@ -217,7 +239,15 @@ Gpt::Gpt(GptConfig cfg, std::uint64_t seed) : cfg_(cfg) {
 void Gpt::zero_grad() { std::fill(grads_.begin(), grads_.end(), 0.f); }
 
 void Gpt::copy_params_from(const Gpt& other) {
-  assert(params_.size() == other.params_.size());
+  const GptConfig& o = other.cfg_;
+  require(o.vocab == cfg_.vocab && o.ctx == cfg_.ctx &&
+              o.n_layer == cfg_.n_layer && o.n_head == cfg_.n_head &&
+              o.n_embd == cfg_.n_embd,
+          "Gpt::copy_params_from: config mismatch (vocab=%d ctx=%d "
+          "n_layer=%d n_head=%d n_embd=%d into vocab=%d ctx=%d n_layer=%d "
+          "n_head=%d n_embd=%d)",
+          o.vocab, o.ctx, o.n_layer, o.n_head, o.n_embd, cfg_.vocab, cfg_.ctx,
+          cfg_.n_layer, cfg_.n_head, cfg_.n_embd);
   params_ = other.params_;
 }
 
@@ -249,20 +279,17 @@ void Gpt::forward(const int* tokens, int B, int T) {
 void Gpt::forward(const int* tokens, int B, int T,
                   const std::vector<int>& head_rows) {
   for (std::size_t r = 0; r < head_rows.size(); ++r) {
-    if (head_rows[r] < 0 || head_rows[r] >= B * T ||
-        (r > 0 && head_rows[r] <= head_rows[r - 1])) {
-      std::fprintf(stderr,
-                   "Gpt::forward: head rows must be strictly ascending in "
-                   "[0, B*T)\n");
-      std::abort();
-    }
+    require(head_rows[r] >= 0 && head_rows[r] < B * T &&
+                (r == 0 || head_rows[r] > head_rows[r - 1]),
+            "Gpt::forward: head rows must be strictly ascending in [0, B*T)");
   }
   head_rows_ = head_rows;
   forward_body(tokens, B, T);
 }
 
 void Gpt::forward_body(const int* tokens, int B, int T) {
-  assert(T <= cfg_.ctx);
+  require(T <= cfg_.ctx, "Gpt::forward: T=%d exceeds ctx=%d", T, cfg_.ctx);
+  require_tokens("Gpt::forward", tokens, B * T, cfg_.vocab);
   ensure_acts(B, T);
   const Layout p = Layout::make(cfg_);
   const ActLayout a = ActLayout::make(cfg_, B, T);
@@ -333,8 +360,13 @@ int Gpt::head_index(int b, int t) const {
 
 float Gpt::logprob(int b, int t, int tok) const {
   const ActLayout a = ActLayout::make(cfg_, B_, T_);
-  const int r = head_index(b, t);
-  assert(r >= 0);
+  const int r = b >= 0 && b < B_ && t >= 0 && t < T_ ? head_index(b, t) : -1;
+  require(r >= 0,
+          "Gpt::logprob: (b=%d, t=%d) is not a head row of the last forward",
+          b, t);
+  require(tok >= 0 && tok < cfg_.vocab,
+          "Gpt::logprob: token %d is outside the vocabulary [0, %d)", tok,
+          cfg_.vocab);
   const float pr =
       acts_[a.probs + static_cast<std::size_t>(r) * cfg_.vocab + tok];
   return std::log(pr + 1e-10f);
@@ -342,7 +374,9 @@ float Gpt::logprob(int b, int t, int tok) const {
 
 void Gpt::backward_from(const int* tokens, const float* dlogits,
                         const float* dvalues, int B, int T) {
-  assert(B == B_ && T == T_);
+  require(B == B_ && T == T_,
+          "Gpt::backward_from: (B=%d, T=%d) is not the last forward's (%d, %d)",
+          B, T, B_, T_);
   const Layout p = Layout::make(cfg_);
   const ActLayout a = ActLayout::make(cfg_, B, T);
   const int C = cfg_.n_embd, NH = cfg_.n_head, V = cfg_.vocab;
@@ -473,13 +507,10 @@ float Gpt::backward_lm(const int* tokens, const int* targets, int B, int T) {
     for (int v = 0; v < V; ++v) dl[v] = pr[v] * inv;
     dl[tgt] -= inv;
   }
-  if (seen != count) {
-    std::fprintf(stderr,
-                 "Gpt::backward_lm: %d target rows are not head rows of the "
-                 "last forward\n",
-                 count - seen);
-    std::abort();
-  }
+  require(seen == count,
+          "Gpt::backward_lm: %d target rows are not head rows of the last "
+          "forward",
+          count - seen);
   backward_from(tokens, dlogits.data(), nullptr, B, T);
   return loss * inv;
 }
@@ -488,7 +519,7 @@ float Gpt::backward_lm(const int* tokens, const int* targets, int B, int T) {
 // Incremental generation with KV caches.
 // ---------------------------------------------------------------------------
 Gpt::GenState Gpt::gen_begin(int B) const {
-  assert(B > 0);
+  require(B > 0, "Gpt::gen_begin: B=%d must be positive", B);
   GenState s;
   s.B = B;
   s.t = 0;
@@ -528,7 +559,9 @@ Gpt::GenState Gpt::gen_begin(int B) const {
 
 void Gpt::gen_step(GenState& s, const int* tokens_t, float* logits_out) const {
   OBS_SPAN("ml.gen_step");
-  assert(s.t < cfg_.ctx);
+  require(s.t < cfg_.ctx, "Gpt::gen_step: position %d is past ctx=%d", s.t,
+          cfg_.ctx);
+  require_tokens("Gpt::gen_step", tokens_t, s.B, cfg_.vocab);
   // One pool dispatch per token, split by batch row: rows never meet in a
   // decode step, so each part runs every layer for its own rows and the
   // bits do not depend on the split.

@@ -34,7 +34,9 @@ struct GptConfig {
 
 /// Flat-buffer GPT-2 model. All parameters live in one contiguous vector
 /// (same layout for gradients), which makes the optimizer and
-/// reference-model snapshots trivial.
+/// reference-model snapshots trivial. The public entry points check their
+/// preconditions in every build type and abort with a message when one
+/// fails, since they index buffers with their arguments.
 class Gpt {
  public:
   /// Validates the config hard (even in release builds): ctx/vocab/n_embd
@@ -49,7 +51,8 @@ class Gpt {
   std::vector<float>& grads() { return grads_; }
   void zero_grad();
 
-  /// Make this model a parameter copy of `other` (reference snapshots).
+  /// Make this model a parameter copy of `other` (reference snapshots),
+  /// whose config must equal this one's.
   void copy_params_from(const Gpt& other);
 
   // ---- training-path forward/backward -------------------------------------
@@ -74,7 +77,8 @@ class Gpt {
 
   /// Policy-gradient path: caller supplies dL/dlogits [R,V] and dL/dvalue
   /// [R] (or null) at the last forward's R head rows (R = B*T after the
-  /// all-rows forward); gradients are accumulated into grads().
+  /// all-rows forward); gradients are accumulated into grads(). (B, T) must
+  /// be the last forward's.
   void backward_from(const int* tokens, const float* dlogits,
                      const float* dvalues, int B, int T);
 
@@ -85,8 +89,8 @@ class Gpt {
   int last_B() const { return B_; }
   int last_T() const { return T_; }
 
-  /// Log-probability of token `tok` at (b, t), which must be a head row of
-  /// the last forward.
+  /// Log-probability of token `tok` (in [0, vocab)) at (b, t), which must be
+  /// a head row of the last forward.
   float logprob(int b, int t, int tok) const;
 
   // ---- incremental (KV-cache) generation path ------------------------------
@@ -106,11 +110,11 @@ class Gpt {
                                          // fcproj; then the tied LM head
   };
 
-  /// Begin incremental generation for a batch of B sequences.
+  /// Begin incremental generation for a batch of B > 0 sequences.
   GenState gen_begin(int B) const;
 
   /// Feed one token per sequence (tokens_t[B], each in [0, vocab);
-  /// position = state.t) and get next-token logits [B, vocab] in
+  /// position = state.t < ctx) and get next-token logits [B, vocab] in
   /// logits_out. Advances state.t. The batch rows are split across the
   /// kernel pool; the logits are the same bits at any thread count.
   void gen_step(GenState& state, const int* tokens_t, float* logits_out) const;

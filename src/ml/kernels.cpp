@@ -136,8 +136,9 @@ std::pair<int, int> partition(int total, int parts, int part) {
 // tanh — exp2-style range reduction, degree-5 e^r polynomial, bit-trick
 // scale — is pure float arithmetic, so the whole activation loop
 // auto-vectorizes. |rel err| < 3e-6, far inside the generation path's
-// parity tolerance. Training keeps exact libm GELU (gelu_scalar) so
-// gradients and the *_ref parity stay bit-comparable.
+// parity tolerance. Training keeps the exact GELU (gelu_epilogue, whose
+// vector tanh has exact_tanhf's bits) so gradients and the *_ref parity
+// stay bit-comparable.
 
 inline float fast_exp(float x) {
   x = x < -87.f ? -87.f : x;
@@ -453,10 +454,8 @@ void matmul_bias_gelu_forward(float* pre, float* post, const float* inp,
   transpose_into(wt.data(), w, Cout, Cin);
   parallel_ranges(N, static_cast<std::size_t>(Cin) * Cout, [&](int n0, int n1) {
     forward_rows(pre, inp, wt.data(), bias, n0, n1, Cin, Cout);
-    float* p = pre + static_cast<std::size_t>(n0) * Cout;
-    float* g = post + static_cast<std::size_t>(n0) * Cout;
-    const std::size_t cnt = static_cast<std::size_t>(n1 - n0) * Cout;
-    for (std::size_t k = 0; k < cnt; ++k) g[k] = gelu_scalar(p[k]);
+    const std::size_t at = static_cast<std::size_t>(n0) * Cout;
+    gelu_epilogue(post + at, pre + at, static_cast<std::size_t>(n1 - n0) * Cout);
   });
 }
 
@@ -485,18 +484,6 @@ void matmul_backward(float* dinp, float* dw, float* dbias, const float* dout,
       const float* d = dout + static_cast<std::size_t>(n) * Cout;
       for (int oc = o0; oc < o1; ++oc) dbias[oc] += d[oc];
     }
-  });
-}
-
-void gelu_forward(float* out, const float* inp, int N) {
-  gelu_forward_ref(out, inp, N);
-}
-
-void gelu_backward(float* dinp, const float* inp, const float* dout, int N) {
-  // Per element and free of reductions, so any split keeps the bits; the
-  // work runs in kernels_ref.cpp's loop, whose tanh argument is not fused.
-  parallel_ranges(N, 64, [&](int lo, int hi) {
-    gelu_backward_ref(dinp + lo, inp + lo, dout + lo, hi - lo);
   });
 }
 

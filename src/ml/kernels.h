@@ -21,6 +21,12 @@
 // one rounding, when the kernels' target has FMA, and a multiply then an
 // add otherwise. The fusing is explicit (intrinsics, std::fma), not left to
 // the compiler's FP contraction.
+//
+// Exact math: the training path's tanhf, coshf and expf (GELU forward and
+// backward, the attention and LM-head softmaxes) are the exact_* functions
+// below, ports of glibc's, not calls into the installed libm. Their vector
+// versions return the scalar definition's bits in every lane, so the
+// training bits depend on neither the libm nor the vector width.
 #pragma once
 
 #include <cmath>
@@ -59,11 +65,28 @@ int env_threads();
 void parallel_ranges(int total, std::size_t work_per_item,
                      const std::function<void(int, int)>& body);
 
+// ---- exact math (kernels_exact.cpp) -----------------------------------------
+// Ports of glibc 2.36's expm1f, tanhf and coshf (fdlibm) and expf
+// (optimized-routines, with its x86-64 FMA build's fused multiply-adds):
+// every input, NaN aside, gives that libm's bits. They are the one
+// definition of these functions on the training path, for the *_ref oracles
+// and the optimized kernels alike.
+float exact_expm1f(float x);
+float exact_tanhf(float x);
+float exact_coshf(float x);
+float exact_expf(float x);
+
+/// out[i] = exact_*(x[i]) for i < n, eight lanes at a time where the build
+/// targets AVX2+FMA; any NaN input gives a NaN. `out` may alias `x`.
+void exact_tanhf_n(float* out, const float* x, std::size_t n);
+void exact_coshf_n(float* out, const float* x, std::size_t n);
+void exact_expf_n(float* out, const float* x, std::size_t n);
+
 // ---- scalar GELU (shared by both implementations) ---------------------------
 inline float gelu_scalar(float x) {
   constexpr float kS = 0.7978845608028654f;  // sqrt(2/pi)
   const float cube = 0.044715f * x * x * x;
-  return 0.5f * x * (1.f + std::tanh(kS * (x + cube)));
+  return 0.5f * x * (1.f + exact_tanhf(kS * (x + cube)));
 }
 
 // ---- reference kernels (seed-naive; parity baseline) ------------------------
@@ -114,24 +137,31 @@ void matmul_backward(float* dinp, float* dw, float* dbias, const float* dout,
                      const float* inp, const float* w, int N, int Cin,
                      int Cout);
 
-/// Fused bias + GELU epilogue: pre = inp @ w^T + bias, post = gelu(pre),
-/// computed row by row so `pre` is still hot in cache when the activation
-/// runs. Both buffers are written (backward needs the pre-activation).
+/// Fused bias + GELU epilogue: pre = inp @ w^T + bias, post =
+/// gelu_epilogue(pre), computed row by row so `pre` is still hot in cache
+/// when the activation runs. Both buffers are written (backward needs the
+/// pre-activation).
 void matmul_bias_gelu_forward(float* pre, float* post, const float* inp,
                               const float* w, const float* bias, int N,
                               int Cin, int Cout);
 
-void gelu_forward(float* out, const float* inp, int N);
-/// dinp += gelu'(inp) * dout, split by element. Recomputes tanh and cosh
-/// exactly as gelu_backward_ref does (the fused forward's tanh argument is
-/// contracted differently, so reusing it would change bits).
+/// post[i] = GELU(pre[i]) for i < n, as matmul_bias_gelu_forward computes
+/// it: where madd_is_fused(), the tanh argument is kS * fma(0.044715 x * x,
+/// x, x) and the result (t + 1) * (0.5 x), with t = exact_tanhf(argument);
+/// otherwise gelu_scalar's bits. Runs on the calling thread.
+void gelu_epilogue(float* post, const float* pre, std::size_t n);
+
+/// dinp += gelu'(inp) * dout, split by element, with gelu_backward_ref's
+/// bits: tanh and cosh are recomputed from the unfused argument (the fused
+/// forward's argument rounds differently, so reusing it would change bits).
 void gelu_backward(float* dinp, const float* inp, const float* dout, int N);
 
 // ---- transformer layer kernels (kernels_exact.cpp) -------------------------
 // The training path's attention, layernorm and softmax. Each reproduces its
 // *_ref loop bit for bit, so kernels_exact.cpp is compiled with FMA
 // contraction off; the loops are only reshaped where that keeps every
-// output element's operations and their order.
+// output element's operations and their order. The softmaxes' exponentials
+// run eight lanes at a time and are then summed in ascending order.
 
 /// Causal self-attention. qkv is [B, T, 3C]; out is [B, T, C]; preatt and
 /// att are [B, NH, T, T] (zero above the diagonal). Split by batch row; the
@@ -182,7 +212,8 @@ void matmul_forward_packed(float* out, const float* inp, const PackedMat& wt,
 
 /// Fused packed matmul + bias + GELU (see matmul_bias_gelu_forward).
 /// Inference-only: the activation uses a vectorizable polynomial tanh
-/// (|rel err| < 3e-6) instead of libm — training paths keep exact GELU.
+/// (|rel err| < 3e-6) instead of exact_tanhf — training paths keep the
+/// exact GELU.
 void matmul_bias_gelu_forward_packed(float* pre, float* post, const float* inp,
                                      const PackedMat& wt, const float* bias,
                                      int N);

@@ -1,22 +1,457 @@
-// Transformer layer kernels for the training path: causal attention,
-// layernorm and softmax, split across the kernel pool (ml/kernels.h).
+// Transformer layer kernels for the training path — causal attention,
+// layernorm, softmax and GELU, split across the kernel pool (ml/kernels.h) —
+// and the exact math they call: the repository's own tanhf, coshf and expf.
 //
 // Every kernel here reproduces its *_ref loop in kernels_ref.cpp bit for bit.
 // That is why this file is compiled with -ffp-contract=off (CMakeLists.txt):
 // contracting a*b+c into an FMA rounds once instead of twice. The loops are
 // reshaped only in ways that keep each output element's operations and their
 // order — work is split across independent outputs (batch rows, rows,
-// channels) and vector lanes run across independent keys, never across a
-// sum.
+// channels) and vector lanes run across independent keys or elements, never
+// across a sum.
+//
+// Exact math. exact_expm1f, exact_tanhf and exact_coshf are ports of
+// fdlibm's, and exact_expf of the optimized-routines expf (a 32-entry table
+// of 2^(i/32) and a cubic in double), with the four fused multiply-adds of
+// its x86-64 FMA build. They reproduce glibc 2.36's libm on x86-64 with FMA
+// bit for bit, but the bits are defined here, not by whichever libm is
+// installed. The AVX2 versions run the same IEEE operations eight lanes at
+// a time, every branch computed and blended; lanes outside the common range
+// take the scalar definition one at a time. Exponent arithmetic is done on
+// unsigned integers, so no shift or add overflows a signed type.
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "ml/kernels.h"
 
+#if defined(__AVX2__) && defined(__FMA__)
+#include <immintrin.h>
+#endif
+
 namespace chatfuzz::ml::kern {
 
+// ===========================================================================
+// Exact math: scalar definitions.
+// ===========================================================================
 namespace {
+
+using std::bit_cast;
+using u32 = std::uint32_t;
+using u64 = std::uint64_t;
+
+// expm1f (fdlibm).
+constexpr float kLn2Hi = 6.9313812256e-01f;   // 0x3f317180
+constexpr float kLn2Lo = 9.0580006145e-06f;   // 0x3717f7d1
+constexpr float kInvLn2 = 1.4426950216e+00f;  // 0x3fb8aa3b
+constexpr float kQ1 = -3.3333335072e-02f;     // 0xbd088889
+constexpr float kQ2 = 1.5873016091e-03f;      // 0x3ad00d01
+constexpr float kQ3 = -7.9365076090e-05f;     // 0xb8a670cd
+constexpr float kQ4 = 4.0082177293e-06f;      // 0x36867e54
+constexpr float kQ5 = -2.0109921195e-07f;     // 0xb457edbb
+
+// expf: x = (k + r) ln2 / 32 with an integer k and |r| <= 1/2, and
+// exp(x) = 2^(k/32) * (1 + C2 r + C1 r^2 + C0 r^3).
+constexpr double kInvLn2N = 0x1.71547652b82fep+5;  // 32 / ln2
+constexpr double kShift = 0x1.8p+52;  // rounds kInvLn2N * x to an integer
+constexpr double kC0 = 0x1.c6af84b912394p-20;
+constexpr double kC1 = 0x1.ebfce50fac4f3p-13;
+constexpr double kC2 = 0x1.62e42ff0c52d6p-6;
+/// Entry i is asuint64(2^(i/32)) - (i << 47), so adding k << 47 to entry
+/// k % 32 gives the bits of 2^(k/32): k / 32 lands in the exponent field.
+alignas(64) constexpr u64 kExp2Tab[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+/// Adds k to y's exponent field, fdlibm's scaling by 2^k (exact while the
+/// result stays a normal number).
+float scale_exponent(float y, std::int32_t k) {
+  return bit_cast<float>(bit_cast<u32>(y) + (static_cast<u32>(k) << 23));
+}
+
+}  // namespace
+
+float exact_expm1f(float x) {
+  u32 hx = bit_cast<u32>(x);
+  const u32 xsb = hx & 0x80000000u;
+  hx &= 0x7fffffffu;
+  if (hx >= 0x4195b844u) {    // |x| >= 27 ln2
+    if (hx >= 0x42b17218u) {  // |x| >= 88.721...
+      if (hx > 0x7f800000u) return x + x;  // NaN
+      if (hx == 0x7f800000u) return xsb == 0 ? x : -1.f;
+      if (x > 8.8721679688e+01f) return kInf;
+    }
+    if (xsb != 0) return -1.f;
+  }
+  float hi, lo, c = 0.f;
+  std::int32_t k;
+  if (hx > 0x3eb17218u) {    // |x| > ln2 / 2
+    if (hx < 0x3f851592u) {  // and |x| < 3 ln2 / 2
+      if (xsb == 0) {
+        hi = x - kLn2Hi;
+        lo = kLn2Lo;
+        k = 1;
+      } else {
+        hi = x + kLn2Hi;
+        lo = -kLn2Lo;
+        k = -1;
+      }
+    } else {
+      k = static_cast<std::int32_t>(kInvLn2 * x + (xsb == 0 ? 0.5f : -0.5f));
+      const float t = static_cast<float>(k);
+      hi = x - t * kLn2Hi;  // exact
+      lo = t * kLn2Lo;
+    }
+    x = hi - lo;
+    c = (hi - x) - lo;
+  } else if (hx < 0x33000000u) {  // |x| < 2^-25
+    return x;
+  } else {
+    k = 0;
+  }
+  const float hfx = 0.5f * x;
+  const float hxs = x * hfx;
+  const float r1 =
+      1.f + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  float t = 3.f - r1 * hfx;
+  float e = hxs * ((r1 - t) / (6.f - x * t));
+  if (k == 0) return x - (x * e - hxs);
+  e = x * (e - c) - c;
+  e -= hxs;
+  if (k == -1) return 0.5f * (x - e) - 0.5f;
+  if (k == 1) {
+    if (x < -0.25f) return -2.f * (e - (x + 0.5f));
+    return 1.f + 2.f * (x - e);
+  }
+  if (k <= -2 || k > 56) return scale_exponent(1.f - (e - x), k) - 1.f;
+  float y;
+  if (k < 23) {
+    t = bit_cast<float>(0x3f800000u - (0x1000000u >> k));  // 1 - 2^-k
+    y = t - (e - x);
+  } else {
+    t = bit_cast<float>((0x7fu - static_cast<u32>(k)) << 23);  // 2^-k
+    y = x - (e + t);
+    y += 1.f;
+  }
+  return scale_exponent(y, k);
+}
+
+float exact_tanhf(float x) {
+  const u32 jx = bit_cast<u32>(x);
+  const u32 ix = jx & 0x7fffffffu;
+  const bool neg = (jx >> 31) != 0;
+  if (ix >= 0x7f800000u) return neg ? 1.f / x - 1.f : 1.f / x + 1.f;
+  float z;
+  if (ix < 0x41b00000u) {          // |x| < 22
+    if (ix == 0) return x;         // +-0
+    if (ix < 0x24000000u) return x * (1.f + x);  // |x| < 2^-55
+    if (ix >= 0x3f800000u) {       // |x| >= 1
+      const float t = exact_expm1f(2.f * std::fabs(x));
+      z = 1.f - 2.f / (t + 2.f);
+    } else {
+      const float t = exact_expm1f(-2.f * std::fabs(x));
+      z = -t / (t + 2.f);
+    }
+  } else {
+    z = 1.f;  // fdlibm's 1 - 1e-30, which rounds to 1
+  }
+  return neg ? -z : z;
+}
+
+float exact_coshf(float x) {
+  const u32 ix = bit_cast<u32>(x) & 0x7fffffffu;
+  const float ax = std::fabs(x);
+  if (ix < 0x41b00000u) {    // |x| < 22
+    if (ix < 0x3eb17218u) {  // |x| < ln2 / 2
+      if (ix < 0x24000000u) return 1.f;
+      const float t = exact_expm1f(ax);
+      const float w = 1.f + t;
+      return 1.f + (t * t) / (w + w);
+    }
+    const float t = exact_expf(ax);
+    return 0.5f * t + 0.5f / t;
+  }
+  if (ix < 0x42b17180u) return 0.5f * exact_expf(ax);
+  if (ix <= 0x42b2d4fcu) {  // up to the overflow threshold
+    const float w = exact_expf(0.5f * ax);
+    const float t = 0.5f * w;
+    return t * w;
+  }
+  if (ix >= 0x7f800000u) return x * x;
+  return kInf;
+}
+
+float exact_expf(float x) {
+  const u32 ix = bit_cast<u32>(x);
+  if (((ix >> 20) & 0x7ffu) >= 0x42bu) {  // |x| >= 88 or NaN
+    if (ix == 0xff800000u) return 0.f;      // -inf
+    if ((ix & 0x7fffffffu) >= 0x7f800000u) return x + x;
+    if (x > 0x1.62e42ep6f) return kInf;        // x > ln(2^128)
+    if (x < -0x1.9fe368p6f) return 0.f;        // x < ln(2^-150)
+    if (x < -0x1.9d1d9ep6f) return 0x1p-149f;  // x < ln(2^-149)
+  }
+  const double xd = x;
+  double kd = std::fma(kInvLn2N, xd, kShift);
+  const u64 ki = bit_cast<u64>(kd);
+  kd -= kShift;
+  const double r = std::fma(kInvLn2N, xd, -kd);
+  const double s = bit_cast<double>(kExp2Tab[ki % 32] + (ki << 47));
+  const double z = std::fma(r, kC0, kC1);
+  const double r2 = r * r;
+  double y = std::fma(r, kC2, 1.0);
+  y = std::fma(z, r2, y);
+  return static_cast<float>(y * s);
+}
+
+// ===========================================================================
+// Exact math: AVX2 versions. Each computes every branch its scalar
+// definition takes in the common range and blends; the other lanes go
+// through patch().
+// ===========================================================================
+#if defined(__AVX2__) && defined(__FMA__)
+namespace {
+
+using V8 = __m256;
+using I8 = __m256i;
+
+inline V8 vset(float x) { return _mm256_set1_ps(x); }
+inline I8 iset(u32 u) { return _mm256_set1_epi32(static_cast<int>(u)); }
+inline I8 ibits(V8 x) { return _mm256_castps_si256(x); }
+inline V8 fbits(I8 u) { return _mm256_castsi256_ps(u); }
+/// mask ? a : b, lane by lane (mask lanes all-ones or all-zeros).
+inline V8 sel(V8 mask, V8 a, V8 b) { return _mm256_blendv_ps(b, a, mask); }
+inline V8 sel(I8 mask, V8 a, V8 b) { return sel(fbits(mask), a, b); }
+/// Lane masks on integers; |x|'s bits compare as signed values.
+inline I8 gt(I8 a, I8 b) { return _mm256_cmpgt_epi32(a, b); }
+inline I8 gt(I8 a, u32 b) { return gt(a, iset(b)); }
+inline I8 lt(I8 a, u32 b) { return gt(iset(b), a); }
+inline I8 eq(I8 a, u32 b) { return _mm256_cmpeq_epi32(a, iset(b)); }
+
+/// Lanes where `fast` is clear take the scalar definition F.
+template <float (*F)(float)>
+inline V8 patch(V8 y, V8 x, I8 fast) {
+  const int slow = ~_mm256_movemask_ps(fbits(fast)) & 0xff;
+  if (slow == 0) return y;
+  alignas(32) float xs[8], ys[8];
+  _mm256_store_ps(xs, x);
+  _mm256_store_ps(ys, y);
+  for (int i = 0; i < 8; ++i) {
+    if ((slow >> i) & 1) ys[i] = F(xs[i]);
+  }
+  return _mm256_load_ps(ys);
+}
+
+/// exact_expm1f for x in (-27 ln2, 88).
+inline V8 v_expm1f(V8 x) {
+  const I8 hx = _mm256_and_si256(ibits(x), iset(0x7fffffffu));
+  const I8 neg = _mm256_srai_epi32(ibits(x), 31);
+  // k = 0 up to ln2 / 2, +-1 below 3 ln2 / 2, (int)(x / ln2 +- 1/2) above.
+  const V8 half = _mm256_or_ps(vset(0.5f), fbits(_mm256_slli_epi32(neg, 31)));
+  const I8 kround = _mm256_cvttps_epi32(
+      _mm256_add_ps(_mm256_mul_ps(vset(kInvLn2), x), half));
+  I8 k = _mm256_blendv_epi8(kround, _mm256_or_si256(neg, iset(1)),
+                            lt(hx, 0x3f851592u));
+  k = _mm256_and_si256(k, gt(hx, 0x3eb17218u));
+  // With k = +-1, t * ln2hi is +-ln2hi; with k = 0, x stays as it is.
+  const V8 t = _mm256_cvtepi32_ps(k);
+  const V8 hi = _mm256_sub_ps(x, _mm256_mul_ps(t, vset(kLn2Hi)));
+  const V8 lo = _mm256_mul_ps(t, vset(kLn2Lo));
+  const V8 xr = _mm256_sub_ps(hi, lo);
+  const V8 c = _mm256_sub_ps(_mm256_sub_ps(hi, xr), lo);
+
+  const V8 hfx = _mm256_mul_ps(vset(0.5f), xr);
+  const V8 hxs = _mm256_mul_ps(xr, hfx);
+  V8 p = _mm256_add_ps(vset(kQ4), _mm256_mul_ps(hxs, vset(kQ5)));
+  p = _mm256_add_ps(vset(kQ3), _mm256_mul_ps(hxs, p));
+  p = _mm256_add_ps(vset(kQ2), _mm256_mul_ps(hxs, p));
+  p = _mm256_add_ps(vset(kQ1), _mm256_mul_ps(hxs, p));
+  const V8 r1 = _mm256_add_ps(vset(1.f), _mm256_mul_ps(hxs, p));
+  const V8 tt = _mm256_sub_ps(vset(3.f), _mm256_mul_ps(r1, hfx));
+  V8 e = _mm256_mul_ps(
+      hxs, _mm256_div_ps(_mm256_sub_ps(r1, tt),
+                         _mm256_sub_ps(vset(6.f), _mm256_mul_ps(xr, tt))));
+  const V8 y0 = _mm256_sub_ps(xr, _mm256_sub_ps(_mm256_mul_ps(xr, e), hxs));
+  e = _mm256_sub_ps(
+      _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c), hxs);
+  const V8 ym1 = _mm256_sub_ps(
+      _mm256_mul_ps(vset(0.5f), _mm256_sub_ps(xr, e)), vset(0.5f));
+  const V8 yp1 = sel(
+      _mm256_cmp_ps(xr, vset(-0.25f), _CMP_LT_OQ),
+      _mm256_mul_ps(vset(-2.f),
+                    _mm256_sub_ps(e, _mm256_add_ps(xr, vset(0.5f)))),
+      _mm256_add_ps(vset(1.f), _mm256_mul_ps(vset(2.f), _mm256_sub_ps(xr, e))));
+  const I8 kexp = _mm256_slli_epi32(k, 23);
+  const auto scale = [&](V8 y) {
+    return fbits(_mm256_add_epi32(ibits(y), kexp));
+  };
+  const V8 e_x = _mm256_sub_ps(e, xr);
+  const V8 yfar = _mm256_sub_ps(scale(_mm256_sub_ps(vset(1.f), e_x)),
+                                vset(1.f));
+  const V8 t_lo = fbits(_mm256_sub_epi32(
+      iset(0x3f800000u), _mm256_srlv_epi32(iset(0x1000000u), k)));
+  const V8 ylo = scale(_mm256_sub_ps(t_lo, e_x));
+  const V8 t_hi = fbits(_mm256_slli_epi32(_mm256_sub_epi32(iset(0x7fu), k), 23));
+  const V8 yhi = scale(_mm256_add_ps(
+      _mm256_sub_ps(xr, _mm256_add_ps(e, t_hi)), vset(1.f)));
+
+  V8 y = sel(gt(k, 22u), yhi, ylo);
+  y = sel(_mm256_or_si256(lt(k, static_cast<u32>(-1)), gt(k, 56u)), yfar, y);
+  y = sel(eq(k, 1u), yp1, y);
+  y = sel(eq(k, static_cast<u32>(-1)), ym1, y);
+  y = sel(eq(k, 0u), y0, y);
+  return sel(lt(hx, 0x33000000u), x, y);
+}
+
+/// 4 lanes of exact_expf for |x| < 88, in double.
+inline __m128 v_expf4(__m128 xf) {
+  const __m256d xd = _mm256_cvtps_pd(xf);
+  const __m256d inv = _mm256_set1_pd(kInvLn2N), shift = _mm256_set1_pd(kShift);
+  __m256d kd = _mm256_fmadd_pd(inv, xd, shift);
+  const I8 ki = _mm256_castpd_si256(kd);
+  kd = _mm256_sub_pd(kd, shift);
+  const __m256d r = _mm256_fmsub_pd(inv, xd, kd);
+  const I8 tab = _mm256_i64gather_epi64(
+      reinterpret_cast<const long long*>(kExp2Tab),
+      _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8);
+  const __m256d s =
+      _mm256_castsi256_pd(_mm256_add_epi64(tab, _mm256_slli_epi64(ki, 47)));
+  const __m256d z =
+      _mm256_fmadd_pd(r, _mm256_set1_pd(kC0), _mm256_set1_pd(kC1));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  __m256d y = _mm256_fmadd_pd(r, _mm256_set1_pd(kC2), _mm256_set1_pd(1.0));
+  y = _mm256_fmadd_pd(z, r2, y);
+  return _mm256_cvtpd_ps(_mm256_mul_pd(y, s));
+}
+
+/// exact_expf for |x| < 88.
+inline V8 v_expf_core(V8 x) {
+  return _mm256_set_m128(v_expf4(_mm256_extractf128_ps(x, 1)),
+                         v_expf4(_mm256_castps256_ps128(x)));
+}
+
+inline V8 v_expf(V8 x) {
+  const I8 ax = _mm256_and_si256(ibits(x), iset(0x7fffffffu));
+  return patch<exact_expf>(v_expf_core(x), x, lt(ax, 0x42b00000u));
+}
+
+/// tanh and cosh share their common range, 2^-55 <= |x| < 22.
+inline I8 hyperbolic_range(I8 ax) {
+  return _mm256_andnot_si256(lt(ax, 0x24000000u), lt(ax, 0x41b00000u));
+}
+
+inline V8 v_tanhf(V8 x) {
+  const V8 sign = _mm256_and_ps(x, vset(-0.f));
+  const V8 ax = _mm256_xor_ps(x, sign);
+  const I8 big = gt(ibits(ax), 0x3f7fffffu);  // |x| >= 1
+  // expm1f(2|x|) at |x| >= 1, expm1f(-2|x|) below.
+  const V8 two_ax = _mm256_add_ps(ax, ax);
+  const V8 t = v_expm1f(sel(big, two_ax, _mm256_xor_ps(two_ax, vset(-0.f))));
+  const V8 q = _mm256_div_ps(sel(big, vset(2.f), _mm256_xor_ps(t, vset(-0.f))),
+                             _mm256_add_ps(t, vset(2.f)));
+  const V8 z = sel(big, _mm256_sub_ps(vset(1.f), q), q);
+  return patch<exact_tanhf>(_mm256_xor_ps(z, sign), x,
+                            hyperbolic_range(ibits(ax)));
+}
+
+inline V8 v_coshf(V8 x) {
+  const V8 ax = _mm256_andnot_ps(vset(-0.f), x);
+  const I8 fast = hyperbolic_range(ibits(ax));
+  const I8 small = lt(ibits(ax), 0x3eb17218u);  // |x| < ln2 / 2
+  const int m_fast = _mm256_movemask_ps(fbits(fast));
+  const int m_small = _mm256_movemask_ps(fbits(_mm256_and_si256(small, fast)));
+  V8 ys = _mm256_setzero_ps(), yb = _mm256_setzero_ps();
+  if (m_small != 0) {
+    const V8 t = v_expm1f(ax);
+    const V8 w = _mm256_add_ps(vset(1.f), t);
+    ys = _mm256_add_ps(vset(1.f),
+                       _mm256_div_ps(_mm256_mul_ps(t, t), _mm256_add_ps(w, w)));
+  }
+  if (m_small != m_fast) {
+    const V8 t = v_expf_core(ax);
+    yb = _mm256_add_ps(_mm256_mul_ps(vset(0.5f), t),
+                       _mm256_div_ps(vset(0.5f), t));
+  }
+  return patch<exact_coshf>(sel(small, ys, yb), x, fast);
+}
+
+template <V8 (*VF)(V8), float (*SF)(float)>
+void map_n(float* out, const float* x, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(out + i, VF(_mm256_loadu_ps(x + i)));
+  for (; i < n; ++i) out[i] = SF(x[i]);
+}
+
+}  // namespace
+
+void exact_expf_n(float* out, const float* x, std::size_t n) {
+  map_n<v_expf, exact_expf>(out, x, n);
+}
+void exact_tanhf_n(float* out, const float* x, std::size_t n) {
+  map_n<v_tanhf, exact_tanhf>(out, x, n);
+}
+void exact_coshf_n(float* out, const float* x, std::size_t n) {
+  map_n<v_coshf, exact_coshf>(out, x, n);
+}
+#else
+void exact_expf_n(float* out, const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = exact_expf(x[i]);
+}
+void exact_tanhf_n(float* out, const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = exact_tanhf(x[i]);
+}
+void exact_coshf_n(float* out, const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = exact_coshf(x[i]);
+}
+#endif
+
+// ===========================================================================
+// Training kernels.
+// ===========================================================================
+namespace {
+
+/// out[i] = exact_expf(in[i] - maxv) for i < n; returns their float sum in
+/// ascending i, the softmax loops' sequence.
+float exp_shifted(float* out, const float* in, float maxv, int n) {
+  int i = 0;
+#if defined(__AVX2__) && defined(__FMA__)
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(out + i, v_expf(_mm256_sub_ps(_mm256_loadu_ps(in + i),
+                                                   vset(maxv))));
+  }
+#endif
+  for (; i < n; ++i) out[i] = exact_expf(in[i] - maxv);
+  float sum = 0.f;
+  for (i = 0; i < n; ++i) sum += out[i];
+  return sum;
+}
+
+/// GELU with matmul_bias_gelu_forward's tanh argument: kS * (x + 0.044715
+/// x^3) with one rounding for the inner multiply-add where madd_is_fused(),
+/// which is how the compiler used to contract gelu_scalar there.
+inline float gelu_epilogue_scalar(float x) {
+#if defined(__FP_FAST_FMAF)
+  constexpr float kS = 0.7978845608028654f;  // sqrt(2/pi)
+  const float t = exact_tanhf(kS * std::fma(0.044715f * x * x, x, x));
+  return (t + 1.f) * (0.5f * x);
+#else
+  return gelu_scalar(x);
+#endif
+}
 
 /// Per-thread scratch for one attention head: keys and values transposed to
 /// [hs, T] so a pass over head dimension i reads all keys with unit stride,
@@ -113,12 +548,7 @@ void attention_forward(float* out, float* preatt, float* att, const float* qkv,
             pre[t2] *= scale;
             if (pre[t2] > maxv) maxv = pre[t2];
           }
-          float sum = 0.f;
-          for (int t2 = 0; t2 <= t; ++t2) {
-            const float e = std::exp(pre[t2] - maxv);
-            a[t2] = e;
-            sum += e;
-          }
+          const float sum = exp_shifted(a, pre, maxv, t + 1);
           const float inv = sum > 0.f ? 1.f / sum : 0.f;
           for (int t2 = 0; t2 <= t; ++t2) a[t2] *= inv;
           for (int t2 = t + 1; t2 < T; ++t2) {
@@ -277,14 +707,59 @@ void softmax_forward(float* probs, const float* logits, int N, int V) {
       float* p = probs + static_cast<std::size_t>(n) * V;
       float maxv = -1e30f;
       for (int v = 0; v < V; ++v) maxv = l[v] > maxv ? l[v] : maxv;
-      float sum = 0.f;
-      for (int v = 0; v < V; ++v) {
-        p[v] = std::exp(l[v] - maxv);
-        sum += p[v];
-      }
-      const float inv = 1.f / sum;
+      const float inv = 1.f / exp_shifted(p, l, maxv, V);
       for (int v = 0; v < V; ++v) p[v] *= inv;
     }
+  });
+}
+
+void gelu_epilogue(float* post, const float* pre, std::size_t n) {
+  std::size_t i = 0;
+#if defined(__AVX2__) && defined(__FMA__)
+  constexpr float kS = 0.7978845608028654f;  // sqrt(2/pi)
+  for (; i + 8 <= n; i += 8) {
+    const V8 x = _mm256_loadu_ps(pre + i);
+    const V8 x2 = _mm256_mul_ps(_mm256_mul_ps(vset(0.044715f), x), x);
+    const V8 t = v_tanhf(_mm256_mul_ps(vset(kS), _mm256_fmadd_ps(x2, x, x)));
+    _mm256_storeu_ps(post + i, _mm256_mul_ps(_mm256_add_ps(t, vset(1.f)),
+                                             _mm256_mul_ps(vset(0.5f), x)));
+  }
+#endif
+  for (; i < n; ++i) post[i] = gelu_epilogue_scalar(pre[i]);
+}
+
+void gelu_backward(float* dinp, const float* inp, const float* dout, int N) {
+  // Per element and free of reductions, so any split keeps the bits. The
+  // vector body runs gelu_backward_ref's operations, unfused, in its order;
+  // the tail runs gelu_backward_ref itself.
+  parallel_ranges(N, 64, [&](int lo, int hi) {
+    int i = lo;
+#if defined(__AVX2__) && defined(__FMA__)
+    constexpr float kS = 0.7978845608028654f;  // sqrt(2/pi)
+    constexpr float k3c = 3.f * 0.044715f;
+    for (; i + 8 <= hi; i += 8) {
+      const V8 x = _mm256_loadu_ps(inp + i);
+      const V8 cube = _mm256_mul_ps(
+          _mm256_mul_ps(_mm256_mul_ps(vset(0.044715f), x), x), x);
+      const V8 arg = _mm256_mul_ps(vset(kS), _mm256_add_ps(x, cube));
+      const V8 th = v_tanhf(arg);
+      const V8 ch = v_coshf(arg);
+      const V8 sech2 = _mm256_div_ps(vset(1.f), _mm256_mul_ps(ch, ch));
+      const V8 poly = _mm256_add_ps(
+          vset(1.f), _mm256_mul_ps(_mm256_mul_ps(vset(k3c), x), x));
+      const V8 slope = _mm256_mul_ps(
+          _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(x, vset(0.5f)), sech2),
+                        vset(kS)),
+          poly);
+      const V8 local = _mm256_add_ps(
+          _mm256_mul_ps(vset(0.5f), _mm256_add_ps(vset(1.f), th)), slope);
+      _mm256_storeu_ps(dinp + i,
+                       _mm256_add_ps(_mm256_loadu_ps(dinp + i),
+                                     _mm256_mul_ps(local,
+                                                   _mm256_loadu_ps(dout + i))));
+    }
+#endif
+    gelu_backward_ref(dinp + i, inp + i, dout + i, hi - i);
   });
 }
 

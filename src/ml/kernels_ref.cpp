@@ -1,8 +1,11 @@
-// Reference kernels: the seed's naive triple loops, verbatim. This file is
-// deliberately compiled at the project's base optimization level (no -O3 /
-// -march boost — see CMakeLists.txt): it is the parity oracle for the
-// vectorized kernels AND the baseline the throughput bench measures speedups
-// against, so it must stay representative of the seed build.
+// Reference kernels: the seed's naive triple loops, verbatim, except that
+// tanh, cosh and exp are the exact_* ports (kernels_exact.cpp) rather than
+// libm calls, which keeps their bits independent of the installed libm.
+// This file is deliberately compiled at the project's base optimization
+// level (no -O3 / -march boost — see CMakeLists.txt): it is the parity
+// oracle for the vectorized kernels AND the baseline the throughput bench
+// measures speedups against, so it must stay representative of the seed
+// build.
 #include <cmath>
 
 #include "ml/kernels.h"
@@ -58,8 +61,8 @@ void gelu_backward_ref(float* dinp, const float* inp, const float* dout,
     const float x = inp[n];
     const float cube = 0.044715f * x * x * x;
     const float tanh_arg = kS * (x + cube);
-    const float tanh_out = std::tanh(tanh_arg);
-    const float cosh_v = std::cosh(tanh_arg);
+    const float tanh_out = exact_tanhf(tanh_arg);
+    const float cosh_v = exact_coshf(tanh_arg);
     const float sech2 = 1.f / (cosh_v * cosh_v);
     const float local =
         0.5f * (1.f + tanh_out) +
@@ -141,7 +144,7 @@ void attention_forward_ref(float* out, float* preatt, float* att,
         }
         float sum = 0.f;
         for (int t2 = 0; t2 <= t; ++t2) {
-          const float e = std::exp(pre[t2] - maxv);
+          const float e = exact_expf(pre[t2] - maxv);
           a[t2] = e;
           sum += e;
         }
@@ -220,7 +223,7 @@ void softmax_forward_ref(float* probs, const float* logits, int N, int V) {
     for (int v = 0; v < V; ++v) maxv = l[v] > maxv ? l[v] : maxv;
     float sum = 0.f;
     for (int v = 0; v < V; ++v) {
-      p[v] = std::exp(l[v] - maxv);
+      p[v] = exact_expf(l[v] - maxv);
       sum += p[v];
     }
     const float inv = 1.f / sum;

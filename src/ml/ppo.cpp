@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "ml/kernels.h"
 #include "ml/tokenizer.h"
 #include "obs/trace.h"
 
@@ -150,52 +151,73 @@ PpoStats PpoTrainer::update(const std::vector<Generation>& gens,
     std::fill(dlogits.begin(), dlogits.end(), 0.f);
     std::fill(dvalues.begin(), dvalues.end(), 0.f);
 
-    double pol_loss = 0.0, val_loss = 0.0, entropy_sum = 0.0;
-    std::size_t clipped = 0;
-    for (std::size_t i = 0; i < actions.size(); ++i) {
-      const Action& a = actions[i];
-      const float logp_new = policy_.logprob(a.b, a.t_logits, a.token);
-      const float ratio = std::exp(logp_new - a.logp_old);
-      const float lo = 1.f - cfg_.clip, hi = 1.f + cfg_.clip;
-      const float unclipped = ratio * adv[i];
-      const float clippedv = std::clamp(ratio, lo, hi) * adv[i];
-      pol_loss += -std::min(unclipped, clippedv);
-      const bool clip_active = ratio < lo || ratio > hi;
-      if (clip_active) ++clipped;
-      // Gradient flows only through the unclipped branch when it is the min
-      // (or when clipping is inactive, where both branches coincide).
-      float g = 0.f;
-      if (unclipped <= clippedv || !clip_active) {
-        g = -inv_n * ratio * adv[i];  // dL/dlogp_new
-      }
-      const float* pr = policy_.probs() + i * V;
-      float* dl = dlogits.data() + i * V;
-      if (g != 0.f) {
-        for (int v = 0; v < V; ++v) dl[v] += g * -pr[v];
-        dl[a.token] += g;
-      }
-      // Entropy bonus: maximizing H adds entropy_coef * p_v*(log p_v + H)
-      // to dL/dlogit_v (loss carries -entropy_coef * H).
-      if (cfg_.entropy_coef > 0.f || epoch == 0) {
-        double h = 0.0;
-        for (int v = 0; v < V; ++v) {
-          if (pr[v] > 1e-12f) h -= pr[v] * std::log(pr[v]);
+    // Each action's dlogits row, ratio, clip, entropy and value error
+    // depend on that action alone, so they run on the kernel pool into
+    // per-action slots; the loss sums then add the slots in action order.
+    struct ActionTerms {
+      double pol = 0.0, val = 0.0, entropy = 0.0;
+      bool clipped = false;
+    };
+    std::vector<ActionTerms> terms(actions.size());
+    const bool want_entropy = cfg_.entropy_coef > 0.f || epoch == 0;
+    const std::size_t work = static_cast<std::size_t>(want_entropy ? 32 : 4) * V;
+    kern::parallel_ranges(static_cast<int>(actions.size()), work,
+                          [&](int i0, int i1) {
+      for (auto i = static_cast<std::size_t>(i0);
+           i < static_cast<std::size_t>(i1); ++i) {
+        const Action& a = actions[i];
+        ActionTerms& out = terms[i];
+        const float logp_new = policy_.logprob(a.b, a.t_logits, a.token);
+        const float ratio = std::exp(logp_new - a.logp_old);
+        const float lo = 1.f - cfg_.clip, hi = 1.f + cfg_.clip;
+        const float unclipped = ratio * adv[i];
+        const float clippedv = std::clamp(ratio, lo, hi) * adv[i];
+        out.pol = -std::min(unclipped, clippedv);
+        const bool clip_active = ratio < lo || ratio > hi;
+        out.clipped = clip_active;
+        // Gradient flows only through the unclipped branch when it is the
+        // min (or when clipping is inactive, where both branches coincide).
+        float g = 0.f;
+        if (unclipped <= clippedv || !clip_active) {
+          g = -inv_n * ratio * adv[i];  // dL/dlogp_new
         }
-        if (epoch == 0) entropy_sum += h;
-        if (cfg_.entropy_coef > 0.f) {
-          const auto hf = static_cast<float>(h);
+        const float* pr = policy_.probs() + i * V;
+        float* dl = dlogits.data() + i * V;
+        if (g != 0.f) {
+          for (int v = 0; v < V; ++v) dl[v] += g * -pr[v];
+          dl[a.token] += g;
+        }
+        // Entropy bonus: maximizing H adds entropy_coef * p_v*(log p_v + H)
+        // to dL/dlogit_v (loss carries -entropy_coef * H).
+        if (want_entropy) {
+          double h = 0.0;
           for (int v = 0; v < V; ++v) {
-            if (pr[v] > 1e-12f) {
-              dl[v] += cfg_.entropy_coef * inv_n * pr[v] *
-                       (std::log(pr[v]) + hf);
+            if (pr[v] > 1e-12f) h -= pr[v] * std::log(pr[v]);
+          }
+          out.entropy = h;
+          if (cfg_.entropy_coef > 0.f) {
+            const auto hf = static_cast<float>(h);
+            for (int v = 0; v < V; ++v) {
+              if (pr[v] > 1e-12f) {
+                dl[v] += cfg_.entropy_coef * inv_n * pr[v] *
+                         (std::log(pr[v]) + hf);
+              }
             }
           }
         }
+        // Value loss on the same positions.
+        const float verr = policy_.values()[i] - returns[i];
+        out.val = 0.5 * verr * verr;
+        dvalues[i] += cfg_.vf_coef * verr * inv_n;
       }
-      // Value loss on the same positions.
-      const float verr = policy_.values()[i] - returns[i];
-      val_loss += 0.5 * verr * verr;
-      dvalues[i] += cfg_.vf_coef * verr * inv_n;
+    });
+    double pol_loss = 0.0, val_loss = 0.0, entropy_sum = 0.0;
+    std::size_t clipped = 0;
+    for (const ActionTerms& t : terms) {
+      pol_loss += t.pol;
+      val_loss += t.val;
+      entropy_sum += t.entropy;
+      clipped += t.clipped ? 1 : 0;
     }
     policy_.zero_grad();
     policy_.backward_from(tokens.data(), dlogits.data(), dvalues.data(), B, T);

@@ -1,13 +1,17 @@
 // Parity and determinism tests for the vectorized ML kernel subsystem
 // (ml/kernels.h): every optimized kernel against its naive reference on
-// randomized shapes (bit for bit for the layer kernels), the GEMM against a
-// scalar multiply-add chain bit for bit, bit-identical results across
-// thread counts, pool re-entrancy, and end-to-end incremental-vs-full
-// generation parity.
+// randomized shapes (bit for bit for the layer kernels), the GEMM and the
+// GELU epilogue against scalar oracles bit for bit, the vector exact-math
+// functions against their scalar definitions at every branch edge,
+// bit-identical results across thread counts, pool re-entrancy, and
+// end-to-end incremental-vs-full generation parity.
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -402,6 +406,21 @@ float oracle_madd(float a, float b, float c) {
   return kern::madd_is_fused() ? std::fma(a, b, c) : a * b + c;
 }
 
+/// matmul_bias_gelu_forward's activation: where the multiply-add is fused,
+/// the tanh argument's x + 0.044715 x^3 rounds once.
+float oracle_gelu(float x) {
+  if (!kern::madd_is_fused()) return kern::gelu_scalar(x);
+  constexpr float kS = 0.7978845608028654f;  // sqrt(2/pi)
+  const float t = kern::exact_tanhf(kS * std::fma(0.044715f * x * x, x, x));
+  return (t + 1.f) * (0.5f * x);
+}
+
+std::vector<float> oracle_gelu(const std::vector<float>& pre) {
+  std::vector<float> post(pre.size());
+  for (std::size_t i = 0; i < pre.size(); ++i) post[i] = oracle_gelu(pre[i]);
+  return post;
+}
+
 /// out[n, o] = start + sum_i inp[n, i] * w[o, i], start = bias[o] or 0.
 std::vector<float> oracle_forward(const std::vector<float>& inp,
                                   const std::vector<float>& w,
@@ -441,6 +460,7 @@ TEST(Kernels, GemmForwardPathsMatchScalarMaddChainBits) {
     const auto bias = random_vec(rng, s.Cout);
     const auto want = oracle_forward(inp, w, bias.data(), s);
     const auto want_nobias = oracle_forward(inp, w, nullptr, s);
+    const auto want_post = oracle_gelu(want);
     kern::PackedMat packed;
     kern::pack_transpose(packed, w.data(), s.Cout, s.Cin);
     at_thread_counts([&] {
@@ -456,6 +476,7 @@ TEST(Kernels, GemmForwardPathsMatchScalarMaddChainBits) {
                                      w.data(), bias.data(), s.N, s.Cin,
                                      s.Cout);
       EXPECT_TRUE(same_bits(out, want));
+      EXPECT_TRUE(same_bits(post, want_post));
       std::fill(out.begin(), out.end(), 7.f);
       kern::matmul_forward_packed(out.data(), inp.data(), packed, bias.data(),
                                   s.N);
@@ -515,6 +536,188 @@ TEST(Kernels, GemmBackwardMatchesScalarMaddChainBits) {
                             inp.data(), w.data(), s.N, s.Cin, s.Cout);
       EXPECT_TRUE(same_bits(di2, want_di));
       EXPECT_TRUE(same_bits(dw2, want_dw));
+    });
+  }
+}
+
+// ---- exact math: vector lanes against the scalar definitions --------------
+// exact_tanhf_n, exact_coshf_n and exact_expf_n must return their scalar
+// function's bits in every lane, NaN for NaN. exact_math_test sweeps all
+// 2^32 inputs; these cases cover each branch edge and run in the sanitizer
+// builds too.
+
+namespace {
+
+float from_bits(std::uint32_t u) { return std::bit_cast<float>(u); }
+
+bool same_or_both_nan(float a, float b) {
+  return std::isnan(a) ? std::isnan(b)
+                       : std::bit_cast<std::uint32_t>(a) ==
+                             std::bit_cast<std::uint32_t>(b);
+}
+
+/// Every branch threshold of tanhf, coshf, expf and the expm1f they call
+/// (|x|'s bits), each +-2 ulps and with both signs; then zeros, denormals,
+/// infinities, NaNs and a strided sweep of all bit patterns.
+std::vector<float> edge_inputs() {
+  const float ln2 = 0.6931471805599453f;
+  std::vector<std::uint32_t> edges = {
+      0x24000000u, 0x3f800000u, 0x41b00000u,               // tanhf, coshf
+      0x3eb17218u, 0x42b17180u, 0x42b2d4fcu,               // coshf
+      0x42b00000u, 0x42b17217u, 0x42cff1b4u, 0x42ce8ecfu,  // expf
+      0x33000000u, 0x3f851592u, 0x4195b844u, 0x42b17218u,  // expm1f
+  };
+  // expm1f's k = round(x / ln2) changes formula at k = 2, 23 and 57.
+  for (const float k : {2.f, 23.f, 57.f}) {
+    edges.push_back(std::bit_cast<std::uint32_t>((k - 0.5f) * ln2));
+  }
+  // tanhf calls expm1f at 2|x|: halving steps the exponent down by one.
+  const std::size_t n_edges = edges.size();
+  for (std::size_t i = 0; i < n_edges; ++i) edges.push_back(edges[i] - 0x00800000u);
+  std::vector<float> in;
+  for (const std::uint32_t e : edges) {
+    for (std::uint32_t d = 0; d <= 4; ++d) {
+      in.push_back(from_bits(e + d - 2));
+      in.push_back(from_bits((e + d - 2) | 0x80000000u));
+    }
+  }
+  for (const std::uint32_t u :
+       {0x00000000u, 0x80000000u, 0x00000001u, 0x807fffffu, 0x00800000u,
+        0x7f7fffffu, 0xff7fffffu, 0x7f800000u, 0xff800000u, 0x7fc00000u,
+        0xffc00001u, 0x7f800001u,
+        // The only two expf inputs whose bits change when its reduction
+        // r = x * 32 / ln2 - k rounds twice instead of once.
+        0x4202422fu, 0xc27c65d9u}) {
+    in.push_back(from_bits(u));
+  }
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += 65521) {
+    in.push_back(from_bits(static_cast<std::uint32_t>(u)));
+  }
+  return in;
+}
+
+}  // namespace
+
+TEST(ExactMath, VectorLanesMatchScalarDefinitionsAtBranchEdges) {
+  const std::vector<float> in = edge_inputs();
+  using VecFn = void (*)(float*, const float*, std::size_t);
+  using ScalarFn = float (*)(float);
+  const struct {
+    const char* name;
+    VecFn vec;
+    ScalarFn scalar;
+  } fns[] = {{"tanhf", kern::exact_tanhf_n, kern::exact_tanhf},
+             {"coshf", kern::exact_coshf_n, kern::exact_coshf},
+             {"expf", kern::exact_expf_n, kern::exact_expf}};
+  for (const auto& f : fns) {
+    SCOPED_TRACE(f.name);
+    // Every start offset and a length that is not a multiple of 8, so each
+    // input lands in every lane and in the scalar tail.
+    for (std::size_t off = 0; off < 9; ++off) {
+      const std::size_t n = in.size() - off;
+      std::vector<float> out(n);
+      f.vec(out.data(), in.data() + off, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(same_or_both_nan(out[i], f.scalar(in[off + i])))
+            << "x=" << in[off + i] << " (0x" << std::hex
+            << std::bit_cast<std::uint32_t>(in[off + i]) << std::dec
+            << ") offset " << off;
+      }
+    }
+    // In place.
+    std::vector<float> buf = in;
+    f.vec(buf.data(), buf.data(), buf.size());
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      ASSERT_TRUE(same_or_both_nan(buf[i], f.scalar(in[i]))) << i;
+    }
+  }
+}
+
+TEST(ExactMath, ScalarDefinitionsKeepLibmsSpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(kern::exact_tanhf(inf), 1.f);
+  EXPECT_EQ(kern::exact_tanhf(-inf), -1.f);
+  EXPECT_EQ(kern::exact_tanhf(30.f), 1.f);
+  EXPECT_TRUE(std::signbit(kern::exact_tanhf(-0.f)));
+  EXPECT_EQ(kern::exact_coshf(0.f), 1.f);
+  EXPECT_EQ(kern::exact_coshf(-inf), inf);
+  EXPECT_EQ(kern::exact_coshf(100.f), inf);
+  EXPECT_EQ(kern::exact_expf(0.f), 1.f);
+  EXPECT_EQ(kern::exact_expf(-inf), 0.f);
+  EXPECT_EQ(kern::exact_expf(89.f), inf);
+  EXPECT_EQ(kern::exact_expf(-104.f), 0.f);
+  EXPECT_EQ(kern::exact_expf(-103.5f), std::numeric_limits<float>::denorm_min());
+  EXPECT_EQ(kern::exact_expm1f(-inf), -1.f);
+  EXPECT_EQ(kern::exact_expm1f(-30.f), -1.f);
+  for (const float nan : {std::numeric_limits<float>::quiet_NaN(),
+                          -std::numeric_limits<float>::quiet_NaN()}) {
+    EXPECT_TRUE(std::isnan(kern::exact_tanhf(nan)));
+    EXPECT_TRUE(std::isnan(kern::exact_coshf(nan)));
+    EXPECT_TRUE(std::isnan(kern::exact_expf(nan)));
+    EXPECT_TRUE(std::isnan(kern::exact_expm1f(nan)));
+  }
+}
+
+namespace {
+
+/// Random pre-activations in [-12, 12] (tanh arguments up to ~63, past
+/// tanh and cosh's common range at 22), with zeros, denormals, tiny and
+/// huge values mixed in. No input makes a NaN, whose payload could differ.
+std::vector<float> gelu_inputs(Rng& rng, std::size_t n) {
+  auto v = random_vec(rng, n, 24.f);
+  const float specials[] = {0.f,    -0.f,   1e-40f, -1e-40f, 1e-20f, -3e-12f,
+                            8.4f,   -8.5f,  30.f,   -30.f,   1e4f,   -1e13f};
+  for (std::size_t i = 0; i < n; i += 7) v[i] = specials[(i / 7) % 12];
+  return v;
+}
+
+}  // namespace
+
+TEST(Kernels, GeluKernelsMatchScalarBitsOnTailsAndSpecialValues) {
+  Rng rng(33);
+  // The backward kernel against gelu_backward_ref; 8k + 5 elements, split
+  // at arbitrary points, so lanes and scalar tails both run.
+  const int N = 8 * 5000 + 5;
+  const auto inp = gelu_inputs(rng, N);
+  const auto dout = random_vec(rng, N);
+  const auto seed = random_vec(rng, N, 0.1f);
+  auto want = seed;
+  kern::gelu_backward_ref(want.data(), inp.data(), dout.data(), N);
+  // The forward epilogue, through matmul_bias_gelu_forward with Cout = 13:
+  // each thread's row range ends in a partial vector.
+  const Shape s{3001, 1, 13};
+  const auto x = gelu_inputs(rng, s.N);
+  const std::vector<float> w(s.Cout, 1.f), bias(s.Cout, 0.f);
+  const auto pre_want = oracle_forward(x, w, bias.data(), s);
+  const auto post_want = oracle_gelu(pre_want);
+  at_thread_counts([&] {
+    auto d = seed;
+    kern::gelu_backward(d.data(), inp.data(), dout.data(), N);
+    EXPECT_TRUE(same_bits(d, want));
+    std::vector<float> pre(pre_want.size()), post(pre_want.size());
+    kern::matmul_bias_gelu_forward(pre.data(), post.data(), x.data(), w.data(),
+                                   bias.data(), s.N, s.Cin, s.Cout);
+    EXPECT_TRUE(same_bits(pre, pre_want));
+    EXPECT_TRUE(same_bits(post, post_want));
+  });
+  std::vector<float> post(pre_want.size());
+  kern::gelu_epilogue(post.data(), pre_want.data(), post.size());
+  EXPECT_TRUE(same_bits(post, post_want));
+}
+
+TEST(Kernels, SoftmaxMatchesRefBitsWhereExponentialsUnderflow) {
+  // Logits spread over +-150: many exp arguments fall below -88, the vector
+  // exp's common range, and come out subnormal or zero.
+  Rng rng(34);
+  for (const std::pair<int, int>& shape : {std::pair{3, 13}, std::pair{40, 259}}) {
+    const int N = shape.first, V = shape.second;
+    const auto logits = random_vec(rng, static_cast<std::size_t>(N) * V, 300.f);
+    std::vector<float> ref(logits.size());
+    kern::softmax_forward_ref(ref.data(), logits.data(), N, V);
+    at_thread_counts([&] {
+      std::vector<float> probs(logits.size());
+      kern::softmax_forward(probs.data(), logits.data(), N, V);
+      EXPECT_TRUE(same_bits(probs, ref));
     });
   }
 }

@@ -308,6 +308,49 @@ TEST(SamplerDeathTest, RejectsTokensOutsideTheVocabulary) {
   EXPECT_DEATH(Sampler(sc).generate(model, {{1}, {}}, rng), "empty prompt");
 }
 
+TEST(GptDeathTest, EntryPointsCheckTheirPreconditionsInEveryBuild) {
+  // Unchecked, each of these reads or writes outside an activation, cache
+  // or embedding buffer.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const GptConfig cfg = GptConfig::tiny();  // vocab 64, ctx 32
+  Gpt model(cfg, 31);
+  std::vector<int> toks(static_cast<std::size_t>(cfg.ctx) + 1, 1);
+  EXPECT_DEATH(model.forward(toks.data(), 1, cfg.ctx + 1),
+               "Gpt::forward: T=33 exceeds ctx=32");
+  toks[3] = cfg.vocab;
+  EXPECT_DEATH(model.forward(toks.data(), 2, 4),
+               "Gpt::forward: token 64 at 3 is outside the vocabulary");
+  toks[3] = -1;
+  EXPECT_DEATH(model.forward(toks.data(), 2, 4), "token -1 at 3");
+  toks[3] = 1;
+
+  model.forward(toks.data(), 2, 4, {1, 5});
+  EXPECT_DEATH(model.logprob(0, 0, 1),
+               "Gpt::logprob: .b=0, t=0. is not a head row");
+  // Flat row 0 * 4 + 5 is the head row (1, 1), but t = 5 is past T = 4.
+  EXPECT_DEATH(model.logprob(0, 5, 1), "is not a head row");
+  EXPECT_DEATH(model.logprob(1, 1, cfg.vocab),
+               "Gpt::logprob: token 64 is outside the vocabulary");
+  const std::vector<float> dlogits(2 * static_cast<std::size_t>(cfg.vocab));
+  EXPECT_DEATH(model.backward_from(toks.data(), dlogits.data(), nullptr, 1, 8),
+               "Gpt::backward_from: .B=1, T=8. is not the last forward's");
+
+  const Gpt wider(GptConfig{64, 32, 1, 2, 32}, 31);
+  EXPECT_DEATH(model.copy_params_from(wider),
+               "Gpt::copy_params_from: config mismatch");
+
+  EXPECT_DEATH(model.gen_begin(0), "Gpt::gen_begin: B=0 must be positive");
+  Gpt::GenState st = model.gen_begin(2);
+  std::vector<float> logits(2 * static_cast<std::size_t>(cfg.vocab));
+  const int bad[2] = {1, cfg.vocab};
+  EXPECT_DEATH(model.gen_step(st, bad, logits.data()),
+               "Gpt::gen_step: token 64 at 1 is outside the vocabulary");
+  const int ok[2] = {1, 2};
+  for (int t = 0; t < cfg.ctx; ++t) model.gen_step(st, ok, logits.data());
+  EXPECT_DEATH(model.gen_step(st, ok, logits.data()),
+               "Gpt::gen_step: position 32 is past ctx=32");
+}
+
 // ---- AdamW -----------------------------------------------------------------------
 
 TEST(AdamWOpt, ConvergesOnQuadratic) {
