@@ -19,7 +19,7 @@ using namespace chatfuzz;
 using namespace chatfuzz::bench;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 1000;
+  const std::size_t n = tests_arg(argc, argv, 1000);
   print_header(
       "Ablation: guidance metric vs. final condition coverage",
       "condition coverage chosen as feedback (SV); statement/FSM saturate "

@@ -7,7 +7,6 @@
 //
 //   usage: ablation_interrupts [tests]
 #include <cstdio>
-#include <cstdlib>
 
 #include "baselines/hypfuzz.h"
 #include "bench_common.h"
@@ -48,7 +47,7 @@ Cell run_cell(bool clint, std::size_t n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 800;
+  const std::size_t n = tests_arg(argc, argv, 800);
   print_header(
       "Ablation: interrupt stimulus (CLINT) vs. coverage ceiling",
       "irq condition points are the unreachable tail without interrupt "

@@ -5,7 +5,6 @@
 //
 //   usage: ablation_reward [tests]
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 
@@ -34,7 +33,7 @@ core::CampaignResult run_variant(const char* label,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 600;
+  const std::size_t n = tests_arg(argc, argv, 600);
   print_header("Ablation: stage-3 coverage reward terms",
                "SIV-C3: reward = incremental bonus + stand-alone term - "
                "no-improvement penalty (+ validity shaping)");

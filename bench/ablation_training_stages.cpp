@@ -6,7 +6,6 @@
 //
 //   usage: ablation_training_stages [tests]
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 #include "riscv/disasm.h"
@@ -28,7 +27,7 @@ double invalid_rate(core::ChatFuzzGenerator& gen) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 600;
+  const std::size_t n = tests_arg(argc, argv, 600);
   print_header("Ablation: contribution of each training stage",
                "implied by SIII-B: stage 1 teaches the language, stage 2 "
                "removes invalid generations, stage 3 steers coverage");

@@ -68,6 +68,20 @@ inline std::size_t bench_workers() {
   return *parsed;
 }
 
+/// The campaign size from argv[1], or `fallback` when it is absent. A
+/// malformed or zero count prints a usage line and exits 2 before any
+/// training or simulation starts.
+inline std::size_t tests_arg(int argc, char** argv, std::size_t fallback) {
+  if (argc < 2) return fallback;
+  const auto parsed = parse_count(argv[1]);
+  if (!parsed || *parsed == 0) {
+    std::fprintf(stderr, "usage: %s [tests]  (a positive count; default %zu)\n",
+                 argv[0], fallback);
+    std::exit(2);
+  }
+  return *parsed;
+}
+
 inline core::CampaignConfig rocket_campaign(std::size_t tests) {
   core::CampaignConfig cfg;
   cfg.num_tests = tests;

@@ -7,7 +7,6 @@
 //
 //   usage: fig2_coverage_over_time [tests_per_fuzzer]
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
 #include "bench_common.h"
@@ -16,8 +15,7 @@ using namespace chatfuzz;
 using namespace chatfuzz::bench;
 
 int main(int argc, char** argv) {
-  const std::size_t n =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 3000;
+  const std::size_t n = tests_arg(argc, argv, 3000);
   print_header("Fig. 2: condition coverage over time, RocketCore (24 h)",
                "ChatFuzz reaches ~75% within the first hour; TheHuzz needs "
                "~30 h; both start near 50% and end 77-80%");

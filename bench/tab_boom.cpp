@@ -5,7 +5,6 @@
 //
 //   usage: tab_boom [tests]
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 
@@ -13,7 +12,7 @@ using namespace chatfuzz;
 using namespace chatfuzz::bench;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 2000;
+  const std::size_t n = tests_arg(argc, argv, 2000);
   print_header("SV-A: BOOM campaign",
                "ChatFuzz reaches 97.02% condition coverage in 49 minutes");
 

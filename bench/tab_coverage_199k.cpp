@@ -5,7 +5,6 @@
 //
 //   usage: tab_coverage_199k [tests]
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 
@@ -13,7 +12,7 @@ using namespace chatfuzz;
 using namespace chatfuzz::bench;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 4000;
+  const std::size_t n = tests_arg(argc, argv, 4000);
   print_header("SV-A: condition coverage at the 199K-test budget, RocketCore",
                "ChatFuzz 79.14% vs TheHuzz 76.7% at 199K tests");
   std::printf("campaign: %zu tests per fuzzer (1 simulated test = %.1f paper "

@@ -3,7 +3,6 @@
 //
 //   usage: tab_coverage_1p8k [tests]
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 
@@ -11,7 +10,7 @@ using namespace chatfuzz;
 using namespace chatfuzz::bench;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 1800;
+  const std::size_t n = tests_arg(argc, argv, 1800);
   print_header(
       "SV-A: condition coverage at 1.8K tests, RocketCore",
       "ChatFuzz 74.96% vs TheHuzz 67.4% (same test count, same instr count)");

@@ -6,7 +6,6 @@
 //
 //   usage: tab_findings [tests]
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 
@@ -14,7 +13,7 @@ using namespace chatfuzz;
 using namespace chatfuzz::bench;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 2500;
+  const std::size_t n = tests_arg(argc, argv, 2500);
   print_header("SV-B: mismatches and findings, RocketCore",
                "5,866 raw mismatches -> >100 unique after automated "
                "filtration; Bug1 (CWE-1202), Bug2 (CWE-440), Findings 1-3");

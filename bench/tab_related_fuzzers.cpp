@@ -8,7 +8,6 @@
 //
 //   usage: tab_related_fuzzers [tests]
 #include <cstdio>
-#include <cstdlib>
 
 #include "baselines/hypfuzz.h"
 #include "baselines/psofuzz.h"
@@ -18,7 +17,7 @@ using namespace chatfuzz;
 using namespace chatfuzz::bench;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 1200;
+  const std::size_t n = tests_arg(argc, argv, 1200);
   print_header(
       "Related-fuzzer field: condition coverage at equal test budget",
       "ordinal claims: ChatFuzz leads; hybrids beat TheHuzz; TheHuzz 3.33x "

@@ -5,7 +5,6 @@
 //
 //   usage: tab_speedup [tests_per_fuzzer]
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 
@@ -13,8 +12,7 @@ using namespace chatfuzz;
 using namespace chatfuzz::bench;
 
 int main(int argc, char** argv) {
-  const std::size_t n =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 3000;
+  const std::size_t n = tests_arg(argc, argv, 3000);
   print_header("SV-A: time to ChatFuzz's one-hour coverage level",
                "ChatFuzz 75% in 52 min; TheHuzz ~30 h (34.6x slower); "
                "TheHuzz ~3.33x faster than DifuzzRTL");

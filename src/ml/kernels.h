@@ -3,7 +3,7 @@
 // here side by side:
 //
 //   *_ref    — the seed's naive triple loops, kept verbatim as the semantic
-//              reference for parity tests and speedup benches;
+//              reference for parity tests;
 //   the rest — cache-friendly, vectorized rewrites. Every matmul runs
 //              through one register-tiled GEMM kernel: a 6x16 block of
 //              outputs stays in registers while the reduction index runs
@@ -91,9 +91,7 @@ inline float gelu_scalar(float x) {
 
 // ---- reference kernels (seed-naive; parity baseline) ------------------------
 // Live in kernels_ref.cpp, which is compiled at the project's base
-// optimization level on purpose: the bench speedups are measured against
-// the seed's kernels as the seed built them, not against a turbo-charged
-// copy of the naive loops.
+// optimization level, as the seed built them.
 // out[n, o] = bias[o] + sum_i inp[n, i] * w[o, i]   (w is [Cout, Cin] rows)
 void matmul_forward_ref(float* out, const float* inp, const float* w,
                         const float* bias, int N, int Cin, int Cout);

@@ -3,9 +3,7 @@
 // libm calls, which keeps their bits independent of the installed libm.
 // This file is deliberately compiled at the project's base optimization
 // level (no -O3 / -march boost — see CMakeLists.txt): it is the parity
-// oracle for the vectorized kernels AND the baseline the throughput bench
-// measures speedups against, so it must stay representative of the seed
-// build.
+// oracle for the vectorized kernels.
 #include <cmath>
 
 #include "ml/kernels.h"

@@ -109,8 +109,8 @@ struct CoreConfig {
   /// per-instruction cost, and deferring them is most of the campaign
   /// hot-path speedup. Counters land in the CoverageDB when the run stops
   /// (or at reset), not per instruction; switch off for strict
-  /// per-instruction accounting — bench_campaign_throughput does, to
-  /// reproduce the seed pipeline as its baseline.
+  /// per-instruction accounting. Its only user is sparse_cov_test, which
+  /// keeps the eager chains as the reference the deferred ones must match.
   bool deferred_select_chains = true;
 
   /// Select the out-of-order backend (OooCore): 2-wide superscalar with

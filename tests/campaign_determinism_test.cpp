@@ -125,7 +125,11 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
 
 TEST(CampaignDeterminism, FourWorkersMatchOneWorker) {
   const CampaignConfig cfg = small_campaign();
-  expect_identical(run_with_workers(cfg, 1), run_with_workers(cfg, 4));
+  const CampaignResult one = run_with_workers(cfg, 1);
+  for (const std::size_t workers : {2, 4, 8}) {
+    SCOPED_TRACE(workers);
+    expect_identical(one, run_with_workers(cfg, workers));
+  }
 }
 
 TEST(CampaignDeterminism, OddWorkerCountAndRepeatRunsMatch) {

@@ -1,12 +1,15 @@
-// util/stats.h unit coverage. The load-bearing case is the degenerate
-// Histogram range: hi == lo used to divide by zero, producing a NaN whose
-// int64 cast is undefined behavior — obs::Histo construction from config
-// knobs must never be able to reach that.
+// util/stats.h and util/parse.h unit coverage. The load-bearing case is the
+// degenerate Histogram range: hi == lo used to divide by zero, producing a
+// NaN whose int64 cast is undefined behavior — obs::Histo construction from
+// config knobs must never be able to reach that. parse_count reads every
+// count the CLI, the bench binaries and CHATFUZZ_ML_THREADS take, so each
+// input strtoul would have bent into a number must come back empty.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
+#include "util/parse.h"
 #include "util/stats.h"
 
 namespace chatfuzz {
@@ -64,6 +67,26 @@ TEST(RunningStat, WelfordMatchesClosedForm) {
   s.reset();
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.variance(), 0.0);
+}
+
+TEST(ParseCount, AcceptsPlainDecimalCounts) {
+  EXPECT_EQ(parse_count("0"), 0u);
+  EXPECT_EQ(parse_count("42"), 42u);
+  EXPECT_EQ(parse_count("007"), 7u);
+  EXPECT_EQ(parse_count("18446744073709551615"),
+            std::numeric_limits<std::size_t>::max());
+}
+
+TEST(ParseCount, RejectsWhatStrtoulWouldBend) {
+  EXPECT_EQ(parse_count(nullptr), std::nullopt);
+  EXPECT_EQ(parse_count(""), std::nullopt);
+  EXPECT_EQ(parse_count("-1"), std::nullopt);   // strtoul: 2^64 - 1
+  EXPECT_EQ(parse_count("+1"), std::nullopt);
+  EXPECT_EQ(parse_count(" 1"), std::nullopt);   // strtoul skips the space
+  EXPECT_EQ(parse_count(" -1"), std::nullopt);
+  EXPECT_EQ(parse_count("1x"), std::nullopt);   // strtoul: 1
+  EXPECT_EQ(parse_count("abc"), std::nullopt);  // strtoul: 0
+  EXPECT_EQ(parse_count("18446744073709551616"), std::nullopt);  // 2^64
 }
 
 }  // namespace
