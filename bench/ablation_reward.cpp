@@ -16,18 +16,8 @@ core::CampaignResult run_variant(const char* label,
                                  core::ChatFuzzConfig cc,
                                  const core::CampaignConfig& cfg) {
   core::ChatFuzzGenerator gen(cc);
-  const ser::Status loaded = gen.load_model(kModelCache);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "[ablation] no cached model (%s); training...\n",
-                 loaded.message().c_str());
-    gen.train_offline();
-    const ser::Status saved = gen.save_model(kModelCache);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "[ablation] warning: %s\n",
-                   saved.message().c_str());
-    }
-  }
-  std::fprintf(stderr, "[ablation] %s...\n", label);
+  std::fprintf(stderr, "[ablation] training for %s...\n", label);
+  gen.train_offline();
   return core::run_campaign(gen, cfg);
 }
 }  // namespace

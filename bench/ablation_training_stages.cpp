@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
     core::ChatFuzzGenerator gen(cc);
     std::fprintf(stderr, "[ablation] training stage 1...\n");
     gen.train_offline();
-    gen.save_model("ablation_stage1.bin");
     const double inv = invalid_rate(gen);
     const core::CampaignResult r = core::run_campaign(gen, cfg);
     std::printf("%-22s | %12.1f%% | %8.2f%%\n", "stage 1 (pretrain)",

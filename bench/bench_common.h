@@ -1,7 +1,6 @@
 // Shared plumbing for the table/figure reproduction benches: the paper's
-// wall-clock scale model, a cached trained ChatFuzz generator (stages 1-2
-// are trained once and persisted to disk so every bench binary can reuse the
-// same model), and table-printing helpers.
+// wall-clock scale model, the trained ChatFuzz generator every bench binary
+// uses, and table-printing helpers.
 #pragma once
 
 #include <cstdio>
@@ -23,29 +22,16 @@ namespace chatfuzz::bench {
 /// each bench prints its scale factor.
 inline constexpr double kPaperTestsPerHour = 1800.0 / (52.0 / 60.0);
 
-/// Default on-disk cache for the stage-1/2 trained policy.
-inline const char* kModelCache = "chatfuzz_model.bin";
-
-/// Build a ChatFuzz generator, training stages 1-2 unless a cached model is
-/// present (training takes a few minutes of CPU; the cache makes reruns and
-/// the other bench binaries instant).
-inline std::unique_ptr<core::ChatFuzzGenerator> make_chatfuzz(
-    const std::string& cache = kModelCache) {
+/// Build a ChatFuzz generator and train stages 1-2 at the benches' budget
+/// (seconds of CPU, so every run trains its own model from this build).
+inline std::unique_ptr<core::ChatFuzzGenerator> make_chatfuzz() {
   core::ChatFuzzConfig cfg;
   cfg.pretrain_samples = 1600;
   cfg.pretrain.epochs = 5;
   cfg.cleanup_iters = 8;
   auto gen = std::make_unique<core::ChatFuzzGenerator>(cfg);
-  if (gen->load_model(cache)) {
-    std::fprintf(stderr, "[bench] loaded cached ChatFuzz model from %s\n",
-                 cache.c_str());
-  } else {
-    std::fprintf(stderr,
-                 "[bench] training ChatFuzz stages 1-2 (cached to %s)...\n",
-                 cache.c_str());
-    gen->train_offline();
-    gen->save_model(cache);
-  }
+  std::fprintf(stderr, "[bench] training ChatFuzz stages 1-2...\n");
+  gen->train_offline();
   return gen;
 }
 

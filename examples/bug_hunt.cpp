@@ -1,17 +1,18 @@
 // Bug hunt: reproduces the paper's §V-B findings with directed test
 // programs — each program triggers one of the RocketCore deviations, the
 // Mismatch Detector flags the divergence, and the classifier names it.
+// Each program is replayed exactly as a default `chatfuzz fuzz` campaign
+// would run it.
 //
 //   $ ./examples/bug_hunt
 #include <cstdio>
 #include <vector>
 
-#include "isasim/sim.h"
+#include "core/replay.h"
 #include "mismatch/detect.h"
 #include "riscv/builder.h"
 #include "riscv/disasm.h"
 #include "riscv/encode.h"
-#include "rtlsim/core.h"
 
 using namespace chatfuzz;
 using riscv::Opcode;
@@ -70,10 +71,7 @@ std::vector<Scenario> build_scenarios() {
 }  // namespace
 
 int main() {
-  sim::Platform plat;
-  cov::CoverageDB db;
-  rtl::RtlCore dut(rtl::CoreConfig::rocket(), db, plat);
-  sim::IsaSim golden(plat);
+  const core::CampaignConfig cfg;
   mismatch::MismatchDetector detector;
   detector.install_default_filters();
 
@@ -81,13 +79,10 @@ int main() {
     std::printf("==============================================================\n");
     std::printf("%s\n", sc.title);
     std::printf("--------------------------------------------------------------\n");
-    std::printf("%s", riscv::disasm_program(sc.program, plat.ram_base).c_str());
+    std::printf("%s", riscv::disasm_program(sc.program,
+                                            cfg.platform.ram_base).c_str());
 
-    dut.reset(sc.program);
-    golden.reset(sc.program);
-    const sim::RunResult dr = dut.run();
-    const sim::RunResult gr = golden.run();
-    const mismatch::Report rep = detector.compare(dr.trace, gr.trace);
+    const mismatch::Report rep = core::replay_test(sc.program, cfg);
     detector.accumulate(rep);
 
     if (rep.mismatches.empty()) {

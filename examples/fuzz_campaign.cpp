@@ -3,7 +3,7 @@
 // RocketCore-class DUT and print the coverage table — a miniature of the
 // paper's §V-A comparison.
 //
-//   $ ./examples/fuzz_campaign [num_tests] [chatfuzz_model.bin]
+//   $ ./examples/fuzz_campaign [num_tests]
 #include <cstdio>
 #include <cstdlib>
 
@@ -16,7 +16,6 @@ using namespace chatfuzz::core;
 
 int main(int argc, char** argv) {
   const std::size_t tests = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 600;
-  const char* model_path = argc > 2 ? argv[2] : "chatfuzz_model.bin";
 
   CampaignConfig cfg;
   cfg.num_tests = tests;
@@ -50,20 +49,8 @@ int main(int argc, char** argv) {
   {
     ChatFuzzConfig cc;
     ChatFuzzGenerator gen(cc);
-    const ser::Status loaded = gen.load_model(model_path);
-    if (loaded.ok()) {
-      std::fprintf(stderr, "loaded cached model from %s\n", model_path);
-    } else {
-      std::fprintf(stderr, "model cache unavailable: %s\n",
-                   loaded.message().c_str());
-      std::fprintf(stderr, "training ChatFuzz (stages 1-2); this is cached "
-                           "to %s for the next run...\n", model_path);
-      gen.train_offline();
-      const ser::Status saved = gen.save_model(model_path);
-      if (!saved.ok()) {
-        std::fprintf(stderr, "warning: %s\n", saved.message().c_str());
-      }
-    }
+    std::fprintf(stderr, "training ChatFuzz (stages 1-2)...\n");
+    gen.train_offline();
     row(run_campaign(gen, cfg));
   }
 

@@ -140,8 +140,9 @@ struct CampaignConfig {
   /// bit-identical for any workers × procs × resume topology, exactly like
   /// single-DUT output. Empty (the default) means {core}: the single-DUT
   /// campaign everything else in the repo runs. When non-empty, the first
-  /// entry is the *primary* DUT (metrics suite, BBV collection, step totals,
-  /// replay/minimize); `core` is ignored. Part of the campaign state:
+  /// entry is the *primary* DUT (metrics suite, BBV collection, step
+  /// totals); `core` is ignored. Replay and minimize (core/replay.h) run the
+  /// whole list, as the campaign does. Part of the campaign state:
   /// serialized into checkpoints, never overridden on resume (the coverage
   /// DB layout is the concatenation of every DUT's instrumentation).
   std::vector<rtl::CoreConfig> duts;

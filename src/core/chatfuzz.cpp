@@ -40,14 +40,6 @@ void ChatFuzzGenerator::train_offline() {
   ppo_ = std::make_unique<ml::PpoTrainer>(policy_, ref_, cfg_.ppo);
 }
 
-ser::Status ChatFuzzGenerator::load_model(const std::string& path) {
-  ser::Status s = policy_.load(path);
-  if (!s.ok()) return s;
-  ref_.copy_params_from(policy_);
-  ppo_ = std::make_unique<ml::PpoTrainer>(policy_, ref_, cfg_.ppo);
-  return s;
-}
-
 namespace {
 
 void write_generation(ser::Writer& w, const ml::Generation& g) {

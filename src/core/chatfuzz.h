@@ -53,14 +53,6 @@ class ChatFuzzGenerator final : public InputGenerator {
   /// model generates noise.
   void train_offline();
 
-  /// Persist / restore the trained policy (benches cache stage-1/2 training
-  /// across binaries). load_model() also refreshes the stage-3 reference.
-  /// Failures carry path/errno/format detail — report them, don't swallow.
-  ser::Status save_model(const std::string& path) const {
-    return policy_.save(path);
-  }
-  ser::Status load_model(const std::string& path);
-
   std::string name() const override { return "ChatFuzz"; }
   std::vector<Program> next_batch(std::size_t n) override;
   void feedback(const Feedback& fb) override;

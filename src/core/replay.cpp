@@ -1,11 +1,14 @@
 #include "core/replay.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
-#include "isasim/sim.h"
-#include "rtlsim/core.h"
+#include "core/sim_worker.h"
+#include "riscv/encode.h"
 
 namespace chatfuzz::core {
 
@@ -23,32 +26,20 @@ std::string corpus_to_text(const std::vector<Program>& tests) {
   return out;
 }
 
-std::optional<std::vector<Program>> corpus_from_text(const std::string& text,
-                                                     std::string* error) {
-  std::vector<Program> tests;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    if (line.rfind("==", 0) == 0) {
-      tests.emplace_back();
-      continue;
-    }
-    if (tests.empty()) tests.emplace_back();
-    char* end = nullptr;
-    const unsigned long word = std::strtoul(line.c_str(), &end, 16);
-    if (end == line.c_str() || (*end != '\0' && *end != '\r')) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": bad hex word";
-      }
-      return std::nullopt;
-    }
-    tests.back().push_back(static_cast<std::uint32_t>(word));
-  }
-  return tests;
+namespace {
+
+/// One corpus word: 1-8 hex digits, optionally followed by a '\r'.
+/// std::from_chars takes no sign, prefix or whitespace, and eight digits
+/// cannot overflow 32 bits.
+bool parse_word(std::string_view line, std::uint32_t* word) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  if (line.empty() || line.size() > 8) return false;
+  const char* end = line.data() + line.size();
+  const auto [ptr, ec] = std::from_chars(line.data(), end, *word, 16);
+  return ec == std::errc() && ptr == end;
 }
+
+}  // namespace
 
 CorpusParse corpus_from_text_lenient(const std::string& text) {
   CorpusParse out;
@@ -77,37 +68,43 @@ CorpusParse corpus_from_text_lenient(const std::string& text) {
     block_error.clear();
     have_block = false;
   };
+  const auto start_block = [&] {
+    have_block = true;
+    block_text = "== test " + std::to_string(block_no++) + "\n";
+  };
 
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
     if (line.rfind("==", 0) == 0) {
       finish_block();
-      have_block = true;
-      ++block_no;
-      block_text = "== test " + std::to_string(block_no - 1) + "\n";
+      start_block();
       continue;
     }
-    if (!have_block) {
-      // Headerless first block, same tolerance as the strict parser.
-      have_block = true;
-      ++block_no;
-      block_text = "== test " + std::to_string(block_no - 1) + "\n";
-    }
+    if (!have_block) start_block();  // headerless first block
     block_text += line;
     block_text += '\n';
     if (!block_error.empty()) continue;  // already poisoned; keep collecting
-    char* end = nullptr;
-    const unsigned long word = std::strtoul(line.c_str(), &end, 16);
-    if (end == line.c_str() || (*end != '\0' && *end != '\r')) {
+    std::uint32_t word = 0;
+    if (parse_word(line, &word)) {
+      block.push_back(word);
+    } else {
       block_error = "test " + std::to_string(block_no - 1) + ", line " +
                     std::to_string(line_no) + ": bad hex word";
-    } else {
-      block.push_back(static_cast<std::uint32_t>(word));
     }
   }
   finish_block();
   return out;
+}
+
+std::optional<std::vector<Program>> corpus_from_text(const std::string& text,
+                                                     std::string* error) {
+  CorpusParse parsed = corpus_from_text_lenient(text);
+  if (parsed.bad_blocks > 0) {
+    if (error != nullptr) *error = parsed.errors.front();
+    return std::nullopt;
+  }
+  return std::move(parsed.tests);
 }
 
 bool save_corpus(const std::string& path, const std::vector<Program>& tests) {
@@ -145,19 +142,97 @@ std::string render_mismatch_report(const mismatch::MismatchDetector& detector) {
   return out;
 }
 
-mismatch::Report replay_test(const Program& test,
-                             const rtl::CoreConfig& core_cfg,
-                             const sim::Platform& platform) {
-  cov::CoverageDB db;
-  rtl::RtlCore dut(core_cfg, db, platform);
-  sim::IsaSim golden(platform);
-  dut.reset(test);
-  golden.reset(test);
-  const sim::RunResult dr = dut.run();
-  const sim::RunResult gr = golden.run();
-  mismatch::MismatchDetector detector;
-  detector.install_default_filters();
-  return detector.compare(dr.trace, gr.trace);
+namespace {
+
+/// The campaign's simulation stack, re-armed by run_one for every test it
+/// replays (no metrics suite: replay needs only the mismatch report).
+struct Replayer {
+  explicit Replayer(const CampaignConfig& c) : cfg(c), stack(c, false) {}
+
+  const mismatch::Report& run(const Program& test, std::uint64_t test_index) {
+    run_one(stack, cfg, false, test, test_index, art);
+    return art.report;
+  }
+
+  const CampaignConfig& cfg;
+  SimStack stack;
+  TestArtifact art;
+};
+
+std::string first_of(const mismatch::Report& rep) {
+  return rep.mismatches.empty() ? std::string()
+                                : rep.mismatches.front().signature;
+}
+
+constexpr std::size_t kMaxRounds = 8;  // delta-debugging passes
+
+}  // namespace
+
+mismatch::Report replay_test(const Program& test, const CampaignConfig& cfg,
+                             std::uint64_t test_index) {
+  return Replayer(cfg).run(test, test_index);
+}
+
+std::string first_signature(const Program& test, const CampaignConfig& cfg,
+                            std::uint64_t test_index) {
+  return first_of(Replayer(cfg).run(test, test_index));
+}
+
+MinimizeResult minimize(const Program& test, const CampaignConfig& cfg,
+                        std::uint64_t test_index) {
+  Replayer replayer(cfg);
+  MinimizeResult result;
+  const auto signature = [&](const Program& candidate) {
+    ++result.tests_run;
+    return first_of(replayer.run(candidate, test_index));
+  };
+  result.original_size = test.size();
+  result.signature = signature(test);
+  if (result.signature.empty()) {
+    result.reduced = test;
+    return result;  // nothing to preserve
+  }
+  result.reproduced = true;
+
+  Program current = test;
+  const auto still_reproduces = [&](const Program& candidate) {
+    return signature(candidate) == result.signature;
+  };
+
+  // Phase 1: ddmin-style chunk removal with shrinking chunk sizes.
+  for (std::size_t round = 0; round < kMaxRounds; ++round) {
+    bool any_removed = false;
+    for (std::size_t chunk = std::max<std::size_t>(current.size() / 2, 1);
+         chunk >= 1; chunk /= 2) {
+      for (std::size_t at = 0; at + chunk <= current.size();) {
+        Program candidate = current;
+        candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(at),
+                        candidate.begin() + static_cast<std::ptrdiff_t>(at + chunk));
+        if (!candidate.empty() && still_reproduces(candidate)) {
+          current = std::move(candidate);
+          any_removed = true;
+          // retry same position (new content slid in)
+        } else {
+          at += chunk;
+        }
+      }
+      if (chunk == 1) break;
+    }
+    if (!any_removed) break;
+  }
+
+  // Phase 2: NOP substitution — instructions that must occupy space (branch
+  // shapes) but whose behaviour is irrelevant become canonical NOPs.
+  const std::uint32_t kNop = riscv::enc_i(riscv::Opcode::kAddi, 0, 0, 0);
+  for (std::size_t at = 0; at < current.size(); ++at) {
+    if (current[at] == kNop) continue;
+    Program candidate = current;
+    candidate[at] = kNop;
+    if (still_reproduces(candidate)) current = std::move(candidate);
+  }
+
+  result.reduced = std::move(current);
+  return result;
 }
 
 }  // namespace chatfuzz::core

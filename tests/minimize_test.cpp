@@ -1,19 +1,21 @@
 // Test-case minimizer tests: reductions must preserve the exact mismatch
 // signature, shrink padded reproducers back to their kernel, and leave
-// clean inputs alone.
+// clean inputs alone. Every test replays under the defaults `fuzz` runs with.
 #include <gtest/gtest.h>
 
-#include "mismatch/minimize.h"
+#include "core/replay.h"
+#include "corpus/generator.h"
 #include "riscv/builder.h"
 #include "riscv/decode.h"
 #include "riscv/encode.h"
 #include "util/rng.h"
-#include "corpus/generator.h"
 
-namespace chatfuzz::mismatch {
+namespace chatfuzz::core {
 namespace {
 
 using riscv::Opcode;
+
+const CampaignConfig kCfg;
 
 Program padded_mul_repro(unsigned pad) {
   // A mul (Bug2 trigger) buried in ALU noise.
@@ -34,14 +36,14 @@ Program padded_mul_repro(unsigned pad) {
 TEST(Minimize, CleanInputReportsNoRepro) {
   riscv::ProgramBuilder b;
   b.li(10, 5).add(11, 10, 10);
-  const MinimizeResult r = minimize(b.seal());
+  const MinimizeResult r = minimize(b.seal(), kCfg);
   EXPECT_FALSE(r.reproduced);
   EXPECT_TRUE(r.signature.empty());
 }
 
 TEST(Minimize, ShrinksPaddedBug2ReproToTheKernel) {
   const Program fat = padded_mul_repro(10);
-  const MinimizeResult r = minimize(fat);
+  const MinimizeResult r = minimize(fat, kCfg);
   ASSERT_TRUE(r.reproduced);
   EXPECT_EQ(r.signature, "rd-presence:mul:dut-missing");
   EXPECT_LE(r.reduced.size(), 2u) << "mul plus at most one residual word";
@@ -57,9 +59,9 @@ TEST(Minimize, ShrinksPaddedBug2ReproToTheKernel) {
 
 TEST(Minimize, ReducedInputStillReproducesSameSignature) {
   const Program fat = padded_mul_repro(6);
-  const MinimizeResult r = minimize(fat);
+  const MinimizeResult r = minimize(fat, kCfg);
   ASSERT_TRUE(r.reproduced);
-  EXPECT_EQ(first_signature(r.reduced), r.signature);
+  EXPECT_EQ(first_signature(r.reduced, kCfg), r.signature);
 }
 
 TEST(Minimize, PreservesFinding1Signature) {
@@ -69,11 +71,11 @@ TEST(Minimize, PreservesFinding1Signature) {
   b.li(11, 77);
   b.lw(12, 10, 0);  // misaligned + out of range: Finding1
   b.add(13, 11, 9);
-  const MinimizeResult r = minimize(b.seal());
+  const MinimizeResult r = minimize(b.seal(), kCfg);
   ASSERT_TRUE(r.reproduced);
   EXPECT_NE(r.signature.find("exception:lw"), std::string::npos);
   EXPECT_LT(r.reduced.size(), 7u);
-  EXPECT_EQ(first_signature(r.reduced), r.signature);
+  EXPECT_EQ(first_signature(r.reduced, kCfg), r.signature);
 }
 
 TEST(Minimize, HandlesFuzzGeneratedMismatches) {
@@ -83,17 +85,17 @@ TEST(Minimize, HandlesFuzzGeneratedMismatches) {
   int minimized = 0;
   for (int i = 0; i < 30 && minimized < 5; ++i) {
     const Program test = corpus::random_valid_program(rng, 24);
-    const std::string sig = first_signature(test);
+    const std::string sig = first_signature(test, kCfg);
     if (sig.empty()) continue;
-    const MinimizeResult r = minimize(test);
+    const MinimizeResult r = minimize(test, kCfg);
     ASSERT_TRUE(r.reproduced);
     EXPECT_EQ(r.signature, sig);
     EXPECT_LE(r.reduced.size(), test.size());
-    EXPECT_EQ(first_signature(r.reduced), sig);
+    EXPECT_EQ(first_signature(r.reduced, kCfg), sig);
     ++minimized;
   }
   EXPECT_GE(minimized, 3) << "fuzz inputs stopped producing mismatches?";
 }
 
 }  // namespace
-}  // namespace chatfuzz::mismatch
+}  // namespace chatfuzz::core

@@ -1,12 +1,14 @@
-// Replay and minimize must be sink-agnostic: a campaign that ran through
-// the streaming lockstep comparator (the PR-4 hot path, traces never
-// materialized) archives the same tests a materialized-trace campaign
-// would, and the offline tools — core::replay_test (two full traces +
-// MismatchDetector::compare) and mismatch::minimize — must reproduce
-// byte-identical reports and signatures for them. Otherwise a bug found by
-// a streaming campaign could fail to reproduce in the engineer's replay
-// workflow, which is the one property that makes the corpus actionable.
+// Replay fidelity: an archived test must re-simulate exactly as its campaign
+// ran it, or a bug the campaign found could fail to reproduce in the
+// engineer's replay/minimize workflow — the one property that makes the
+// corpus actionable. Each case runs a small checkpointed TheHuzz campaign,
+// reads the campaign's config back from the checkpoint (as `corpus
+// minimize` does), and replays every archived entry at its archived test
+// index: the mismatch count must be the one the campaign recorded. The
+// register-randomizing and out-of-order cases are the ones a replay on a
+// fixed in-order core at test index 0 gets wrong.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 
@@ -14,154 +16,88 @@
 #include "core/campaign.h"
 #include "core/replay.h"
 #include "corpus/store.h"
-#include "coverage/cover.h"
-#include "isasim/sim.h"
-#include "mismatch/detect.h"
-#include "mismatch/lockstep.h"
-#include "mismatch/minimize.h"
-#include "rtlsim/core.h"
 
 namespace chatfuzz {
 namespace {
 
-const sim::Platform kPlatform{.max_steps = 256};
+/// Entries with a recorded mismatch minimized per campaign (each one costs
+/// a few hundred co-simulations).
+constexpr std::size_t kMinimizePerCampaign = 3;
 
-/// The streaming pipeline exactly as the campaign engine runs it: lockstep
-/// comparator as the DUT's sink, golden stepped on demand, no traces.
-mismatch::Report streaming_report(const core::Program& test,
-                                  const rtl::CoreConfig& core_cfg) {
-  cov::CoverageDB db;
-  rtl::RtlCore dut(core_cfg, db, kPlatform);
-  sim::IsaSim golden(kPlatform);
-  mismatch::MismatchDetector detector;
-  detector.install_default_filters();
-  mismatch::LockstepComparator comparator;
-  mismatch::Report report;
-  comparator.begin(detector, golden, report);
-  golden.reset(test);
-  dut.set_sink(&comparator);
-  dut.reset(test);
-  dut.run();
-  comparator.finish();
-  dut.set_sink(nullptr);
-  return report;
-}
-
-/// Byte-level report identity via the wire encoding: every kind, index,
-/// commit record, signature, finding and counter must match.
-void expect_reports_identical(const mismatch::Report& a,
-                              const mismatch::Report& b) {
-  ser::Writer wa, wb;
-  mismatch::write_report(wa, a);
-  mismatch::write_report(wb, b);
-  EXPECT_EQ(wa.buffer(), wb.buffer());
-}
-
-/// Archive of a small streaming campaign: the tests a verification
-/// engineer would actually replay/minimize.
-std::vector<core::Program> campaign_corpus() {
+/// Run the campaign and replay its archive; `with_mismatch` receives how
+/// many archived entries recorded a mismatch.
+void expect_archive_replays(core::CampaignConfig cfg, const std::string& tag,
+                            std::size_t* with_mismatch) {
   const std::string dir =
-      "replay_stream_test_" + std::to_string(::getpid());
+      "replay_fidelity_" + tag + "_" + std::to_string(::getpid());
   std::filesystem::remove_all(dir);
-  baselines::RandomFuzzer gen(23);
-  core::CampaignConfig cfg;
-  cfg.num_tests = 64;
+  cfg.num_tests = 256;
   cfg.batch_size = 32;
-  cfg.platform = kPlatform;
   cfg.checkpoint_dir = dir;
+  baselines::TheHuzzFuzzer gen(5);
   (void)core::run_campaign(gen, cfg);
 
+  core::CampaignConfig stored;
+  ASSERT_TRUE(core::peek_checkpoint(dir, nullptr, &stored).ok());
   corpus::CorpusStore store;
-  EXPECT_TRUE(store.open(dir + "/corpus").ok());
-  std::vector<core::Program> tests;
+  ASSERT_TRUE(store.open(dir + "/corpus").ok());
+  ASSERT_GT(store.size(), 0u);
+  std::size_t differing = 0;
+  std::size_t minimized = 0;
+  *with_mismatch = 0;
   for (std::size_t i = 0; i < store.size(); ++i) {
     core::Program p;
-    EXPECT_TRUE(store.read_program(i, &p).ok());
-    tests.push_back(std::move(p));
+    ASSERT_TRUE(store.read_program(i, &p).ok());
+    const corpus::StoreEntryMeta& meta = store.meta(i);
+    const mismatch::Report rep = core::replay_test(p, stored, meta.test_index);
+    if (rep.mismatches.size() != meta.mismatches) ++differing;
+    if (meta.mismatches == 0) continue;
+    ++*with_mismatch;
+    if (minimized == kMinimizePerCampaign) continue;
+    ++minimized;
+    // The reduced test still replays, at the same index, to the first
+    // signature the archived test replays to.
+    SCOPED_TRACE("archived test " + std::to_string(meta.test_index));
+    const core::MinimizeResult r = core::minimize(p, stored, meta.test_index);
+    ASSERT_TRUE(r.reproduced);
+    EXPECT_EQ(r.signature, rep.mismatches.front().signature);
+    EXPECT_LE(r.reduced.size(), p.size());
+    EXPECT_EQ(core::first_signature(r.reduced, stored, meta.test_index),
+              r.signature);
   }
+  EXPECT_EQ(differing, 0u) << "of " << store.size() << " archived entries";
   std::filesystem::remove_all(dir);
-  return tests;
 }
 
-TEST(ReplayStreaming, ReplayReportsMatchLockstepForArchivedCorpus) {
-  const std::vector<core::Program> tests = campaign_corpus();
-  ASSERT_FALSE(tests.empty());
+TEST(ReplayFidelity, DefaultCampaign) {
   std::size_t with_mismatch = 0;
-  for (std::size_t i = 0; i < tests.size(); ++i) {
-    SCOPED_TRACE("corpus entry " + std::to_string(i));
-    const mismatch::Report materialized =
-        core::replay_test(tests[i], rtl::CoreConfig::rocket(), kPlatform);
-    const mismatch::Report streamed =
-        streaming_report(tests[i], rtl::CoreConfig::rocket());
-    expect_reports_identical(materialized, streamed);
-    with_mismatch += materialized.mismatches.empty() ? 0 : 1;
-  }
-  // The injected-bug DUT makes mismatching archives near-certain; an empty
-  // set would mean this test exercised nothing.
+  expect_archive_replays(core::CampaignConfig{}, "default", &with_mismatch);
+  // The rocket preset's injected bugs make mismatching archives
+  // near-certain; none would mean the minimize check exercised nothing.
   EXPECT_GT(with_mismatch, 0u);
 }
 
-TEST(ReplayStreaming, EveryInjectedBugConfigAgrees) {
-  // Single-bug configs isolate each divergence flavor (trace-length, rd
-  // value/presence, exception priority) through both pipelines.
-  using Bugs = rtl::BugInjections;
-  Bugs one_by_one[5];
-  one_by_one[0] = Bugs::none();
-  one_by_one[0].stale_icache = true;
-  one_by_one[1] = Bugs::none();
-  one_by_one[1].tracer_drops_muldiv = true;
-  one_by_one[2] = Bugs::none();
-  one_by_one[2].fault_priority_swap = true;
-  one_by_one[3] = Bugs::none();
-  one_by_one[3].amo_x0_trace = true;
-  one_by_one[4] = Bugs::none();
-  one_by_one[4].x0_link_trace = true;
-
-  baselines::RandomFuzzer gen(7);
-  const std::vector<core::Program> tests = gen.next_batch(48);
-  for (std::size_t b = 0; b < 5; ++b) {
-    rtl::CoreConfig cfg = rtl::CoreConfig::rocket();
-    cfg.bugs = one_by_one[b];
-    for (std::size_t i = 0; i < tests.size(); ++i) {
-      SCOPED_TRACE("bug config " + std::to_string(b) + ", test " +
-                   std::to_string(i));
-      expect_reports_identical(core::replay_test(tests[i], cfg, kPlatform),
-                               streaming_report(tests[i], cfg));
-    }
-  }
+TEST(ReplayFidelity, RandomizedRegisterFiles) {
+  core::CampaignConfig cfg;
+  cfg.randomize_regs = true;
+  std::size_t with_mismatch = 0;
+  expect_archive_replays(cfg, "regs", &with_mismatch);
+  EXPECT_GT(with_mismatch, 0u);
 }
 
-TEST(ReplayStreaming, MinimizePreservesStreamingReportedSignature) {
-  const std::vector<core::Program> tests = campaign_corpus();
-  mismatch::MinimizeConfig mcfg;
-  mcfg.platform = kPlatform;
-  std::size_t minimized = 0;
-  for (std::size_t i = 0; i < tests.size() && minimized < 8; ++i) {
-    const mismatch::Report streamed =
-        streaming_report(tests[i], rtl::CoreConfig::rocket());
-    if (streamed.mismatches.empty()) continue;
-    SCOPED_TRACE("corpus entry " + std::to_string(i));
-    // first_signature() rides the materialized path; the streaming report's
-    // first record must agree with it, and minimize must preserve exactly
-    // that signature while shrinking.
-    EXPECT_EQ(mismatch::first_signature(tests[i], mcfg),
-              streamed.mismatches.front().signature);
-    const mismatch::MinimizeResult r = mismatch::minimize(tests[i], mcfg);
-    ASSERT_TRUE(r.reproduced);
-    EXPECT_EQ(r.signature, streamed.mismatches.front().signature);
-    EXPECT_LE(r.reduced.size(), tests[i].size());
-    // The reduced program still produces the same first mismatch through
-    // BOTH pipelines.
-    const mismatch::Report reduced_streamed =
-        streaming_report(r.reduced, rtl::CoreConfig::rocket());
-    ASSERT_FALSE(reduced_streamed.mismatches.empty());
-    EXPECT_EQ(reduced_streamed.mismatches.front().signature, r.signature);
-    expect_reports_identical(
-        core::replay_test(r.reduced, rtl::CoreConfig::rocket(), kPlatform),
-        reduced_streamed);
-    ++minimized;
-  }
-  EXPECT_GT(minimized, 0u);
+TEST(ReplayFidelity, InorderAndOooDuts) {
+  core::CampaignConfig cfg;
+  cfg.duts = {rtl::CoreConfig::rocket(), rtl::CoreConfig::ooo()};
+  std::size_t with_mismatch = 0;
+  expect_archive_replays(cfg, "multi", &with_mismatch);
+  EXPECT_GT(with_mismatch, 0u);
+}
+
+TEST(ReplayFidelity, OooDutOnly) {
+  core::CampaignConfig cfg;
+  cfg.duts = {rtl::CoreConfig::ooo()};
+  std::size_t with_mismatch = 0;
+  expect_archive_replays(cfg, "ooo", &with_mismatch);
 }
 
 }  // namespace

@@ -97,6 +97,46 @@ TEST(Replay, CorpusRejectsBadHex) {
   const auto r = core::corpus_from_text("== test 0\nzzzz\n", &err);
   EXPECT_FALSE(r.has_value());
   EXPECT_NE(err.find("line 2"), std::string::npos);
+  // Words strtoul would take: overflow (kept as ffffffff), a sign, leading
+  // space, a 0x prefix, and nine digits whose value fits.
+  for (const char* word : {"1ffffffff", "-1", " 00000013", "0x13", "+13",
+                           "000000013", "13 "}) {
+    SCOPED_TRACE(std::string("word \"") + word + "\"");
+    EXPECT_FALSE(core::corpus_from_text(
+                     std::string("== test 0\n00000013\n") + word + "\n")
+                     .has_value());
+  }
+}
+
+TEST(Replay, CorpusWordsAreOneToEightHexDigits) {
+  const auto r =
+      core::corpus_from_text("== test 0\n13\r\nDeadBeef\n0\nffffffff\r\n");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(*r, (std::vector<Program>{{0x13u, 0xdeadbeefu, 0u, 0xffffffffu}}));
+}
+
+TEST(Replay, LenientParseQuarantinesBadBlocksVerbatim) {
+  const std::string text =
+      "# chatfuzz test corpus v1\n"
+      "== test 0\n00000013\n"
+      "== test 1\n00100093\n0x13\n00000073\n"
+      "== test 2\n00500513\n";
+  const core::CorpusParse p = core::corpus_from_text_lenient(text);
+  EXPECT_EQ(p.tests,
+            (std::vector<Program>{{0x00000013u}, {0x00500513u}}));
+  EXPECT_EQ(p.bad_blocks, 1u);
+  ASSERT_EQ(p.errors.size(), 1u);
+  EXPECT_EQ(p.errors[0], "test 1, line 6: bad hex word");
+  EXPECT_EQ(p.quarantine,
+            "# dropped: test 1, line 6: bad hex word\n"
+            "== test 1\n00100093\n0x13\n00000073\n");
+  // The quarantine is itself corpus text that fails the same way.
+  std::string err;
+  EXPECT_FALSE(core::corpus_from_text(p.quarantine, &err).has_value());
+  EXPECT_EQ(err, "test 0, line 4: bad hex word");
+  // The strict parse of the whole file fails on the same block.
+  EXPECT_FALSE(core::corpus_from_text(text, &err).has_value());
+  EXPECT_EQ(err, p.errors[0]);
 }
 
 TEST(Replay, FileRoundTrip) {
@@ -112,7 +152,7 @@ TEST(Replay, ReplayFindsInjectedBug) {
   riscv::ProgramBuilder b;
   b.li(10, 6).li(11, 7).mul(12, 10, 11);
   const mismatch::Report rep =
-      core::replay_test(b.seal(), rtl::CoreConfig::rocket(), sim::Platform{});
+      core::replay_test(b.seal(), core::CampaignConfig{});
   ASSERT_EQ(rep.mismatches.size(), 1u);
   EXPECT_EQ(rep.mismatches[0].finding, mismatch::Finding::kBug2TracerMulDiv);
 }
@@ -120,9 +160,9 @@ TEST(Replay, ReplayFindsInjectedBug) {
 TEST(Replay, CleanConfigReplaysClean) {
   riscv::ProgramBuilder b;
   b.li(10, 6).li(11, 7).mul(12, 10, 11);
-  rtl::CoreConfig cfg = rtl::CoreConfig::rocket();
-  cfg.bugs = rtl::BugInjections::none();
-  const mismatch::Report rep = core::replay_test(b.seal(), cfg, sim::Platform{});
+  core::CampaignConfig cfg;
+  cfg.core.bugs = rtl::BugInjections::none();
+  const mismatch::Report rep = core::replay_test(b.seal(), cfg);
   EXPECT_TRUE(rep.mismatches.empty());
 }
 
@@ -130,8 +170,7 @@ TEST(Replay, MismatchReportRendering) {
   mismatch::MismatchDetector det;
   riscv::ProgramBuilder b;
   b.li(10, 6).li(11, 7).mul(12, 10, 11);
-  const auto rep =
-      core::replay_test(b.seal(), rtl::CoreConfig::rocket(), sim::Platform{});
+  const auto rep = core::replay_test(b.seal(), core::CampaignConfig{});
   det.accumulate(rep);
   const std::string text = core::render_mismatch_report(det);
   EXPECT_NE(text.find("unique=1"), std::string::npos);

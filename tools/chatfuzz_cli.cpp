@@ -4,7 +4,8 @@
 //
 //   chatfuzz asm <file.s>                 assemble text to a corpus file
 //   chatfuzz disasm <corpus.txt> [n]      disassemble test n (default all)
-//   chatfuzz run <corpus.txt> [n]         co-simulate test n, print traces + mismatches
+//   chatfuzz run <corpus.txt> [n]         replay test n as a default `fuzz`
+//                                          campaign runs it, print mismatches
 //   chatfuzz minimize <corpus.txt> <n>    shrink test n to a minimal repro
 //   chatfuzz fuzz <fuzzer> <tests>        run a campaign (random|thehuzz|difuzz|
 //                                          psofuzz|hypfuzz|chatfuzz); --procs <n>
@@ -26,7 +27,6 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "baselines/hypfuzz.h"
@@ -37,17 +37,15 @@
 #include "core/chatfuzz.h"
 #include "core/checkpoint.h"
 #include "core/replay.h"
+#include "core/sim_worker.h"
+#include "corpus/stats.h"
 #include "corpus/store.h"
 #include "coverage/merge.h"
-#include "corpus/stats.h"
 #include "dist/federation.h"
 #include "dist/fleet.h"
 #include "dist/worker.h"
-#include "isasim/sim.h"
-#include "mismatch/minimize.h"
 #include "riscv/asm.h"
 #include "riscv/disasm.h"
-#include "riscv/superblock.h"
 #include "rtlsim/core.h"
 #include "rtlsim/dut.h"
 #include "util/parse.h"
@@ -68,8 +66,12 @@ struct CommandDoc {
 constexpr CommandDoc kCommands[] = {
     {"asm", "<file.s>", "assemble to stdout (corpus format)"},
     {"disasm", "<corpus.txt> [n]", "disassemble test n (default: all)"},
-    {"run", "<corpus.txt> [n]", "co-simulate + mismatch report"},
-    {"minimize", "<corpus.txt> <n>", "shrink a mismatching test"},
+    {"run", "<corpus.txt> [n]",
+     "replay test n (default: all) as a default `fuzz` campaign runs it\n"
+     "and report the mismatches"},
+    {"minimize", "<corpus.txt> <n>",
+     "shrink mismatching test n, replayed as a default `fuzz` campaign\n"
+     "runs it"},
     {"fuzz",
      "<fuzzer> <tests> [workers] [--dut <list>] [--procs <n>] "
      "[--listen <host:port>] [--token <t>] [--port-file <f>] "
@@ -79,8 +81,8 @@ constexpr CommandDoc kCommands[] = {
      "workers = simulation threads per process (default 1, 0 = all cores);\n"
      "--dut runs every test on each listed backend (inorder|rocket|boom|\n"
      "ooo, comma-separated; default inorder) against one golden model;\n"
-     "the first entry is primary (metrics/BBV/replay). Stored in\n"
-     "checkpoints; resume keeps the stored list.\n"
+     "the first entry is primary (metrics/BBV). Stored in checkpoints;\n"
+     "resume and corpus minimize keep the stored list.\n"
      "--procs fans the campaign out across <n> worker processes that\n"
      "dial the coordinator back over loopback (coordinator folds, workers\n"
      "simulate). Results are bit-identical for any worker/process count.\n"
@@ -108,7 +110,9 @@ constexpr CommandDoc kCommands[] = {
     {"corpus", "export <dir> <out.txt>", "store -> text corpus"},
     {"corpus", "import <dir> <in.txt>", "text corpus -> store"},
     {"corpus", "minimize <dir>",
-     "re-simulate, keep only tests that add coverage or mismatch;\n"
+     "replay each test as its campaign ran it (the sibling checkpoint's\n"
+     "config and DUT list, at the test's archived index; defaults for a\n"
+     "bare store) and keep only tests that add coverage or mismatch;\n"
      "mismatch-only tests whose basic-block-vector phase signature\n"
      "duplicates an earlier kept test are dropped"},
     {"corpus", "stats <dir> [--json]",
@@ -200,9 +204,18 @@ void print_campaign_result(const core::CampaignResult& r) {
   }
 }
 
-std::optional<std::vector<core::Program>> load(const char* path) {
+/// Load a text corpus and check the optional test index against it, saying
+/// why on stderr when either fails.
+std::optional<std::vector<core::Program>> load(
+    const char* path, std::optional<std::size_t> which) {
   auto corpus = core::load_corpus(path);
-  if (!corpus) std::fprintf(stderr, "cannot load corpus: %s\n", path);
+  if (!corpus) {
+    std::fprintf(stderr, "cannot load corpus: %s\n", path);
+  } else if (which && *which >= corpus->size()) {
+    std::fprintf(stderr, "%s has no test %zu (it holds %zu)\n", path, *which,
+                 corpus->size());
+    corpus.reset();
+  }
   return corpus;
 }
 
@@ -224,11 +237,11 @@ int cmd_asm(const char* path) {
   return 0;
 }
 
-int cmd_disasm(const char* path, int which) {
-  const auto corpus = load(path);
+int cmd_disasm(const char* path, std::optional<std::size_t> which) {
+  const auto corpus = load(path, which);
   if (!corpus) return 1;
   for (std::size_t i = 0; i < corpus->size(); ++i) {
-    if (which >= 0 && static_cast<std::size_t>(which) != i) continue;
+    if (which && *which != i) continue;
     std::printf("== test %zu (%zu instructions)\n", i, (*corpus)[i].size());
     std::fputs(riscv::disasm_program((*corpus)[i], 0x8000'0000ull).c_str(),
                stdout);
@@ -236,15 +249,15 @@ int cmd_disasm(const char* path, int which) {
   return 0;
 }
 
-int cmd_run(const char* path, int which) {
-  const auto corpus = load(path);
+int cmd_run(const char* path, std::optional<std::size_t> which) {
+  const auto corpus = load(path, which);
   if (!corpus) return 1;
+  const core::CampaignConfig cfg;  // the defaults `fuzz` runs with
   mismatch::MismatchDetector detector;
   detector.install_default_filters();
   for (std::size_t i = 0; i < corpus->size(); ++i) {
-    if (which >= 0 && static_cast<std::size_t>(which) != i) continue;
-    const mismatch::Report rep = core::replay_test(
-        (*corpus)[i], rtl::CoreConfig::rocket(), sim::Platform{});
+    if (which && *which != i) continue;
+    const mismatch::Report rep = core::replay_test((*corpus)[i], cfg);
     detector.accumulate(rep);
     std::printf("test %zu: %zu mismatches\n", i, rep.mismatches.size());
     for (const auto& m : rep.mismatches) {
@@ -258,15 +271,13 @@ int cmd_run(const char* path, int which) {
   return 0;
 }
 
-int cmd_minimize(const char* path, int which) {
-  const auto corpus = load(path);
-  if (!corpus || which < 0 ||
-      static_cast<std::size_t>(which) >= corpus->size()) {
-    return 1;
-  }
-  const mismatch::MinimizeResult r = mismatch::minimize((*corpus)[which]);
+int cmd_minimize(const char* path, std::size_t which) {
+  const auto corpus = load(path, which);
+  if (!corpus) return 1;
+  const core::MinimizeResult r =
+      core::minimize((*corpus)[which], core::CampaignConfig{});
   if (!r.reproduced) {
-    std::printf("test %d produces no mismatch; nothing to minimize\n", which);
+    std::printf("test %zu produces no mismatch; nothing to minimize\n", which);
     return 0;
   }
   std::printf("signature: %s\n", r.signature.c_str());
@@ -404,19 +415,8 @@ int cmd_fuzz(const char* which, std::size_t tests, std::size_t workers,
   std::unique_ptr<core::InputGenerator> gen = make_generator(which);
   if (gen == nullptr) return usage();
   if (auto* chat = dynamic_cast<core::ChatFuzzGenerator*>(gen.get())) {
-    const ser::Status loaded = chat->load_model("chatfuzz_model.bin");
-    if (!loaded.ok()) {
-      std::fprintf(stderr,
-                   "model cache unavailable: %s\n"
-                   "training model (cached to chatfuzz_model.bin)...\n",
-                   loaded.message().c_str());
-      chat->train_offline();
-      const ser::Status saved = chat->save_model("chatfuzz_model.bin");
-      if (!saved.ok()) {
-        std::fprintf(stderr, "warning: could not cache model: %s\n",
-                     saved.message().c_str());
-      }
-    }
+    std::fprintf(stderr, "training model (stages 1-2)...\n");
+    chat->train_offline();
   }
 
   try {
@@ -616,11 +616,12 @@ int cmd_federate(int argc, char** argv) {
 
 /// Corpus minimization: re-simulate every stored test in order and keep
 /// only those that still contribute (new condition bins or a mismatch) —
-/// the classic cmin pass, run against this build's DUT model. The replay
-/// also computes each test's basic-block-vector phase signature; a
-/// mismatch-only test whose phase duplicates an earlier kept test is
-/// redundant (same execution phases, no new coverage) and is dropped. The
-/// store is rewritten with fresh attribution + phase hashes.
+/// the classic cmin pass. Each test replays as its campaign ran it, on the
+/// campaign's own simulation stack. The replay also computes each test's
+/// basic-block-vector phase signature; a mismatch-only test whose phase
+/// duplicates an earlier kept test is redundant (same execution phases, no
+/// new coverage) and is dropped. The store is rewritten with fresh
+/// attribution + phase hashes.
 int cmd_corpus_minimize(const char* dir) {
   corpus::CorpusStore store;
   ser::Status s = store.open(dir);
@@ -628,27 +629,20 @@ int cmd_corpus_minimize(const char* dir) {
     std::fprintf(stderr, "%s\n", s.message().c_str());
     return 1;
   }
-  // A campaign store lives at <campaign>/corpus: replay with the campaign's
-  // own DUT/platform config from the sibling checkpoint, so tests archived
-  // under e.g. a larger max_steps keep their behavior. Bare stores (corpus
-  // import into a fresh dir) fall back to the defaults.
-  sim::Platform plat{.max_steps = 512};
-  rtl::CoreConfig core_cfg = rtl::CoreConfig::rocket();
-  {
-    const std::string parent =
-        std::filesystem::path(dir).parent_path().string();
-    core::CampaignConfig stored;
-    if (!parent.empty() &&
-        core::peek_checkpoint(parent, nullptr, &stored).ok()) {
-      plat = stored.platform;
-      core_cfg = stored.core;
-      std::fprintf(stderr, "using campaign config from %s\n",
-                   core::checkpoint_path(parent).c_str());
-    }
+  // A campaign store lives at <campaign>/corpus: replay under the campaign's
+  // whole config from the sibling checkpoint (DUT list, platform,
+  // randomize_regs, seed). Bare stores (corpus import into a fresh dir)
+  // replay under the defaults `fuzz` runs with.
+  core::CampaignConfig cfg;
+  const std::string parent = std::filesystem::path(dir).parent_path().string();
+  if (!parent.empty() && core::peek_checkpoint(parent, nullptr, &cfg).ok()) {
+    std::fprintf(stderr, "using campaign config from %s\n",
+                 core::checkpoint_path(parent).c_str());
   }
-  cov::CoverageDB db;
-  rtl::RtlCore dut(core_cfg, db, plat);
-  riscv::BbvRecorder bbv;
+  cfg.bbv_path = "-";  // collect each test's BBV for its phase hash
+  core::SimStack stack(cfg, false);
+  core::TestArtifact art;
+  std::vector<bool> covered(stack.db.num_bins());
   struct Kept {
     core::Program program;
     corpus::StoreEntryMeta meta;
@@ -663,30 +657,19 @@ int cmd_corpus_minimize(const char* dir) {
       std::fprintf(stderr, "%s\n", s.message().c_str());
       return 1;
     }
-    db.begin_test();
-    const std::size_t before = db.total_covered();
-    std::vector<bool> covered_before(db.num_bins());
-    for (std::size_t bin = 0; bin < db.num_bins(); ++bin) {
-      covered_before[bin] = db.bin_covered(bin);
-    }
-    bbv.begin();
-    dut.set_bbv(&bbv);
-    dut.reset(p);
-    dut.run();
-    dut.set_bbv(nullptr);
-    const mismatch::Report rep = core::replay_test(p, core_cfg, plat);
     corpus::StoreEntryMeta meta = store.meta(i);
-    meta.standalone_bins = static_cast<std::uint32_t>(db.test_covered());
-    meta.incremental_bins =
-        static_cast<std::uint32_t>(db.total_covered() - before);
-    meta.mismatches = static_cast<std::uint32_t>(rep.mismatches.size());
-    meta.phase_hash = bbv.phase_hash();
+    core::run_one(stack, cfg, false, p, meta.test_index, art);
     meta.new_bins.clear();
-    for (std::size_t bin = 0; bin < db.num_bins(); ++bin) {
-      if (db.test_bin_hit(bin) && !covered_before[bin]) {
-        meta.new_bins.push_back(static_cast<std::uint32_t>(bin));
+    for (const cov::BinDelta& d : art.cond_bins) {
+      if (!covered[d.bin]) {
+        covered[d.bin] = true;
+        meta.new_bins.push_back(d.bin);
       }
     }
+    meta.standalone_bins = static_cast<std::uint32_t>(art.cond_bins.size());
+    meta.incremental_bins = static_cast<std::uint32_t>(meta.new_bins.size());
+    meta.mismatches = static_cast<std::uint32_t>(art.report.mismatches.size());
+    meta.phase_hash = stack.bbv.phase_hash();
     const bool phase_dup = seen_phases.count(meta.phase_hash) != 0;
     if (meta.incremental_bins > 0 ||
         (meta.mismatches > 0 && !phase_dup)) {
@@ -779,14 +762,17 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const char* cmd = argv[1];
   if (std::strcmp(cmd, "asm") == 0 && argc >= 3) return cmd_asm(argv[2]);
-  if (std::strcmp(cmd, "disasm") == 0 && argc >= 3) {
-    return cmd_disasm(argv[2], argc >= 4 ? std::atoi(argv[3]) : -1);
-  }
-  if (std::strcmp(cmd, "run") == 0 && argc >= 3) {
-    return cmd_run(argv[2], argc >= 4 ? std::atoi(argv[3]) : -1);
-  }
-  if (std::strcmp(cmd, "minimize") == 0 && argc >= 4) {
-    return cmd_minimize(argv[2], std::atoi(argv[3]));
+  if ((std::strcmp(cmd, "disasm") == 0 || std::strcmp(cmd, "run") == 0 ||
+       std::strcmp(cmd, "minimize") == 0) &&
+      argc >= 3) {
+    // The test index is strict: "abc" or "-7" is a usage error, never test
+    // 0 or "every test".
+    std::optional<std::size_t> which;
+    if (argc >= 4 && !(which = parse_count(argv[3]))) return usage();
+    if (std::strcmp(cmd, "disasm") == 0) return cmd_disasm(argv[2], which);
+    if (std::strcmp(cmd, "run") == 0) return cmd_run(argv[2], which);
+    if (!which) return usage();
+    return cmd_minimize(argv[2], *which);
   }
   if (std::strcmp(cmd, "fuzz") == 0 && argc >= 4 &&
       std::strcmp(argv[2], "--resume") == 0) {
