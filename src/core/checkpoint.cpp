@@ -19,6 +19,29 @@ constexpr std::uint32_t kCheckpointMagic = 0x43465A4B;  // "CFZK"
 // fields could restore against the wrong instrumentation.
 constexpr std::uint32_t kCheckpointVersion = 4;
 
+// The largest DUT structures a config record may ask for: far above every
+// preset (at most 4 KiB per cache, 32 BTB or ROB entries, 8 store-queue
+// entries), and small enough that a hostile checkpoint or config frame
+// cannot make the models allocate without bound.
+constexpr std::uint64_t kMaxCacheBytes = 1u << 20;
+constexpr unsigned kMaxBtbEntries = 1u << 16;
+constexpr unsigned kMaxRobEntries = 1024;
+constexpr unsigned kMaxSqEntries = 256;
+
+/// Cache geometry the models' set/way/line arithmetic can run: nonzero
+/// divisors, whole 32-bit words per line, bounded capacity.
+bool cache_geometry_ok(unsigned sets, unsigned ways, unsigned line) {
+  return sets > 0 && ways > 0 && line > 0 && line % 4 == 0 &&
+         std::uint64_t{sets} * ways <= kMaxCacheBytes / line;
+}
+
+bool core_geometry_ok(const rtl::CoreConfig& c) {
+  return cache_geometry_ok(c.icache_sets, c.icache_ways, c.icache_line) &&
+         cache_geometry_ok(c.dcache_sets, c.dcache_ways, c.dcache_line) &&
+         c.btb_entries > 0 && c.btb_entries <= kMaxBtbEntries &&
+         c.rob_size <= kMaxRobEntries && c.sq_size <= kMaxSqEntries;
+}
+
 void write_core_config(ser::Writer& w, const rtl::CoreConfig& c) {
   w.str(c.name);
   w.u32(c.icache_sets);
@@ -83,6 +106,9 @@ void read_core_config(ser::Reader& r, rtl::CoreConfig& c) {
   c.bugs.ooo_broken_fwd = r.boolean();
   c.bugs.ooo_early_store_drain = r.boolean();
   c.bugs.ooo_missing_squash = r.boolean();
+  // Checkpoints and the dist config frame both land here, and every DUT is
+  // built from what this returns: refuse geometry the models cannot run.
+  if (!core_geometry_ok(c)) r.fail();
 }
 
 }  // namespace

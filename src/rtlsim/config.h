@@ -9,8 +9,13 @@
 namespace chatfuzz::rtl {
 
 /// The deviations ChatFuzz found in RocketCore, reproduced as switchable
-/// behaviours of the model. See DESIGN.md for the full mapping.
+/// behaviours of the model, plus hypothetical privileged and out-of-order
+/// defects for validating the harness. Each group names the code that reads
+/// its flags: the first five only the in-order RtlCore::execute; the three
+/// privileged ones the trap/CSR/MMU unit both backends share (DutCore,
+/// dut.cpp); the ooo_* ones only OooCore's pipeline.
 struct BugInjections {
+  // In-order core only (RtlCore::execute).
   /// Bug1 (CWE-1202): I$ serves stale instructions after stores to fetched
   /// lines until FENCE.I; the golden model is always coherent.
   bool stale_icache = true;
@@ -26,24 +31,28 @@ struct BugInjections {
   /// (trace-only artifact).
   bool x0_link_trace = true;
 
-  // Privileged/Sv39 bug surface (PR 6). These default OFF: they model
-  // hypothetical trap/translation defects used to validate that the
-  // differential harness *would* catch them, not paper findings.
+  // Privileged/Sv39 bug surface, read by the shared trap/CSR/MMU unit
+  // (DutCore), so each means the same on the in-order and the out-of-order
+  // backend. These default OFF: they model hypothetical trap/translation
+  // defects used to validate that the differential harness *would* catch
+  // them, not paper findings.
   /// Trap unit ignores medeleg: delegated causes still vector to M-mode.
   /// Surfaces as S-CSR state divergence after a trap taken below M.
+  /// Read by DutCore::enter_trap.
   bool wrong_delegation = false;
-  /// LSU skips the PTE W/D permission checks on stores: writes to read-only
-  /// or non-dirty pages succeed instead of raising store-page-fault.
+  /// MMU skips the PTE W/D permission checks on stores: writes to read-only
+  /// or non-dirty pages succeed instead of raising store-page-fault. Read by
+  /// DutCore::leaf_permissions.
   bool skip_perm_check = false;
   /// TLB is flushed on sfence.vma only, not on satp writes — stale leaf
-  /// PTEs survive a translation-context switch.
+  /// PTEs survive a translation-context switch. Read by DutCore::csr_write.
   bool stale_tlb = false;
 
   // Out-of-order backend bug surface (the memory-ordering defect classes
   // TheHuzz/DifuzzRTL flag as the richest source of silicon escapes). Only
-  // the OOO core model reads these; the in-order core ignores them, and the
-  // `ooo` preset switches them on the way the paper's DUTs really carried
-  // their findings.
+  // OooCore's LSU and squash logic read these; the in-order core ignores
+  // them, and the `ooo` preset switches them on the way the paper's DUTs
+  // really carried their findings.
   /// LSU store-to-load forwarding is broken: a load whose bytes should be
   /// forwarded from an older in-flight store reads stale memory instead.
   bool ooo_broken_fwd = false;

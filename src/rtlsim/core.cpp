@@ -14,68 +14,6 @@ using riscv::Priv;
 using sim::CommitRecord;
 
 namespace {
-std::uint64_t sext32(std::uint64_t v) {
-  return static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(static_cast<std::int32_t>(v)));
-}
-
-unsigned mem_size_of(Opcode op) {
-  switch (op) {
-    case Opcode::kLb: case Opcode::kLbu: case Opcode::kSb: return 1;
-    case Opcode::kLh: case Opcode::kLhu: case Opcode::kSh: return 2;
-    case Opcode::kLw: case Opcode::kLwu: case Opcode::kSw: return 4;
-    case Opcode::kLrW: case Opcode::kScW: return 4;
-    default: return 8;
-  }
-}
-
-bool is_load_op(Opcode op) {
-  switch (op) {
-    case Opcode::kLb: case Opcode::kLh: case Opcode::kLw: case Opcode::kLd:
-    case Opcode::kLbu: case Opcode::kLhu: case Opcode::kLwu:
-      return true;
-    default:
-      return false;
-  }
-}
-bool is_store_op(Opcode op) {
-  switch (op) {
-    case Opcode::kSb: case Opcode::kSh: case Opcode::kSw: case Opcode::kSd:
-      return true;
-    default:
-      return false;
-  }
-}
-bool is_branch_op(Opcode op) {
-  switch (op) {
-    case Opcode::kBeq: case Opcode::kBne: case Opcode::kBlt:
-    case Opcode::kBge: case Opcode::kBltu: case Opcode::kBgeu:
-      return true;
-    default:
-      return false;
-  }
-}
-bool is_amo_op(Opcode op) {
-  const auto& s = riscv::spec(op);
-  return s.ext == riscv::Ext::kA && s.format == riscv::Format::kAmo &&
-         op != Opcode::kScW && op != Opcode::kScD;
-}
-bool is_alu_imm_op(Opcode op) {
-  switch (op) {
-    case Opcode::kAddi: case Opcode::kSlti: case Opcode::kSltiu:
-    case Opcode::kXori: case Opcode::kOri: case Opcode::kAndi:
-    case Opcode::kSlli: case Opcode::kSrli: case Opcode::kSrai:
-    case Opcode::kAddiw: case Opcode::kSlliw: case Opcode::kSrliw:
-    case Opcode::kSraiw:
-      return true;
-    default:
-      return false;
-  }
-}
-bool is_alu_reg_op(Opcode op) {
-  const auto& s = riscv::spec(op);
-  return s.format == riscv::Format::kR && s.ext == riscv::Ext::kI;
-}
 bool is_csr_op(Opcode op) {
   const auto& s = riscv::spec(op);
   return s.ext == riscv::Ext::kZicsr;
@@ -95,13 +33,7 @@ bool is_wform_op(Opcode op) {
 }  // namespace
 
 RtlCore::RtlCore(const CoreConfig& cfg, cov::CoverageDB& db, sim::Platform plat)
-    : cfg_(cfg),
-      db_(db),
-      plat_(plat),
-      mem_(plat.ram_base, plat.ram_size),
-      icache_(cfg.icache_sets, cfg.icache_ways, cfg.icache_line),
-      dcache_(cfg.dcache_sets, cfg.dcache_ways, cfg.dcache_line),
-      predictor_(cfg.btb_entries) {
+    : DutCore(cfg, db, plat) {
   register_points();
   op_count_.assign(riscv::kNumOpcodes + 1, 0);
   op_priv_count_.assign(2 * (riscv::kNumOpcodes + 1), 0);
@@ -519,45 +451,17 @@ void RtlCore::reset(std::span<const std::uint32_t> program) {
   // A run abandoned mid-flight still owns deferred chain counters; land
   // them first so the DB holds every evaluation the old code would have.
   fold_deferred_chains();
-  mem_.clear();
-  mem_.load_words(plat_.ram_base, program);
+  reset_common(program);
   regs_ = sim::initial_regs(plat_);
-  pc_ = plat_.ram_base;
-  priv_ = Priv::kMachine;
-  csrs_ = CsrFile{};
-  csrs_.mtvec = plat_.ram_base;
-  mtvec_reset_value_ = plat_.ram_base;
-  clint_.reset();
-  reservation_.reset();
   ev_ = StepEvents{};
   prev_ev_ = StepEvents{};
-  icache_.flush();
-  dcache_.flush();
-  // The predictor is microarchitectural state like the caches: each test
-  // boots a freshly reset core, exactly as each VCS simulation does in the
-  // paper's harness. Keeping BTB history across tests would also make
-  // per-test coverage depend on which tests shared a simulator instance.
-  predictor_.flush();
-  predecode_.flush();
-  // Cached spans are already stale — icache_.flush() bumped every line
+  // Cached spans are already stale — the I$ flush bumped every line
   // generation — but dropping them keeps the span arena flat across tests.
   sb_.flush();
   sb_builds_ = 0;
-  flush_tlb();
-  cycles_ = 0;
   last_rd_ = 0;
   last_was_load_ = false;
   last_was_short_alu_ = false;
-  last_ctrl_pack_ = 0;
-  program_end_ = plat_.ram_base + 4 * program.size();
-  trace_.clear();
-  // Same scratch policy as IsaSim::reset(): reserve the full-depth commit
-  // trace once up front, and not at all while a sink is attached (the
-  // streaming path keeps the trace empty).
-  if (sink_ == nullptr) trace_.reserve(plat_.max_steps);
-  stopped_ = false;
-  stop_reason_ = sim::StopReason::kStepLimit;
-  steps_ = 0;
 }
 
 sim::RunResult RtlCore::run() {
@@ -576,13 +480,7 @@ sim::RunResult RtlCore::run() {
   } else {
     while (!stopped_) step();
   }
-  if (bbv_ != nullptr) bbv_->on_stop();
-  sim::RunResult r;
-  r.trace = trace_;
-  r.stop = stop_reason_;
-  r.steps = steps_;
-  r.final_pc = pc_;
-  return r;
+  return finish_run();
 }
 
 const RtlCore::FusedIndex::Span* RtlCore::build_superblock() {
@@ -744,23 +642,7 @@ bool RtlCore::run_superblock() {
       if (cfg_.cross_depth >= 2 && ev_.trap) trap_cause_priv_points();
     }
     prev_ev_ = ev_;
-    std::uint64_t pack = static_cast<std::uint64_t>(s.d.op);
-    pack |= 1ull << 7;  // fused fetches are guaranteed I$ hits
-    pack |= static_cast<std::uint64_t>(rec.has_mem) << 8;
-    pack |= static_cast<std::uint64_t>(rec.exception != Exception::kNone) << 9;
-    pack |= static_cast<std::uint64_t>(static_cast<unsigned>(priv_)) << 10;
-    pack |= static_cast<std::uint64_t>(rec.has_rd_write) << 12;
-    ctrl_cov_.observe(pack);
-    ctrl_cov_.observe(pack ^ (last_ctrl_pack_ << 13));
-    last_ctrl_pack_ = pack;
-    if (sink_ != nullptr) {
-      sink_->on_commit(rec);
-    } else {
-      trace_.push_back(rec);
-    }
-    if (bbv_ != nullptr) {
-      bbv_->on_commit(rec.pc, pc_, rec.exception != Exception::kNone);
-    }
+    commit(rec, s.d, /*icache_hit=*/true);  // fused fetches always hit
     ++executed;
     if (rec.exception != Exception::kNone) {
       // The magic trampoline resumes at the faulting pc + 4 — the span's
@@ -816,252 +698,27 @@ bool RtlCore::run_superblock() {
   return executed > 0;
 }
 
-bool RtlCore::csr_read(std::uint16_t addr, std::uint64_t& value,
-                       riscv::Priv view) const {
-  namespace c = riscv::csr;
-  if (static_cast<int>(view) < static_cast<int>(c::min_priv(addr))) return false;
-  switch (addr) {
-    case c::kMstatus: value = csrs_.mstatus; return true;
-    case c::kMisa: value = sim::kMisaValue; return true;
-    case c::kMedeleg: value = csrs_.medeleg; return true;
-    case c::kMideleg: value = csrs_.mideleg; return true;
-    case c::kMie: value = csrs_.mie; return true;
-    case c::kMtvec: value = csrs_.mtvec; return true;
-    case c::kMcounteren: value = csrs_.mcounteren; return true;
-    case c::kMscratch: value = csrs_.mscratch; return true;
-    case c::kMepc: value = csrs_.mepc; return true;
-    case c::kMcause: value = csrs_.mcause; return true;
-    case c::kMtval: value = csrs_.mtval; return true;
-    case c::kMip: value = csrs_.mip; return true;
-    case c::kMcycle: case c::kCycle: value = cycles_; return true;
-    case c::kTime: value = cycles_ / 100; return true;
-    case c::kMinstret: case c::kInstret: value = csrs_.instret; return true;
-    case c::kMvendorid: case c::kMarchid: case c::kMimpid: case c::kMhartid:
-      value = 0;
-      return true;
-    case c::kSstatus:
-      value = csrs_.mstatus &
-              (sim::mstatus::kSie | sim::mstatus::kSpie | sim::mstatus::kSpp |
-               sim::mstatus::kSum | sim::mstatus::kMxr);
-      return true;
-    case c::kSie: value = csrs_.mie & 0x222; return true;
-    case c::kSip: value = csrs_.mip & 0x222; return true;
-    case c::kStvec: value = csrs_.stvec; return true;
-    case c::kScounteren: value = csrs_.scounteren; return true;
-    case c::kSscratch: value = csrs_.sscratch; return true;
-    case c::kSepc: value = csrs_.sepc; return true;
-    case c::kScause: value = csrs_.scause; return true;
-    case c::kStval: value = csrs_.stval; return true;
-    case c::kSatp: value = csrs_.satp; return true;
-    default: return false;
-  }
-}
-
-bool RtlCore::csr_write(std::uint16_t addr, std::uint64_t value) {
-  namespace c = riscv::csr;
-  namespace ms = sim::mstatus;
-  if (static_cast<int>(priv_) < static_cast<int>(c::min_priv(addr))) return false;
-  if (c::is_read_only(addr)) return false;
-  constexpr std::uint64_t kStatusMask = ms::kSie | ms::kMie | ms::kSpie |
-                                        ms::kMpie | ms::kSpp | ms::kMppMask |
-                                        ms::kSum | ms::kMxr;
-  switch (addr) {
-    case c::kMstatus: {
-      std::uint64_t v = value & kStatusMask;
-      if (((v & ms::kMppMask) >> ms::kMppShift) == 2) v &= ~ms::kMppMask;
-      csrs_.mstatus = v;
-      return true;
+riscv::Exception RtlCore::translate_cc(std::uint64_t vaddr, MemAccess kind,
+                                       std::uint64_t& paddr) {
+  TlbWalk walk;
+  const Exception f = translate(vaddr, kind, paddr, &walk);
+  if (p_tlb_.empty()) return f;  // MMU points exist at cross_depth 2 only
+  cc(p_tlb_[3], kind == MemAccess::kStore);           // store-permission path
+  cc(p_tlb_[4], ((csrs_.satp >> 44) & 0xffff) != 0);  // ASID bits set
+  if (walk.looked_up) {
+    cc(p_tlb_[1], walk.hit);
+    cc(p_tlb_[5], !walk.hit);  // refill walk engaged
+    cc(p_ptw_active_, !walk.hit);
+    if (walk.level >= 0) {
+      cc(p_tlb_[2], walk.level > 0);  // superpage leaf
+      cc(p_ptw_level_, walk.level > 0);
     }
-    case c::kMisa: return true;
-    case c::kMedeleg: csrs_.medeleg = value & c::kMedelegMask; return true;
-    case c::kMideleg: csrs_.mideleg = value & c::kMidelegMask; return true;
-    case c::kMie: csrs_.mie = value & 0xaaa; return true;
-    case c::kMtvec: csrs_.mtvec = value & ~3ull; return true;
-    case c::kMcounteren: csrs_.mcounteren = value & 7; return true;
-    case c::kMscratch: csrs_.mscratch = value; return true;
-    case c::kMepc: csrs_.mepc = value & ~3ull; return true;
-    case c::kMcause: csrs_.mcause = value; return true;
-    case c::kMtval: csrs_.mtval = value; return true;
-    case c::kMip: csrs_.mip = value & 0x222; return true;
-    case c::kMcycle: cycles_ = value; return true;
-    case c::kMinstret: csrs_.instret = value; return true;
-    case c::kSstatus: {
-      constexpr std::uint64_t kSMask =
-          ms::kSie | ms::kSpie | ms::kSpp | ms::kSum | ms::kMxr;
-      csrs_.mstatus = (csrs_.mstatus & ~kSMask) | (value & kSMask);
-      return true;
-    }
-    case c::kSie:
-      csrs_.mie = (csrs_.mie & ~0x222ull) | (value & 0x222);
-      return true;
-    case c::kSip:
-      csrs_.mip = (csrs_.mip & ~0x222ull) | (value & 0x222);
-      return true;
-    case c::kStvec: csrs_.stvec = value & ~3ull; return true;
-    case c::kScounteren: csrs_.scounteren = value & 7; return true;
-    case c::kSscratch: csrs_.sscratch = value; return true;
-    case c::kSepc: csrs_.sepc = value & ~3ull; return true;
-    case c::kScause: csrs_.scause = value; return true;
-    case c::kStval: csrs_.stval = value; return true;
-    case c::kSatp:
-      // WARL MODE (Bare/Sv39 only). An accepted write switches the
-      // translation context, so the TLB must drop its cached leaves —
-      // unless the stale-TLB bug leaves them in place (sfence.vma still
-      // flushes).
-      csrs_.satp = c::legalize_satp(csrs_.satp, value);
-      if (!cfg_.bugs.stale_tlb) flush_tlb();
-      return true;
-    default: return false;
   }
-}
-
-bool RtlCore::translation_active() const {
-  namespace c = riscv::csr;
-  return priv_ != Priv::kMachine &&
-         (csrs_.satp >> c::kSatpModeShift) == c::kSatpModeSv39;
-}
-
-void RtlCore::flush_tlb() {
-  for (auto& e : tlb_) e = TlbEntry{};
-}
-
-riscv::Exception RtlCore::leaf_permissions(std::uint64_t pte, MemAccess kind) {
-  namespace pv = riscv::sv39;
-  namespace ms = sim::mstatus;
-  const Exception fault = kind == MemAccess::kFetch  ? Exception::kInstrPageFault
-                          : kind == MemAccess::kLoad ? Exception::kLoadPageFault
-                                                     : Exception::kStorePageFault;
-  const bool u_page = (pte & pv::kPteU) != 0;
-  switch (kind) {
-    case MemAccess::kFetch:
-      if ((pte & pv::kPteX) == 0) return fault;
-      // U needs the U bit; S fetching from a U page always faults (SUM
-      // gates data accesses only).
-      if ((priv_ == Priv::kUser) != u_page) return fault;
-      break;
-    case MemAccess::kLoad: {
-      if (priv_ == Priv::kUser && !u_page) return fault;
-      if (priv_ == Priv::kSupervisor && u_page &&
-          (csrs_.mstatus & ms::kSum) == 0) {
-        return fault;
-      }
-      const bool mxr = (csrs_.mstatus & ms::kMxr) != 0;
-      if ((pte & pv::kPteR) == 0 && !(mxr && (pte & pv::kPteX) != 0)) {
-        return fault;
-      }
-      break;
-    }
-    case MemAccess::kStore:
-      if (priv_ == Priv::kUser && !u_page) return fault;
-      if (priv_ == Priv::kSupervisor && u_page &&
-          (csrs_.mstatus & ms::kSum) == 0) {
-        return fault;
-      }
-      // Bug site skip_perm_check: the store permission comparator (W) and
-      // the dirty check below are skipped — stores to read-only pages land.
-      if (!cfg_.bugs.skip_perm_check && (pte & pv::kPteW) == 0) return fault;
-      break;
-  }
-  // Svade: the walker never updates A/D; accesses needing an update fault.
-  if ((pte & pv::kPteA) == 0) return fault;
-  if (kind == MemAccess::kStore && !cfg_.bugs.skip_perm_check &&
-      (pte & pv::kPteD) == 0) {
-    return fault;
-  }
-  return Exception::kNone;
-}
-
-riscv::Exception RtlCore::translate(std::uint64_t vaddr, MemAccess kind,
-                                    std::uint64_t& paddr) {
-  namespace c = riscv::csr;
-  namespace pv = riscv::sv39;
-  const Exception fault = kind == MemAccess::kFetch  ? Exception::kInstrPageFault
-                          : kind == MemAccess::kLoad ? Exception::kLoadPageFault
-                                                     : Exception::kStorePageFault;
-  const bool cov = !p_tlb_.empty();  // MMU points exist at cross_depth 2 only
-  if (cov) {
-    cc(p_tlb_[3], kind == MemAccess::kStore);           // store-permission path
-    cc(p_tlb_[4], ((csrs_.satp >> 44) & 0xffff) != 0);  // ASID bits set
-  }
-  if (!pv::canonical(vaddr)) {
-    if (cov) cc(p_ptw_fault_, true);
-    return fault;
-  }
-  const std::uint64_t vpn = vaddr >> pv::kPageShift;
-  TlbEntry& slot = tlb_[vpn % tlb_.size()];
-  const bool hit = slot.valid && slot.vpn == vpn;
-  if (hit) {
-    ++obs_.tlb_hits;
-  } else {
-    ++obs_.tlb_misses;
-  }
-  if (cov) {
-    cc(p_tlb_[1], hit);
-    cc(p_tlb_[5], !hit);  // refill walk engaged
-    cc(p_ptw_active_, !hit);
-  }
-  if (!hit) {
-    // Page-table walk, root first. The PTW is a memory client of its own in
-    // real RTL; here it reads RAM directly (uncached) one PTE per level.
-    std::uint64_t table = (csrs_.satp & c::kSatpPpnMask) << pv::kPageShift;
-    int level = static_cast<int>(pv::kLevels) - 1;
-    std::uint64_t pte = 0;
-    while (true) {
-      if (level < 0) {
-        if (cov) cc(p_ptw_fault_, true);
-        return fault;
-      }
-      const std::uint64_t pte_addr =
-          table + pv::vpn_slice(vaddr, static_cast<unsigned>(level)) * 8;
-      if (!mem_.in_ram(pte_addr, 8)) {
-        if (cov) cc(p_ptw_fault_, true);
-        return fault;
-      }
-      pte = mem_.read(pte_addr, 8);
-      const bool valid = (pte & pv::kPteV) != 0 &&
-                         !((pte & pv::kPteW) != 0 && (pte & pv::kPteR) == 0);
-      if (!valid) {
-        if (cov) cc(p_ptw_fault_, true);
-        return fault;
-      }
-      if ((pte & (pv::kPteR | pv::kPteX)) != 0) break;  // leaf PTE
-      table = pv::pte_ppn(pte) << pv::kPageShift;
-      --level;
-    }
-    // Superpage leaves must be PPN-aligned to their span.
-    if (level > 0 &&
-        (pv::pte_ppn(pte) & ((1ull << (9 * static_cast<unsigned>(level))) - 1)) != 0) {
-      if (cov) cc(p_ptw_fault_, true);
-      return fault;
-    }
-    slot.valid = true;
-    slot.vpn = vpn;
-    slot.pte = pte;
-    slot.level = static_cast<std::uint8_t>(level);
-    cycles_ += cfg_.miss_penalty;  // walk stalls like a cache miss
-  }
-  if (cov) {
-    cc(p_tlb_[2], slot.level > 0);  // superpage leaf
-    cc(p_ptw_level_, slot.level > 0);
-  }
-  // The TLB caches the PTE, not the verdict: permissions re-check against
-  // the current privilege/mstatus on every access.
-  if (const Exception f = leaf_permissions(slot.pte, kind);
-      f != Exception::kNone) {
-    if (cov) cc(p_ptw_fault_, true);
-    return f;
-  }
-  if (cov) cc(p_ptw_fault_, false);
-  const std::uint64_t span = (1ull << (9 * slot.level)) - 1;
-  const std::uint64_t ppn = (pv::pte_ppn(slot.pte) & ~span) | (vpn & span);
-  paddr = (ppn << pv::kPageShift) | (vaddr & ((1ull << pv::kPageShift) - 1));
-  return Exception::kNone;
+  cc(p_ptw_fault_, f != Exception::kNone);
+  return f;
 }
 
 void RtlCore::raise(CommitRecord& rec, Exception cause, std::uint64_t tval) {
-  rec.exception = cause;
-  rec.has_rd_write = false;
-  rec.has_mem = false;
   ev_.trap = true;
   ev_.cause = cause;
   // Trap-unit condition points: one per cause, plus origin privilege.
@@ -1071,38 +728,7 @@ void RtlCore::raise(CommitRecord& rec, Exception cause, std::uint64_t tval) {
   cc(p_trap_from_u_, priv_ == Priv::kUser);
   cc(p_trap_from_s_, priv_ == Priv::kSupervisor);
   cc(p_deleg_, csrs_.medeleg != 0);
-
-  namespace ms = sim::mstatus;
-  // Delegation mux: a trap from below M whose medeleg bit is set vectors to
-  // the S-mode trampoline. Bug site wrong_delegation: the mux ignores
-  // medeleg and every trap falls through to M.
-  const bool deleg_wanted =
-      priv_ != Priv::kMachine &&
-      ((csrs_.medeleg >> static_cast<unsigned>(cause)) & 1) != 0;
-  if (cc(p_deleg_taken_, deleg_wanted && !cfg_.bugs.wrong_delegation)) {
-    csrs_.sepc = pc_;
-    csrs_.scause = static_cast<std::uint64_t>(cause);
-    csrs_.stval = tval;
-    const bool sie = (csrs_.mstatus & ms::kSie) != 0;
-    csrs_.mstatus &= ~(ms::kSie | ms::kSpie | ms::kSpp);
-    if (sie) csrs_.mstatus |= ms::kSpie;
-    if (priv_ == Priv::kSupervisor) csrs_.mstatus |= ms::kSpp;
-    priv_ = Priv::kSupervisor;
-    pc_ = csrs_.sepc + 4;  // S-mode magic trampoline (platform.h)
-    cycles_ += cfg_.mispredict_penalty;
-    if (cfg_.superscalar) cc(p_b_flush_, true);
-    return;
-  }
-  csrs_.mepc = pc_;
-  csrs_.mcause = static_cast<std::uint64_t>(cause);
-  csrs_.mtval = tval;
-  const bool mie = (csrs_.mstatus & ms::kMie) != 0;
-  csrs_.mstatus &= ~(ms::kMie | ms::kMpie | ms::kMppMask);
-  if (mie) csrs_.mstatus |= ms::kMpie;
-  csrs_.mstatus |= static_cast<std::uint64_t>(priv_) << ms::kMppShift;
-  priv_ = Priv::kMachine;
-  pc_ = csrs_.mepc + 4;  // magic trampoline (platform.h)
-  cycles_ += cfg_.mispredict_penalty;  // redirect costs a flush
+  cc(p_deleg_taken_, enter_trap(rec, cause, tval));
   if (cfg_.superscalar) cc(p_b_flush_, true);
 }
 
@@ -1117,37 +743,14 @@ void RtlCore::write_rd(CommitRecord& rec, std::uint8_t rd, std::uint64_t value) 
 }
 
 void RtlCore::service_interrupts() {
-  namespace ms = sim::mstatus;
-  clint_.tick();
-  csrs_.mip = (csrs_.mip & ~sim::mip::kMachineBits) | clint_.pending_mip();
-  const std::uint64_t ready = csrs_.mie & csrs_.mip & sim::mip::kMachineBits;
+  tick_clint();
   // The pending lines are condition points in their own right; with CLINT
   // stimulus their true bins finally become reachable.
   for (std::size_t i = 0; i < p_irq_pending_.size(); ++i) {
     const std::uint64_t bit = 1ull << (1 + 2 * i);
     cc(p_irq_pending_[i], (csrs_.mie & csrs_.mip & bit) != 0);
   }
-  if (ready == 0) return;
-  const bool enabled =
-      priv_ != Priv::kMachine || (csrs_.mstatus & ms::kMie) != 0;
-  if (!enabled) return;
-  // Software interrupts outrank timer interrupts (privileged spec).
-  const std::uint64_t cause = (ready & sim::mip::kMsip) != 0
-                                  ? sim::mip::kCauseMsi
-                                  : sim::mip::kCauseMti;
-  csrs_.mepc = pc_;
-  csrs_.mcause = sim::mip::kInterruptFlag | cause;
-  csrs_.mtval = 0;
-  const bool mie = (csrs_.mstatus & ms::kMie) != 0;
-  csrs_.mstatus &= ~(ms::kMie | ms::kMpie | ms::kMppMask);
-  if (mie) csrs_.mstatus |= ms::kMpie;
-  csrs_.mstatus |= static_cast<std::uint64_t>(priv_) << ms::kMppShift;
-  priv_ = Priv::kMachine;
-  cycles_ += cfg_.mispredict_penalty;  // pipeline redirect
-  // Magic trampoline: acknowledge at the device, resume at the interrupted
-  // instruction (pc_ unchanged). See platform.h.
-  clint_.clear_source(cause);
-  csrs_.mip = (csrs_.mip & ~sim::mip::kMachineBits) | clint_.pending_mip();
+  take_interrupt();
 }
 
 void RtlCore::evaluate_background_units(const Decoded& d) {
@@ -1199,8 +802,7 @@ std::optional<CommitRecord> RtlCore::step() {
     return std::nullopt;
   }
   if (steps_ >= plat_.max_steps) {
-    stopped_ = true;
-    stop_reason_ = sim::StopReason::kStepLimit;
+    stop(sim::StopReason::kStepLimit);
     fold_deferred_chains();
     return std::nullopt;
   }
@@ -1212,7 +814,7 @@ std::optional<CommitRecord> RtlCore::step() {
   std::uint64_t fetch_pa = pc_;
   if (translation_active()) {
     if (!p_tlb_.empty()) cc(p_tlb_[0], true);  // I-side TLB lookup
-    if (const Exception pf = translate(pc_, MemAccess::kFetch, fetch_pa);
+    if (const Exception pf = translate_cc(pc_, MemAccess::kFetch, fetch_pa);
         pf != Exception::kNone) {
       // Fetch page fault: nothing was fetched, so the committed record
       // carries instr=0 and the select chains see an invalid decode.
@@ -1243,26 +845,14 @@ std::optional<CommitRecord> RtlCore::step() {
         metrics_->on_step(ob);
       }
       prev_ev_ = ev_;
-      std::uint64_t pack = 0x7f;
-      pack |= 1ull << 9;  // trapped
-      pack |= static_cast<std::uint64_t>(static_cast<unsigned>(priv_)) << 10;
-      ctrl_cov_.observe(pack);
-      ctrl_cov_.observe(pack ^ (last_ctrl_pack_ << 13));
-      last_ctrl_pack_ = pack;
-      if (sink_ != nullptr) {
-        sink_->on_commit(rec);
-      } else {
-        trace_.push_back(rec);
-      }
-      if (bbv_ != nullptr) bbv_->on_commit(rec.pc, pc_, true);
+      commit(rec, Decoded{}, /*icache_hit=*/false);
       return rec;
     }
   } else if (!p_tlb_.empty()) {
     cc(p_tlb_[0], false);  // MMU consulted, found Bare: passthrough
   }
   if (!mem_.in_ram(fetch_pa, 4)) {
-    stopped_ = true;
-    stop_reason_ = sim::StopReason::kPcEscape;
+    stop(sim::StopReason::kPcEscape);
     fold_deferred_chains();
     return std::nullopt;
   }
@@ -1285,8 +875,7 @@ std::optional<CommitRecord> RtlCore::step() {
   cc(p_fetch_cross_, fetch_pa % cfg_.icache_line == cfg_.icache_line - 4);
 
   if (raw == 0) {
-    stopped_ = true;
-    stop_reason_ = sim::StopReason::kProgramEnd;
+    stop(sim::StopReason::kProgramEnd);
     fold_deferred_chains();
     return std::nullopt;
   }
@@ -1381,27 +970,7 @@ std::optional<CommitRecord> RtlCore::step() {
     metrics_->on_step(ob);
   }
   prev_ev_ = ev_;
-
-  // ---- Control-register coverage (DifuzzRTL metric) ----
-  std::uint64_t pack = 0;
-  pack |= d.valid() ? static_cast<std::uint64_t>(d.op) : 0x7f;
-  pack |= static_cast<std::uint64_t>(iacc.hit) << 7;
-  pack |= static_cast<std::uint64_t>(rec.has_mem) << 8;
-  pack |= static_cast<std::uint64_t>(rec.exception != Exception::kNone) << 9;
-  pack |= static_cast<std::uint64_t>(static_cast<unsigned>(priv_)) << 10;
-  pack |= static_cast<std::uint64_t>(rec.has_rd_write) << 12;
-  ctrl_cov_.observe(pack);
-  ctrl_cov_.observe(pack ^ (last_ctrl_pack_ << 13));  // sequence-sensitive
-  last_ctrl_pack_ = pack;
-
-  if (sink_ != nullptr) {
-    sink_->on_commit(rec);
-  } else {
-    trace_.push_back(rec);
-  }
-  if (bbv_ != nullptr) {
-    bbv_->on_commit(rec.pc, pc_, rec.exception != Exception::kNone);
-  }
+  commit(rec, d, iacc.hit);  // DifuzzRTL control-register coverage + trace
   if (stopped_) fold_deferred_chains();  // wfi retired: the run just ended
   return rec;
 }
@@ -1518,8 +1087,8 @@ void RtlCore::execute(const Decoded& d, CommitRecord& rec) {
       Exception pgf = Exception::kNone;
       if (!p_tlb_.empty()) cc(p_tlb_[0], xlate);
       if (xlate && (cfg_.bugs.fault_priority_swap || !misaligned)) {
-        pgf = translate(addr, is_store ? MemAccess::kStore : MemAccess::kLoad,
-                        pa);
+        pgf = translate_cc(addr,
+                           is_store ? MemAccess::kStore : MemAccess::kLoad, pa);
       }
       const bool is_clint = pgf == Exception::kNone && clint_.contains(plat_, pa);
       const bool fault =
@@ -1575,8 +1144,7 @@ void RtlCore::execute(const Decoded& d, CommitRecord& rec) {
             raise(rec, Exception::kStoreAccessFault, addr);
             return;
           }
-          csrs_.mip =
-              (csrs_.mip & ~sim::mip::kMachineBits) | clint_.pending_mip();
+          sync_mip();
           rec.has_mem = true;
           rec.mem_is_store = true;
           rec.mem_addr = addr;
@@ -1681,8 +1249,7 @@ void RtlCore::execute(const Decoded& d, CommitRecord& rec) {
       cc(p_mret_, false);
       cc(p_sret_, false);
       cc(p_sfence_, false);
-      stopped_ = true;
-      stop_reason_ = sim::StopReason::kWfi;
+      stop(sim::StopReason::kWfi);
       break;
 
     case Opcode::kSfenceVma:
@@ -1789,7 +1356,7 @@ void RtlCore::execute(const Decoded& d, CommitRecord& rec) {
       Exception pgf = Exception::kNone;
       if (!p_tlb_.empty()) cc(p_tlb_[0], xlate);
       if (xlate && (cfg_.bugs.fault_priority_swap || !misaligned)) {
-        pgf = translate(a, MemAccess::kLoad, pa);
+        pgf = translate_cc(a, MemAccess::kLoad, pa);
       }
       const bool fault = pgf == Exception::kNone && !mem_.in_ram(pa, size);
       cc(p_mem_misaligned_, misaligned);
@@ -1835,7 +1402,7 @@ void RtlCore::execute(const Decoded& d, CommitRecord& rec) {
       Exception pgf = Exception::kNone;
       if (!p_tlb_.empty()) cc(p_tlb_[0], xlate);
       if (xlate && (cfg_.bugs.fault_priority_swap || !misaligned)) {
-        pgf = translate(a, MemAccess::kStore, pa);
+        pgf = translate_cc(a, MemAccess::kStore, pa);
       }
       const bool fault = pgf == Exception::kNone && !mem_.in_ram(pa, size);
       cc(p_mem_misaligned_, misaligned);
@@ -1894,7 +1461,7 @@ void RtlCore::execute(const Decoded& d, CommitRecord& rec) {
         if (!p_tlb_.empty()) cc(p_tlb_[0], xlate);
         if (xlate && (cfg_.bugs.fault_priority_swap || !misaligned)) {
           // AMOs translate as stores: the read-modify-write needs W (+D).
-          pgf = translate(a, MemAccess::kStore, pa);
+          pgf = translate_cc(a, MemAccess::kStore, pa);
         }
         const bool fault = pgf == Exception::kNone && !mem_.in_ram(pa, size);
         cc(p_mem_misaligned_, misaligned);

@@ -1,13 +1,15 @@
 // RTL-level DUT model ("RocketCore"/"BOOM" role): an instruction-driven
 // microarchitectural model of an in-order RV64IMA pipeline with I$/D$,
-// branch prediction, an iterative divider, its own CSR/trap unit with M/S/U
-// privilege + delegation, an Sv39 MMU (direct-mapped TLB + page-table
-// walker), and a commit tracer. Every boolean control condition in the model is a
+// branch prediction, an iterative divider and a commit tracer, on top of the
+// CSR file, trap unit and Sv39 MMU it shares with the out-of-order backend
+// (DutCore, dut.h). Every boolean control condition in the model is a
 // registered condition-coverage point, mirroring what `vcs -cm cond`
-// instruments in the real RTL.
+// instruments in the real RTL; the shared privileged unit records none
+// itself, so this core turns what those calls return into its trap.*,
+// deleg*, tlb.*, ptw.* and irq.* points.
 //
 // The model deliberately re-implements execution semantics (it shares only
-// the pure ALU arithmetic table with nothing else); together with the
+// the pure ALU arithmetic table with the golden model); together with the
 // switchable bug injections in config.h this gives the Mismatch Detector a
 // genuinely independent second implementation to diff against the golden
 // model — the same structure the paper's VCS-vs-Spike setup has.
@@ -20,13 +22,8 @@
 
 #include "coverage/cover.h"
 #include "coverage/multi.h"
-#include "isasim/memory.h"
-#include "isasim/platform.h"
-#include "isasim/trace.h"
 #include "riscv/instr.h"
-#include "riscv/predecode.h"
 #include "riscv/superblock.h"
-#include "rtlsim/caches.h"
 #include "rtlsim/config.h"
 #include "rtlsim/dut.h"
 
@@ -43,40 +40,17 @@ class RtlCore final : public DutCore {
   void reset(std::span<const std::uint32_t> program) override;
 
   sim::RunResult run() override;
+  /// One instruction through the pipeline. A manual step() loop closes the
+  /// BBV block itself (run() calls on_stop()).
   std::optional<sim::CommitRecord> step();
 
-  bool stopped() const override { return stopped_; }
-  std::uint64_t pc() const override { return pc_; }
   std::uint64_t reg(unsigned i) const override { return regs_[i & 31]; }
-  riscv::Priv priv() const override { return priv_; }
-  std::uint64_t cycles() const override { return cycles_; }
-  /// Architectural CSR value as an M-mode read would see it (tests,
-  /// examples); 0 for unimplemented addresses.
-  std::uint64_t csr_value(std::uint16_t addr) const override {
-    std::uint64_t v = 0;
-    csr_read(addr, v, riscv::Priv::kMachine);
-    return v;
-  }
-  const sim::Trace& trace() const override { return trace_; }
-  const sim::Memory& memory() const override { return mem_; }
-  cov::CtrlRegCoverage& ctrl_cov() override { return ctrl_cov_; }
-  const CoreConfig& config() const override { return cfg_; }
 
   /// Optionally attach the multi-metric suite (toggle/FSM/statement
   /// coverage); the suite must outlive the core. Pass nullptr to detach.
   void attach_metrics(cov::MetricSuite* metrics) override {
     metrics_ = metrics;
   }
-
-  /// Change the initial-register-file seed used by subsequent reset() calls
-  /// (campaigns that give every test a distinct deterministic register file).
-  void set_reg_seed(std::uint64_t seed) override { plat_.reg_seed = seed; }
-
-  /// Stream commits to `sink` instead of the internal trace (nullptr
-  /// restores trace collection). While a sink is attached, trace() stays
-  /// empty and run() returns an empty RunResult::trace — the streaming path
-  /// never materializes one.
-  void set_sink(sim::CommitSink* sink) override { sink_ = sink; }
 
   /// Enable/disable the fused-fetch superblock fast path in run(). Purely a
   /// speed knob: commits, cycles, coverage bins and ctrl-reg observations
@@ -86,29 +60,7 @@ class RtlCore final : public DutCore {
   void set_superblocks(bool on) override { sb_enabled_ = on; }
   bool superblocks() const { return sb_enabled_; }
 
-  /// Attach a basic-block-vector recorder; every committed instruction is
-  /// reported as (pc, next_pc) so the recorder can close blocks on control
-  /// transfer. The recorder must outlive the run; nullptr detaches. run()
-  /// calls on_stop() when the run ends (manual step() loops must do so
-  /// themselves).
-  void set_bbv(riscv::BbvRecorder* bbv) override { bbv_ = bbv; }
-
-  obs::SimCounters take_obs_counters() override {
-    obs::SimCounters c = obs_;
-    c.predecode_hits = predecode_.take_hits();
-    c.predecode_misses = predecode_.take_misses();
-    obs_ = {};
-    return c;
-  }
-
  private:
-  // -- coverage plumbing ----------------------------------------------------
-  /// Record an evaluation of condition `id` with value `v`; returns `v` so
-  /// conditions stay readable: if (cc(p_hit_, acc.hit)) {...}
-  bool cc(cov::PointId id, bool v) {
-    db_.hit(id, v);
-    return v;
-  }
   void register_points();
 
   /// Flush the deferred select-chain histograms into the coverage DB (see
@@ -117,37 +69,20 @@ class RtlCore final : public DutCore {
   /// per-instruction evaluation.
   void fold_deferred_chains();
 
-  // -- trap unit -------------------------------------------------------------
+  // -- the shared privileged unit, with this core's points ------------------
+  /// enter_trap() plus the trap.cause*, trap.from_*, trap.medeleg_nonzero,
+  /// trap.delegated and boom.pipeline_flush points.
   void raise(sim::CommitRecord& rec, riscv::Exception cause, std::uint64_t tval);
-  bool csr_read(std::uint16_t addr, std::uint64_t& value,
-                riscv::Priv view) const;
-  bool csr_write(std::uint16_t addr, std::uint64_t value);
+  /// translate() plus the tlb.* and ptw.* points.
+  riscv::Exception translate_cc(std::uint64_t vaddr, MemAccess kind,
+                                std::uint64_t& paddr);
+  /// tick_clint() and take_interrupt(), sampling the irq.pending* lines in
+  /// between.
+  void service_interrupts();
 
-  // -- MMU (Sv39 TLB + page-table walker) ------------------------------------
-  // Deliberately a second implementation of the walk (see the header note on
-  // independence); only the PTE field constants come from riscv/csr.h.
-  enum class MemAccess { kFetch, kLoad, kStore };
-  struct TlbEntry {
-    bool valid = false;
-    std::uint64_t vpn = 0;   // full 27-bit virtual page number
-    std::uint64_t pte = 0;   // cached leaf PTE
-    std::uint8_t level = 0;  // leaf level (0 = 4K page)
-  };
-  /// Sv39 in effect: satp.MODE==8 and the hart is below M.
-  bool translation_active() const;
-  /// TLB lookup + walk + permission check; fills `paddr` on success. The
-  /// permission check runs on every access, hit or refill, against current
-  /// privilege/mstatus. Records tlb.*/ptw.* coverage. Bug sites:
-  /// skip_perm_check (store W/D checks skipped).
-  riscv::Exception translate(std::uint64_t vaddr, MemAccess kind,
-                             std::uint64_t& paddr);
-  riscv::Exception leaf_permissions(std::uint64_t pte, MemAccess kind);
-  void flush_tlb();
   void write_rd(sim::CommitRecord& rec, std::uint8_t rd, std::uint64_t value);
   void execute(const riscv::Decoded& d, sim::CommitRecord& rec);
   void evaluate_background_units(const riscv::Decoded& d);
-  /// Poll the CLINT and enter a pending M-mode interrupt if enabled.
-  void service_interrupts();
 
   // ---- superblock fused-fetch fast path (see riscv/superblock.h) -----------
   // A cached span stores, per instruction, the decode plus every
@@ -179,63 +114,22 @@ class RtlCore final : public DutCore {
   // stale-I$ bug injection keeps its exact semantics.
   bool sb_enabled_ = true;
   FusedIndex sb_;
-  // Telemetry tallies (see take_obs_counters); never read architecturally.
-  obs::SimCounters obs_;
 
   // Span-build churn guard (same policy as IsaSim::sb_builds_): once builds
   // outpace ~1 per 16 committed instructions, stop building for the rest of
   // the test and serve only already-cached spans. Purely a speed valve.
   std::uint64_t sb_builds_ = 0;
   std::array<cov::PointId, kNumFusedPoints> p_fused_batch_{};
-  riscv::BbvRecorder* bbv_ = nullptr;
 
-  CoreConfig cfg_;
-  cov::CoverageDB& db_;
-  sim::Platform plat_;
-  sim::Memory mem_;
-  sim::ClintState clint_;
-  ICache icache_;
-  DCache dcache_;
-  Predictor predictor_;
-  // Decode-stage memoization (see riscv/predecode.h). Fetch still goes
-  // through the modeled I$ — the cache only skips re-decoding the fetched
-  // word, tag-checked against it, so bug injections (stale I$) and every
-  // coverage point behave exactly as before.
-  riscv::PredecodeCache predecode_;
-  cov::CtrlRegCoverage ctrl_cov_;
   cov::MetricSuite* metrics_ = nullptr;
 
-  // Architectural state.
+  // Architectural state (the rest lives in DutCore).
   std::array<std::uint64_t, 32> regs_{};
-  std::uint64_t pc_ = 0;
-  riscv::Priv priv_ = riscv::Priv::kMachine;
-  std::optional<std::uint64_t> reservation_;
-  struct CsrFile {
-    std::uint64_t mstatus = 0;
-    std::uint64_t medeleg = 0, mideleg = 0;
-    std::uint64_t mie = 0, mip = 0;
-    std::uint64_t mtvec = 0, mscratch = 0, mepc = 0, mcause = 0, mtval = 0;
-    std::uint64_t mcounteren = ~0ull, scounteren = ~0ull;
-    std::uint64_t stvec = 0, sscratch = 0, sepc = 0, scause = 0, stval = 0;
-    std::uint64_t satp = 0;
-    std::uint64_t instret = 0;
-  } csrs_;
 
-  // Microarchitectural state.
-  std::array<TlbEntry, 16> tlb_{};  // direct-mapped, indexed by vpn % 16
-  std::uint64_t cycles_ = 0;
+  // Pipeline state.
   std::uint8_t last_rd_ = 0;        // writeback reg of previous instruction
   bool last_was_load_ = false;      // for load-use stall condition
   bool last_was_short_alu_ = false; // for BOOM dual-issue condition
-  std::uint64_t last_ctrl_pack_ = 0;
-
-  // Run state.
-  std::uint64_t program_end_ = 0;
-  sim::Trace trace_;
-  sim::CommitSink* sink_ = nullptr;
-  bool stopped_ = true;
-  sim::StopReason stop_reason_ = sim::StopReason::kStepLimit;
-  std::uint64_t steps_ = 0;
 
   // ---- condition points -----------------------------------------------------
   // Fetch / front end.
@@ -317,7 +211,6 @@ class RtlCore final : public DutCore {
   StepEvents ev_;       // current instruction
   StepEvents prev_ev_;  // previous instruction
   std::size_t cur_op_index_ = 0;  // decoded opcode index (kNumOpcodes = invalid)
-  std::uint64_t mtvec_reset_value_ = 0;
 
   // Deferred select-chain accounting (CoreConfig::deferred_select_chains):
   // per-instruction opcode/privilege histograms, folded into the DB in one

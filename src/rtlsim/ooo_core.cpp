@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "riscv/alu.h"
-#include "riscv/csr.h"
 #include "riscv/decode.h"
 
 namespace chatfuzz::rtl {
@@ -16,69 +15,6 @@ using riscv::Priv;
 using sim::CommitRecord;
 
 namespace {
-std::uint64_t sext32(std::uint64_t v) {
-  return static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(static_cast<std::int32_t>(v)));
-}
-
-unsigned mem_size_of(Opcode op) {
-  switch (op) {
-    case Opcode::kLb: case Opcode::kLbu: case Opcode::kSb: return 1;
-    case Opcode::kLh: case Opcode::kLhu: case Opcode::kSh: return 2;
-    case Opcode::kLw: case Opcode::kLwu: case Opcode::kSw: return 4;
-    case Opcode::kLrW: case Opcode::kScW: return 4;
-    default: return 8;
-  }
-}
-
-bool is_load_op(Opcode op) {
-  switch (op) {
-    case Opcode::kLb: case Opcode::kLh: case Opcode::kLw: case Opcode::kLd:
-    case Opcode::kLbu: case Opcode::kLhu: case Opcode::kLwu:
-      return true;
-    default:
-      return false;
-  }
-}
-bool is_store_op(Opcode op) {
-  switch (op) {
-    case Opcode::kSb: case Opcode::kSh: case Opcode::kSw: case Opcode::kSd:
-      return true;
-    default:
-      return false;
-  }
-}
-bool is_branch_op(Opcode op) {
-  switch (op) {
-    case Opcode::kBeq: case Opcode::kBne: case Opcode::kBlt:
-    case Opcode::kBge: case Opcode::kBltu: case Opcode::kBgeu:
-      return true;
-    default:
-      return false;
-  }
-}
-bool is_amo_op(Opcode op) {
-  const auto& s = riscv::spec(op);
-  return s.ext == riscv::Ext::kA && s.format == riscv::Format::kAmo &&
-         op != Opcode::kScW && op != Opcode::kScD;
-}
-bool is_alu_imm_op(Opcode op) {
-  switch (op) {
-    case Opcode::kAddi: case Opcode::kSlti: case Opcode::kSltiu:
-    case Opcode::kXori: case Opcode::kOri: case Opcode::kAndi:
-    case Opcode::kSlli: case Opcode::kSrli: case Opcode::kSrai:
-    case Opcode::kAddiw: case Opcode::kSlliw: case Opcode::kSrliw:
-    case Opcode::kSraiw:
-      return true;
-    default:
-      return false;
-  }
-}
-bool is_alu_reg_op(Opcode op) {
-  const auto& s = riscv::spec(op);
-  return s.format == riscv::Format::kR && s.ext == riscv::Ext::kI;
-}
-
 /// The commit stage / front end can drain at most this many cycles without
 /// retiring anything before the model declares itself wedged. Generous:
 /// the worst legitimate stall is a page-walk-free chain of dependent D$
@@ -87,13 +23,7 @@ constexpr std::uint64_t kDeadlockFuse = 1u << 17;
 }  // namespace
 
 OooCore::OooCore(const CoreConfig& cfg, cov::CoverageDB& db, sim::Platform plat)
-    : cfg_(cfg),
-      db_(db),
-      plat_(plat),
-      mem_(plat.ram_base, plat.ram_size),
-      icache_(cfg.icache_sets, cfg.icache_ways, cfg.icache_line),
-      dcache_(cfg.dcache_sets, cfg.dcache_ways, cfg.dcache_line),
-      predictor_(cfg.btb_entries) {
+    : DutCore(cfg, db, plat) {
   // Structure sizing floors: 32 architectural mappings plus at least two
   // rename targets, a pdst that fits the uint8 tags, and non-degenerate
   // ROB/SQ/width values.
@@ -153,8 +83,7 @@ void OooCore::register_points() {
 }
 
 void OooCore::reset(std::span<const std::uint32_t> program) {
-  mem_.clear();
-  mem_.load_words(plat_.ram_base, program);
+  reset_common(program);
   const auto init = sim::initial_regs(plat_);
   std::fill(prf_.begin(), prf_.end(), 0);
   std::fill(prf_ready_.begin(), prf_ready_.end(), 1);
@@ -171,27 +100,9 @@ void OooCore::reset(std::span<const std::uint32_t> program) {
   sq_head_ = sq_count_ = 0;
   inflight_.clear();
   next_seq_ = 1;
-  pc_ = plat_.ram_base;
   fetch_pc_ = plat_.ram_base;
-  priv_ = Priv::kMachine;
-  csrs_ = CsrFile{};
-  csrs_.mtvec = plat_.ram_base;
-  clint_.reset();
-  reservation_.reset();
-  icache_.flush();
-  dcache_.flush();
-  predictor_.flush();
-  predecode_.flush();
-  flush_tlb();
-  cycles_ = 0;
   last_commit_cycle_ = 0;
-  last_ctrl_pack_ = 0;
   stall_serial_ = stall_jalr_ = stall_marker_ = false;
-  trace_.clear();
-  if (sink_ == nullptr) trace_.reserve(plat_.max_steps);
-  stopped_ = false;
-  stop_reason_ = sim::StopReason::kStepLimit;
-  steps_ = 0;
 }
 
 sim::RunResult OooCore::run() {
@@ -209,13 +120,7 @@ sim::RunResult OooCore::run() {
       cycle_once();
     }
   }
-  if (bbv_ != nullptr) bbv_->on_stop();
-  sim::RunResult r;
-  r.trace = trace_;
-  r.stop = stop_reason_;
-  r.steps = steps_;
-  r.final_pc = pc_;
-  return r;
+  return finish_run();
 }
 
 // ---------------------------------------------------------------------------
@@ -293,19 +198,16 @@ void OooCore::do_commit() {
   unsigned committed = 0;
   while (committed < cfg_.fetch_width && rob_count_ > 0) {
     if (steps_ >= plat_.max_steps) {
-      stopped_ = true;
-      stop_reason_ = sim::StopReason::kStepLimit;
+      stop(sim::StopReason::kStepLimit);
       return;
     }
     RobEntry& e = rob_at(0);
     if (e.kind == EKind::kEscape) {
-      stopped_ = true;
-      stop_reason_ = sim::StopReason::kPcEscape;
+      stop(sim::StopReason::kPcEscape);
       return;
     }
     if (e.kind == EKind::kEnd) {
-      stopped_ = true;
-      stop_reason_ = sim::StopReason::kProgramEnd;
+      stop(sim::StopReason::kProgramEnd);
       return;
     }
 
@@ -319,10 +221,7 @@ void OooCore::do_commit() {
       arch_execute(e.d, rec);
       if (rec.exception == Exception::kNone) ++csrs_.instret;
       ++steps_;
-      emit_record(rec, e.icache_hit);
-      if (bbv_ != nullptr) {
-        bbv_->on_commit(rec.pc, pc_, rec.exception != Exception::kNone);
-      }
+      commit(rec, e.d, e.icache_hit);
       rob_head_ = (rob_head_ + 1) % rob_.size();
       --rob_count_;
       stall_serial_ = false;
@@ -340,10 +239,9 @@ void OooCore::do_commit() {
       rec.pc = e.pc;
       rec.instr = e.raw;
       rec.priv = priv_;
-      raise(rec, e.exc, e.tval);
+      enter_trap(rec, e.exc, e.tval);
       ++steps_;
-      emit_record(rec, e.icache_hit);
-      if (bbv_ != nullptr) bbv_->on_commit(rec.pc, pc_, true);
+      commit(rec, e.d, e.icache_hit);
       // Flush: younger entries first (exact rename undo), then this
       // entry's own speculative resources — it retired no architectural
       // write, so its mapping rolls back too.
@@ -399,8 +297,7 @@ void OooCore::do_commit() {
     ++csrs_.instret;
     ++steps_;
     pc_ = e.next_pc;
-    emit_record(rec, e.icache_hit);
-    if (bbv_ != nullptr) bbv_->on_commit(rec.pc, pc_, false);
+    commit(rec, e.d, e.icache_hit);
     rob_head_ = (rob_head_ + 1) % rob_.size();
     --rob_count_;
     ++committed;
@@ -882,39 +779,15 @@ void OooCore::do_fetch() {
   }
 }
 
-void OooCore::emit_record(const CommitRecord& rec, bool icache_hit) {
-  // Same control-state packing as the in-order backend: decoded opcode +
-  // the commit-stage flags, XOR-chained with the previous state for the
-  // sequence-sensitive half of the DifuzzRTL metric.
-  const riscv::Decoded d = riscv::decode(rec.instr);
-  std::uint64_t pack = 0;
-  pack |= d.valid() ? static_cast<std::uint64_t>(d.op) : 0x7f;
-  pack |= static_cast<std::uint64_t>(icache_hit) << 7;
-  pack |= static_cast<std::uint64_t>(rec.has_mem) << 8;
-  pack |= static_cast<std::uint64_t>(rec.exception != Exception::kNone) << 9;
-  pack |= static_cast<std::uint64_t>(static_cast<unsigned>(priv_)) << 10;
-  pack |= static_cast<std::uint64_t>(rec.has_rd_write) << 12;
-  ctrl_cov_.observe(pack);
-  ctrl_cov_.observe(pack ^ (last_ctrl_pack_ << 13));
-  last_ctrl_pack_ = pack;
-  if (sink_ != nullptr) {
-    sink_->on_commit(rec);
-  } else {
-    trace_.push_back(rec);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Serial (architectural) path — transcribed from the in-order model's
-// trap/CSR/MMU semantics so the privileged surface is bit-exact against the
-// golden model. Legacy (in-order) bug injections are deliberately absent.
+// Serial (architectural) path, on DutCore's shared trap/CSR/MMU unit. The
+// in-order core's five legacy bug injections are deliberately absent.
 // ---------------------------------------------------------------------------
 
 void OooCore::serial_step() {
   if (!inflight_.empty()) inflight_.clear();  // drop stragglers at the seam
   if (steps_ >= plat_.max_steps) {
-    stopped_ = true;
-    stop_reason_ = sim::StopReason::kStepLimit;
+    stop(sim::StopReason::kStepLimit);
     return;
   }
   std::uint64_t fetch_pa = pc_;
@@ -928,38 +801,28 @@ void OooCore::serial_step() {
       rec.pc = pc_;
       rec.instr = 0;
       rec.priv = priv_;
-      raise(rec, pf, pc_);
-      std::uint64_t pack = 0x7f;
-      pack |= 1ull << 9;  // trapped
-      pack |= static_cast<std::uint64_t>(static_cast<unsigned>(priv_)) << 10;
-      ctrl_cov_.observe(pack);
-      ctrl_cov_.observe(pack ^ (last_ctrl_pack_ << 13));
-      last_ctrl_pack_ = pack;
-      if (sink_ != nullptr) {
-        sink_->on_commit(rec);
-      } else {
-        trace_.push_back(rec);
-      }
-      if (bbv_ != nullptr) bbv_->on_commit(rec.pc, pc_, true);
+      enter_trap(rec, pf, pc_);
+      commit(rec, Decoded{}, /*icache_hit=*/false);
       return;
     }
   }
   if (!mem_.in_ram(fetch_pa, 4)) {
-    stopped_ = true;
-    stop_reason_ = sim::StopReason::kPcEscape;
+    stop(sim::StopReason::kPcEscape);
     return;
   }
   CacheAccess iacc;
   const std::uint32_t raw = icache_.fetch(fetch_pa, mem_, iacc);
   if (!iacc.hit) cycles_ += cfg_.miss_penalty;
   if (raw == 0) {
-    stopped_ = true;
-    stop_reason_ = sim::StopReason::kProgramEnd;
+    stop(sim::StopReason::kProgramEnd);
     return;
   }
   ++steps_;
   ++cycles_;
-  if (plat_.clint_enabled) service_interrupts();
+  if (plat_.clint_enabled) {
+    tick_clint();
+    take_interrupt();
+  }
 
   CommitRecord rec;
   rec.pc = pc_;
@@ -968,10 +831,7 @@ void OooCore::serial_step() {
   const Decoded& d = predecode_.lookup(pc_, raw);
   arch_execute(d, rec);
   if (rec.exception == Exception::kNone) ++csrs_.instret;
-  emit_record(rec, iacc.hit);
-  if (bbv_ != nullptr) {
-    bbv_->on_commit(rec.pc, pc_, rec.exception != Exception::kNone);
-  }
+  commit(rec, d, iacc.hit);
 }
 
 void OooCore::arch_write_rd(CommitRecord& rec, std::uint8_t rd,
@@ -985,7 +845,7 @@ void OooCore::arch_write_rd(CommitRecord& rec, std::uint8_t rd,
 void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
   const std::uint64_t next_pc = pc_ + 4;
   if (!d.valid()) {
-    raise(rec, Exception::kIllegalInstruction, d.raw);
+    enter_trap(rec, Exception::kIllegalInstruction, d.raw);
     return;
   }
   const std::uint64_t a = areg(d.rs1);
@@ -1010,7 +870,7 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
         cycles_ += cfg_.mispredict_penalty;
       }
       if ((target & 3) != 0) {
-        raise(rec, Exception::kInstrAddrMisaligned, target);
+        enter_trap(rec, Exception::kInstrAddrMisaligned, target);
         return;
       }
       arch_write_rd(rec, d.rd, next_pc);
@@ -1039,7 +899,7 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
       }
       if (taken) {
         if ((target & 3) != 0) {
-          raise(rec, Exception::kInstrAddrMisaligned, target);
+          enter_trap(rec, Exception::kInstrAddrMisaligned, target);
           return;
         }
         pc_ = target;
@@ -1069,17 +929,17 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
       // Spec exception priority: misaligned outranks translation outranks
       // the PMA range check.
       if (misaligned) {
-        raise(rec, is_store ? Exception::kStoreAddrMisaligned
-                            : Exception::kLoadAddrMisaligned, addr);
+        enter_trap(rec, is_store ? Exception::kStoreAddrMisaligned
+                                 : Exception::kLoadAddrMisaligned, addr);
         return;
       }
       if (pgf != Exception::kNone) {
-        raise(rec, pgf, addr);
+        enter_trap(rec, pgf, addr);
         return;
       }
       if (fault) {
-        raise(rec, is_store ? Exception::kStoreAccessFault
-                            : Exception::kLoadAccessFault, addr);
+        enter_trap(rec, is_store ? Exception::kStoreAccessFault
+                                 : Exception::kLoadAccessFault, addr);
         return;
       }
       if (is_clint) {
@@ -1088,11 +948,10 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
           const std::uint64_t bits =
               size == 8 ? b : (b & ((1ull << (8 * size)) - 1));
           if (!clint_.write(plat_, pa, size, bits)) {
-            raise(rec, Exception::kStoreAccessFault, addr);
+            enter_trap(rec, Exception::kStoreAccessFault, addr);
             return;
           }
-          csrs_.mip =
-              (csrs_.mip & ~sim::mip::kMachineBits) | clint_.pending_mip();
+          sync_mip();
           rec.has_mem = true;
           rec.mem_is_store = true;
           rec.mem_addr = addr;
@@ -1101,7 +960,7 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
         } else {
           std::uint64_t mmio = 0;
           if (!clint_.read(plat_, pa, size, mmio)) {
-            raise(rec, Exception::kLoadAccessFault, addr);
+            enter_trap(rec, Exception::kLoadAccessFault, addr);
             return;
           }
           rec.has_mem = true;
@@ -1160,27 +1019,26 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
       break;
 
     case Opcode::kEcall:
-      raise(rec,
-            priv_ == Priv::kMachine ? Exception::kEcallFromM
-            : priv_ == Priv::kSupervisor ? Exception::kEcallFromS
-                                         : Exception::kEcallFromU,
-            0);
+      enter_trap(rec,
+                 priv_ == Priv::kMachine      ? Exception::kEcallFromM
+                 : priv_ == Priv::kSupervisor ? Exception::kEcallFromS
+                                              : Exception::kEcallFromU,
+                 0);
       return;
     case Opcode::kEbreak:
-      raise(rec, Exception::kBreakpoint, pc_);
+      enter_trap(rec, Exception::kBreakpoint, pc_);
       return;
     case Opcode::kWfi:
       if (priv_ == Priv::kUser) {
-        raise(rec, Exception::kIllegalInstruction, d.raw);
+        enter_trap(rec, Exception::kIllegalInstruction, d.raw);
         return;
       }
-      stopped_ = true;
-      stop_reason_ = sim::StopReason::kWfi;
+      stop(sim::StopReason::kWfi);
       break;
 
     case Opcode::kSfenceVma:
       if (priv_ == Priv::kUser) {
-        raise(rec, Exception::kIllegalInstruction, d.raw);
+        enter_trap(rec, Exception::kIllegalInstruction, d.raw);
         return;
       }
       flush_tlb();
@@ -1190,7 +1048,7 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
     case Opcode::kMret: {
       namespace ms = sim::mstatus;
       if (priv_ != Priv::kMachine) {
-        raise(rec, Exception::kIllegalInstruction, d.raw);
+        enter_trap(rec, Exception::kIllegalInstruction, d.raw);
         return;
       }
       const auto mpp = static_cast<Priv>(
@@ -1207,7 +1065,7 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
     case Opcode::kSret: {
       namespace ms = sim::mstatus;
       if (priv_ == Priv::kUser) {
-        raise(rec, Exception::kIllegalInstruction, d.raw);
+        enter_trap(rec, Exception::kIllegalInstruction, d.raw);
         return;
       }
       const bool spp = (csrs_.mstatus & ms::kSpp) != 0;
@@ -1231,7 +1089,7 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
       const bool do_write = is_write_op || d.rs1 != 0;
       std::uint64_t old = 0;
       if (!csr_read(d.csr, old, priv_)) {
-        raise(rec, Exception::kIllegalInstruction, d.raw);
+        enter_trap(rec, Exception::kIllegalInstruction, d.raw);
         return;
       }
       if (do_write) {
@@ -1243,7 +1101,7 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
           next = old & ~operand;
         }
         if (!csr_write(d.csr, next)) {
-          raise(rec, Exception::kIllegalInstruction, d.raw);
+          enter_trap(rec, Exception::kIllegalInstruction, d.raw);
           return;
         }
       }
@@ -1260,10 +1118,11 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
       if (xlate && !misaligned) pgf = translate(a, MemAccess::kLoad, pa);
       const bool fault = pgf == Exception::kNone && !mem_.in_ram(pa, size);
       if (misaligned || fault || pgf != Exception::kNone) {
-        raise(rec, misaligned                ? Exception::kLoadAddrMisaligned
+        enter_trap(rec,
+                   misaligned                ? Exception::kLoadAddrMisaligned
                    : pgf != Exception::kNone ? pgf
                                              : Exception::kLoadAccessFault,
-              a);
+                   a);
         return;
       }
       const CacheAccess dacc = dcache_.access(pa, false);
@@ -1287,10 +1146,11 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
       if (xlate && !misaligned) pgf = translate(a, MemAccess::kStore, pa);
       const bool fault = pgf == Exception::kNone && !mem_.in_ram(pa, size);
       if (misaligned || fault || pgf != Exception::kNone) {
-        raise(rec, misaligned                ? Exception::kStoreAddrMisaligned
+        enter_trap(rec,
+                   misaligned                ? Exception::kStoreAddrMisaligned
                    : pgf != Exception::kNone ? pgf
                                              : Exception::kStoreAccessFault,
-              a);
+                   a);
         return;
       }
       const bool ok = reservation_ && *reservation_ == pa;
@@ -1328,11 +1188,11 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
         }
         const bool fault = pgf == Exception::kNone && !mem_.in_ram(pa, size);
         if (misaligned || fault || pgf != Exception::kNone) {
-          raise(rec,
-                misaligned                ? Exception::kStoreAddrMisaligned
-                : pgf != Exception::kNone ? pgf
-                                          : Exception::kStoreAccessFault,
-                a);
+          enter_trap(rec,
+                     misaligned                ? Exception::kStoreAddrMisaligned
+                     : pgf != Exception::kNone ? pgf
+                                               : Exception::kStoreAccessFault,
+                     a);
           return;
         }
         const CacheAccess dacc = dcache_.access(pa, true);
@@ -1408,280 +1268,6 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
     }
   }
   pc_ = next_pc;
-}
-
-void OooCore::raise(CommitRecord& rec, Exception cause, std::uint64_t tval) {
-  rec.exception = cause;
-  rec.has_rd_write = false;
-  rec.has_mem = false;
-  namespace ms = sim::mstatus;
-  // Delegation mux: a trap from below M whose medeleg bit is set vectors to
-  // the S-mode trampoline.
-  const bool deleg =
-      priv_ != Priv::kMachine &&
-      ((csrs_.medeleg >> static_cast<unsigned>(cause)) & 1) != 0;
-  if (deleg) {
-    csrs_.sepc = pc_;
-    csrs_.scause = static_cast<std::uint64_t>(cause);
-    csrs_.stval = tval;
-    const bool sie = (csrs_.mstatus & ms::kSie) != 0;
-    csrs_.mstatus &= ~(ms::kSie | ms::kSpie | ms::kSpp);
-    if (sie) csrs_.mstatus |= ms::kSpie;
-    if (priv_ == Priv::kSupervisor) csrs_.mstatus |= ms::kSpp;
-    priv_ = Priv::kSupervisor;
-    pc_ = csrs_.sepc + 4;  // S-mode magic trampoline (platform.h)
-    cycles_ += cfg_.mispredict_penalty;
-    return;
-  }
-  csrs_.mepc = pc_;
-  csrs_.mcause = static_cast<std::uint64_t>(cause);
-  csrs_.mtval = tval;
-  const bool mie = (csrs_.mstatus & ms::kMie) != 0;
-  csrs_.mstatus &= ~(ms::kMie | ms::kMpie | ms::kMppMask);
-  if (mie) csrs_.mstatus |= ms::kMpie;
-  csrs_.mstatus |= static_cast<std::uint64_t>(priv_) << ms::kMppShift;
-  priv_ = Priv::kMachine;
-  pc_ = csrs_.mepc + 4;  // magic trampoline (platform.h)
-  cycles_ += cfg_.mispredict_penalty;  // redirect costs a flush
-}
-
-void OooCore::service_interrupts() {
-  namespace ms = sim::mstatus;
-  clint_.tick();
-  csrs_.mip = (csrs_.mip & ~sim::mip::kMachineBits) | clint_.pending_mip();
-  const std::uint64_t ready = csrs_.mie & csrs_.mip & sim::mip::kMachineBits;
-  if (ready == 0) return;
-  const bool enabled =
-      priv_ != Priv::kMachine || (csrs_.mstatus & ms::kMie) != 0;
-  if (!enabled) return;
-  // Software interrupts outrank timer interrupts (privileged spec).
-  const std::uint64_t cause = (ready & sim::mip::kMsip) != 0
-                                  ? sim::mip::kCauseMsi
-                                  : sim::mip::kCauseMti;
-  csrs_.mepc = pc_;
-  csrs_.mcause = sim::mip::kInterruptFlag | cause;
-  csrs_.mtval = 0;
-  const bool mie = (csrs_.mstatus & ms::kMie) != 0;
-  csrs_.mstatus &= ~(ms::kMie | ms::kMpie | ms::kMppMask);
-  if (mie) csrs_.mstatus |= ms::kMpie;
-  csrs_.mstatus |= static_cast<std::uint64_t>(priv_) << ms::kMppShift;
-  priv_ = Priv::kMachine;
-  cycles_ += cfg_.mispredict_penalty;  // pipeline redirect
-  // Magic trampoline: acknowledge at the device, resume at the interrupted
-  // instruction (pc_ unchanged). See platform.h.
-  clint_.clear_source(cause);
-  csrs_.mip = (csrs_.mip & ~sim::mip::kMachineBits) | clint_.pending_mip();
-}
-
-bool OooCore::csr_read(std::uint16_t addr, std::uint64_t& value,
-                       Priv view) const {
-  namespace c = riscv::csr;
-  if (static_cast<int>(view) < static_cast<int>(c::min_priv(addr))) {
-    return false;
-  }
-  switch (addr) {
-    case c::kMstatus: value = csrs_.mstatus; return true;
-    case c::kMisa: value = sim::kMisaValue; return true;
-    case c::kMedeleg: value = csrs_.medeleg; return true;
-    case c::kMideleg: value = csrs_.mideleg; return true;
-    case c::kMie: value = csrs_.mie; return true;
-    case c::kMtvec: value = csrs_.mtvec; return true;
-    case c::kMcounteren: value = csrs_.mcounteren; return true;
-    case c::kMscratch: value = csrs_.mscratch; return true;
-    case c::kMepc: value = csrs_.mepc; return true;
-    case c::kMcause: value = csrs_.mcause; return true;
-    case c::kMtval: value = csrs_.mtval; return true;
-    case c::kMip: value = csrs_.mip; return true;
-    case c::kMcycle: case c::kCycle: value = cycles_; return true;
-    case c::kTime: value = cycles_ / 100; return true;
-    case c::kMinstret: case c::kInstret: value = csrs_.instret; return true;
-    case c::kMvendorid: case c::kMarchid: case c::kMimpid: case c::kMhartid:
-      value = 0;
-      return true;
-    case c::kSstatus:
-      value = csrs_.mstatus &
-              (sim::mstatus::kSie | sim::mstatus::kSpie | sim::mstatus::kSpp |
-               sim::mstatus::kSum | sim::mstatus::kMxr);
-      return true;
-    case c::kSie: value = csrs_.mie & 0x222; return true;
-    case c::kSip: value = csrs_.mip & 0x222; return true;
-    case c::kStvec: value = csrs_.stvec; return true;
-    case c::kScounteren: value = csrs_.scounteren; return true;
-    case c::kSscratch: value = csrs_.sscratch; return true;
-    case c::kSepc: value = csrs_.sepc; return true;
-    case c::kScause: value = csrs_.scause; return true;
-    case c::kStval: value = csrs_.stval; return true;
-    case c::kSatp: value = csrs_.satp; return true;
-    default: return false;
-  }
-}
-
-bool OooCore::csr_write(std::uint16_t addr, std::uint64_t value) {
-  namespace c = riscv::csr;
-  namespace ms = sim::mstatus;
-  if (static_cast<int>(priv_) < static_cast<int>(c::min_priv(addr))) {
-    return false;
-  }
-  if (c::is_read_only(addr)) return false;
-  constexpr std::uint64_t kStatusMask = ms::kSie | ms::kMie | ms::kSpie |
-                                        ms::kMpie | ms::kSpp | ms::kMppMask |
-                                        ms::kSum | ms::kMxr;
-  switch (addr) {
-    case c::kMstatus: {
-      std::uint64_t v = value & kStatusMask;
-      if (((v & ms::kMppMask) >> ms::kMppShift) == 2) v &= ~ms::kMppMask;
-      csrs_.mstatus = v;
-      return true;
-    }
-    case c::kMisa: return true;
-    case c::kMedeleg: csrs_.medeleg = value & c::kMedelegMask; return true;
-    case c::kMideleg: csrs_.mideleg = value & c::kMidelegMask; return true;
-    case c::kMie: csrs_.mie = value & 0xaaa; return true;
-    case c::kMtvec: csrs_.mtvec = value & ~3ull; return true;
-    case c::kMcounteren: csrs_.mcounteren = value & 7; return true;
-    case c::kMscratch: csrs_.mscratch = value; return true;
-    case c::kMepc: csrs_.mepc = value & ~3ull; return true;
-    case c::kMcause: csrs_.mcause = value; return true;
-    case c::kMtval: csrs_.mtval = value; return true;
-    case c::kMip: csrs_.mip = value & 0x222; return true;
-    case c::kMcycle: cycles_ = value; return true;
-    case c::kMinstret: csrs_.instret = value; return true;
-    case c::kSstatus: {
-      constexpr std::uint64_t kSMask =
-          ms::kSie | ms::kSpie | ms::kSpp | ms::kSum | ms::kMxr;
-      csrs_.mstatus = (csrs_.mstatus & ~kSMask) | (value & kSMask);
-      return true;
-    }
-    case c::kSie:
-      csrs_.mie = (csrs_.mie & ~0x222ull) | (value & 0x222);
-      return true;
-    case c::kSip:
-      csrs_.mip = (csrs_.mip & ~0x222ull) | (value & 0x222);
-      return true;
-    case c::kStvec: csrs_.stvec = value & ~3ull; return true;
-    case c::kScounteren: csrs_.scounteren = value & 7; return true;
-    case c::kSscratch: csrs_.sscratch = value; return true;
-    case c::kSepc: csrs_.sepc = value & ~3ull; return true;
-    case c::kScause: csrs_.scause = value; return true;
-    case c::kStval: csrs_.stval = value; return true;
-    case c::kSatp:
-      // WARL MODE (Bare/Sv39 only). An accepted write switches the
-      // translation context, so the TLB drops its cached leaves.
-      csrs_.satp = c::legalize_satp(csrs_.satp, value);
-      flush_tlb();
-      return true;
-    default: return false;
-  }
-}
-
-bool OooCore::translation_active() const {
-  namespace c = riscv::csr;
-  return priv_ != Priv::kMachine &&
-         (csrs_.satp >> c::kSatpModeShift) == c::kSatpModeSv39;
-}
-
-void OooCore::flush_tlb() {
-  for (auto& e : tlb_) e = TlbEntry{};
-}
-
-riscv::Exception OooCore::leaf_permissions(std::uint64_t pte,
-                                           MemAccess kind) const {
-  namespace pv = riscv::sv39;
-  namespace ms = sim::mstatus;
-  const Exception fault = kind == MemAccess::kFetch  ? Exception::kInstrPageFault
-                          : kind == MemAccess::kLoad ? Exception::kLoadPageFault
-                                                     : Exception::kStorePageFault;
-  const bool u_page = (pte & pv::kPteU) != 0;
-  switch (kind) {
-    case MemAccess::kFetch:
-      if ((pte & pv::kPteX) == 0) return fault;
-      // U needs the U bit; S fetching from a U page always faults (SUM
-      // gates data accesses only).
-      if ((priv_ == Priv::kUser) != u_page) return fault;
-      break;
-    case MemAccess::kLoad: {
-      if (priv_ == Priv::kUser && !u_page) return fault;
-      if (priv_ == Priv::kSupervisor && u_page &&
-          (csrs_.mstatus & ms::kSum) == 0) {
-        return fault;
-      }
-      const bool mxr = (csrs_.mstatus & ms::kMxr) != 0;
-      if ((pte & pv::kPteR) == 0 && !(mxr && (pte & pv::kPteX) != 0)) {
-        return fault;
-      }
-      break;
-    }
-    case MemAccess::kStore:
-      if (priv_ == Priv::kUser && !u_page) return fault;
-      if (priv_ == Priv::kSupervisor && u_page &&
-          (csrs_.mstatus & ms::kSum) == 0) {
-        return fault;
-      }
-      if ((pte & pv::kPteW) == 0) return fault;
-      break;
-  }
-  // Svade: the walker never updates A/D; accesses needing an update fault.
-  if ((pte & pv::kPteA) == 0) return fault;
-  if (kind == MemAccess::kStore && (pte & pv::kPteD) == 0) return fault;
-  return Exception::kNone;
-}
-
-riscv::Exception OooCore::translate(std::uint64_t vaddr, MemAccess kind,
-                                    std::uint64_t& paddr) {
-  namespace c = riscv::csr;
-  namespace pv = riscv::sv39;
-  const Exception fault = kind == MemAccess::kFetch  ? Exception::kInstrPageFault
-                          : kind == MemAccess::kLoad ? Exception::kLoadPageFault
-                                                     : Exception::kStorePageFault;
-  if (!pv::canonical(vaddr)) return fault;
-  const std::uint64_t vpn = vaddr >> pv::kPageShift;
-  TlbEntry& slot = tlb_[vpn % tlb_.size()];
-  const bool hit = slot.valid && slot.vpn == vpn;
-  if (hit) {
-    ++obs_.tlb_hits;
-  } else {
-    ++obs_.tlb_misses;
-  }
-  if (!hit) {
-    // Page-table walk, root first, one PTE read per level.
-    std::uint64_t table = (csrs_.satp & c::kSatpPpnMask) << pv::kPageShift;
-    int level = static_cast<int>(pv::kLevels) - 1;
-    std::uint64_t pte = 0;
-    while (true) {
-      if (level < 0) return fault;
-      const std::uint64_t pte_addr =
-          table + pv::vpn_slice(vaddr, static_cast<unsigned>(level)) * 8;
-      if (!mem_.in_ram(pte_addr, 8)) return fault;
-      pte = mem_.read(pte_addr, 8);
-      const bool valid = (pte & pv::kPteV) != 0 &&
-                         !((pte & pv::kPteW) != 0 && (pte & pv::kPteR) == 0);
-      if (!valid) return fault;
-      if ((pte & (pv::kPteR | pv::kPteX)) != 0) break;  // leaf PTE
-      table = pv::pte_ppn(pte) << pv::kPageShift;
-      --level;
-    }
-    // Superpage leaves must be PPN-aligned to their span.
-    if (level > 0 &&
-        (pv::pte_ppn(pte) &
-         ((1ull << (9 * static_cast<unsigned>(level))) - 1)) != 0) {
-      return fault;
-    }
-    slot.valid = true;
-    slot.vpn = vpn;
-    slot.pte = pte;
-    slot.level = static_cast<std::uint8_t>(level);
-    cycles_ += cfg_.miss_penalty;  // walk stalls like a cache miss
-  }
-  // The TLB caches the PTE, not the verdict: permissions re-check against
-  // the current privilege/mstatus on every access.
-  if (const Exception f = leaf_permissions(slot.pte, kind);
-      f != Exception::kNone) {
-    return f;
-  }
-  const std::uint64_t span = (1ull << (9 * slot.level)) - 1;
-  const std::uint64_t ppn = (pv::pte_ppn(slot.pte) & ~span) | (vpn & span);
-  paddr = (ppn << pv::kPageShift) | (vaddr & ((1ull << pv::kPageShift) - 1));
-  return Exception::kNone;
 }
 
 }  // namespace chatfuzz::rtl

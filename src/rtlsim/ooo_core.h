@@ -12,8 +12,10 @@
 // machinery the three `ooo_*` bug injections in config.h corrupt, so their
 // mismatches are real memory-ordering escapes, not trace artifacts.
 //
-// Two whole-run serial fallbacks keep the privileged surface bit-exact
-// without modeling a speculative MMU or interrupt shadow:
+// The CSR file, trap and interrupt entry and the Sv39 MMU are DutCore's
+// (dut.h), shared with the in-order core, so the privileged bug injections
+// mean the same here. Two whole-run serial fallbacks keep that surface
+// bit-exact without modeling a speculative MMU or interrupt shadow:
 //  - plat.clint_enabled: every instruction steps architecturally (interrupt
 //    delivery points match the golden model cycle-for-cycle);
 //  - translation_active(): Sv39 fetch/loads/stores walk page tables against
@@ -24,19 +26,12 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "coverage/cover.h"
 #include "coverage/multi.h"
-#include "isasim/memory.h"
-#include "isasim/platform.h"
-#include "isasim/trace.h"
 #include "riscv/instr.h"
-#include "riscv/predecode.h"
-#include "riscv/superblock.h"
-#include "rtlsim/caches.h"
 #include "rtlsim/config.h"
 #include "rtlsim/dut.h"
 
@@ -51,42 +46,18 @@ class OooCore final : public DutCore {
   void reset(std::span<const std::uint32_t> program) override;
   sim::RunResult run() override;
 
-  bool stopped() const override { return stopped_; }
-  std::uint64_t pc() const override { return pc_; }
   /// Committed architectural register value (reads through the retirement
   /// rename table).
   std::uint64_t reg(unsigned i) const override {
     return prf_[rrat_[i & 31]];
   }
-  riscv::Priv priv() const override { return priv_; }
-  std::uint64_t cycles() const override { return cycles_; }
-  std::uint64_t csr_value(std::uint16_t addr) const override {
-    std::uint64_t v = 0;
-    csr_read(addr, v, riscv::Priv::kMachine);
-    return v;
-  }
-  const sim::Trace& trace() const override { return trace_; }
-  const sim::Memory& memory() const override { return mem_; }
-  cov::CtrlRegCoverage& ctrl_cov() override { return ctrl_cov_; }
-  const CoreConfig& config() const override { return cfg_; }
 
   /// The multi-metric suite instruments the in-order backend only; in a
   /// multi-DUT stack it attaches to the primary DUT (see sim_worker.cpp).
   void attach_metrics(cov::MetricSuite*) override {}
-  void set_reg_seed(std::uint64_t seed) override { plat_.reg_seed = seed; }
-  void set_sink(sim::CommitSink* sink) override { sink_ = sink; }
   /// No fused-fetch path in this backend; the knob is accepted so campaign
   /// configs apply uniformly across DUT lists.
   void set_superblocks(bool) override {}
-  void set_bbv(riscv::BbvRecorder* bbv) override { bbv_ = bbv; }
-
-  obs::SimCounters take_obs_counters() override {
-    obs::SimCounters c = obs_;
-    c.predecode_hits = predecode_.take_hits();
-    c.predecode_misses = predecode_.take_misses();
-    obs_ = {};
-    return c;
-  }
 
   // Microarchitectural probes for the ooo unit tests.
   std::size_t rob_occupancy() const { return rob_count_; }
@@ -162,10 +133,6 @@ class OooCore final : public DutCore {
     bool zombie = false;  // squashed but kept alive (ooo_missing_squash)
   };
 
-  bool cc(cov::PointId id, bool v) {
-    db_.hit(id, v);
-    return v;
-  }
   void register_points();
 
   // ---- pipeline stages (one call each per cycle, commit-first order) -------
@@ -185,7 +152,6 @@ class OooCore final : public DutCore {
   void squash_younger(std::uint64_t seq);
   void recompute_stalls();
   void drain_store(RobEntry& e);
-  void emit_record(const sim::CommitRecord& rec, bool icache_hit);
 
   // ---- ROB / SQ ring helpers ----------------------------------------------
   RobEntry& rob_at(std::size_t i) { return rob_[(rob_head_ + i) % rob_.size()]; }
@@ -194,68 +160,17 @@ class OooCore final : public DutCore {
   void push_entry(RobEntry e);
 
   // ---- architectural (serial) execution ------------------------------------
-  // Transcribed from the in-order model's trap/CSR/MMU units (minus its
-  // legacy bug injections — this backend carries only the ooo_* classes):
-  // the privileged surface must stay bit-exact against the golden model.
+  // Trap entry, CSRs and translation are DutCore's shared unit; of the bug
+  // injections only the privileged three and the ooo_* classes apply here.
   std::uint64_t areg(unsigned r) const { return prf_[rrat_[r & 31]]; }
   void arch_write_rd(sim::CommitRecord& rec, std::uint8_t rd,
                      std::uint64_t value);
-  void raise(sim::CommitRecord& rec, riscv::Exception cause,
-             std::uint64_t tval);
-  bool csr_read(std::uint16_t addr, std::uint64_t& value,
-                riscv::Priv view) const;
-  bool csr_write(std::uint16_t addr, std::uint64_t value);
-  bool translation_active() const;
-  enum class MemAccess { kFetch, kLoad, kStore };
-  riscv::Exception translate(std::uint64_t vaddr, MemAccess kind,
-                             std::uint64_t& paddr);
-  riscv::Exception leaf_permissions(std::uint64_t pte, MemAccess kind) const;
-  void flush_tlb();
-  void service_interrupts();
   /// One full architectural step (fetch + execute + commit): the serial-mode
   /// path for clint/Sv39 runs, mirroring the in-order core's step() shape.
   void serial_step();
   /// Architectural execute for a serial-class entry at the ROB head (the
   /// instruction is already fetched/decoded); advances pc_ itself.
   void arch_execute(const riscv::Decoded& d, sim::CommitRecord& rec);
-
-  CoreConfig cfg_;
-  cov::CoverageDB& db_;
-  sim::Platform plat_;
-  sim::Memory mem_;
-  sim::ClintState clint_;
-  ICache icache_;
-  DCache dcache_;
-  Predictor predictor_;
-  riscv::PredecodeCache predecode_;
-  cov::CtrlRegCoverage ctrl_cov_;
-  riscv::BbvRecorder* bbv_ = nullptr;
-
-  // Telemetry tallies (see take_obs_counters); never read architecturally.
-  obs::SimCounters obs_;
-
-  // Architectural state. pc_ is the committed pc (next instruction to
-  // retire); the front end runs ahead on fetch_pc_.
-  std::uint64_t pc_ = 0;
-  riscv::Priv priv_ = riscv::Priv::kMachine;
-  std::optional<std::uint64_t> reservation_;
-  struct CsrFile {
-    std::uint64_t mstatus = 0;
-    std::uint64_t medeleg = 0, mideleg = 0;
-    std::uint64_t mie = 0, mip = 0;
-    std::uint64_t mtvec = 0, mscratch = 0, mepc = 0, mcause = 0, mtval = 0;
-    std::uint64_t mcounteren = ~0ull, scounteren = ~0ull;
-    std::uint64_t stvec = 0, sscratch = 0, sepc = 0, scause = 0, stval = 0;
-    std::uint64_t satp = 0;
-    std::uint64_t instret = 0;
-  } csrs_;
-  struct TlbEntry {
-    bool valid = false;
-    std::uint64_t vpn = 0;
-    std::uint64_t pte = 0;
-    std::uint8_t level = 0;
-  };
-  std::array<TlbEntry, 16> tlb_{};
 
   // Rename state: speculative RAT (fetch-side), retirement RAT
   // (committed-side), physical register file + ready bits, free stack.
@@ -273,21 +188,13 @@ class OooCore final : public DutCore {
   std::vector<Inflight> inflight_;
   std::uint64_t next_seq_ = 0;
 
-  // Front end.
+  // Front end. pc_ (DutCore) is the committed pc; fetch runs ahead on
+  // fetch_pc_.
   std::uint64_t fetch_pc_ = 0;
   bool stall_serial_ = false;   // serial-class entry waiting at/for the head
   bool stall_jalr_ = false;     // jalr target unresolved
   bool stall_marker_ = false;   // stop marker dispatched
-  std::uint64_t cycles_ = 0;
   std::uint64_t last_commit_cycle_ = 0;
-  std::uint64_t last_ctrl_pack_ = 0;
-
-  // Run state.
-  sim::Trace trace_;
-  sim::CommitSink* sink_ = nullptr;
-  bool stopped_ = true;
-  sim::StopReason stop_reason_ = sim::StopReason::kStepLimit;
-  std::uint64_t steps_ = 0;
 
   // ---- ooo.* condition points ----------------------------------------------
   cov::PointId p_rename_alloc_, p_rename_stall_freelist_, p_rename_src_inflight_;

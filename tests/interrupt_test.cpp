@@ -1,14 +1,18 @@
 // CLINT / interrupt-stimulus tests: the device model, the M-mode interrupt
-// entry in both simulators, their lockstep agreement (interrupts must never
-// create false mismatches), and the coverage consequence — the DUT's
-// irq.pending condition points leave the unreachable tail.
+// entry in the golden model and both DUT backends, their lockstep agreement
+// (interrupts must never create false mismatches), and the coverage
+// consequence — the in-order DUT's irq.pending condition points leave the
+// unreachable tail.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "isasim/sim.h"
 #include "riscv/builder.h"
 #include "riscv/csr.h"
 #include "riscv/encode.h"
 #include "rtlsim/core.h"
+#include "rtlsim/dut.h"
 
 namespace chatfuzz::sim {
 namespace {
@@ -161,17 +165,28 @@ TEST(IsaSimInterruptTest, ClintDisabledFaultsAsBefore) {
 
 class InterruptLockstep : public ::testing::Test {
  protected:
-  /// Run both simulators (injections off) and require identical traces.
+  /// Run the golden model and each DUT backend (the in-order `rocket` and
+  /// the out-of-order `ooo` preset, injections off) and require identical
+  /// traces.
   void lockstep(const std::vector<std::uint32_t>& prog) {
+    for (const char* preset : {"rocket", "ooo"}) {
+      SCOPED_TRACE(preset);
+      lockstep_on(preset, prog);
+    }
+  }
+
+ private:
+  void lockstep_on(const char* preset, const std::vector<std::uint32_t>& prog) {
     const Platform plat = clint_platform();
     cov::CoverageDB db;
-    rtl::CoreConfig cfg = rtl::CoreConfig::rocket();
+    rtl::CoreConfig cfg;
+    ASSERT_TRUE(rtl::dut_preset(preset, cfg));
     cfg.bugs = rtl::BugInjections::none();
-    rtl::RtlCore dut(cfg, db, plat);
+    const std::unique_ptr<rtl::DutCore> dut = rtl::make_dut(cfg, db, plat);
     IsaSim golden(plat);
-    dut.reset(prog);
+    dut->reset(prog);
     golden.reset(prog);
-    const RunResult a = dut.run();
+    const RunResult a = dut->run();
     const RunResult bres = golden.run();
     ASSERT_EQ(a.trace.size(), bres.trace.size());
     for (std::size_t i = 0; i < a.trace.size(); ++i) {

@@ -1,11 +1,13 @@
 // Privileged-architecture unit suite: mstatus/sstatus WARL legalization,
 // the MPP/SPP/MPIE/SPIE stacks across trap entry and mret/sret, medeleg
 // masking edge cases, and min-privilege CSR access faults — asserted
-// against BOTH independent implementations (the golden IsaSim and the
-// bug-free RtlCore), since a trap-unit divergence between them is exactly
-// what the differential harness exists to catch.
+// against the golden IsaSim and against bug-free builds of both DUT
+// backends (in-order and out-of-order, which share one trap unit), since a
+// trap-unit divergence between a DUT and the golden model is exactly what
+// the differential harness exists to catch.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "coverage/cover.h"
@@ -13,7 +15,7 @@
 #include "isasim/sim.h"
 #include "riscv/builder.h"
 #include "riscv/csr.h"
-#include "rtlsim/core.h"
+#include "rtlsim/dut.h"
 
 namespace chatfuzz {
 namespace {
@@ -23,9 +25,10 @@ namespace ms = sim::mstatus;
 using riscv::Priv;
 using Program = std::vector<std::uint32_t>;
 
-/// Run `prog` to completion on the golden model and on a bug-free
-/// RocketCore-class DUT, then apply the same assertions to both. The check
-/// receives a side label for failure messages and the finished simulator.
+/// Run `prog` to completion on the golden model and on bug-free builds of
+/// both DUT backends (the in-order `rocket` and the out-of-order `ooo`
+/// preset), then apply the same assertions to each. The check receives a
+/// side label for failure messages and the finished simulator.
 template <typename Check>
 void run_both(const Program& prog, Check&& check, std::uint64_t max_steps = 512) {
   sim::Platform plat;
@@ -36,14 +39,15 @@ void run_both(const Program& prog, Check&& check, std::uint64_t max_steps = 512)
     iss.run();
     check("iss", iss);
   }
-  {
+  for (const char* preset : {"rocket", "ooo"}) {
     cov::CoverageDB db;
-    rtl::CoreConfig core = rtl::CoreConfig::rocket();
+    rtl::CoreConfig core;
+    ASSERT_TRUE(rtl::dut_preset(preset, core));
     core.bugs = rtl::BugInjections::none();
-    rtl::RtlCore dut(core, db, plat);
-    dut.reset(prog);
-    dut.run();
-    check("dut", dut);
+    const std::unique_ptr<rtl::DutCore> dut = rtl::make_dut(core, db, plat);
+    dut->reset(prog);
+    dut->run();
+    check(preset, *dut);
   }
 }
 

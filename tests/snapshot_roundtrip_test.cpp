@@ -486,6 +486,69 @@ TEST(SnapshotRoundTrip, CheckpointCampaignConfigRoundTripsDutList) {
   }
 }
 
+TEST(SnapshotRoundTrip, CheckpointCampaignConfigRejectsUnrunnableDutGeometry) {
+  // Checkpoints and the dist config frame carry DUT configs, and the cores
+  // are built straight from them: the reader must refuse geometry the
+  // models cannot run (a zero divisor, a line of partial words, structures
+  // without bound) on the primary core and in the DUT list alike.
+  const auto encode = [](const core::CampaignConfig& cfg) {
+    ser::Writer w;
+    core::write_campaign_config(w, cfg);
+    return w.buffer();
+  };
+  // The shipped presets read back and re-serialize byte for byte.
+  for (const rtl::CoreConfig& preset :
+       {rtl::CoreConfig::rocket(), rtl::CoreConfig::boom(),
+        rtl::CoreConfig::ooo()}) {
+    core::CampaignConfig cfg;
+    cfg.core = preset;
+    cfg.duts = {preset};
+    const std::string bytes = encode(cfg);
+    core::CampaignConfig back;
+    ser::Reader r(bytes);
+    ASSERT_TRUE(core::read_campaign_config(r, back)) << preset.name;
+    EXPECT_TRUE(r.done()) << preset.name;
+    EXPECT_EQ(encode(back), bytes) << preset.name;
+  }
+  struct Hostile {
+    const char* what;
+    void (*apply)(rtl::CoreConfig&);
+  };
+  const Hostile kHostile[] = {
+      {"icache_sets = 0", [](rtl::CoreConfig& c) { c.icache_sets = 0; }},
+      {"dcache_sets = 0", [](rtl::CoreConfig& c) { c.dcache_sets = 0; }},
+      {"icache_ways = 0", [](rtl::CoreConfig& c) { c.icache_ways = 0; }},
+      {"dcache_ways = 0", [](rtl::CoreConfig& c) { c.dcache_ways = 0; }},
+      {"btb_entries = 0", [](rtl::CoreConfig& c) { c.btb_entries = 0; }},
+      {"icache_line = 0", [](rtl::CoreConfig& c) { c.icache_line = 0; }},
+      {"icache_line = 6", [](rtl::CoreConfig& c) { c.icache_line = 6; }},
+      {"dcache_line = 2", [](rtl::CoreConfig& c) { c.dcache_line = 2; }},
+      {"icache 2^32 ways", [](rtl::CoreConfig& c) { c.icache_ways = ~0u; }},
+      {"dcache 16 MiB",
+       [](rtl::CoreConfig& c) {
+         c.dcache_sets = 1u << 12;
+         c.dcache_ways = 64;
+         c.dcache_line = 64;
+       }},
+      {"btb_entries = 2^32 - 1",
+       [](rtl::CoreConfig& c) { c.btb_entries = ~0u; }},
+      {"rob_size = 2^31", [](rtl::CoreConfig& c) { c.rob_size = 1u << 31; }},
+      {"sq_size = 2^32 - 1", [](rtl::CoreConfig& c) { c.sq_size = ~0u; }},
+  };
+  for (const Hostile& h : kHostile) {
+    for (int slot = 0; slot < 2; ++slot) {
+      core::CampaignConfig cfg;
+      cfg.duts = {rtl::CoreConfig::rocket(), rtl::CoreConfig::ooo()};
+      h.apply(slot == 0 ? cfg.core : cfg.duts[1]);
+      const std::string bytes = encode(cfg);
+      core::CampaignConfig back;
+      ser::Reader r(bytes);
+      EXPECT_FALSE(core::read_campaign_config(r, back))
+          << h.what << (slot == 0 ? " (core)" : " (duts[1])");
+    }
+  }
+}
+
 TEST(SnapshotRoundTrip, CheckpointRejectsPreMultiDutVersions) {
   // A pre-v4 checkpoint has no DUT list and its coverage blob predates the
   // per-DUT DB layout: load must refuse it with a version diagnostic, not

@@ -1,12 +1,15 @@
 // Sv39 translation unit suite: page-table-walker behaviour (leaf/non-leaf
 // descent, superpage alignment, R/W/X/U permission checks, SUM/MXR, Svade
-// A/D faults, TLB caching + sfence.vma), asserted against BOTH independent
-// implementations, plus a randomized lockstep property test (bug-free DUT
-// over privileged/VM corpus programs must produce zero mismatches) and
-// detection tests proving the differential harness catches each of the
-// three injected trap/translation bugs.
+// A/D faults, TLB caching + sfence.vma), asserted against the golden model
+// and bug-free builds of both DUT backends (in-order `rocket` and
+// out-of-order `ooo`, which share one MMU), plus a randomized lockstep
+// property test (bug-free DUT over privileged/VM corpus programs must
+// produce zero mismatches) and detection tests proving the differential
+// harness catches each of the three injected trap/translation bugs on
+// either backend.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "corpus/generator.h"
@@ -17,7 +20,7 @@
 #include "mismatch/lockstep.h"
 #include "riscv/builder.h"
 #include "riscv/csr.h"
-#include "rtlsim/core.h"
+#include "rtlsim/dut.h"
 
 namespace chatfuzz {
 namespace {
@@ -90,6 +93,23 @@ void load_va(riscv::ProgramBuilder& b, unsigned rd) {
   b.slli(rd, rd, 12);
 }
 
+/// Both DUT backends, by `--dut` preset name.
+constexpr const char* kDuts[] = {"rocket", "ooo"};
+
+/// The `preset` backend with bug injections `bugs`, built through the
+/// campaign's own factory.
+std::unique_ptr<rtl::DutCore> make_backend(const char* preset,
+                                           const rtl::BugInjections& bugs,
+                                           cov::CoverageDB& db,
+                                           const sim::Platform& plat) {
+  rtl::CoreConfig core;
+  EXPECT_TRUE(rtl::dut_preset(preset, core)) << preset;
+  core.bugs = bugs;
+  return rtl::make_dut(core, db, plat);
+}
+
+/// Run `prog` on the golden model and on bug-free builds of both backends,
+/// then apply the same assertions to each (labelled by side).
 template <typename Check>
 void run_both(const Program& prog, Check&& check, std::uint64_t max_steps = 512) {
   sim::Platform plat;
@@ -100,14 +120,13 @@ void run_both(const Program& prog, Check&& check, std::uint64_t max_steps = 512)
     iss.run();
     check("iss", iss);
   }
-  {
+  for (const char* preset : kDuts) {
     cov::CoverageDB db;
-    rtl::CoreConfig core = rtl::CoreConfig::rocket();
-    core.bugs = rtl::BugInjections::none();
-    rtl::RtlCore dut(core, db, plat);
-    dut.reset(prog);
-    dut.run();
-    check("dut", dut);
+    const auto dut =
+        make_backend(preset, rtl::BugInjections::none(), db, plat);
+    dut->reset(prog);
+    dut->run();
+    check(preset, *dut);
   }
 }
 
@@ -346,40 +365,53 @@ TEST(Sv39Ptw, SfenceVmaFlushesTheTlb) {
 
 // ---- Randomized property: bug-free lockstep over priv/VM corpus ----------
 
-mismatch::Report diff_traces(const Program& prog,
+/// Lockstep-diff `prog` on the `preset` backend (with `bugs`) against the
+/// golden model.
+mismatch::Report diff_traces(const char* preset, const Program& prog,
                              const rtl::BugInjections& bugs,
                              std::uint64_t max_steps = 512) {
   sim::Platform plat;
   plat.max_steps = max_steps;
   cov::CoverageDB db;
-  rtl::CoreConfig core = rtl::CoreConfig::rocket();
-  core.bugs = bugs;
-  rtl::RtlCore dut(core, db, plat);
+  const auto dut = make_backend(preset, bugs, db, plat);
   sim::IsaSim golden(plat);
   mismatch::MismatchDetector det;
   det.install_default_filters();
-  dut.reset(prog);
-  const sim::RunResult dr = dut.run();
+  dut->reset(prog);
+  const sim::RunResult dr = dut->run();
   golden.reset(prog);
   const sim::RunResult gr = golden.run();
   return det.compare(dr.trace, gr.trace);
 }
 
 TEST(Sv39Property, RandomPrivVmProgramsLockstepClean) {
-  // N generated privileged/VM programs, bug-free DUT: the differential
+  // N generated privileged/VM programs, bug-free DUTs: the differential
   // harness must stay silent — any mismatch is a real divergence between
-  // the two independently written trap/translation implementations.
+  // the golden model's and the DUTs' independently written
+  // trap/translation implementations.
   corpus::CorpusConfig cc;
   cc.w_vm = 4.0;  // dense Sv39/priv stimulus
   corpus::CorpusGenerator gen(cc, 99);
   for (int p = 0; p < 1000; ++p) {
     const Program prog = gen.function();
-    const mismatch::Report rep =
-        diff_traces(prog, rtl::BugInjections::none());
-    EXPECT_TRUE(rep.mismatches.empty())
-        << "program " << p << ": " << rep.mismatches.size()
-        << " mismatches, first signature: "
-        << (rep.mismatches.empty() ? "" : rep.mismatches[0].signature);
+    for (const char* preset : kDuts) {
+      const mismatch::Report rep =
+          diff_traces(preset, prog, rtl::BugInjections::none());
+      EXPECT_TRUE(rep.mismatches.empty())
+          << preset << " program " << p << ": " << rep.mismatches.size()
+          << " mismatches, first signature: "
+          << (rep.mismatches.empty() ? "" : rep.mismatches[0].signature);
+    }
+  }
+}
+
+/// A directed program must lockstep clean with injections off and diverge
+/// with `bugs` on, on both backends.
+void expect_detected(const Program& prog, const rtl::BugInjections& bugs) {
+  for (const char* preset : kDuts) {
+    const rtl::BugInjections clean = rtl::BugInjections::none();
+    EXPECT_TRUE(diff_traces(preset, prog, clean).mismatches.empty()) << preset;
+    EXPECT_FALSE(diff_traces(preset, prog, bugs).mismatches.empty()) << preset;
   }
 }
 
@@ -392,11 +424,9 @@ TEST(Sv39BugInjection, WrongDelegationIsDetected) {
   b.enter_priv(0);
   b.ecall();                     // golden: to S. buggy DUT: to M.
   b.csrrs(10, csr::kScause, 0);  // reads 8 in S, 0 in the buggy DUT's M
-  const Program prog = b.seal();
-  EXPECT_TRUE(diff_traces(prog, rtl::BugInjections::none()).mismatches.empty());
   rtl::BugInjections bugs = rtl::BugInjections::none();
   bugs.wrong_delegation = true;
-  EXPECT_FALSE(diff_traces(prog, bugs).mismatches.empty());
+  expect_detected(b.seal(), bugs);
 }
 
 TEST(Sv39BugInjection, SkipPermCheckIsDetected) {
@@ -412,11 +442,9 @@ TEST(Sv39BugInjection, SkipPermCheckIsDetected) {
   b.slli(5, 5, 12);
   b.li(6, kMarker);
   b.sd(5, 6, 0);
-  const Program prog = b.seal();
-  EXPECT_TRUE(diff_traces(prog, rtl::BugInjections::none()).mismatches.empty());
   rtl::BugInjections bugs = rtl::BugInjections::none();
   bugs.skip_perm_check = true;
-  EXPECT_FALSE(diff_traces(prog, bugs).mismatches.empty());
+  expect_detected(b.seal(), bugs);
 }
 
 TEST(Sv39BugInjection, StaleTlbIsDetected) {
@@ -438,11 +466,9 @@ TEST(Sv39BugInjection, StaleTlbIsDetected) {
   b.csrrs(5, csr::kSatp, 0);
   b.csrrw(0, csr::kSatp, 5);  // same value: flushes the golden TLB only
   b.sd(10, 11, 8);            // golden: fault 15. buggy DUT: retires.
-  const Program prog = b.seal();
-  EXPECT_TRUE(diff_traces(prog, rtl::BugInjections::none()).mismatches.empty());
   rtl::BugInjections bugs = rtl::BugInjections::none();
   bugs.stale_tlb = true;
-  EXPECT_FALSE(diff_traces(prog, bugs).mismatches.empty());
+  expect_detected(b.seal(), bugs);
 }
 
 TEST(Sv39BugInjection, GeneratedCorpusDetectsEachInjection) {
@@ -450,18 +476,21 @@ TEST(Sv39BugInjection, GeneratedCorpusDetectsEachInjection) {
   // generator-produced test (not a hand-written one) must expose it.
   corpus::CorpusConfig cc;
   cc.w_vm = 4.0;
-  for (int bug = 0; bug < 3; ++bug) {
-    rtl::BugInjections bugs = rtl::BugInjections::none();
-    if (bug == 0) bugs.wrong_delegation = true;
-    if (bug == 1) bugs.skip_perm_check = true;
-    if (bug == 2) bugs.stale_tlb = true;
-    corpus::CorpusGenerator gen(cc, 4242);
-    bool detected = false;
-    for (int p = 0; p < 400 && !detected; ++p) {
-      const Program prog = gen.function();
-      detected = !diff_traces(prog, bugs).mismatches.empty();
+  for (const char* preset : kDuts) {
+    for (int bug = 0; bug < 3; ++bug) {
+      rtl::BugInjections bugs = rtl::BugInjections::none();
+      if (bug == 0) bugs.wrong_delegation = true;
+      if (bug == 1) bugs.skip_perm_check = true;
+      if (bug == 2) bugs.stale_tlb = true;
+      corpus::CorpusGenerator gen(cc, 4242);
+      bool detected = false;
+      for (int p = 0; p < 400 && !detected; ++p) {
+        const Program prog = gen.function();
+        detected = !diff_traces(preset, prog, bugs).mismatches.empty();
+      }
+      EXPECT_TRUE(detected)
+          << preset << ": bug " << bug << " evaded 400 generated tests";
     }
-    EXPECT_TRUE(detected) << "bug " << bug << " evaded 400 generated tests";
   }
 }
 
