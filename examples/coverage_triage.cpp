@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string report = cov::write_report(dbs[0]);
+  const std::string report = cov::format_report(dbs[0]);
   std::printf("\nreport: %zu bytes of VCS-style COND lines; first two:\n",
               report.size());
   std::size_t at = report.find("COND");

@@ -161,7 +161,7 @@ void CtrlRegCoverage::reset() {
   test_new_ = 0;
 }
 
-std::string write_report(const CoverageDB& db) {
+std::string format_report(const CoverageDB& db) {
   std::string out = "# chatfuzz condition coverage report v1\n";
   char line[256];
   for (std::size_t i = 0; i < db.num_points(); ++i) {

@@ -209,7 +209,7 @@ class CtrlRegCoverage {
 
 /// Serialize a coverage DB to the textual report format the Coverage
 /// Calculator parses (stands in for the VCS report flow of §IV-B).
-std::string write_report(const CoverageDB& db);
+std::string format_report(const CoverageDB& db);
 
 /// Parse a report back into (name, true_hits, false_hits) triples.
 struct ReportEntry {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include "dist/transport.h"
 #include "obs/metrics.h"
 #include "util/log.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace chatfuzz::dist {
@@ -316,7 +318,11 @@ std::optional<int> maybe_worker_main(int argc, char** argv) {
     } else if (arg == "--token" && i + 1 < argc) {
       opts.token = argv[++i];
     } else if (arg == "--retries" && i + 1 < argc) {
-      opts.max_retries = std::atoi(argv[++i]);
+      const auto retries = parse_count(argv[++i]);
+      if (!retries || *retries > INT_MAX) {
+        return fail(kUsage, arg + " " + argv[i]);
+      }
+      opts.max_retries = static_cast<int>(*retries);
     } else {
       return fail(kUsage, arg);
     }

@@ -252,109 +252,6 @@ bool MismatchDetector::restore_state(ser::Reader& r) {
   return true;
 }
 
-namespace {
-
-void write_commit_record(ser::Writer& w, const sim::CommitRecord& rec) {
-  w.u64(rec.pc);
-  w.u32(rec.instr);
-  w.boolean(rec.has_rd_write);
-  w.u8(rec.rd);
-  w.u64(rec.rd_value);
-  w.boolean(rec.has_mem);
-  w.boolean(rec.mem_is_store);
-  w.u64(rec.mem_addr);
-  w.u64(rec.mem_value);
-  w.u8(rec.mem_size);
-  w.u8(static_cast<std::uint8_t>(rec.exception));
-  w.u8(static_cast<std::uint8_t>(rec.priv));
-}
-
-bool read_commit_record(ser::Reader& r, sim::CommitRecord& rec) {
-  rec.pc = r.u64();
-  rec.instr = r.u32();
-  rec.has_rd_write = r.boolean();
-  rec.rd = r.u8();
-  rec.rd_value = r.u64();
-  rec.has_mem = r.boolean();
-  rec.mem_is_store = r.boolean();
-  rec.mem_addr = r.u64();
-  rec.mem_value = r.u64();
-  rec.mem_size = r.u8();
-  const std::uint8_t exc = r.u8();
-  const std::uint8_t priv = r.u8();
-  // Exception causes are the RISC-V mcause codes plus the kNone sentinel;
-  // privilege is U/S/M. Anything else is wire corruption the CRC missed or
-  // a foreign writer — fail, don't fabricate enum values.
-  if (!riscv::is_valid_cause(exc) &&
-      exc != static_cast<std::uint8_t>(riscv::Exception::kNone)) {
-    r.fail();
-    return false;
-  }
-  if (priv != static_cast<std::uint8_t>(riscv::Priv::kUser) &&
-      priv != static_cast<std::uint8_t>(riscv::Priv::kSupervisor) &&
-      priv != static_cast<std::uint8_t>(riscv::Priv::kMachine)) {
-    r.fail();
-    return false;
-  }
-  rec.exception = static_cast<riscv::Exception>(exc);
-  rec.priv = static_cast<riscv::Priv>(priv);
-  return r.ok();
-}
-
-}  // namespace
-
-void write_report(ser::Writer& w, const Report& report) {
-  w.u64(report.raw_count);
-  w.u64(report.filtered_count);
-  w.u64(report.mismatches.size());
-  for (const Mismatch& m : report.mismatches) {
-    w.u8(static_cast<std::uint8_t>(m.kind));
-    w.u64(m.index);
-    w.u64(m.dut_index);
-    write_commit_record(w, m.dut);
-    write_commit_record(w, m.golden);
-    w.str(m.signature);
-    w.u8(static_cast<std::uint8_t>(m.finding));
-  }
-}
-
-bool read_report(ser::Reader& r, Report& out) {
-  out.mismatches.clear();
-  out.raw_count = static_cast<std::size_t>(r.u64());
-  out.filtered_count = static_cast<std::size_t>(r.u64());
-  const std::uint64_t n = r.u64();
-  // Each record is >= 90 payload bytes; reject counts the payload cannot
-  // hold before reserving.
-  if (!r.ok() || n > r.remaining() / 90) {
-    r.fail();
-    return false;
-  }
-  out.mismatches.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Mismatch m;
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(Kind::kLength)) {
-      r.fail();
-      return false;
-    }
-    m.kind = static_cast<Kind>(kind);
-    m.index = static_cast<std::size_t>(r.u64());
-    m.dut_index = static_cast<std::size_t>(r.u64());
-    if (!read_commit_record(r, m.dut)) return false;
-    if (!read_commit_record(r, m.golden)) return false;
-    m.signature = r.str();
-    const std::uint8_t finding = r.u8();
-    if (finding > static_cast<std::uint8_t>(Finding::kOther)) {
-      r.fail();
-      return false;
-    }
-    m.finding = static_cast<Finding>(finding);
-    if (!r.ok()) return false;
-    out.mismatches.push_back(std::move(m));
-  }
-  return r.ok();
-}
-
 void write_report_summary(ser::Writer& w, const Report& report) {
   w.varint(report.raw_count);
   w.varint(report.filtered_count);

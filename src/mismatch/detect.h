@@ -72,14 +72,6 @@ struct Report {
   std::size_t filtered_count = 0;        // dropped by filter rules
 };
 
-/// Full-fidelity Report encoding: counters plus every post-filter record
-/// with both commit records, the signature and the classification. Used
-/// where the record details matter (report byte-equivalence tests,
-/// archival). read_report validates enum ranges and fails the reader on
-/// malformed input instead of constructing out-of-range values.
-void write_report(ser::Writer& w, const Report& report);
-bool read_report(ser::Reader& r, Report& out);
-
 /// Signature-level Report encoding — what a distributed campaign worker
 /// ships back (src/dist/): counters plus consecutive runs of identical
 /// (kind, finding, signature) records collapsed to one entry with a count.

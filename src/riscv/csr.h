@@ -145,13 +145,6 @@ enum class Exception : std::uint8_t {
   kNone = 0xff,
 };
 
-/// True for a cause code that actually exists in this model (10 and 14 are
-/// reserved in the privileged spec).
-inline bool is_valid_cause(std::uint8_t cause) {
-  return cause <= static_cast<std::uint8_t>(Exception::kStorePageFault) &&
-         cause != 10 && cause != 14;
-}
-
 /// Human-readable cause name for reports and mismatch signatures.
 const char* exception_name(Exception e);
 

@@ -19,6 +19,7 @@
 #include <sstream>
 
 #include "baselines/mutational.h"
+#include "campaign_equality.h"
 #include "core/campaign.h"
 #include "core/checkpoint.h"
 #include "corpus/generator.h"
@@ -98,29 +99,6 @@ CampaignResult run_with_workers(const CampaignConfig& base,
   CampaignConfig cfg = base;
   cfg.num_workers = workers;
   return run_campaign(gen, cfg);
-}
-
-void expect_identical(const CampaignResult& a, const CampaignResult& b) {
-  EXPECT_EQ(a.tests_run, b.tests_run);
-  EXPECT_EQ(a.final_cov_percent, b.final_cov_percent);  // bit-exact, no tol
-  EXPECT_EQ(a.total_cycles, b.total_cycles);
-  EXPECT_EQ(a.total_instrs, b.total_instrs);
-  EXPECT_EQ(a.raw_mismatches, b.raw_mismatches);
-  EXPECT_EQ(a.filtered_mismatches, b.filtered_mismatches);
-  EXPECT_EQ(a.unique_mismatches, b.unique_mismatches);
-  EXPECT_EQ(a.findings, b.findings);
-  EXPECT_EQ(a.toggle_percent, b.toggle_percent);
-  EXPECT_EQ(a.fsm_percent, b.fsm_percent);
-  EXPECT_EQ(a.statement_percent, b.statement_percent);
-  EXPECT_EQ(a.uncovered.size(), b.uncovered.size());
-  ASSERT_EQ(a.curve.size(), b.curve.size());
-  for (std::size_t i = 0; i < a.curve.size(); ++i) {
-    EXPECT_EQ(a.curve[i].tests, b.curve[i].tests) << "point " << i;
-    EXPECT_EQ(a.curve[i].hours, b.curve[i].hours) << "point " << i;
-    EXPECT_EQ(a.curve[i].cond_cov_percent, b.curve[i].cond_cov_percent)
-        << "point " << i;
-    EXPECT_EQ(a.curve[i].ctrl_states, b.curve[i].ctrl_states) << "point " << i;
-  }
 }
 
 TEST(CampaignDeterminism, FourWorkersMatchOneWorker) {
@@ -274,14 +252,6 @@ TEST(CampaignDeterminism, PrivVmCampaignResumeMatchesUninterrupted) {
   expect_identical(reference, resume_campaign(fresh, dir, opts));
 }
 
-std::string read_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 TEST(CampaignDeterminism, SuperblockDispatchIsResultInvariant) {
   // The tentpole guarantee: superblock dispatch is a pure speedup. Turning
   // it off (interpreter fetch/decode every step) must reproduce the exact
@@ -327,7 +297,7 @@ TEST(CampaignDeterminism, BbvFilesAreDispatchAndWorkerCountInvariant) {
     c.num_workers = workers;
     c.bbv_path = dir + "/" + name;
     run_campaign(gen, c);
-    return read_bytes(c.bbv_path);
+    return file_bytes(c.bbv_path);
   };
   const std::string reference = run("on_w1.bbv", true, 1);
   EXPECT_FALSE(reference.empty());
@@ -368,7 +338,7 @@ TEST(CampaignDeterminism, ResumeWithSuperblocksToggledMatches) {
   opts.superblocks = false;  // toggled across the cut
   opts.bbv_path = dir + "/cut.bbv";
   expect_identical(reference, resume_campaign(fresh, ckpt, opts));
-  EXPECT_EQ(read_bytes(dir + "/ref.bbv"), read_bytes(dir + "/cut.bbv"));
+  EXPECT_EQ(file_bytes(dir + "/ref.bbv"), file_bytes(dir + "/cut.bbv"));
 }
 
 TEST(CampaignDeterminism, MoreWorkersThanTestsIsSafe) {
@@ -437,15 +407,6 @@ TEST(MultiDutDeterminism, MultiDutSupersetsSingleDutFindings) {
   EXPECT_GE(both.unique_mismatches, ooo.unique_mismatches);
 }
 
-std::map<std::string, std::string> corpus_bytes(const std::string& dir) {
-  std::map<std::string, std::string> out;
-  for (const auto& e : std::filesystem::directory_iterator(
-           std::filesystem::path(dir) / "corpus")) {
-    out[e.path().filename().string()] = read_bytes(e.path().string());
-  }
-  return out;
-}
-
 TEST(MultiDutDeterminism, PersistedStateIsTopologyInvariant) {
   // The byte-level half of the contract: a multi-DUT campaign's coverage
   // DB, mismatch signature DB, generator stream and corpus store must be
@@ -473,15 +434,7 @@ TEST(MultiDutDeterminism, PersistedStateIsTopologyInvariant) {
   for (const auto& g : grid) {
     SCOPED_TRACE(g.tag);
     const std::string dir = run_persisted(g.tag, g.workers, g.procs);
-    CheckpointData b;
-    ASSERT_TRUE(load_checkpoint(dir, &b).ok());
-    EXPECT_EQ(a.coverage_blob, b.coverage_blob) << "coverage DB bytes differ";
-    EXPECT_EQ(a.detector_blob, b.detector_blob)
-        << "mismatch signature DB bytes differ";
-    EXPECT_EQ(a.generator_blob, b.generator_blob)
-        << "generator stream state differs";
-    EXPECT_EQ(corpus_bytes(ref), corpus_bytes(dir))
-        << "corpus store bytes differ";
+    expect_same_persisted_state(ref, dir);
     std::filesystem::remove_all(dir);
   }
 

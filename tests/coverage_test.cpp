@@ -121,7 +121,7 @@ TEST(Report, RoundTrip) {
   db.hit(a, true);
   db.hit(a, true);
   db.hit(b, false);
-  const std::string text = write_report(db);
+  const std::string text = format_report(db);
   const auto entries = parse_report(text);
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].name, "fetch.icache.hit");

@@ -25,6 +25,7 @@
 #include <thread>
 
 #include "baselines/mutational.h"
+#include "campaign_equality.h"
 #include "core/campaign.h"
 #include "core/checkpoint.h"
 #include "core/sim_worker.h"
@@ -68,61 +69,6 @@ CampaignResult run_with(CampaignConfig cfg, std::size_t procs,
   cfg.num_workers = workers;
   cfg.checkpoint_dir = dir;
   return run_campaign(gen, cfg);
-}
-
-void expect_identical(const CampaignResult& a, const CampaignResult& b) {
-  EXPECT_EQ(a.tests_run, b.tests_run);
-  EXPECT_EQ(a.final_cov_percent, b.final_cov_percent);  // bit-exact, no tol
-  EXPECT_EQ(a.total_cycles, b.total_cycles);
-  EXPECT_EQ(a.total_instrs, b.total_instrs);
-  EXPECT_EQ(a.raw_mismatches, b.raw_mismatches);
-  EXPECT_EQ(a.filtered_mismatches, b.filtered_mismatches);
-  EXPECT_EQ(a.unique_mismatches, b.unique_mismatches);
-  EXPECT_EQ(a.findings, b.findings);
-  EXPECT_EQ(a.toggle_percent, b.toggle_percent);
-  EXPECT_EQ(a.fsm_percent, b.fsm_percent);
-  EXPECT_EQ(a.statement_percent, b.statement_percent);
-  EXPECT_EQ(a.uncovered.size(), b.uncovered.size());
-  ASSERT_EQ(a.curve.size(), b.curve.size());
-  for (std::size_t i = 0; i < a.curve.size(); ++i) {
-    EXPECT_EQ(a.curve[i].tests, b.curve[i].tests) << "point " << i;
-    EXPECT_EQ(a.curve[i].hours, b.curve[i].hours) << "point " << i;
-    EXPECT_EQ(a.curve[i].cond_cov_percent, b.curve[i].cond_cov_percent)
-        << "point " << i;
-    EXPECT_EQ(a.curve[i].ctrl_states, b.curve[i].ctrl_states) << "point " << i;
-  }
-}
-
-std::string file_bytes(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-/// Every file of a corpus store directory, name -> bytes.
-std::map<std::string, std::string> corpus_bytes(const std::string& dir) {
-  std::map<std::string, std::string> out;
-  for (const auto& e : fs::directory_iterator(fs::path(dir) / "corpus")) {
-    out[e.path().filename().string()] = file_bytes(e.path());
-  }
-  return out;
-}
-
-/// The persisted coverage / mismatch / generator state: the byte-level
-/// form of "same coverage DB, same signature DB, same generator stream".
-void expect_same_persisted_state(const std::string& dir_a,
-                                 const std::string& dir_b) {
-  CheckpointData a, b;
-  ASSERT_TRUE(load_checkpoint(dir_a, &a).ok());
-  ASSERT_TRUE(load_checkpoint(dir_b, &b).ok());
-  EXPECT_EQ(a.coverage_blob, b.coverage_blob) << "coverage DB bytes differ";
-  EXPECT_EQ(a.detector_blob, b.detector_blob)
-      << "mismatch signature DB bytes differ";
-  EXPECT_EQ(a.generator_blob, b.generator_blob)
-      << "generator stream state differs";
-  EXPECT_EQ(corpus_bytes(dir_a), corpus_bytes(dir_b))
-      << "corpus store bytes differ";
 }
 
 TEST(DistDeterminism, ProcessMatrixIsBitIdentical) {
@@ -553,45 +499,6 @@ TEST(DistProtocol, ArtifactRoundTripIncludesMismatchRecords) {
     TestArtifact scratch;
     (void)dist::read_artifact(mr, scratch);  // must not crash/UB
   }
-}
-
-TEST(DistProtocol, FullReportRoundTripKeepsCommitRecords) {
-  // The full-fidelity sibling of the wire summary: every record field
-  // survives, and a corrupted enum byte fails the decode instead of
-  // fabricating a value.
-  mismatch::Report rep;
-  rep.raw_count = 2;
-  rep.filtered_count = 1;
-  mismatch::Mismatch m;
-  m.kind = mismatch::Kind::kMemValue;
-  m.index = 5;
-  m.dut.pc = 0x80000020;
-  m.dut.has_mem = true;
-  m.dut.mem_is_store = true;
-  m.dut.mem_addr = 0x80001000;
-  m.dut.mem_value = 0xabcd;
-  m.dut.mem_size = 8;
-  m.golden = m.dut;
-  m.golden.mem_value = 0xabce;
-  m.signature = "mem-value sd";
-  rep.mismatches.push_back(m);
-  ser::Writer w;
-  mismatch::write_report(w, rep);
-  ser::Reader r(w.buffer());
-  mismatch::Report back;
-  ASSERT_TRUE(mismatch::read_report(r, back));
-  EXPECT_TRUE(r.done());
-  ASSERT_EQ(back.mismatches.size(), 1u);
-  EXPECT_EQ(back.mismatches[0].index, 5u);
-  EXPECT_EQ(back.mismatches[0].dut.mem_value, 0xabcdu);
-  EXPECT_EQ(back.mismatches[0].golden.mem_value, 0xabceu);
-  EXPECT_EQ(back.mismatches[0].dut.mem_size, 8u);
-
-  // Corrupt the kind byte (first mismatch field after the three u64s).
-  std::string evil = w.buffer();
-  evil[24] = static_cast<char>(0x7f);
-  ser::Reader er(evil);
-  EXPECT_FALSE(mismatch::read_report(er, back));
 }
 
 TEST(DistProtocol, DecodersRejectGarbageAndWrongTypes) {

@@ -29,6 +29,7 @@
 #include <thread>
 
 #include "baselines/mutational.h"
+#include "campaign_equality.h"
 #include "core/campaign.h"
 #include "core/checkpoint.h"
 #include "dist/coordinator.h"
@@ -84,55 +85,6 @@ CampaignResult run_with(CampaignConfig cfg, std::size_t procs,
   cfg.num_workers = workers;
   cfg.checkpoint_dir = dir;
   return run_campaign(gen, cfg);
-}
-
-void expect_identical(const CampaignResult& a, const CampaignResult& b) {
-  EXPECT_EQ(a.tests_run, b.tests_run);
-  EXPECT_EQ(a.final_cov_percent, b.final_cov_percent);  // bit-exact, no tol
-  EXPECT_EQ(a.total_cycles, b.total_cycles);
-  EXPECT_EQ(a.total_instrs, b.total_instrs);
-  EXPECT_EQ(a.raw_mismatches, b.raw_mismatches);
-  EXPECT_EQ(a.filtered_mismatches, b.filtered_mismatches);
-  EXPECT_EQ(a.unique_mismatches, b.unique_mismatches);
-  EXPECT_EQ(a.findings, b.findings);
-  ASSERT_EQ(a.curve.size(), b.curve.size());
-  for (std::size_t i = 0; i < a.curve.size(); ++i) {
-    EXPECT_EQ(a.curve[i].tests, b.curve[i].tests) << "point " << i;
-    EXPECT_EQ(a.curve[i].cond_cov_percent, b.curve[i].cond_cov_percent)
-        << "point " << i;
-    EXPECT_EQ(a.curve[i].ctrl_states, b.curve[i].ctrl_states) << "point " << i;
-  }
-}
-
-std::string file_bytes(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-std::map<std::string, std::string> corpus_bytes(const std::string& dir) {
-  std::map<std::string, std::string> out;
-  for (const auto& e : fs::directory_iterator(fs::path(dir) / "corpus")) {
-    out[e.path().filename().string()] = file_bytes(e.path());
-  }
-  return out;
-}
-
-/// Byte-level identity of everything a campaign persists — the acceptance
-/// criterion: coverage DB, signature DB, generator stream, corpus store.
-void expect_same_persisted_state(const std::string& dir_a,
-                                 const std::string& dir_b) {
-  CheckpointData a, b;
-  ASSERT_TRUE(load_checkpoint(dir_a, &a).ok());
-  ASSERT_TRUE(load_checkpoint(dir_b, &b).ok());
-  EXPECT_EQ(a.coverage_blob, b.coverage_blob) << "coverage DB bytes differ";
-  EXPECT_EQ(a.detector_blob, b.detector_blob)
-      << "mismatch signature DB bytes differ";
-  EXPECT_EQ(a.generator_blob, b.generator_blob)
-      << "generator stream state differs";
-  EXPECT_EQ(corpus_bytes(dir_a), corpus_bytes(dir_b))
-      << "corpus store bytes differ";
 }
 
 // ---------------------------------------------------------------------------
@@ -444,6 +396,29 @@ TEST(DistFault, WorkerWithBadTokenIsRejectedAndStopsRedialing) {
     EXPECT_GT(arts[i].steps, 0u) << "artifact slot " << i << " never filled";
   }
   fs::remove(cfg.dist.port_file);
+}
+
+TEST(DistFault, WorkerRejectsAMalformedRetryCountBeforeDialing) {
+  // `worker --retries` takes a count: anything else prints the usage line
+  // and exits 1 without a connection attempt.
+  const auto worker = [](const char* retries, std::string* err) {
+    const char* argv[] = {"chatfuzz",    "worker",    "--connect",
+                          "127.0.0.1:9", "--retries", retries};
+    ::testing::internal::CaptureStderr();
+    const auto rc = dist::maybe_worker_main(6, const_cast<char**>(argv));
+    *err = ::testing::internal::GetCapturedStderr();
+    return rc.value_or(-1);
+  };
+  std::string err;
+  for (const char* bad : {"abc", "-3", "2x", "", " 1", "99999999999"}) {
+    EXPECT_EQ(worker(bad, &err), 1) << "--retries '" << bad << "'";
+    EXPECT_NE(err.find("usage: worker"), std::string::npos) << err;
+    EXPECT_EQ(err.find("cannot reach"), std::string::npos) << err;
+  }
+  // A well-formed count still bounds the redials: 0 means dial once.
+  EXPECT_EQ(worker("0", &err), 1);
+  EXPECT_NE(err.find("cannot reach coordinator"), std::string::npos) << err;
+  EXPECT_NE(err.find("0 consecutive"), std::string::npos) << err;
 }
 
 TEST(DistFault, DefaultFleetRejectsForeignDialIn) {

@@ -123,9 +123,9 @@ TEST(Merge, ApplyingSlicesInAnyGroupingMatchesWholeDbMerges) {
 }
 
 TEST(Merge, MergeReportsIsOrderInsensitive) {
-  const auto ra = parse_report(write_report(make_db(31)));
-  const auto rb = parse_report(write_report(make_db(32)));
-  const auto rc = parse_report(write_report(make_db(33)));
+  const auto ra = parse_report(format_report(make_db(31)));
+  const auto rb = parse_report(format_report(make_db(32)));
+  const auto rc = parse_report(format_report(make_db(33)));
 
   const auto abc = merge_reports({ra, rb, rc});
   const auto cba = merge_reports({rc, rb, ra});

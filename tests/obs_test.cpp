@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "baselines/mutational.h"
+#include "campaign_equality.h"
 #include "core/campaign.h"
 #include "core/checkpoint.h"
 #include "corpus/stats.h"
@@ -86,55 +87,6 @@ CampaignResult run_traced(const CampaignConfig& base, std::size_t procs,
   cfg.stats_path = stats;
   cfg.stats_every_ms = 0;  // every batch boundary
   return run_campaign(gen, cfg);
-}
-
-void expect_identical(const CampaignResult& a, const CampaignResult& b) {
-  EXPECT_EQ(a.tests_run, b.tests_run);
-  EXPECT_EQ(a.final_cov_percent, b.final_cov_percent);  // bit-exact, no tol
-  EXPECT_EQ(a.total_cycles, b.total_cycles);
-  EXPECT_EQ(a.total_instrs, b.total_instrs);
-  EXPECT_EQ(a.raw_mismatches, b.raw_mismatches);
-  EXPECT_EQ(a.filtered_mismatches, b.filtered_mismatches);
-  EXPECT_EQ(a.unique_mismatches, b.unique_mismatches);
-  EXPECT_EQ(a.findings, b.findings);
-  ASSERT_EQ(a.curve.size(), b.curve.size());
-  for (std::size_t i = 0; i < a.curve.size(); ++i) {
-    EXPECT_EQ(a.curve[i].tests, b.curve[i].tests) << "point " << i;
-    EXPECT_EQ(a.curve[i].hours, b.curve[i].hours) << "point " << i;
-    EXPECT_EQ(a.curve[i].cond_cov_percent, b.curve[i].cond_cov_percent)
-        << "point " << i;
-    EXPECT_EQ(a.curve[i].ctrl_states, b.curve[i].ctrl_states) << "point " << i;
-  }
-}
-
-std::string file_bytes(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-std::map<std::string, std::string> corpus_bytes(const std::string& dir) {
-  std::map<std::string, std::string> out;
-  for (const auto& e : fs::directory_iterator(fs::path(dir) / "corpus")) {
-    out[e.path().filename().string()] = file_bytes(e.path());
-  }
-  return out;
-}
-
-/// Byte-level form of "telemetry never touched the campaign state".
-void expect_same_persisted_state(const std::string& dir_a,
-                                 const std::string& dir_b) {
-  CheckpointData a, b;
-  ASSERT_TRUE(load_checkpoint(dir_a, &a).ok());
-  ASSERT_TRUE(load_checkpoint(dir_b, &b).ok());
-  EXPECT_EQ(a.coverage_blob, b.coverage_blob) << "coverage DB bytes differ";
-  EXPECT_EQ(a.detector_blob, b.detector_blob)
-      << "mismatch signature DB bytes differ";
-  EXPECT_EQ(a.generator_blob, b.generator_blob)
-      << "generator stream state differs";
-  EXPECT_EQ(corpus_bytes(dir_a), corpus_bytes(dir_b))
-      << "corpus store bytes differ";
 }
 
 std::vector<std::string> lines_of(const std::string& text) {

@@ -15,12 +15,14 @@
 #include <fstream>
 
 #include "baselines/mutational.h"
+#include "campaign_equality.h"
 #include "core/campaign.h"
 #include "core/chatfuzz.h"
 #include "core/checkpoint.h"
 #include "corpus/generator.h"
 #include "corpus/store.h"
 #include "dist/worker.h"
+#include "util/serialize.h"
 
 namespace chatfuzz::core {
 namespace {
@@ -32,29 +34,6 @@ CampaignConfig small_campaign() {
   cfg.checkpoint_every = 10;  // curve cadence (not snapshot cadence)
   cfg.platform.max_steps = 256;
   return cfg;
-}
-
-void expect_identical(const CampaignResult& a, const CampaignResult& b) {
-  EXPECT_EQ(a.tests_run, b.tests_run);
-  EXPECT_EQ(a.final_cov_percent, b.final_cov_percent);  // bit-exact, no tol
-  EXPECT_EQ(a.total_cycles, b.total_cycles);
-  EXPECT_EQ(a.total_instrs, b.total_instrs);
-  EXPECT_EQ(a.raw_mismatches, b.raw_mismatches);
-  EXPECT_EQ(a.filtered_mismatches, b.filtered_mismatches);
-  EXPECT_EQ(a.unique_mismatches, b.unique_mismatches);
-  EXPECT_EQ(a.findings, b.findings);
-  EXPECT_EQ(a.toggle_percent, b.toggle_percent);
-  EXPECT_EQ(a.fsm_percent, b.fsm_percent);
-  EXPECT_EQ(a.statement_percent, b.statement_percent);
-  EXPECT_EQ(a.uncovered.size(), b.uncovered.size());
-  ASSERT_EQ(a.curve.size(), b.curve.size());
-  for (std::size_t i = 0; i < a.curve.size(); ++i) {
-    EXPECT_EQ(a.curve[i].tests, b.curve[i].tests) << "point " << i;
-    EXPECT_EQ(a.curve[i].hours, b.curve[i].hours) << "point " << i;
-    EXPECT_EQ(a.curve[i].cond_cov_percent, b.curve[i].cond_cov_percent)
-        << "point " << i;
-    EXPECT_EQ(a.curve[i].ctrl_states, b.curve[i].ctrl_states) << "point " << i;
-  }
 }
 
 std::string fresh_dir(const std::string& name) {
@@ -250,10 +229,6 @@ TEST(ResumeDeterminism, PeriodicSnapshotsResumeFromLastCheckpoint) {
 TEST(ResumeDeterminism, CorpusStoreBytesMatchUninterruptedRun) {
   // The on-disk corpus must also be byte-identical: same entries in the
   // same order with the same attribution, no duplicates from re-run tests.
-  const auto read_bytes = [](const std::string& path) {
-    std::ifstream f(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(f), {});
-  };
   const CampaignConfig base = small_campaign();
   const std::string full_dir = fresh_dir("corpus_full");
   {
@@ -270,10 +245,10 @@ TEST(ResumeDeterminism, CorpusStoreBytesMatchUninterruptedRun) {
   ASSERT_TRUE(full.open(full_dir + "/corpus").ok());
   ASSERT_TRUE(chunked.open(chunk_dir + "/corpus").ok());
   ASSERT_GT(full.size(), 0u) << "campaign archived nothing; test is vacuous";
-  EXPECT_EQ(read_bytes(full_dir + "/corpus/index.bin"),
-            read_bytes(chunk_dir + "/corpus/index.bin"));
-  EXPECT_EQ(read_bytes(full_dir + "/corpus/shard-0000.bin"),
-            read_bytes(chunk_dir + "/corpus/shard-0000.bin"));
+  EXPECT_EQ(file_bytes(full_dir + "/corpus/index.bin"),
+            file_bytes(chunk_dir + "/corpus/index.bin"));
+  EXPECT_EQ(file_bytes(full_dir + "/corpus/shard-0000.bin"),
+            file_bytes(chunk_dir + "/corpus/shard-0000.bin"));
 }
 
 TEST(ResumeDeterminism, ResumingACompletedCampaignIsIdempotent) {
@@ -387,6 +362,53 @@ TEST(ResumeDeterminism, ChatFuzzPolicyOptimizerAndRngSurviveResume) {
   const CampaignResult chunked = run_chunked(
       factory, cfg, fresh_dir("resume_chatfuzz"), {8, 16}, 1);
   expect_identical(reference, chunked);
+}
+
+TEST(ResumeDeterminism, TrainedChatFuzzRestoresIntoTheSameCampaign) {
+  // A generator restored from the bytes saved right after train_offline()
+  // runs the campaign the trained original runs, so a trained model can be
+  // cloned instead of retrained. The stage-3 reward weights are config,
+  // not state: the same bytes restored under other weights match a model
+  // trained under those weights.
+  ChatFuzzConfig cc;
+  cc.model = ml::GptConfig{259, 64, 1, 2, 32};
+  cc.gen_tokens = 24;
+  cc.sample.min_new_tokens = 8;
+  cc.seed = 5;
+  cc.pretrain_samples = 32;
+  cc.pretrain.epochs = 1;
+  cc.cleanup_iters = 1;
+  CampaignConfig cfg;
+  cfg.num_tests = 24;
+  cfg.batch_size = 8;
+  cfg.checkpoint_every = 8;
+  cfg.platform.max_steps = 256;
+
+  const auto trained = [](const ChatFuzzConfig& c) {
+    auto gen = std::make_unique<ChatFuzzGenerator>(c);
+    gen->train_offline();
+    return gen;
+  };
+  const auto restored = [](const ChatFuzzConfig& c, const std::string& b) {
+    auto gen = std::make_unique<ChatFuzzGenerator>(c);
+    ser::Reader r(b);
+    EXPECT_TRUE(gen->restore_state(r) && r.done());
+    return gen;
+  };
+  const auto original = trained(cc);
+  ser::Writer w;
+  original->save_state(w);
+  const std::string bytes = w.buffer();
+  const auto clone = restored(cc, bytes);
+  expect_identical(run_campaign(*original, cfg), run_campaign(*clone, cfg));
+
+  ChatFuzzConfig reward = cc;
+  reward.w_incremental = 0.0;
+  reward.w_standalone = 0.5;
+  reward.no_improvement_penalty = 0.0;
+  reward.invalid_penalty = 0.0;
+  expect_identical(run_campaign(*trained(reward), cfg),
+                   run_campaign(*restored(reward, bytes), cfg));
 }
 
 TEST(ResumeDeterminism, MultiDutCampaignsResumeBitIdentically) {
