@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n* paper-equivalent wall-clock from the tests/hour scale "
-              "model (DESIGN.md); DifuzzRTL runs at 3.33x cost per test.\n");
+              "model (README, \"What stands in for the paper's setup\"); "
+              "DifuzzRTL runs at 3.33x cost per test.\n");
   return 0;
 }

@@ -154,9 +154,10 @@ struct CampaignConfig {
   /// coverage, so the result reports all metric percentages.
   bool collect_multi_metrics = false;
 
-  /// Wall-clock scale model (DESIGN.md): the paper reports ~1.8K tests in
-  /// ~52 min on ten VCS instances for both ChatFuzz and TheHuzz, i.e.
-  /// ~2077 tests/hour; a generator's time_per_test_factor() scales this.
+  /// Wall-clock scale model (README, "What stands in for the paper's
+  /// setup"): the paper reports ~1.8K tests in ~52 min on ten VCS
+  /// instances for both ChatFuzz and TheHuzz, i.e. ~2077 tests/hour; a
+  /// generator's time_per_test_factor() scales this.
   double tests_per_hour = 2077.0;
 
   /// Simulation worker threads (the paper's "ten parallel VCS instances",

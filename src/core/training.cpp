@@ -33,6 +33,7 @@ std::vector<PretrainEpochStats> pretrain(ml::Gpt& model,
   std::vector<int> inputs(static_cast<std::size_t>(B) * T);
   std::vector<int> targets(static_cast<std::size_t>(B) * T);
   std::vector<int> head_rows;  // rows with a target: the only ones scored
+  std::vector<int> lengths(B);  // tokens per sample; the rest is padding
 
   const std::size_t steps_per_epoch =
       std::max<std::size_t>(1, rows.size() / static_cast<std::size_t>(B));
@@ -50,6 +51,7 @@ std::vector<PretrainEpochStats> pretrain(ml::Gpt& model,
     for (std::size_t s = 0; s < steps_per_epoch; ++s) {
       for (int b = 0; b < B; ++b) {
         const std::vector<int>& row = rows[rng.below(rows.size())];
+        lengths[b] = std::min(static_cast<int>(row.size()), T);
         for (int t = 0; t < T; ++t) {
           const std::size_t idx = static_cast<std::size_t>(t);
           inputs[b * T + t] =
@@ -62,7 +64,7 @@ std::vector<PretrainEpochStats> pretrain(ml::Gpt& model,
       for (int n = 0; n < B * T; ++n) {
         if (targets[n] >= 0) head_rows.push_back(n);
       }
-      model.forward(inputs.data(), B, T, head_rows);
+      model.forward(inputs.data(), B, T, head_rows, lengths);
       model.zero_grad();
       loss_sum += model.backward_lm(inputs.data(), targets.data(), B, T);
       opt.set_lr(sched.at(global_step++));

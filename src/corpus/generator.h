@@ -4,7 +4,7 @@
 // function-shaped RV64 machine code with realistic register def-use chains,
 // control flow, stack traffic, and rare-instruction frequencies. What the LM
 // must learn — valid encodings arranged in *interdependent* sequences — is
-// preserved (see DESIGN.md substitution table).
+// preserved (see README, "What stands in for the paper's setup").
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ml/kernels.h"
 #include "util/serialize.h"
 
 namespace chatfuzz::ml {
@@ -27,27 +28,35 @@ class AdamW {
   void set_lr(float lr) { cfg_.lr = lr; }
 
   /// One update step: params -= lr * mhat / (sqrt(vhat) + eps) + decay.
+  /// The global-norm sum is one serial double loop in ascending order; the
+  /// clip scale and the per-parameter update are element-wise and run on
+  /// the kernel pool, so the result is the same bits at any thread count.
   void step(std::vector<float>& params, std::vector<float>& grads) {
     ++t_;
+    const int n = static_cast<int>(params.size());
     if (cfg_.grad_clip > 0.f) {
       double norm2 = 0.0;
       for (float g : grads) norm2 += static_cast<double>(g) * g;
       const double norm = std::sqrt(norm2);
       if (norm > cfg_.grad_clip) {
         const float scale = cfg_.grad_clip / static_cast<float>(norm);
-        for (float& g : grads) g *= scale;
+        kern::parallel_ranges(n, 2, [&](int lo, int hi) {
+          for (int i = lo; i < hi; ++i) grads[i] *= scale;
+        });
       }
     }
     const float bc1 = 1.f - std::pow(cfg_.beta1, static_cast<float>(t_));
     const float bc2 = 1.f - std::pow(cfg_.beta2, static_cast<float>(t_));
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      m_[i] = cfg_.beta1 * m_[i] + (1.f - cfg_.beta1) * grads[i];
-      v_[i] = cfg_.beta2 * v_[i] + (1.f - cfg_.beta2) * grads[i] * grads[i];
-      const float mhat = m_[i] / bc1;
-      const float vhat = v_[i] / bc2;
-      params[i] -= cfg_.lr * (mhat / (std::sqrt(vhat) + cfg_.eps) +
-                              cfg_.weight_decay * params[i]);
-    }
+    kern::parallel_ranges(n, 16, [&](int lo, int hi) {
+      for (int i = lo; i < hi; ++i) {
+        m_[i] = cfg_.beta1 * m_[i] + (1.f - cfg_.beta1) * grads[i];
+        v_[i] = cfg_.beta2 * v_[i] + (1.f - cfg_.beta2) * grads[i] * grads[i];
+        const float mhat = m_[i] / bc1;
+        const float vhat = v_[i] / bc2;
+        params[i] -= cfg_.lr * (mhat / (std::sqrt(vhat) + cfg_.eps) +
+                                cfg_.weight_decay * params[i]);
+      }
+    });
   }
 
   std::uint64_t steps() const { return t_; }

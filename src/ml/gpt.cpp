@@ -82,36 +82,61 @@ void mm_bwd(bool ref, float* dinp, float* dw, float* dbias, const float* dout,
 
 // ---- embedding and residual loops (llm.c style) ----------------------------
 // Attention, layernorm and softmax live in ml/kernels (kernels_exact.cpp).
+// Row n of the packed activations holds token src[n] = b*T+t, whose
+// position is t.
 
-void encoder_forward(float* out, const int* tokens, const float* wte,
-                     const float* wpe, int B, int T, int C) {
-  for (int b = 0; b < B; ++b) {
-    for (int t = 0; t < T; ++t) {
-      float* o = out + (b * T + t) * C;
-      const float* we = wte + tokens[b * T + t] * C;
-      const float* pe = wpe + t * C;
+void encoder_forward(float* out, const int* tokens, const int* src,
+                     const float* wte, const float* wpe, int N, int T, int C) {
+  const std::size_t work = 2 * static_cast<std::size_t>(C);
+  kern::parallel_ranges(N, work, [&](int n0, int n1) {
+    for (int n = n0; n < n1; ++n) {
+      float* o = out + static_cast<std::size_t>(n) * C;
+      const float* we = wte + static_cast<std::size_t>(tokens[src[n]]) * C;
+      const float* pe = wpe + static_cast<std::size_t>(src[n] % T) * C;
       for (int c = 0; c < C; ++c) o[c] = we[c] + pe[c];
     }
-  }
+  });
 }
 
 void encoder_backward(float* dwte, float* dwpe, const float* dout,
-                      const int* tokens, int B, int T, int C) {
-  for (int b = 0; b < B; ++b) {
-    for (int t = 0; t < T; ++t) {
-      const float* d = dout + (b * T + t) * C;
-      float* dwt = dwte + tokens[b * T + t] * C;
-      float* dwp = dwpe + t * C;
-      for (int c = 0; c < C; ++c) {
-        dwt[c] += d[c];
-        dwp[c] += d[c];
-      }
+                      const int* tokens, const int* src, int N, int T, int C) {
+  for (int n = 0; n < N; ++n) {
+    const float* d = dout + static_cast<std::size_t>(n) * C;
+    float* dwt = dwte + static_cast<std::size_t>(tokens[src[n]]) * C;
+    float* dwp = dwpe + static_cast<std::size_t>(src[n] % T) * C;
+    for (int c = 0; c < C; ++c) {
+      dwt[c] += d[c];
+      dwp[c] += d[c];
     }
   }
 }
 
-void residual_forward(float* out, const float* a, const float* b, int N) {
-  for (int n = 0; n < N; ++n) out[n] = a[n] + b[n];
+/// Runs body(lo, hi) over [0, n) elements in pool-sized chunks.
+template <typename Body>
+void elementwise(std::size_t n, const Body& body) {
+  constexpr std::size_t kChunk = std::size_t{1} << 12;
+  kern::parallel_ranges(static_cast<int>((n + kChunk - 1) / kChunk), kChunk,
+                        [&](int c0, int c1) {
+    body(c0 * kChunk, std::min(n, c1 * kChunk));
+  });
+}
+
+void residual_forward(float* out, const float* a, const float* b,
+                      std::size_t n) {
+  elementwise(n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) out[i] = a[i] + b[i];
+  });
+}
+
+/// Backward of out = a + b: da += dout and db += dout.
+void residual_backward(float* da, float* db, const float* dout,
+                       std::size_t n) {
+  elementwise(n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      da[i] += dout[i];
+      db[i] += dout[i];
+    }
+  });
 }
 
 // ---- precondition checks ------------------------------------------------------
@@ -129,64 +154,66 @@ void residual_forward(float* out, const float* a, const float* b, int N) {
   std::abort();
 }
 
-/// Every one of tokens[0, n) must be an embedding row.
-void require_tokens(const char* who, const int* tokens, int n, int vocab) {
-  for (int i = 0; i < n; ++i) {
-    require(tokens[i] >= 0 && tokens[i] < vocab,
-            "%s: token %d at %d is outside the vocabulary [0, %d)", who,
-            tokens[i], i, vocab);
-  }
-}
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Activation arena layout (depends on B, T).
+// Activation arena layout: N packed real rows, R head rows, and A
+// attention-probability floats per layer.
 // ---------------------------------------------------------------------------
 namespace {
 struct ActLayout {
   // The final layernorm and the heads (lnf .. values) hold only the head
-  // rows of the last forward, packed in head-row order; sized for all B*T.
+  // rows of the last forward, packed in head-row order. Backward's gradient
+  // arena covers everything before `logits`: it never touches the head
+  // outputs or `att`, which come last.
   // per-layer strides
-  std::size_t ln1, ln1_mean, ln1_rstd, qkv, atty, preatt, att, attproj,
-      res2, ln2, ln2_mean, ln2_rstd, fch, fch_gelu, fcproj, res3, per_layer;
+  std::size_t ln1, ln1_mean, ln1_rstd, qkv, atty, attproj, res2, ln2, ln2_mean,
+      ln2_rstd, fch, fch_gelu, fcproj, res3, per_layer;
   // globals
-  std::size_t encoded, lnf, lnf_mean, lnf_rstd, logits, probs, values, total;
+  std::size_t encoded, lnf, lnf_mean, lnf_rstd, logits, probs, values, att,
+      total;
   std::size_t layer_base;
 
-  static ActLayout make(const GptConfig& c, int B, int T) {
-    const std::size_t BT = static_cast<std::size_t>(B) * T;
-    const std::size_t C = c.n_embd, V = c.vocab, NH = c.n_head;
+  static ActLayout make(const GptConfig& c, std::size_t N, std::size_t R,
+                        std::size_t A) {
+    const std::size_t C = c.n_embd, V = c.vocab;
     ActLayout o{};
     std::size_t at = 0;
-    o.encoded = at; at += BT * C;
+    o.encoded = at; at += N * C;
     o.layer_base = at;
     std::size_t l = 0;
-    o.ln1 = l; l += BT * C;
-    o.ln1_mean = l; l += BT;
-    o.ln1_rstd = l; l += BT;
-    o.qkv = l; l += BT * 3 * C;
-    o.atty = l; l += BT * C;
-    o.preatt = l; l += static_cast<std::size_t>(B) * NH * T * T;
-    o.att = l; l += static_cast<std::size_t>(B) * NH * T * T;
-    o.attproj = l; l += BT * C;
-    o.res2 = l; l += BT * C;
-    o.ln2 = l; l += BT * C;
-    o.ln2_mean = l; l += BT;
-    o.ln2_rstd = l; l += BT;
-    o.fch = l; l += BT * 4 * C;
-    o.fch_gelu = l; l += BT * 4 * C;
-    o.fcproj = l; l += BT * C;
-    o.res3 = l; l += BT * C;
+    o.ln1 = l; l += N * C;
+    o.ln1_mean = l; l += N;
+    o.ln1_rstd = l; l += N;
+    o.qkv = l; l += N * 3 * C;
+    o.atty = l; l += N * C;
+    o.attproj = l; l += N * C;
+    o.res2 = l; l += N * C;
+    o.ln2 = l; l += N * C;
+    o.ln2_mean = l; l += N;
+    o.ln2_rstd = l; l += N;
+    o.fch = l; l += N * 4 * C;
+    o.fch_gelu = l; l += N * 4 * C;
+    o.fcproj = l; l += N * C;
+    o.res3 = l; l += N * C;
     o.per_layer = l;
     at += o.per_layer * c.n_layer;
-    o.lnf = at; at += BT * C;
-    o.lnf_mean = at; at += BT;
-    o.lnf_rstd = at; at += BT;
-    o.logits = at; at += BT * V;
-    o.probs = at; at += BT * V;
-    o.values = at; at += BT;
+    o.lnf = at; at += R * C;
+    o.lnf_mean = at; at += R;
+    o.lnf_rstd = at; at += R;
+    o.logits = at; at += R * V;
+    o.probs = at; at += R * V;
+    o.values = at; at += R;
+    o.att = at; at += A * c.n_layer;
     o.total = at;
     return o;
+  }
+
+  /// B sequences of length T, every row a head row: no ragged batch of
+  /// that shape needs more.
+  static ActLayout padded(const GptConfig& c, int B, int T) {
+    const std::size_t BT = static_cast<std::size_t>(B) * T;
+    return make(c, BT, BT, BT * T * c.n_head);
   }
 };
 }  // namespace
@@ -251,17 +278,9 @@ void Gpt::copy_params_from(const Gpt& other) {
   params_ = other.params_;
 }
 
-void Gpt::ensure_acts(int B, int T) {
-  B_ = B;
-  T_ = T;
-  // forward() writes every activation before anything reads it, so a new
-  // (B, T) reuses the arena as it is; it is only ever grown.
-  const std::size_t total = ActLayout::make(cfg_, B, T).total;
-  if (acts_.size() < total) acts_.assign(total, 0.f);
-}
-
 const float* Gpt::acts_ptr(ActName which) const {
-  const ActLayout a = ActLayout::make(cfg_, B_, T_);
+  const ActLayout a = ActLayout::make(cfg_, src_.size(), head_rows_.size(),
+                                      att_size_);
   switch (which) {
     case kActLogits: return acts_.data() + a.logits;
     case kActProbs: return acts_.data() + a.probs;
@@ -270,80 +289,120 @@ const float* Gpt::acts_ptr(ActName which) const {
   return nullptr;
 }
 
+// The [B, T] overloads are the ragged forward with every length T.
 void Gpt::forward(const int* tokens, int B, int T) {
-  head_rows_.resize(static_cast<std::size_t>(B) * T);
-  std::iota(head_rows_.begin(), head_rows_.end(), 0);
-  forward_body(tokens, B, T);
+  std::vector<int> all(static_cast<std::size_t>(std::max(B, 0)) *
+                       std::max(T, 0));
+  std::iota(all.begin(), all.end(), 0);
+  forward(tokens, B, T, all);
 }
 
 void Gpt::forward(const int* tokens, int B, int T,
                   const std::vector<int>& head_rows) {
+  require(B >= 0, "Gpt::forward: B=%d is negative", B);
+  forward(tokens, B, T, head_rows, std::vector<int>(B, T));
+}
+
+void Gpt::forward(const int* tokens, int B, int T,
+                  const std::vector<int>& head_rows,
+                  const std::vector<int>& lengths) {
+  require(T <= cfg_.ctx, "Gpt::forward: T=%d exceeds ctx=%d", T, cfg_.ctx);
+  require(lengths.size() == static_cast<std::size_t>(B),
+          "Gpt::forward: %zu lengths for B=%d sequences", lengths.size(), B);
   for (std::size_t r = 0; r < head_rows.size(); ++r) {
     require(head_rows[r] >= 0 && head_rows[r] < B * T &&
                 (r == 0 || head_rows[r] > head_rows[r - 1]),
             "Gpt::forward: head rows must be strictly ascending in [0, B*T)");
   }
+  B_ = B;
+  T_ = T;
+  offs_.assign(static_cast<std::size_t>(B) + 1, 0);
+  for (int b = 0; b < B; ++b) {
+    require(lengths[b] >= 0 && lengths[b] <= T,
+            "Gpt::forward: length %d of sequence %d is outside [0, T=%d]",
+            lengths[b], b, T);
+    offs_[b + 1] = offs_[b] + lengths[b];
+  }
   head_rows_ = head_rows;
-  forward_body(tokens, B, T);
-}
-
-void Gpt::forward_body(const int* tokens, int B, int T) {
-  require(T <= cfg_.ctx, "Gpt::forward: T=%d exceeds ctx=%d", T, cfg_.ctx);
-  require_tokens("Gpt::forward", tokens, B * T, cfg_.vocab);
-  ensure_acts(B, T);
-  const Layout p = Layout::make(cfg_);
-  const ActLayout a = ActLayout::make(cfg_, B, T);
   const int C = cfg_.n_embd, NH = cfg_.n_head, V = cfg_.vocab;
-  const int BT = B * T;
+  const int N = offs_[B];
+  src_.resize(N);
+  for (int b = 0; b < B; ++b) {
+    for (int t = 0; t < lengths[b]; ++t) src_[offs_[b] + t] = b * T + t;
+  }
+  for (int n = 0; n < N; ++n) {
+    require(tokens[src_[n]] >= 0 && tokens[src_[n]] < V,
+            "Gpt::forward: token %d at %d is outside the vocabulary [0, %d)",
+            tokens[src_[n]], src_[n], V);
+  }
+  const int R = static_cast<int>(head_rows_.size());
+  head_packed_.resize(R);
+  for (int r = 0; r < R; ++r) {
+    const int b = head_rows_[r] / T, t = head_rows_[r] % T;
+    require(t < offs_[b + 1] - offs_[b],
+            "Gpt::forward: head row %d is padding (sequence %d has length %d)",
+            head_rows_[r], b, offs_[b + 1] - offs_[b]);
+    head_packed_[r] = offs_[b] + t;
+  }
+  att_size_ = kern::attention_att_size(offs_.data(), B, NH);
+  const Layout p = Layout::make(cfg_);
+  const ActLayout a = ActLayout::make(cfg_, N, R, att_size_);
+  // Every activation is written before anything reads it, so a new shape
+  // reuses the arena as it is. It grows straight to the padded [B, T]
+  // batch's size, so the ragged batches that follow, whose real-row counts
+  // vary, do not grow it again.
+  if (acts_.size() < a.total) {
+    acts_.assign(ActLayout::padded(cfg_, B, T).total, 0.f);
+  }
   float* acts = acts_.data();
   const float* prm = params_.data();
+  const std::size_t NC = static_cast<std::size_t>(N) * C;
 
   const bool ref = use_ref_kernels_;
 
-  encoder_forward(acts + a.encoded, tokens, prm + p.wte, prm + p.wpe, B, T, C);
+  encoder_forward(acts + a.encoded, tokens, src_.data(), prm + p.wte,
+                  prm + p.wpe, N, T, C);
   const float* residual = acts + a.encoded;
   for (int l = 0; l < cfg_.n_layer; ++l) {
     const std::size_t pb = p.layer_base + l * p.per_layer;
     const std::size_t ab = a.layer_base + l * a.per_layer;
     kern::layernorm_forward(acts + ab + a.ln1, acts + ab + a.ln1_mean,
                             acts + ab + a.ln1_rstd, residual, prm + pb + p.ln1w,
-                            prm + pb + p.ln1b, nullptr, BT, C);
+                            prm + pb + p.ln1b, nullptr, N, C);
     mm_fwd(ref, acts + ab + a.qkv, acts + ab + a.ln1, prm + pb + p.qkvw,
-           prm + pb + p.qkvb, BT, C, 3 * C);
-    kern::attention_forward(acts + ab + a.atty, acts + ab + a.preatt,
-                            acts + ab + a.att, acts + ab + a.qkv, B, T, C, NH);
+           prm + pb + p.qkvb, N, C, 3 * C);
+    kern::attention_forward(acts + ab + a.atty, acts + a.att + l * att_size_,
+                            acts + ab + a.qkv, offs_.data(), B, C, NH);
     mm_fwd(ref, acts + ab + a.attproj, acts + ab + a.atty,
-           prm + pb + p.attprojw, prm + pb + p.attprojb, BT, C, C);
-    residual_forward(acts + ab + a.res2, residual, acts + ab + a.attproj,
-                     BT * C);
+           prm + pb + p.attprojw, prm + pb + p.attprojb, N, C, C);
+    residual_forward(acts + ab + a.res2, residual, acts + ab + a.attproj, NC);
     kern::layernorm_forward(acts + ab + a.ln2, acts + ab + a.ln2_mean,
                             acts + ab + a.ln2_rstd, acts + ab + a.res2,
-                            prm + pb + p.ln2w, prm + pb + p.ln2b, nullptr, BT,
+                            prm + pb + p.ln2w, prm + pb + p.ln2b, nullptr, N,
                             C);
     if (ref) {
       kern::matmul_forward_ref(acts + ab + a.fch, acts + ab + a.ln2,
-                               prm + pb + p.fcw, prm + pb + p.fcb, BT, C,
+                               prm + pb + p.fcw, prm + pb + p.fcb, N, C,
                                4 * C);
       kern::gelu_forward_ref(acts + ab + a.fch_gelu, acts + ab + a.fch,
-                             BT * 4 * C);
+                             N * 4 * C);
     } else {
       kern::matmul_bias_gelu_forward(acts + ab + a.fch, acts + ab + a.fch_gelu,
                                      acts + ab + a.ln2, prm + pb + p.fcw,
-                                     prm + pb + p.fcb, BT, C, 4 * C);
+                                     prm + pb + p.fcb, N, C, 4 * C);
     }
     mm_fwd(ref, acts + ab + a.fcproj, acts + ab + a.fch_gelu,
-           prm + pb + p.fcprojw, prm + pb + p.fcprojb, BT, 4 * C, C);
+           prm + pb + p.fcprojw, prm + pb + p.fcprojb, N, 4 * C, C);
     residual_forward(acts + ab + a.res3, acts + ab + a.res2,
-                     acts + ab + a.fcproj, BT * C);
+                     acts + ab + a.fcproj, NC);
     residual = acts + ab + a.res3;
   }
   // Final layernorm, tied LM head (logits = lnf @ wte^T), softmax and value
   // head at the head rows only. Every row is computed independently, so a
   // head row's outputs do not depend on which other rows are heads.
-  const int R = static_cast<int>(head_rows_.size());
   kern::layernorm_forward(acts + a.lnf, acts + a.lnf_mean, acts + a.lnf_rstd,
                           residual, prm + p.lnfw, prm + p.lnfb,
-                          head_rows_.data(), R, C);
+                          head_packed_.data(), R, C);
   mm_fwd(ref, acts + a.logits, acts + a.lnf, prm + p.wte, nullptr, R, C, V);
   kern::softmax_forward(acts + a.probs, acts + a.logits, R, V);
   mm_fwd(ref, acts + a.values, acts + a.lnf, prm + p.valw, prm + p.valb,
@@ -359,7 +418,6 @@ int Gpt::head_index(int b, int t) const {
 }
 
 float Gpt::logprob(int b, int t, int tok) const {
-  const ActLayout a = ActLayout::make(cfg_, B_, T_);
   const int r = b >= 0 && b < B_ && t >= 0 && t < T_ ? head_index(b, t) : -1;
   require(r >= 0,
           "Gpt::logprob: (b=%d, t=%d) is not a head row of the last forward",
@@ -368,7 +426,7 @@ float Gpt::logprob(int b, int t, int tok) const {
           "Gpt::logprob: token %d is outside the vocabulary [0, %d)", tok,
           cfg_.vocab);
   const float pr =
-      acts_[a.probs + static_cast<std::size_t>(r) * cfg_.vocab + tok];
+      acts_ptr(kActProbs)[static_cast<std::size_t>(r) * cfg_.vocab + tok];
   return std::log(pr + 1e-10f);
 }
 
@@ -378,25 +436,24 @@ void Gpt::backward_from(const int* tokens, const float* dlogits,
           "Gpt::backward_from: (B=%d, T=%d) is not the last forward's (%d, %d)",
           B, T, B_, T_);
   const Layout p = Layout::make(cfg_);
-  const ActLayout a = ActLayout::make(cfg_, B, T);
-  const int C = cfg_.n_embd, NH = cfg_.n_head, V = cfg_.vocab;
-  const int BT = B * T;
+  const int N = offs_[B];
   const int R = static_cast<int>(head_rows_.size());
+  const ActLayout a = ActLayout::make(cfg_, N, R, att_size_);
+  const int C = cfg_.n_embd, NH = cfg_.n_head, V = cfg_.vocab;
+  const std::size_t NC = static_cast<std::size_t>(N) * C;
   const float* acts = acts_.data();
   const float* prm = params_.data();
   float* grd = grads_.data();
   // Sized here rather than with acts_: a model that only runs forward (the
   // frozen PPO reference) never holds a gradient arena. Backward accumulates
-  // into every slot before the head outputs (logits, probs, values), which
-  // it never touches, so only those slots are zeroed, across the pool.
-  if (dacts_.size() < a.total) dacts_.resize(a.total);
+  // into every slot before the head outputs (logits, probs, values) and the
+  // attention probabilities, which it never touches, so the arena ends
+  // there and is zeroed across the pool.
+  if (dacts_.size() < a.logits) {
+    dacts_.assign(ActLayout::padded(cfg_, B, T).logits, 0.f);
+  }
   float* dacts = dacts_.data();
-  constexpr std::size_t kChunk = std::size_t{1} << 14;
-  const std::size_t zeroed = a.logits;
-  kern::parallel_ranges(static_cast<int>((zeroed + kChunk - 1) / kChunk),
-                        kChunk, [&](int c0, int c1) {
-    const std::size_t lo = c0 * kChunk;
-    const std::size_t hi = std::min(zeroed, c1 * kChunk);
+  elementwise(a.logits, [&](std::size_t lo, std::size_t hi) {
     std::memset(dacts + lo, 0, (hi - lo) * sizeof(float));
   });
 
@@ -427,7 +484,7 @@ void Gpt::backward_from(const int* tokens, const float* dlogits,
                                       : dacts + a.encoded;
   kern::layernorm_backward(dresidual, grd + p.lnfw, grd + p.lnfb,
                            dacts + a.lnf, residual, acts + a.lnf_mean,
-                           acts + a.lnf_rstd, prm + p.lnfw, head_rows_.data(),
+                           acts + a.lnf_rstd, prm + p.lnfw, head_packed_.data(),
                            R, C);
 
   for (int l = cfg_.n_layer - 1; l >= 0; --l) {
@@ -438,52 +495,45 @@ void Gpt::backward_from(const int* tokens, const float* dlogits,
     float* dres_in =
         l == 0 ? dacts + a.encoded
                : dacts + a.layer_base + (l - 1) * a.per_layer + a.res3;
-    float* dres3 = dacts + ab + a.res3;
     // res3 = res2 + fcproj
     float* dres2 = dacts + ab + a.res2;
-    float* dfcproj = dacts + ab + a.fcproj;
-    for (int n = 0; n < BT * C; ++n) {
-      dres2[n] += dres3[n];
-      dfcproj[n] += dres3[n];
-    }
+    residual_backward(dres2, dacts + ab + a.fcproj, dacts + ab + a.res3, NC);
     mm_bwd(ref, dacts + ab + a.fch_gelu, grd + pb + p.fcprojw,
-           grd + pb + p.fcprojb, dfcproj, acts + ab + a.fch_gelu,
-           prm + pb + p.fcprojw, BT, 4 * C, C);
+           grd + pb + p.fcprojb, dacts + ab + a.fcproj, acts + ab + a.fch_gelu,
+           prm + pb + p.fcprojw, N, 4 * C, C);
     kern::gelu_backward(dacts + ab + a.fch, acts + ab + a.fch,
-                        dacts + ab + a.fch_gelu, BT * 4 * C);
+                        dacts + ab + a.fch_gelu, N * 4 * C);
     mm_bwd(ref, dacts + ab + a.ln2, grd + pb + p.fcw, grd + pb + p.fcb,
            dacts + ab + a.fch, acts + ab + a.ln2, prm + pb + p.fcw,
-           BT, C, 4 * C);
+           N, C, 4 * C);
     kern::layernorm_backward(dres2, grd + pb + p.ln2w, grd + pb + p.ln2b,
                              dacts + ab + a.ln2, acts + ab + a.res2,
                              acts + ab + a.ln2_mean, acts + ab + a.ln2_rstd,
-                             prm + pb + p.ln2w, nullptr, BT, C);
+                             prm + pb + p.ln2w, nullptr, N, C);
     // res2 = residual_in + attproj
-    float* dattproj = dacts + ab + a.attproj;
-    for (int n = 0; n < BT * C; ++n) {
-      dres_in[n] += dres2[n];
-      dattproj[n] += dres2[n];
-    }
+    residual_backward(dres_in, dacts + ab + a.attproj, dres2, NC);
     mm_bwd(ref, dacts + ab + a.atty, grd + pb + p.attprojw,
-           grd + pb + p.attprojb, dattproj, acts + ab + a.atty,
-           prm + pb + p.attprojw, BT, C, C);
-    kern::attention_backward(dacts + ab + a.qkv, dacts + ab + a.preatt,
-                             dacts + ab + a.att, dacts + ab + a.atty,
-                             acts + ab + a.qkv, acts + ab + a.att, B, T, C, NH);
+           grd + pb + p.attprojb, dacts + ab + a.attproj, acts + ab + a.atty,
+           prm + pb + p.attprojw, N, C, C);
+    kern::attention_backward(dacts + ab + a.qkv, dacts + ab + a.atty,
+                             acts + ab + a.qkv, acts + a.att + l * att_size_,
+                             offs_.data(), B, C, NH);
     mm_bwd(ref, dacts + ab + a.ln1, grd + pb + p.qkvw, grd + pb + p.qkvb,
            dacts + ab + a.qkv, acts + ab + a.ln1, prm + pb + p.qkvw,
-           BT, C, 3 * C);
+           N, C, 3 * C);
     kern::layernorm_backward(dres_in, grd + pb + p.ln1w, grd + pb + p.ln1b,
                              dacts + ab + a.ln1, res_in, acts + ab + a.ln1_mean,
                              acts + ab + a.ln1_rstd, prm + pb + p.ln1w, nullptr,
-                             BT, C);
+                             N, C);
   }
-  encoder_backward(grd + p.wte, grd + p.wpe, dacts + a.encoded, tokens, B, T,
-                   C);
+  encoder_backward(grd + p.wte, grd + p.wpe, dacts + a.encoded, tokens,
+                   src_.data(), N, T, C);
 }
 
 float Gpt::backward_lm(const int* tokens, const int* targets, int B, int T) {
-  const ActLayout a = ActLayout::make(cfg_, B, T);
+  require(B == B_ && T == T_,
+          "Gpt::backward_lm: (B=%d, T=%d) is not the last forward's (%d, %d)",
+          B, T, B_, T_);
   const int V = cfg_.vocab;
   const int BT = B * T;
   // count valid targets
@@ -493,7 +543,7 @@ float Gpt::backward_lm(const int* tokens, const int* targets, int B, int T) {
 
   const std::size_t R = head_rows_.size();
   std::vector<float> dlogits(R * V, 0.f);
-  const float* probs = acts_.data() + a.probs;
+  const float* probs = acts_ptr(kActProbs);
   float loss = 0.f;
   const float inv = 1.f / static_cast<float>(count);
   int seen = 0;
@@ -523,19 +573,23 @@ Gpt::GenState Gpt::gen_begin(int B) const {
   GenState s;
   s.B = B;
   s.t = 0;
-  const std::size_t cache =
-      static_cast<std::size_t>(cfg_.n_layer) * B * cfg_.ctx * cfg_.n_embd;
-  s.kcache.assign(cache, 0.f);
-  s.vcache.assign(cache, 0.f);
-  // scratch: x, ln, qkv, atty, proj, fch, fgel per batch row
+  s.ctx_pad = (cfg_.ctx + 7) / 8 * 8;
   const std::size_t C = cfg_.n_embd;
+  const std::size_t LB = static_cast<std::size_t>(cfg_.n_layer) * B;
+  // Positions past s.t are read (as whole lane groups) but never used; they
+  // start as zeros.
+  s.kt.assign(LB * C * s.ctx_pad, 0.f);
+  s.vcache.assign(LB * cfg_.ctx * C, 0.f);
+  // scratch: x, ln, qkv, atty, proj, fch, fgel per batch row
   s.scratch.assign(static_cast<std::size_t>(B) * (C * 5 + 3 * C + 8 * C), 0.f);
-  // Attention-score and layernorm scratch, one slice per row so the rows
-  // can decode in parallel, sized from the config (the seed used a fixed
-  // float[512] stack buffer here, which a large-ctx config would silently
-  // overrun).
-  s.att.assign(static_cast<std::size_t>(B) * cfg_.ctx, 0.f);
+  // Attention-probability and layernorm scratch, one slice per row so the
+  // rows can decode in parallel, sized from the config (the seed used a
+  // fixed float[512] stack buffer here, which a large-ctx config would
+  // silently overrun).
+  s.att.assign(static_cast<std::size_t>(B) * s.ctx_pad, 0.f);
   s.norm.assign(static_cast<std::size_t>(2) * B, 0.f);
+  s.logits.assign(static_cast<std::size_t>(B) * cfg_.vocab, 0.f);
+  s.live.assign(B, 1);
   if (!use_ref_kernels_) {
     // Packed (transposed) weight views: one pack per generation, then every
     // per-token matvec streams weights linearly (see kern::PackedMat). Pack
@@ -558,38 +612,62 @@ Gpt::GenState Gpt::gen_begin(int B) const {
 }
 
 void Gpt::gen_step(GenState& s, const int* tokens_t, float* logits_out) const {
+  std::vector<int> all(s.B);
+  std::iota(all.begin(), all.end(), 0);
+  gen_step(s, tokens_t, logits_out, all);
+}
+
+void Gpt::gen_step(GenState& s, const int* tokens_t, float* logits_out,
+                   const std::vector<int>& rows) const {
   OBS_SPAN("ml.gen_step");
   require(s.t < cfg_.ctx, "Gpt::gen_step: position %d is past ctx=%d", s.t,
           cfg_.ctx);
-  require_tokens("Gpt::gen_step", tokens_t, s.B, cfg_.vocab);
-  // One pool dispatch per token, split by batch row: rows never meet in a
+  std::size_t next = 0;  // first row not yet matched against `rows`
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const int b = rows[i];
+    require(b >= 0 && b < s.B && (i == 0 || b > rows[i - 1]),
+            "Gpt::gen_step: active rows must be strictly ascending in [0, %d)",
+            s.B);
+    require(s.live[b] != 0,
+            "Gpt::gen_step: row %d was left out of an earlier step", b);
+    require(tokens_t[b] >= 0 && tokens_t[b] < cfg_.vocab,
+            "Gpt::gen_step: token %d at %d is outside the vocabulary [0, %d)",
+            tokens_t[b], b, cfg_.vocab);
+    for (; next < static_cast<std::size_t>(b); ++next) s.live[next] = 0;
+    next = static_cast<std::size_t>(b) + 1;
+  }
+  for (; next < static_cast<std::size_t>(s.B); ++next) s.live[next] = 0;
+  // One pool dispatch per token, split by active row: rows never meet in a
   // decode step, so each part runs every layer for its own rows and the
-  // bits do not depend on the split.
+  // bits do not depend on the split or on which other rows are active.
   const std::size_t C = cfg_.n_embd, L = cfg_.n_layer;
   const std::size_t work = 2 * C * (12 * C * L + cfg_.vocab) +
                            4 * C * L * static_cast<std::size_t>(s.t + 1);
-  kern::parallel_ranges(s.B, work, [&](int b0, int b1) {
-    gen_rows(s, tokens_t, logits_out, b0, b1);
+  kern::parallel_ranges(static_cast<int>(rows.size()), work,
+                        [&](int i0, int i1) {
+    gen_rows(s, tokens_t, logits_out, rows.data(), i0, i1);
   });
   ++s.t;
 }
 
-void Gpt::gen_rows(GenState& s, const int* tokens_t, float* logits_out, int b0,
-                   int b1) const {
+void Gpt::gen_rows(GenState& s, const int* tokens_t, float* logits_out,
+                   const int* rows, int i0, int i1) const {
+  if (i1 <= i0) return;
   const Layout p = Layout::make(cfg_);
   const int C = cfg_.n_embd, NH = cfg_.n_head, V = cfg_.vocab;
   const int hs = C / NH;
-  const int B = s.B, nb = b1 - b0;
+  const int B = s.B, nb = i1 - i0;
   const int pos = s.t;
+  const std::size_t ldk = s.ctx_pad;
   const float* prm = params_.data();
-  const float scale = 1.f / std::sqrt(static_cast<float>(hs));
   // Packed weights are built by gen_begin; toggling the kernel path between
   // gen_begin and gen_step is not supported.
   const bool ref = s.wpack.empty();
 
-  // This part's rows of each [B, ...] scratch buffer.
+  // This part's slots [i0, i1) of each [B, ...] scratch buffer; slot i
+  // serves active row rows[i].
   float* base = s.scratch.data();
-  const std::size_t BC = static_cast<std::size_t>(B) * C, r0 = b0;
+  const std::size_t BC = static_cast<std::size_t>(B) * C, r0 = i0;
   float* x = base + r0 * C;                   // [B, C]
   float* ln = base + BC + r0 * C;             // [B, C]
   float* qkv = base + 2 * BC + r0 * 3 * C;    // [B, 3C]
@@ -599,13 +677,13 @@ void Gpt::gen_rows(GenState& s, const int* tokens_t, float* logits_out, int b0,
   float* fgel = base + 11 * BC + r0 * 4 * C;  // [B, 4C]
   float* mean = s.norm.data() + r0;           // [B]
   float* rstd = s.norm.data() + B + r0;       // [B]
-  float* logits = logits_out + r0 * V;
+  float* logits = s.logits.data() + r0 * V;  // [B, V], scattered at the end
 
-  for (int b = 0; b < nb; ++b) {
+  for (int j = 0; j < nb; ++j) {
     const float* we =
-        prm + p.wte + static_cast<std::size_t>(tokens_t[b0 + b]) * C;
+        prm + p.wte + static_cast<std::size_t>(tokens_t[rows[i0 + j]]) * C;
     const float* pe = prm + p.wpe + static_cast<std::size_t>(pos) * C;
-    for (int c = 0; c < C; ++c) x[b * C + c] = we[c] + pe[c];
+    for (int c = 0; c < C; ++c) x[j * C + c] = we[c] + pe[c];
   }
 
   for (int l = 0; l < cfg_.n_layer; ++l) {
@@ -619,41 +697,22 @@ void Gpt::gen_rows(GenState& s, const int* tokens_t, float* logits_out, int b0,
       kern::matmul_forward_packed(qkv, ln, s.wpack[l * 4 + 0],
                                   prm + pb + p.qkvb, nb);
     }
-    // append k/v to the cache, then attend over it
-    for (int b = 0; b < nb; ++b) {
-      const std::size_t row = static_cast<std::size_t>(l) * B + b0 + b;
-      float* kbase = s.kcache.data() + row * cfg_.ctx * C;
-      float* vbase = s.vcache.data() + row * cfg_.ctx * C;
-      const float* qkv_b = qkv + static_cast<std::size_t>(b) * 3 * C;
-      std::memcpy(kbase + static_cast<std::size_t>(pos) * C, qkv_b + C,
+    // Append k (transposed) and v to the cache, then attend over it with
+    // the training kernel's row routine.
+    for (int j = 0; j < nb; ++j) {
+      const int b = rows[i0 + j];
+      const std::size_t lb = static_cast<std::size_t>(l) * B + b;
+      float* kt = s.kt.data() + lb * C * ldk;
+      float* vbase = s.vcache.data() + lb * cfg_.ctx * C;
+      const float* qkv_j = qkv + static_cast<std::size_t>(j) * 3 * C;
+      for (int c = 0; c < C; ++c) kt[c * ldk + pos] = qkv_j[C + c];
+      std::memcpy(vbase + static_cast<std::size_t>(pos) * C, qkv_j + 2 * C,
                   sizeof(float) * C);
-      std::memcpy(vbase + static_cast<std::size_t>(pos) * C, qkv_b + 2 * C,
-                  sizeof(float) * C);
-      float* att = s.att.data() + (r0 + b) * cfg_.ctx;
+      float* att = s.att.data() + static_cast<std::size_t>(b) * ldk;
       for (int h = 0; h < NH; ++h) {
-        const float* q = qkv_b + h * hs;
-        float maxv = -1e30f;
-        for (int t2 = 0; t2 <= pos; ++t2) {
-          const float* k = kbase + static_cast<std::size_t>(t2) * C + h * hs;
-          float dot = 0.f;
-          for (int i = 0; i < hs; ++i) dot += q[i] * k[i];
-          dot *= scale;
-          att[t2] = dot;
-          maxv = dot > maxv ? dot : maxv;
-        }
-        float sum = 0.f;
-        for (int t2 = 0; t2 <= pos; ++t2) {
-          att[t2] = std::exp(att[t2] - maxv);
-          sum += att[t2];
-        }
-        const float inv = 1.f / sum;
-        float* o = atty + b * C + h * hs;
-        for (int i = 0; i < hs; ++i) o[i] = 0.f;
-        for (int t2 = 0; t2 <= pos; ++t2) {
-          const float* v = vbase + static_cast<std::size_t>(t2) * C + h * hs;
-          const float w = att[t2] * inv;
-          for (int i = 0; i < hs; ++i) o[i] += w * v[i];
-        }
+        kern::attention_row(atty + j * C + h * hs, att, qkv_j + h * hs,
+                            kt + h * hs * ldk, ldk, vbase + h * hs, C, pos + 1,
+                            hs);
       }
     }
     if (ref) {
@@ -686,6 +745,10 @@ void Gpt::gen_rows(GenState& s, const int* tokens_t, float* logits_out, int b0,
     kern::matmul_forward_ref(logits, ln, prm + p.wte, nullptr, nb, C, V);
   } else {
     kern::matmul_forward_packed(logits, ln, s.wpack.back(), nullptr, nb);
+  }
+  for (int j = 0; j < nb; ++j) {
+    std::memcpy(logits_out + static_cast<std::size_t>(rows[i0 + j]) * V,
+                logits + static_cast<std::size_t>(j) * V, sizeof(float) * V);
   }
 }
 

@@ -2,7 +2,7 @@
 // (llm.c-style flat buffers): token+position embeddings, pre-norm causal
 // self-attention blocks, GELU MLPs, tied LM head, plus a scalar value head
 // for PPO. This is the "LLM-based Input Generator" of the paper, scaled to
-// CPU-trainable size (see DESIGN.md substitution table).
+// CPU-trainable size (see README, "What stands in for the paper's setup").
 #pragma once
 
 #include <cstdint>
@@ -56,9 +56,19 @@ class Gpt {
   void copy_params_from(const Gpt& other);
 
   // ---- training-path forward/backward -------------------------------------
+  // Rows are flat indices b*T+t of a [B, T] token batch. A forward may give
+  // each sequence a length L_b <= T: rows t >= L_b are padding, which no
+  // kernel touches. The activation arenas hold the real rows only, packed
+  // sequence after sequence (row (b, t) at sum_{b' < b} L_b' + t), plus one
+  // L_b x L_b attention-probability block per (layer, sequence, head); no
+  // buffer is sized by B*T*T. Padding sits at the tail and attention is
+  // causal, so a real row never reads a padded one, and a padded row's
+  // gradients would be exact zeros: its outputs and the gradients equal the
+  // padded all-rows computation's, bit for bit.
+
   /// Forward over a [B,T] token batch. Computes logits, log-softmax-ready
   /// probs, and the value head at every row. T must be <= ctx; tokens in
-  /// [0, vocab).
+  /// [0, vocab). Every sequence has length T.
   void forward(const int* tokens, int B, int T);
 
   /// Forward that runs the final layernorm, LM head, softmax and value head
@@ -69,16 +79,25 @@ class Gpt {
   void forward(const int* tokens, int B, int T,
                const std::vector<int>& head_rows);
 
+  /// The head-rows forward over ragged sequences: sequence b is
+  /// tokens[b*T, b*T + lengths[b]), each length in [0, T], and the rest of
+  /// its row is padding that is never read. Every head row must be a real
+  /// row (t < lengths[b]).
+  void forward(const int* tokens, int B, int T,
+               const std::vector<int>& head_rows,
+               const std::vector<int>& lengths);
+
   /// Language-model loss vs. targets [B,T] (target -1 = ignore position).
   /// Must follow forward() on the same batch, and every row with a target
-  /// must be a head row of it. Accumulates gradients and returns mean
-  /// cross-entropy over non-ignored positions.
+  /// must be a head row of it. Runs over the last forward's lengths.
+  /// Accumulates gradients and returns mean cross-entropy over non-ignored
+  /// positions.
   float backward_lm(const int* tokens, const int* targets, int B, int T);
 
   /// Policy-gradient path: caller supplies dL/dlogits [R,V] and dL/dvalue
   /// [R] (or null) at the last forward's R head rows (R = B*T after the
   /// all-rows forward); gradients are accumulated into grads(). (B, T) must
-  /// be the last forward's.
+  /// be the last forward's, and so are the sequence lengths.
   void backward_from(const int* tokens, const float* dlogits,
                      const float* dvalues, int B, int T);
 
@@ -96,16 +115,21 @@ class Gpt {
   // ---- incremental (KV-cache) generation path ------------------------------
   /// Opaque per-generation state: per-layer K/V caches for a batch, packed
   /// (transposed) weight views so each per-token matvec streams weights
-  /// linearly, and all decode scratch, one slice per batch row (the
-  /// attention-score buffer is sized from cfg.ctx — no fixed-size stack
-  /// arrays).
+  /// linearly, and all decode scratch, one slice per batch row (sized from
+  /// cfg.ctx — no fixed-size stack arrays). Keys are cached transposed per
+  /// head, so attention's query-key dot products run lane-parallel across
+  /// positions, as in training.
   struct GenState {
     int B = 0;
     int t = 0;  // positions already consumed
-    std::vector<float> kcache, vcache;  // [L, B, ctx, C]
+    int ctx_pad = 0;  // ctx rounded up to a whole group of 8 positions
+    std::vector<float> kt;      // [L, B, C, ctx_pad]: keys, transposed
+    std::vector<float> vcache;  // [L, B, ctx, C]
     std::vector<float> scratch;
-    std::vector<float> att;          // [B, ctx] attention-score scratch
-    std::vector<float> norm;         // [2, B] layernorm mean/rstd scratch
+    std::vector<float> att;     // [B, ctx_pad] attention-probability rows
+    std::vector<float> norm;    // [2, B] layernorm mean/rstd scratch
+    std::vector<float> logits;  // [B, vocab] head outputs before scatter
+    std::vector<unsigned char> live;  // 1 while a row has run every step
     std::vector<kern::PackedMat> wpack;  // per layer: qkv, attproj, fc,
                                          // fcproj; then the tied LM head
   };
@@ -118,6 +142,15 @@ class Gpt {
   /// logits_out. Advances state.t. The batch rows are split across the
   /// kernel pool; the logits are the same bits at any thread count.
   void gen_step(GenState& state, const int* tokens_t, float* logits_out) const;
+
+  /// gen_step for the active rows only: `rows` is strictly ascending in
+  /// [0, B). tokens_t and logits_out keep their [B] and [B, vocab] shapes;
+  /// the other rows are neither read nor written. Rows never meet in a
+  /// decode step, so an active row's logits are the bits the all-rows step
+  /// gives. A row left out of a step has stopped for good: its cache misses
+  /// that position, so it may not be active again.
+  void gen_step(GenState& state, const int* tokens_t, float* logits_out,
+                const std::vector<int>& rows) const;
 
   // ---- persistence ----------------------------------------------------------
   /// Versioned + checksummed model file (util/serialize.h container). On
@@ -144,23 +177,26 @@ class Gpt {
   /// Position of row (b, t) among the last forward's head rows, or -1.
   int head_index(int b, int t) const;
   const float* acts_ptr(ActName which) const;
-  void ensure_acts(int B, int T);
-  void forward_body(const int* tokens, int B, int T);
-  /// gen_step's work for batch rows [b0, b1), every layer.
-  void gen_rows(GenState& s, const int* tokens_t, float* logits_out, int b0,
-                int b1) const;
+  /// gen_step's work for active rows rows[i0, i1), every layer.
+  void gen_rows(GenState& s, const int* tokens_t, float* logits_out,
+                const int* rows, int i0, int i1) const;
 
   GptConfig cfg_;
   std::vector<float> params_;
   std::vector<float> grads_;
   bool use_ref_kernels_ = false;
 
-  // Activation & activation-gradient arenas, laid out for the current (B,T)
-  // and sized for the largest seen so far.
+  // Activation & activation-gradient arenas for the last forward's real
+  // rows (see "training-path" above). Each grows, when it must, to the size
+  // of its padded [B, T] batch, so later ragged batches of that shape fit.
   int B_ = 0, T_ = 0;
+  std::vector<int> offs_;  // [B+1]: sequence b is rows [offs_[b], offs_[b+1])
+  std::vector<int> src_;   // packed row -> flat token index b*T+t
   std::vector<float> acts_;
   std::vector<float> dacts_;
-  std::vector<int> head_rows_;  // ascending b*T+t rows of the last forward
+  std::vector<int> head_rows_;    // ascending b*T+t rows of the last forward
+  std::vector<int> head_packed_;  // the same rows' packed indices
+  std::size_t att_size_ = 0;      // attention-probability floats per layer
 
   struct Layout;  // parameter/activation offset tables
 };

@@ -15,16 +15,17 @@
 // depend on the thread count, so results are bit-identical run to run and
 // for any set_num_threads() value. Threads only ever split work across
 // *disjoint* output ranges (rows for forward/dinp, output channels for
-// dweight/dbias, batch rows for attention and decode), never across a
-// reduction. A matmul output element is one multiply-add per reduction
-// index from its start value (bias, zero or the accumulator): fused, with
-// one rounding, when the kernels' target has FMA, and a multiply then an
-// add otherwise. The fusing is explicit (intrinsics, std::fma), not left to
-// the compiler's FP contraction.
+// dweight/dbias, (sequence, head) pairs for attention, active batch rows
+// for decode), never across a reduction. A matmul output element is one
+// multiply-add per reduction index from its start value (bias, zero or the
+// accumulator): fused, with one rounding, when the kernels' target has FMA,
+// and a multiply then an add otherwise. The fusing is explicit
+// (intrinsics, std::fma), not left to the compiler's FP contraction.
 //
 // Exact math: the training path's tanhf, coshf and expf (GELU forward and
-// backward, the attention and LM-head softmaxes) are the exact_* functions
-// below, ports of glibc's, not calls into the installed libm. Their vector
+// backward, the attention and LM-head softmaxes, and decode's attention,
+// which runs the training row kernel) are the exact_* functions below,
+// ports of glibc's, not calls into the installed libm. Their vector
 // versions return the scalar definition's bits in every lane, so the
 // training bits depend on neither the libm nor the vector width.
 #pragma once
@@ -159,18 +160,44 @@ void gelu_backward(float* dinp, const float* inp, const float* dout, int N);
 // *_ref loop bit for bit, so kernels_exact.cpp is compiled with FMA
 // contraction off; the loops are only reshaped where that keeps every
 // output element's operations and their order. The softmaxes' exponentials
-// run eight lanes at a time and are then summed in ascending order.
+// run eight lanes at a time and are then summed in ascending order. The
+// attention kernels have one body: with AVX2 its 8-lane groups are
+// registers, in a generic build they are float[8] loops with the same
+// operations in the same order.
 
-/// Causal self-attention. qkv is [B, T, 3C]; out is [B, T, C]; preatt and
-/// att are [B, NH, T, T] (zero above the diagonal). Split by batch row; the
-/// query-key dot products run lane-parallel across keys.
-void attention_forward(float* out, float* preatt, float* att, const float* qkv,
-                       int B, int T, int C, int NH);
-/// Accumulates into dqkv, dpreatt and datt (callers zero them). Split by
-/// batch row; the softmax-Jacobian loop runs lane-parallel across keys.
-void attention_backward(float* dqkv, float* dpreatt, float* datt,
-                        const float* dout, const float* qkv, const float* att,
-                        int B, int T, int C, int NH);
+/// Causal self-attention over B ragged sequences packed back to back:
+/// sequence b is rows [offs[b], offs[b+1]) of qkv ([N, 3C]) and out ([N, C]),
+/// N = offs[B], so no padded row is ever touched. att holds one row-major
+/// L x L block per (sequence, head), L the sequence's length, sequence b's
+/// NH blocks starting at NH * sum_{b' < b} L_b'^2 (attention_att_size).
+/// Only the entries on and below the diagonal are written. Each
+/// (sequence, head) runs on one thread, longest sequences first, handed to
+/// whichever thread is free: K is transposed once, every row goes through
+/// attention_row's softmax, and A.V keeps four query rows' outputs in
+/// registers. No [T, T] scratch besides att itself.
+void attention_forward(float* out, float* att, const float* qkv,
+                       const int* offs, int B, int C, int NH);
+/// Accumulates into dqkv (callers zero it); att is attention_forward's.
+/// Per (sequence, head) in phases, each keeping every element's operations
+/// and their order: dA and the softmax Jacobian row by row (8-lane
+/// accumulators held across the whole key loop) into a per-thread G = dS /
+/// sqrt(hs), then dV = A^T dO, dK = G^T Q and dQ = G K with several rows
+/// held in registers.
+void attention_backward(float* dqkv, const float* dout, const float* qkv,
+                        const float* att, const int* offs, int B, int C,
+                        int NH);
+/// Floats of attention_forward's att for the sequences of `offs`.
+std::size_t attention_att_size(const int* offs, int B, int NH);
+
+/// One query row of causal attention, the row kernel attention_forward runs
+/// at every row and gen_step at every decode position: a[t2] =
+/// softmax(q . k_t2 / sqrt(hs)) over t2 < n, then out = sum_t2 a[t2] v_t2 in
+/// ascending t2. kt holds the keys transposed (element i of key t2 at
+/// kt[i * ldk + t2]) and is read up to n rounded up to 8, as a is written;
+/// value rows are v + t2 * ldv. Runs on the calling thread.
+void attention_row(float* out, float* a, const float* q, const float* kt,
+                   std::size_t ldk, const float* v, std::size_t ldv, int n,
+                   int hs);
 
 /// Row n of out (and mean[n], rstd[n]) normalizes input row rows[n], or
 /// row n when rows is null. Split by row.

@@ -20,6 +20,7 @@
 // take the scalar definition one at a time. Exponent arithmetic is done on
 // unsigned integers, so no shift or add overflows a signed type.
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -453,171 +454,454 @@ inline float gelu_epilogue_scalar(float x) {
 #endif
 }
 
-/// Per-thread scratch for one attention head: keys and values transposed to
-/// [hs, T] so a pass over head dimension i reads all keys with unit stride,
-/// plus one row of partial sums.
-struct HeadScratch {
-  std::vector<float> kt, vt, acc;
+// ---- attention --------------------------------------------------------------
+// F8 is a group of eight float lanes: an AVX2 register where the build has
+// one, a float[8] loop otherwise. Every operation works lane by lane, so a
+// lane computes exactly the scalar loop's sequence for its element, and the
+// two builds give the same bits.
+#if defined(__AVX2__) && defined(__FMA__)
+struct F8 {
+  V8 v;
+};
+inline F8 f8_load(const float* p) { return {_mm256_loadu_ps(p)}; }
+inline void f8_store(float* p, F8 x) { _mm256_storeu_ps(p, x.v); }
+inline F8 f8_set(float x) { return {_mm256_set1_ps(x)}; }
+inline F8 operator+(F8 a, F8 b) { return {_mm256_add_ps(a.v, b.v)}; }
+inline F8 operator-(F8 a, F8 b) { return {_mm256_sub_ps(a.v, b.v)}; }
+inline F8 operator*(F8 a, F8 b) { return {_mm256_mul_ps(a.v, b.v)}; }
+/// `x > m ? x : m` per lane (m where x is NaN).
+inline F8 f8_max(F8 x, F8 m) { return {_mm256_max_ps(x.v, m.v)}; }
+/// a with lane `lane` taken from b; a itself when lane is outside [0, 8).
+inline F8 f8_with_lane(F8 a, F8 b, int lane) {
+  const I8 hit = _mm256_cmpeq_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                                    _mm256_set1_epi32(lane));
+  return {sel(hit, b.v, a.v)};
+}
+inline float f8_hmax(F8 x) {
+  __m128 m = _mm_max_ps(_mm256_castps256_ps128(x.v),
+                        _mm256_extractf128_ps(x.v, 1));
+  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+  return _mm_cvtss_f32(_mm_max_ss(m, _mm_shuffle_ps(m, m, 1)));
+}
+inline F8 f8_exp(F8 x) { return {v_expf(x.v)}; }
+#else
+struct F8 {
+  float v[8];
+};
+inline F8 f8_load(const float* p) {
+  F8 r;
+  for (int l = 0; l < 8; ++l) r.v[l] = p[l];
+  return r;
+}
+inline void f8_store(float* p, F8 x) {
+  for (int l = 0; l < 8; ++l) p[l] = x.v[l];
+}
+inline F8 f8_set(float x) {
+  F8 r;
+  for (float& l : r.v) l = x;
+  return r;
+}
+inline F8 operator+(F8 a, F8 b) {
+  for (int l = 0; l < 8; ++l) a.v[l] = a.v[l] + b.v[l];
+  return a;
+}
+inline F8 operator-(F8 a, F8 b) {
+  for (int l = 0; l < 8; ++l) a.v[l] = a.v[l] - b.v[l];
+  return a;
+}
+inline F8 operator*(F8 a, F8 b) {
+  for (int l = 0; l < 8; ++l) a.v[l] = a.v[l] * b.v[l];
+  return a;
+}
+inline F8 f8_max(F8 x, F8 m) {
+  for (int l = 0; l < 8; ++l) m.v[l] = x.v[l] > m.v[l] ? x.v[l] : m.v[l];
+  return m;
+}
+inline F8 f8_with_lane(F8 a, F8 b, int lane) {
+  if (lane >= 0 && lane < 8) a.v[lane] = b.v[lane];
+  return a;
+}
+inline float f8_hmax(F8 x) {
+  float m = x.v[0];
+  for (int l = 1; l < 8; ++l) m = x.v[l] > m ? x.v[l] : m;
+  return m;
+}
+inline F8 f8_exp(F8 x) {
+  for (float& l : x.v) l = exact_expf(l);
+  return x;
+}
+#endif
+
+/// Lane groups covering n keys.
+inline int groups(int n) { return (n + 7) / 8; }
+
+/// out[t2] = sum_i x[i] * xt[i * ldk + t2] over the first 8 * M lanes from
+/// out. Each lane starts at +0 and adds its products in ascending i, the
+/// scalar dot product's sequence; M groups share each x[i].
+template <int M>
+void dot_groups(float* out, const float* x, const float* xt, std::size_t ldk,
+                int hs) {
+  F8 acc[M];
+  for (F8& a : acc) a = f8_set(0.f);
+  for (int i = 0; i < hs; ++i) {
+    const F8 xi = f8_set(x[i]);
+    const float* row = xt + static_cast<std::size_t>(i) * ldk;
+    for (int k = 0; k < M; ++k) acc[k] = acc[k] + xi * f8_load(row + 8 * k);
+  }
+  for (int k = 0; k < M; ++k) f8_store(out + 8 * k, acc[k]);
+}
+
+/// dot_groups over nv groups of lanes.
+void dot_row(float* out, const float* x, const float* xt, std::size_t ldk,
+             int nv, int hs) {
+  int j = 0;
+  for (; j + 4 <= nv; j += 4) {
+    dot_groups<4>(out + 8 * j, x, xt + 8 * j, ldk, hs);
+  }
+  for (; j < nv; ++j) dot_groups<1>(out + 8 * j, x, xt + 8 * j, ldk, hs);
+}
+
+/// a[t2] = softmax over t2 < n of (q . key t2) / sqrt(hs), with
+/// attention_forward_ref's operations: scaled dot, running max from -1e30,
+/// exact_expf of the difference, ascending sum, one reciprocal. The max of
+/// a set is the same in any order, up to the sign of a zero, which
+/// exact_expf(s - max) does not see. Lanes past n up to groups(n) * 8 are
+/// written too and hold nothing anyone reads.
+void softmax_row(float* a, const float* q, const float* kt, std::size_t ldk,
+                 int n, int hs) {
+  const float scale = 1.f / std::sqrt(static_cast<float>(hs));
+  const int nv = groups(n);
+  dot_row(a, q, kt, ldk, nv, hs);
+  for (int j = 0; j < nv; ++j) {
+    f8_store(a + 8 * j, f8_load(a + 8 * j) * f8_set(scale));
+  }
+  for (int t2 = n; t2 < 8 * nv; ++t2) a[t2] = -1e30f;
+  F8 mx = f8_set(-1e30f);
+  for (int j = 0; j < nv; ++j) mx = f8_max(f8_load(a + 8 * j), mx);
+  const float maxv = f8_hmax(mx);
+  // Spare lanes take exp(0), which stays on the vector path.
+  for (int t2 = n; t2 < 8 * nv; ++t2) a[t2] = maxv;
+  for (int j = 0; j < nv; ++j) {
+    f8_store(a + 8 * j, f8_exp(f8_load(a + 8 * j) - f8_set(maxv)));
+  }
+  float sum = 0.f;
+  for (int t2 = 0; t2 < n; ++t2) sum += a[t2];
+  const float inv = sum > 0.f ? 1.f / sum : 0.f;
+  for (int j = 0; j < nv; ++j) {
+    f8_store(a + 8 * j, f8_load(a + 8 * j) * f8_set(inv));
+  }
+}
+
+/// Query-side tile: out row r (r < R, at out + r * ldo) += sum over t2 <
+/// n0 + r of w[r * ldw + t2] * x row t2 (at x + t2 * ldx), one multiply then
+/// add per key in ascending t2, for 8 * NV columns held in registers.
+template <int R, int NV>
+void rows_by_keys_block(float* out, std::size_t ldo, const float* w,
+                        std::size_t ldw, const float* x, std::size_t ldx,
+                        int n0) {
+  F8 acc[R][NV];
+  for (int r = 0; r < R; ++r) {
+    for (int k = 0; k < NV; ++k) acc[r][k] = f8_load(out + r * ldo + 8 * k);
+  }
+  const auto key = [&](int t2, int r_first) {
+    F8 xv[NV];
+    for (int k = 0; k < NV; ++k) xv[k] = f8_load(x + t2 * ldx + 8 * k);
+    for (int r = r_first; r < R; ++r) {
+      const F8 wr = f8_set(w[r * ldw + t2]);
+      for (int k = 0; k < NV; ++k) acc[r][k] = acc[r][k] + wr * xv[k];
+    }
+  };
+  for (int t2 = 0; t2 < n0; ++t2) key(t2, 0);
+  for (int t2 = n0; t2 < n0 + R - 1; ++t2) key(t2, t2 - n0 + 1);
+  for (int r = 0; r < R; ++r) {
+    for (int k = 0; k < NV; ++k) f8_store(out + r * ldo + 8 * k, acc[r][k]);
+  }
+}
+
+/// Key-side tile: out row r (key k0 + r, r < R) += sum over t from k0 + r
+/// to L - 1 of w[t * ldw + k0 + r] * y row t, in ascending t.
+template <int R, int NV>
+void keys_by_rows_block(float* out, std::size_t ldo, const float* w,
+                        std::size_t ldw, const float* y, std::size_t ldy,
+                        int k0, int L) {
+  F8 acc[R][NV];
+  for (int r = 0; r < R; ++r) {
+    for (int k = 0; k < NV; ++k) acc[r][k] = f8_load(out + r * ldo + 8 * k);
+  }
+  const auto query = [&](int t, int r_last) {
+    F8 yv[NV];
+    for (int k = 0; k < NV; ++k) yv[k] = f8_load(y + t * ldy + 8 * k);
+    for (int r = 0; r <= r_last; ++r) {
+      const F8 wr = f8_set(w[t * ldw + k0 + r]);
+      for (int k = 0; k < NV; ++k) acc[r][k] = acc[r][k] + wr * yv[k];
+    }
+  };
+  for (int t = k0; t < k0 + R - 1; ++t) query(t, t - k0);
+  for (int t = k0 + R - 1; t < L; ++t) query(t, R - 1);
+  for (int r = 0; r < R; ++r) {
+    for (int k = 0; k < NV; ++k) f8_store(out + r * ldo + 8 * k, acc[r][k]);
+  }
+}
+
+template <int R>
+void rows_by_keys_r(float* out, std::size_t ldo, const float* w,
+                    std::size_t ldw, const float* x, std::size_t ldx, int n0,
+                    int hs) {
+  int c = 0;
+  for (; c + 16 <= hs; c += 16) {
+    rows_by_keys_block<R, 2>(out + c, ldo, w, ldw, x + c, ldx, n0);
+  }
+  for (; c + 8 <= hs; c += 8) {
+    rows_by_keys_block<R, 1>(out + c, ldo, w, ldw, x + c, ldx, n0);
+  }
+  for (; c < hs; ++c) {  // a head size that is not a multiple of 8
+    for (int r = 0; r < R; ++r) {
+      float s = out[r * ldo + c];
+      for (int t2 = 0; t2 < n0 + r; ++t2) {
+        s += w[r * ldw + t2] * x[t2 * ldx + c];
+      }
+      out[r * ldo + c] = s;
+    }
+  }
+}
+
+/// rows_by_keys_block over hs columns for `rows` (1 to 4) query rows.
+void rows_by_keys(float* out, std::size_t ldo, const float* w, std::size_t ldw,
+                  const float* x, std::size_t ldx, int n0, int rows, int hs) {
+  switch (rows) {
+    case 1: rows_by_keys_r<1>(out, ldo, w, ldw, x, ldx, n0, hs); break;
+    case 2: rows_by_keys_r<2>(out, ldo, w, ldw, x, ldx, n0, hs); break;
+    case 3: rows_by_keys_r<3>(out, ldo, w, ldw, x, ldx, n0, hs); break;
+    default: rows_by_keys_r<4>(out, ldo, w, ldw, x, ldx, n0, hs); break;
+  }
+}
+
+template <int R>
+void keys_by_rows_r(float* out, std::size_t ldo, const float* w,
+                    std::size_t ldw, const float* y, std::size_t ldy, int k0,
+                    int L, int hs) {
+  int c = 0;
+  for (; c + 16 <= hs; c += 16) {
+    keys_by_rows_block<R, 2>(out + c, ldo, w, ldw, y + c, ldy, k0, L);
+  }
+  for (; c + 8 <= hs; c += 8) {
+    keys_by_rows_block<R, 1>(out + c, ldo, w, ldw, y + c, ldy, k0, L);
+  }
+  for (; c < hs; ++c) {  // a head size that is not a multiple of 8
+    for (int r = 0; r < R; ++r) {
+      float s = out[r * ldo + c];
+      for (int t = k0 + r; t < L; ++t) {
+        s += w[t * ldw + k0 + r] * y[t * ldy + c];
+      }
+      out[r * ldo + c] = s;
+    }
+  }
+}
+
+/// keys_by_rows_block over hs columns for `rows` (1 to 4) key rows.
+void keys_by_rows(float* out, std::size_t ldo, const float* w, std::size_t ldw,
+                  const float* y, std::size_t ldy, int k0, int rows, int L,
+                  int hs) {
+  switch (rows) {
+    case 1: keys_by_rows_r<1>(out, ldo, w, ldw, y, ldy, k0, L, hs); break;
+    case 2: keys_by_rows_r<2>(out, ldo, w, ldw, y, ldy, k0, L, hs); break;
+    case 3: keys_by_rows_r<3>(out, ldo, w, ldw, y, ldy, k0, L, hs); break;
+    default: keys_by_rows_r<4>(out, ldo, w, ldw, y, ldy, k0, L, hs); break;
+  }
+}
+
+/// g[t2] = scale * sum over t3 < n of (a[t3] * ([t2 == t3] - a[t2])) *
+/// da[t3], the softmax Jacobian of attention_backward_ref, for the M lane
+/// groups from g. The accumulators stay in registers across the whole t3
+/// loop; off the diagonal the factor is the hoisted 0 - a[t2], and on it
+/// the lane takes 1 - a[t2] instead. The sum starts at +0, so adding it to
+/// the reference's zeroed dpreatt leaves it as it is.
+template <int M>
+void jacobian_groups(float* g, const float* a, const float* da, int n, int j0,
+                     float scale) {
+  F8 acc[M], nega[M], onem[M];
+  for (int k = 0; k < M; ++k) {
+    const F8 ak = f8_load(a + 8 * (j0 + k));
+    acc[k] = f8_set(0.f);
+    nega[k] = f8_set(0.f) - ak;
+    onem[k] = f8_set(1.f) - ak;
+  }
+  const auto off_diagonal = [&](int t3) {
+    const F8 a3 = f8_set(a[t3]), d3 = f8_set(da[t3]);
+    for (int k = 0; k < M; ++k) acc[k] = acc[k] + (a3 * nega[k]) * d3;
+  };
+  const int d0 = 8 * j0, d1 = std::min(n, d0 + 8 * M);
+  for (int t3 = 0; t3 < d0; ++t3) off_diagonal(t3);
+  for (int t3 = d0; t3 < d1; ++t3) {
+    const F8 a3 = f8_set(a[t3]), d3 = f8_set(da[t3]);
+    for (int k = 0; k < M; ++k) {
+      const F8 f = f8_with_lane(nega[k], onem[k], t3 - d0 - 8 * k);
+      acc[k] = acc[k] + (a3 * f) * d3;
+    }
+  }
+  for (int t3 = d1; t3 < n; ++t3) off_diagonal(t3);
+  for (int k = 0; k < M; ++k) {
+    f8_store(g + 8 * (j0 + k), acc[k] * f8_set(scale));
+  }
+}
+
+/// jacobian_groups over every lane group of an n-key row. a must hold
+/// groups(n) * 8 finite values.
+void jacobian_row(float* g, const float* a, const float* da, int n,
+                  float scale) {
+  const int nv = groups(n);
+  int j = 0;
+  for (; j + 4 <= nv; j += 4) jacobian_groups<4>(g, a, da, n, j, scale);
+  for (; j < nv; ++j) jacobian_groups<1>(g, a, da, n, j, scale);
+}
+
+/// Per-thread scratch for one (sequence, head); rows are padded to whole
+/// lane groups (ld = groups(L) * 8) and the padding is zero.
+struct AttnScratch {
+  std::vector<float> xt;  // K (forward) or V (backward) transposed, [hs, ld]
+  std::vector<float> row, arow, da;  // [ld] each
+  std::vector<float> g;   // backward: dS / sqrt(hs), [L, ld]
 };
 
-HeadScratch& head_scratch(int hs, int T) {
-  static thread_local HeadScratch s;
-  const std::size_t n = static_cast<std::size_t>(hs) * T;
-  if (s.kt.size() < n) {
-    s.kt.resize(n);
-    s.vt.resize(n);
+AttnScratch& attn_scratch(int hs, int L, bool backward) {
+  static thread_local AttnScratch s;
+  const std::size_t ld = static_cast<std::size_t>(groups(L)) * 8;
+  s.xt.assign(hs * ld, 0.f);
+  s.row.assign(ld, 0.f);
+  if (backward) {
+    s.arow.assign(ld, 0.f);
+    s.da.assign(ld, 0.f);
+    if (s.g.size() < L * ld) s.g.resize(L * ld);
   }
-  if (s.acc.size() < static_cast<std::size_t>(T)) s.acc.resize(T);
   return s;
 }
 
-/// dst[i * T + t2] = src[t2 * stride + i] for t2 < T, i < hs.
-void transpose_head(float* dst, const float* src, int T, int hs,
-                    std::size_t stride) {
-  for (int t2 = 0; t2 < T; ++t2) {
+/// dst[i * ld + t2] = src[t2 * stride + i] for t2 < L, i < hs.
+void transpose_head(float* dst, std::size_t ld, const float* src, int L,
+                    int hs, std::size_t stride) {
+  for (int t2 = 0; t2 < L; ++t2) {
     const float* row = src + t2 * stride;
-    for (int i = 0; i < hs; ++i) {
-      dst[static_cast<std::size_t>(i) * T + t2] = row[i];
-    }
+    for (int i = 0; i < hs; ++i) dst[i * ld + t2] = row[i];
   }
 }
 
-/// dot[t2] = x . (column t2 of xt) for t2 < n. Each lane starts at 0 and
-/// adds x[i] * xt[i][t2] in ascending i: the scalar dot product's exact
-/// sequence, run for many t2 at once.
-void dots(float* dot, const float* x, const float* xt, int T, int hs, int n) {
-  for (int t2 = 0; t2 < n; ++t2) dot[t2] = 0.f;
-  for (int i = 0; i < hs; ++i) {
-    const float xi = x[i];
-    const float* row = xt + static_cast<std::size_t>(i) * T;
-    for (int t2 = 0; t2 < n; ++t2) dot[t2] += xi * row[t2];
+/// Start of each sequence's att blocks; entry B is the total.
+std::vector<std::size_t> att_offsets(const int* offs, int B, int NH) {
+  std::vector<std::size_t> at(static_cast<std::size_t>(B) + 1, 0);
+  for (int b = 0; b < B; ++b) {
+    const std::size_t L = static_cast<std::size_t>(offs[b + 1] - offs[b]);
+    at[b + 1] = at[b] + static_cast<std::size_t>(NH) * L * L;
   }
+  return at;
 }
 
-/// dpre[t2] += sum_t3 a[t3] * ([t2 == t3] - a[t2]) * da[t3] for t2, t3 < n,
-/// the softmax Jacobian. acc[t2] sums its terms in ascending t3, four t3 per
-/// pass over t2 so the partial sums stay in registers longer.
-void softmax_jacobian(float* dpre, float* acc, const float* a, const float* da,
-                      int n) {
-  for (int t2 = 0; t2 < n; ++t2) acc[t2] = 0.f;
-  int t3 = 0;
-  for (; t3 + 4 <= n; t3 += 4) {
-    const float a0 = a[t3], a1 = a[t3 + 1], a2 = a[t3 + 2], a3 = a[t3 + 3];
-    const float d0 = da[t3], d1 = da[t3 + 1], d2 = da[t3 + 2], d3 = da[t3 + 3];
-    for (int t2 = 0; t2 < n; ++t2) {
-      const float at2 = a[t2];
-      float s = acc[t2];
-      s += a0 * ((t2 == t3 ? 1.f : 0.f) - at2) * d0;
-      s += a1 * ((t2 == t3 + 1 ? 1.f : 0.f) - at2) * d1;
-      s += a2 * ((t2 == t3 + 2 ? 1.f : 0.f) - at2) * d2;
-      s += a3 * ((t2 == t3 + 3 ? 1.f : 0.f) - at2) * d3;
-      acc[t2] = s;
-    }
-  }
-  for (; t3 < n; ++t3) {
-    const float a0 = a[t3], d0 = da[t3];
-    for (int t2 = 0; t2 < n; ++t2) {
-      acc[t2] += a0 * ((t2 == t3 ? 1.f : 0.f) - a[t2]) * d0;
-    }
-  }
-  for (int t2 = 0; t2 < n; ++t2) dpre[t2] += acc[t2];
-}
-
-}  // namespace
-
-void attention_forward(float* out, float* preatt, float* att, const float* qkv,
-                       int B, int T, int C, int NH) {
-  const int hs = C / NH;
-  const float scale = 1.f / std::sqrt(static_cast<float>(hs));
-  const std::size_t C3 = static_cast<std::size_t>(3) * C;
-  const std::size_t work = static_cast<std::size_t>(NH) * T * T * hs;
-  parallel_ranges(B, work, [&](int b0, int b1) {
-    HeadScratch& s = head_scratch(hs, T);
-    for (int b = b0; b < b1; ++b) {
-      const float* qkv_b = qkv + static_cast<std::size_t>(b) * T * C3;
-      for (int h = 0; h < NH; ++h) {
-        transpose_head(s.kt.data(), qkv_b + C + h * hs, T, hs, C3);
-        for (int t = 0; t < T; ++t) {
-          const std::size_t row =
-              (static_cast<std::size_t>(b * NH + h) * T + t) * T;
-          float* pre = preatt + row;
-          float* a = att + row;
-          dots(pre, qkv_b + t * C3 + h * hs, s.kt.data(), T, hs, t + 1);
-          float maxv = -1e30f;
-          for (int t2 = 0; t2 <= t; ++t2) {
-            pre[t2] *= scale;
-            if (pre[t2] > maxv) maxv = pre[t2];
-          }
-          const float sum = exp_shifted(a, pre, maxv, t + 1);
-          const float inv = sum > 0.f ? 1.f / sum : 0.f;
-          for (int t2 = 0; t2 <= t; ++t2) a[t2] *= inv;
-          for (int t2 = t + 1; t2 < T; ++t2) {
-            pre[t2] = 0.f;
-            a[t2] = 0.f;
-          }
-          float* o = out + (static_cast<std::size_t>(b) * T + t) * C + h * hs;
-          for (int i = 0; i < hs; ++i) o[i] = 0.f;
-          for (int t2 = 0; t2 <= t; ++t2) {
-            const float* v = qkv_b + t2 * C3 + 2 * C + h * hs;
-            const float w = a[t2];
-            for (int i = 0; i < hs; ++i) o[i] += w * v[i];
-          }
-        }
-      }
+/// Runs item(b, h) for every (sequence, head) on the pool. Each part takes
+/// the next item when it finishes one, longest sequences first, so ragged
+/// lengths do not leave threads idle; an item writes only its own outputs
+/// from its own inputs, so which thread runs it does not change a bit.
+template <typename Item>
+void for_each_head(const int* offs, int B, int NH, int hs, bool backward,
+                   const Item& item) {
+  const auto len = [offs](int b) { return offs[b + 1] - offs[b]; };
+  std::vector<int> order(B);
+  for (int b = 0; b < B; ++b) order[b] = b;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int x, int y) { return len(x) > len(y); });
+  // Rough flops of one item at the longest length, for the pool's split.
+  const std::size_t L = B > 0 ? static_cast<std::size_t>(len(order[0])) : 0;
+  const std::size_t work = L * L * (4 * static_cast<std::size_t>(hs) +
+                                    (backward ? L : 8));
+  std::atomic<int> next{0};
+  const int total = B * NH;
+  parallel_ranges(total, work, [&](int, int) {
+    for (int i; (i = next.fetch_add(1, std::memory_order_relaxed)) < total;) {
+      if (len(order[i / NH]) > 0) item(order[i / NH], i % NH);
     }
   });
 }
 
-void attention_backward(float* dqkv, float* dpreatt, float* datt,
-                        const float* dout, const float* qkv, const float* att,
-                        int B, int T, int C, int NH) {
+}  // namespace
+
+std::size_t attention_att_size(const int* offs, int B, int NH) {
+  return att_offsets(offs, B, NH)[B];
+}
+
+void attention_row(float* out, float* a, const float* q, const float* kt,
+                   std::size_t ldk, const float* v, std::size_t ldv, int n,
+                   int hs) {
+  softmax_row(a, q, kt, ldk, n, hs);
+  for (int i = 0; i < hs; ++i) out[i] = 0.f;
+  rows_by_keys(out, 0, a, 0, v, ldv, n, 1, hs);
+}
+
+void attention_forward(float* out, float* att, const float* qkv,
+                       const int* offs, int B, int C, int NH) {
+  const int hs = C / NH;
+  const std::size_t C3 = static_cast<std::size_t>(3) * C;
+  const std::vector<std::size_t> at = att_offsets(offs, B, NH);
+  for_each_head(offs, B, NH, hs, false, [&](int b, int h) {
+    const int L = offs[b + 1] - offs[b];
+    AttnScratch& s = attn_scratch(hs, L, false);
+    const std::size_t ld = s.row.size();
+    const float* qkv_b = qkv + static_cast<std::size_t>(offs[b]) * C3;
+    float* out_b = out + static_cast<std::size_t>(offs[b]) * C + h * hs;
+    float* att_bh = att + at[b] + static_cast<std::size_t>(h) * L * L;
+    transpose_head(s.xt.data(), ld, qkv_b + C + h * hs, L, hs, C3);
+    for (int t0 = 0; t0 < L; t0 += 4) {
+      const int rows = std::min(4, L - t0);
+      for (int t = t0; t < t0 + rows; ++t) {
+        softmax_row(s.row.data(), qkv_b + t * C3 + h * hs, s.xt.data(), ld,
+                    t + 1, hs);
+        std::copy_n(s.row.data(), t + 1,
+                    att_bh + static_cast<std::size_t>(t) * L);
+        std::fill_n(out_b + t * static_cast<std::size_t>(C), hs, 0.f);
+      }
+      rows_by_keys(out_b + t0 * static_cast<std::size_t>(C), C,
+                   att_bh + static_cast<std::size_t>(t0) * L, L,
+                   qkv_b + 2 * C + h * hs, C3, t0 + 1, rows, hs);
+    }
+  });
+}
+
+void attention_backward(float* dqkv, const float* dout, const float* qkv,
+                        const float* att, const int* offs, int B, int C,
+                        int NH) {
   const int hs = C / NH;
   const float scale = 1.f / std::sqrt(static_cast<float>(hs));
   const std::size_t C3 = static_cast<std::size_t>(3) * C;
-  const std::size_t work =
-      static_cast<std::size_t>(NH) * T * T * (T / 3 + 3 * hs);
+  const std::vector<std::size_t> at = att_offsets(offs, B, NH);
   // The reference walks t outermost and h inside it; heads own disjoint
-  // slices of dqkv, so walking h outermost keeps every element's order
-  // (ascending t) and lets one transposed V serve a whole head.
-  parallel_ranges(B, work, [&](int b0, int b1) {
-    HeadScratch& s = head_scratch(hs, T);
-    for (int b = b0; b < b1; ++b) {
-      const float* qkv_b = qkv + static_cast<std::size_t>(b) * T * C3;
-      float* dqkv_b = dqkv + static_cast<std::size_t>(b) * T * C3;
-      for (int h = 0; h < NH; ++h) {
-        transpose_head(s.vt.data(), qkv_b + 2 * C + h * hs, T, hs, C3);
-        for (int t = 0; t < T; ++t) {
-          const std::size_t row =
-              (static_cast<std::size_t>(b * NH + h) * T + t) * T;
-          const float* a = att + row;
-          float* da = datt + row;
-          float* dpre = dpreatt + row;
-          const float* d =
-              dout + (static_cast<std::size_t>(b) * T + t) * C + h * hs;
-          // through the weighted sum of V
-          dots(s.acc.data(), d, s.vt.data(), T, hs, t + 1);
-          for (int t2 = 0; t2 <= t; ++t2) {
-            float* dv = dqkv_b + t2 * C3 + 2 * C + h * hs;
-            const float w = a[t2];
-            for (int i = 0; i < hs; ++i) dv[i] += w * d[i];
-            da[t2] += s.acc[t2];
-          }
-          // through the softmax
-          softmax_jacobian(dpre, s.acc.data(), a, da, t + 1);
-          // through q.k
-          const float* q = qkv_b + t * C3 + h * hs;
-          float* dq = dqkv_b + t * C3 + h * hs;
-          for (int t2 = 0; t2 <= t; ++t2) {
-            const float* k = qkv_b + t2 * C3 + C + h * hs;
-            float* dk = dqkv_b + t2 * C3 + C + h * hs;
-            const float g = dpre[t2] * scale;
-            for (int i = 0; i < hs; ++i) {
-              dq[i] += g * k[i];
-              dk[i] += g * q[i];
-            }
-          }
-        }
-      }
+  // slices of dqkv, and dq, dk and dv are disjoint too, so each can run as
+  // its own phase as long as every element keeps its order: dv[t2] and
+  // dk[t2] ascending in t, dq[t] ascending in t2.
+  for_each_head(offs, B, NH, hs, true, [&](int b, int h) {
+    const int L = offs[b + 1] - offs[b];
+    AttnScratch& s = attn_scratch(hs, L, true);
+    const std::size_t ld = s.row.size();
+    const std::size_t o = offs[b];
+    const float* qkv_b = qkv + o * C3 + h * hs;
+    float* dqkv_b = dqkv + o * C3 + h * hs;
+    const float* dout_b = dout + o * C + h * hs;
+    const float* att_bh = att + at[b] + static_cast<std::size_t>(h) * L * L;
+    float* g = s.g.data();
+    transpose_head(s.xt.data(), ld, qkv_b + 2 * C, L, hs, C3);
+    for (int t = 0; t < L; ++t) {
+      const int n = t + 1;
+      std::copy_n(att_bh + static_cast<std::size_t>(t) * L, n, s.arow.data());
+      std::fill(s.arow.begin() + n, s.arow.end(), 0.f);
+      // da[t2] = v[t2] . dout[t], through the weighted sum of V.
+      dot_row(s.da.data(), dout_b + t * static_cast<std::size_t>(C),
+              s.xt.data(), ld, groups(n), hs);
+      jacobian_row(g + t * ld, s.arow.data(), s.da.data(), n, scale);
+    }
+    for (int k0 = 0; k0 < L; k0 += 4) {
+      const int rows = std::min(4, L - k0);
+      keys_by_rows(dqkv_b + k0 * C3 + 2 * C, C3, att_bh, L, dout_b, C, k0,
+                   rows, L, hs);                                       // dv
+      keys_by_rows(dqkv_b + k0 * C3 + C, C3, g, ld, qkv_b, C3, k0, rows, L,
+                   hs);                                                // dk
+      rows_by_keys(dqkv_b + k0 * C3, C3, g + k0 * ld, ld, qkv_b + C, C3,
+                   k0 + 1, rows, hs);                                  // dq
     }
   });
 }

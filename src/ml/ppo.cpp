@@ -51,9 +51,13 @@ PpoStats PpoTrainer::update(const std::vector<Generation>& gens,
     float shaped;   // dense per-token reward (pre-scaling)
   };
   std::vector<Action> actions;
+  // Each sequence's real length; the rest of its row is padding, which the
+  // model never reads.
+  std::vector<int> lengths(B);
   for (int bi = 0; bi < B; ++bi) {
     const Generation& g = gens[keep[bi]];
     const int plen = static_cast<int>(g.prompt.size());
+    lengths[bi] = std::min(T, plen + static_cast<int>(g.response.size()));
     const std::vector<float>* tr =
         token_rewards != nullptr ? &(*token_rewards)[keep[bi]] : nullptr;
     int t = 0;
@@ -83,7 +87,7 @@ PpoStats PpoTrainer::update(const std::vector<Generation>& gens,
 
   // Reference logprobs (frozen model) for the KL penalty.
   Gpt& mutable_ref = const_cast<Gpt&>(ref_);  // forward only; no grads
-  mutable_ref.forward(tokens.data(), B, T, rows);
+  mutable_ref.forward(tokens.data(), B, T, rows, lengths);
   std::vector<float> logp_ref(actions.size());
   for (std::size_t i = 0; i < actions.size(); ++i) {
     const Action& a = actions[i];
@@ -126,7 +130,7 @@ PpoStats PpoTrainer::update(const std::vector<Generation>& gens,
   }
 
   // Advantages from the pre-update value estimates.
-  policy_.forward(tokens.data(), B, T, rows);
+  policy_.forward(tokens.data(), B, T, rows, lengths);
   std::vector<float> adv(actions.size());
   for (std::size_t i = 0; i < actions.size(); ++i) {
     adv[i] = returns[i] - policy_.values()[i];
@@ -147,7 +151,7 @@ PpoStats PpoTrainer::update(const std::vector<Generation>& gens,
   std::vector<float> dlogits(actions.size() * V);
   std::vector<float> dvalues(actions.size());
   for (int epoch = 0; epoch < cfg_.ppo_epochs; ++epoch) {
-    if (epoch > 0) policy_.forward(tokens.data(), B, T, rows);
+    if (epoch > 0) policy_.forward(tokens.data(), B, T, rows, lengths);
     std::fill(dlogits.begin(), dlogits.end(), 0.f);
     std::fill(dvalues.begin(), dvalues.end(), 0.f);
 

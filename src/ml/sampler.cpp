@@ -104,8 +104,9 @@ std::vector<Generation> Sampler::generate(
   const int B = static_cast<int>(prompts.size());
   const int ctx = model.config().ctx;
   const int vocab = model.config().vocab;
-  // Every token reaches gen_step as an embedding row index: the EOS token
-  // is fed to finished lanes, and prompt tokens are fed as they are.
+  // Every token reaches gen_step as an embedding row index, and eos_token
+  // must name one too: a sampled EOS is fed back when it does not stop its
+  // row.
   if (cfg_.eos_token < 0 || cfg_.eos_token >= vocab) {
     reject("eos_token", cfg_.eos_token, vocab);
   }
@@ -129,23 +130,26 @@ std::vector<Generation> Sampler::generate(
 
   std::vector<float> logits(static_cast<std::size_t>(B) * vocab);
   std::vector<RowDraw> draws(B);
+  std::vector<int> active;    // rows that are not done, ascending
   std::vector<int> sampling;  // rows that draw a token this step, ascending
+  active.reserve(B);
   sampling.reserve(B);
 
   for (int pos = 0; pos + 1 < ctx; ++pos) {
-    bool any_active = false;
-    for (int b = 0; b < B; ++b) any_active = any_active || !done[b];
-    if (!any_active) break;
+    active.clear();
+    for (int b = 0; b < B; ++b) {
+      if (!done[b]) active.push_back(b);
+    }
+    if (active.empty()) break;
 
-    model.gen_step(state, cur.data(), logits.data());
+    // A finished row's logits would be discarded, so it is not decoded.
+    model.gen_step(state, cur.data(), logits.data(), active);
 
     sampling.clear();
-    for (int b = 0; b < B; ++b) {
+    for (const int b : active) {
       const auto prompt_len = static_cast<int>(prompts[b].size());
       if (pos + 1 < prompt_len) {
         cur[b] = prompts[b][pos + 1];  // still consuming the prompt
-      } else if (done[b]) {
-        cur[b] = cfg_.eos_token;  // keep the lane warm; outputs discarded
       } else {
         sampling.push_back(b);
       }

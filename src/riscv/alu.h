@@ -1,7 +1,8 @@
 // Pure integer ALU / multiplier / divider semantics as free functions.
 // Used by the RTL-level core model; the golden model (isasim) carries its
 // own inline implementation so the two execution paths stay independent for
-// differential testing (see DESIGN.md).
+// differential testing (see README, "What stands in for the paper's
+// setup").
 #pragma once
 
 #include <cstdint>

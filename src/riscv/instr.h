@@ -5,7 +5,7 @@
 // Scope: RV64I + M + A + Zicsr + Zifencei + privileged returns. This is the
 // instruction surface RocketCore's integer pipeline exposes and is the
 // surface the ChatFuzz paper fuzzes (floating point is out of scope for the
-// reproduction; see DESIGN.md).
+// reproduction; see README, "What stands in for the paper's setup").
 #pragma once
 
 #include <cstdint>

@@ -208,36 +208,95 @@ void at_thread_counts(const Body& body) {
   kern::set_num_threads(saved);
 }
 
+/// Ragged sequences packed back to back, as the model passes them.
 struct AttnShape {
-  int B, T, C, NH;
+  std::vector<int> lens;
+  int C, NH;
 };
 
-// T = 1, T not a multiple of 4 or 8, T a multiple of 8, and one shape with
-// enough work per batch row to engage the pool.
+// Length 1; lengths that are and are not multiples of 4 and 8 in one batch;
+// head sizes 4 (no whole lane group), 8, 12 (a group and a remainder), 16
+// and 32 (two 16-column tiles); and shapes with enough work per (sequence,
+// head) to engage the pool.
 const AttnShape kAttnShapes[] = {
-    {2, 1, 16, 2}, {1, 5, 8, 1}, {3, 13, 32, 4}, {2, 16, 16, 2}, {3, 37, 64, 4},
+    {{1, 1}, 16, 2},         {{5}, 8, 1},          {{13, 7, 1}, 32, 4},
+    {{16, 16}, 16, 2},       {{37, 20, 33}, 64, 4}, {{9, 30}, 24, 2},
+    {{21, 4}, 8, 2},         {{45, 93}, 64, 2},    {{93, 92, 1, 64}, 64, 4},
 };
+
+std::vector<int> offsets(const std::vector<int>& lens) {
+  std::vector<int> offs{0};
+  for (const int L : lens) offs.push_back(offs.back() + L);
+  return offs;
+}
+
+std::string shape_name(const AttnShape& s) {
+  std::string n = "C=" + std::to_string(s.C) + " NH=" + std::to_string(s.NH) +
+                  " lens=";
+  for (const int L : s.lens) n += std::to_string(L) + ",";
+  return n;
+}
+
+/// The reference on one sequence: rows [o, o + L) of qkv, as a [1, L] batch.
+struct RefSeq {
+  std::vector<float> out, pre, att;
+};
+RefSeq ref_forward(const std::vector<float>& qkv, int o, int L, int C, int NH) {
+  RefSeq r;
+  const std::size_t C3 = 3 * static_cast<std::size_t>(C);
+  const std::vector<float> q(qkv.begin() + o * C3, qkv.begin() + (o + L) * C3);
+  r.out.resize(static_cast<std::size_t>(L) * C);
+  r.pre.resize(static_cast<std::size_t>(NH) * L * L);
+  r.att.resize(r.pre.size());
+  kern::attention_forward_ref(r.out.data(), r.pre.data(), r.att.data(),
+                              q.data(), 1, L, C, NH);
+  return r;
+}
+
+/// att's lower triangles, which attention_forward writes, equal the ref's.
+bool same_att_triangles(const std::vector<float>& att, std::size_t at,
+                        const std::vector<float>& ref, int L, int NH) {
+  for (std::size_t h = 0; h < static_cast<std::size_t>(NH); ++h) {
+    for (std::size_t t = 0; t < static_cast<std::size_t>(L); ++t) {
+      const std::size_t row = (h * L + t) * L;
+      if (std::memcmp(att.data() + at + row, ref.data() + row,
+                      (t + 1) * sizeof(float)) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
 TEST(Kernels, AttentionForwardMatchesRefBits) {
   Rng rng(21);
   for (const AttnShape& s : kAttnShapes) {
-    SCOPED_TRACE("T=" + std::to_string(s.T));
-    const std::size_t BT = static_cast<std::size_t>(s.B) * s.T;
-    const std::size_t TT = static_cast<std::size_t>(s.B) * s.NH * s.T * s.T;
-    const auto qkv = random_vec(rng, BT * 3 * s.C, 4.f);
-    std::vector<float> out_ref(BT * s.C), pre_ref(TT), att_ref(TT);
-    kern::attention_forward_ref(out_ref.data(), pre_ref.data(), att_ref.data(),
-                                qkv.data(), s.B, s.T, s.C, s.NH);
+    SCOPED_TRACE(shape_name(s));
+    const std::vector<int> offs = offsets(s.lens);
+    const int B = static_cast<int>(s.lens.size()), N = offs.back();
+    const std::size_t NC = static_cast<std::size_t>(N) * s.C;
+    const auto qkv = random_vec(rng, 3 * NC, 4.f);
+    const std::size_t A = kern::attention_att_size(offs.data(), B, s.NH);
     at_thread_counts([&] {
-      // Stale values in every output must be overwritten, as the ref does.
-      std::vector<float> out(out_ref.size(), 7.f), pre(TT, 7.f), att(TT, 7.f);
-      kern::attention_forward(out.data(), pre.data(), att.data(), qkv.data(),
-                              s.B, s.T, s.C, s.NH);
-      EXPECT_TRUE(same_bits(out, out_ref));
-      EXPECT_TRUE(same_bits(pre, pre_ref));
-      EXPECT_TRUE(same_bits(att, att_ref));
+      // Stale values in out must be overwritten, as the ref does.
+      std::vector<float> out(NC, 7.f), att(A, 7.f);
+      kern::attention_forward(out.data(), att.data(), qkv.data(), offs.data(),
+                              B, s.C, s.NH);
+      std::size_t at = 0;
+      for (int b = 0; b < B; ++b) {
+        const int L = s.lens[b];
+        const RefSeq r = ref_forward(qkv, offs[b], L, s.C, s.NH);
+        const float* got = out.data() + static_cast<std::size_t>(offs[b]) * s.C;
+        EXPECT_EQ(0,
+                  std::memcmp(got, r.out.data(), r.out.size() * sizeof(float)))
+            << "out of sequence " << b;
+        EXPECT_TRUE(same_att_triangles(att, at, r.att, L, s.NH))
+            << "att of sequence " << b;
+        at += r.att.size();
+      }
+      EXPECT_EQ(at, A);
     });
   }
 }
@@ -245,30 +304,39 @@ TEST(Kernels, AttentionForwardMatchesRefBits) {
 TEST(Kernels, AttentionBackwardMatchesRefBits) {
   Rng rng(22);
   for (const AttnShape& s : kAttnShapes) {
-    SCOPED_TRACE("T=" + std::to_string(s.T));
-    const std::size_t BT = static_cast<std::size_t>(s.B) * s.T;
-    const std::size_t TT = static_cast<std::size_t>(s.B) * s.NH * s.T * s.T;
-    const auto qkv = random_vec(rng, BT * 3 * s.C, 4.f);
-    std::vector<float> out(BT * s.C), pre(TT), att(TT);
-    kern::attention_forward_ref(out.data(), pre.data(), att.data(), qkv.data(),
-                                s.B, s.T, s.C, s.NH);
-    const auto dout = random_vec(rng, BT * s.C);
-    // Non-zero initial accumulators: the kernel adds into all three.
+    SCOPED_TRACE(shape_name(s));
+    const std::vector<int> offs = offsets(s.lens);
+    const int B = static_cast<int>(s.lens.size()), N = offs.back();
+    const std::size_t C3 = 3 * static_cast<std::size_t>(s.C);
+    const auto qkv = random_vec(rng, N * C3, 4.f);
+    std::vector<float> out(static_cast<std::size_t>(N) * s.C);
+    std::vector<float> att(kern::attention_att_size(offs.data(), B, s.NH));
+    kern::attention_forward(out.data(), att.data(), qkv.data(), offs.data(), B,
+                            s.C, s.NH);
+    const auto dout = random_vec(rng, out.size());
+    // A non-zero initial accumulator: the kernel adds into dqkv.
     const auto seed_dqkv = random_vec(rng, qkv.size(), 0.1f);
-    const auto seed_dpre = random_vec(rng, TT, 0.1f);
-    const auto seed_datt = random_vec(rng, TT, 0.1f);
-    auto dqkv_ref = seed_dqkv, dpre_ref = seed_dpre, datt_ref = seed_datt;
-    kern::attention_backward_ref(dqkv_ref.data(), dpre_ref.data(),
-                                 datt_ref.data(), dout.data(), qkv.data(),
-                                 att.data(), s.B, s.T, s.C, s.NH);
+    // The reference, one sequence at a time, with the zeroed dpreatt and
+    // datt scratch the model used to pass it.
+    std::vector<float> dqkv_ref = seed_dqkv;
+    for (int b = 0; b < B; ++b) {
+      const int L = s.lens[b];
+      const RefSeq r = ref_forward(qkv, offs[b], L, s.C, s.NH);
+      const std::size_t o = static_cast<std::size_t>(offs[b]);
+      std::vector<float> q(qkv.begin() + o * C3, qkv.begin() + (o + L) * C3);
+      std::vector<float> dq(dqkv_ref.begin() + o * C3,
+                            dqkv_ref.begin() + (o + L) * C3);
+      std::vector<float> dpre(r.att.size(), 0.f), datt(r.att.size(), 0.f);
+      kern::attention_backward_ref(dq.data(), dpre.data(), datt.data(),
+                                   dout.data() + o * s.C, q.data(),
+                                   r.att.data(), 1, L, s.C, s.NH);
+      std::copy(dq.begin(), dq.end(), dqkv_ref.begin() + o * C3);
+    }
     at_thread_counts([&] {
-      auto dqkv = seed_dqkv, dpre = seed_dpre, datt = seed_datt;
-      kern::attention_backward(dqkv.data(), dpre.data(), datt.data(),
-                               dout.data(), qkv.data(), att.data(), s.B, s.T,
-                               s.C, s.NH);
+      auto dqkv = seed_dqkv;
+      kern::attention_backward(dqkv.data(), dout.data(), qkv.data(), att.data(),
+                               offs.data(), B, s.C, s.NH);
       EXPECT_TRUE(same_bits(dqkv, dqkv_ref));
-      EXPECT_TRUE(same_bits(dpre, dpre_ref));
-      EXPECT_TRUE(same_bits(datt, datt_ref));
     });
   }
 }
@@ -850,6 +918,47 @@ TEST(Kernels, GenStepPackedMatchesRefPath) {
       ASSERT_NEAR(lf[i], lr[i], 1e-3f) << "t=" << t << " i=" << i;
     }
   }
+}
+
+TEST(Kernels, GenStepOnActiveRowsMatchesAllRowsBits) {
+  // One state decodes every row; another decodes a shrinking active set,
+  // as Sampler::generate does once rows finish. Rows never meet in a decode
+  // step, so an active row's logits must be the same bits either way, at
+  // every position and thread count.
+  const GptConfig cfg{64, 40, 2, 2, 16};
+  Gpt model(cfg, 31);
+  const int B = 6, V = cfg.vocab;
+  Rng rng(8);
+  std::vector<std::vector<int>> toks(cfg.ctx, std::vector<int>(B));
+  for (auto& col : toks) {
+    for (int& t : col) t = static_cast<int>(rng.below(V));
+  }
+  at_thread_counts([&] {
+    Gpt::GenState all = model.gen_begin(B), some = model.gen_begin(B);
+    std::vector<float> la(static_cast<std::size_t>(B) * V);
+    std::vector<float> ls(la.size(), 7.f);
+    std::vector<int> active{0, 1, 2, 3, 4, 5};
+    for (int pos = 0; pos < cfg.ctx; ++pos) {
+      // Rows stop at positions 3, 9, 20 and 31; rows 2 and 5 run to ctx.
+      const int stop_row = pos == 3 ? 4 : pos == 9 ? 0 : pos == 20 ? 3
+                         : pos == 31 ? 1 : -1;
+      active.erase(std::remove(active.begin(), active.end(), stop_row),
+                   active.end());
+      model.gen_step(all, toks[pos].data(), la.data());
+      const std::vector<float> before = ls;
+      model.gen_step(some, toks[pos].data(), ls.data(), active);
+      for (int b = 0; b < B; ++b) {
+        const std::size_t at = static_cast<std::size_t>(b) * V;
+        const bool on =
+            std::find(active.begin(), active.end(), b) != active.end();
+        // Active rows match the all-rows step; the others are untouched.
+        const std::vector<float>& want = on ? la : before;
+        ASSERT_EQ(0, std::memcmp(ls.data() + at, want.data() + at,
+                                 V * sizeof(float)))
+            << "pos=" << pos << " row=" << b;
+      }
+    }
+  });
 }
 
 TEST(Kernels, GenerationBeyondOldFixedScratchBound) {

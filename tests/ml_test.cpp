@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <string>
 
 #include "ml/adamw.h"
@@ -324,6 +325,11 @@ TEST(GptDeathTest, EntryPointsCheckTheirPreconditionsInEveryBuild) {
   EXPECT_DEATH(model.forward(toks.data(), 2, 4), "token -1 at 3");
   toks[3] = 1;
 
+  EXPECT_DEATH(model.forward(toks.data(), 2, 4, {1, 5}, {4, 5}),
+               "Gpt::forward: length 5 of sequence 1 is outside .0, T=4.");
+  // Flat row 5 is (1, 1), past sequence 1's one real token.
+  EXPECT_DEATH(model.forward(toks.data(), 2, 4, {1, 5}, {4, 1}),
+               "Gpt::forward: head row 5 is padding");
   model.forward(toks.data(), 2, 4, {1, 5});
   EXPECT_DEATH(model.logprob(0, 0, 1),
                "Gpt::logprob: .b=0, t=0. is not a head row");
@@ -346,6 +352,13 @@ TEST(GptDeathTest, EntryPointsCheckTheirPreconditionsInEveryBuild) {
   EXPECT_DEATH(model.gen_step(st, bad, logits.data()),
                "Gpt::gen_step: token 64 at 1 is outside the vocabulary");
   const int ok[2] = {1, 2};
+  Gpt::GenState part = model.gen_begin(2);
+  model.gen_step(part, ok, logits.data(), {1});
+  EXPECT_DEATH(model.gen_step(part, ok, logits.data(), {1, 0}),
+               "Gpt::gen_step: active rows must be strictly ascending");
+  // Row 0 missed position 0 of its cache.
+  EXPECT_DEATH(model.gen_step(part, ok, logits.data()),
+               "Gpt::gen_step: row 0 was left out of an earlier step");
   for (int t = 0; t < cfg.ctx; ++t) model.gen_step(st, ok, logits.data());
   EXPECT_DEATH(model.gen_step(st, ok, logits.data()),
                "Gpt::gen_step: position 32 is past ctx=32");
@@ -372,6 +385,38 @@ TEST(AdamWOpt, GradClipBoundsNorm) {
   opt.step(params, grads);
   const float norm = std::sqrt(grads[0] * grads[0] + grads[1] * grads[1]);
   EXPECT_NEAR(norm, 1.0f, 1e-3f);
+}
+
+TEST(AdamWOpt, ClippedStepsAreBitIdenticalAtAnyThreadCount) {
+  // The clip scale and the update run on the kernel pool; the norm is one
+  // serial sum, so params and moments keep their bits at any thread count.
+  const std::size_t n = 100003;
+  Rng rng(4);
+  std::vector<std::vector<float>> grads(3, std::vector<float>(n));
+  for (auto& g : grads) {
+    // A norm of about 90, so the clip is active.
+    for (float& x : g) x = static_cast<float>(rng.uniform()) - 0.5f;
+  }
+  const int saved = kern::num_threads();
+  std::vector<std::vector<float>> params;
+  std::vector<std::string> moments;
+  for (const int nt : {1, 4}) {
+    kern::set_num_threads(nt);
+    std::vector<float> p(n, 0.25f);
+    AdamW opt(n, AdamWConfig{1e-2f});
+    for (const auto& g : grads) {
+      std::vector<float> gi = g;
+      opt.step(p, gi);
+    }
+    params.push_back(p);
+    ser::Writer w;
+    opt.save_state(w);
+    moments.push_back(w.buffer());
+  }
+  kern::set_num_threads(saved);
+  EXPECT_EQ(0, std::memcmp(params[0].data(), params[1].data(),
+                           n * sizeof(float)));
+  EXPECT_EQ(moments[0], moments[1]);
 }
 
 // ---- PPO sanity -------------------------------------------------------------------
@@ -585,6 +630,133 @@ TEST(GptThreads, HeadRowsMatchTheAllRowsForwardAndBackward) {
       head.backward_lm(tb.tokens.data(), tb.targets.data(), tb.B, tb.T);
   EXPECT_TRUE(same_bits(&lh, &lf, 1));
   EXPECT_TRUE(same_bits(head.grads(), full.grads()));
+}
+
+namespace {
+
+/// How a padded batch is run: head rows at the real rows, every row a head
+/// row, or the ragged forward over the real rows only.
+enum class PadMode { kHeadRows, kAllRows, kRagged };
+
+struct PadOut {
+  std::vector<float> logits, probs, values, grads_from, grads_lm;
+  float loss = 0.f;
+};
+
+/// Runs `lens` sequences (real tokens from `seqs`) padded to width Tp with
+/// token 0, and returns the real rows' head outputs in (b, t) order and the
+/// gradients of backward_from and backward_lm.
+PadOut run_padded(const GptConfig& cfg,
+                  const std::vector<std::vector<int>>& seqs,
+                  const std::vector<std::vector<int>>& tgts,
+                  const std::vector<float>& dl_real,
+                  const std::vector<float>& dv_real, int Tp, PadMode mode) {
+  const int B = static_cast<int>(seqs.size()), V = cfg.vocab;
+  std::vector<int> tokens(static_cast<std::size_t>(B) * Tp, 0);
+  std::vector<int> targets(tokens.size(), -1), lens, real;  // real: b*Tp+t
+  for (int b = 0; b < B; ++b) {
+    lens.push_back(static_cast<int>(seqs[b].size()));
+    for (int t = 0; t < lens[b]; ++t) {
+      tokens[b * Tp + t] = seqs[b][t];
+      targets[b * Tp + t] = tgts[b][t];
+      real.push_back(b * Tp + t);
+    }
+  }
+  Gpt model(cfg, 17);
+  std::vector<int> heads = real;
+  if (mode == PadMode::kAllRows) {
+    heads.resize(tokens.size());
+    std::iota(heads.begin(), heads.end(), 0);
+    model.forward(tokens.data(), B, Tp);
+  } else if (mode == PadMode::kRagged) {
+    model.forward(tokens.data(), B, Tp, heads, lens);
+  } else {
+    model.forward(tokens.data(), B, Tp, heads);
+  }
+  // Head outputs at the real rows; dlogits and dvalues at the head rows,
+  // zero at any padded one.
+  PadOut o;
+  std::vector<float> dl(heads.size() * V, 0.f), dv(heads.size(), 0.f);
+  std::size_t k = 0;
+  for (std::size_t r = 0; r < heads.size(); ++r) {
+    if (k == real.size() || heads[r] != real[k]) continue;
+    o.logits.insert(o.logits.end(), model.logits() + r * V,
+                    model.logits() + (r + 1) * V);
+    o.probs.insert(o.probs.end(), model.probs() + r * V,
+                   model.probs() + (r + 1) * V);
+    o.values.push_back(model.values()[r]);
+    std::copy_n(dl_real.begin() + k * V, V, dl.begin() + r * V);
+    dv[r] = dv_real[k];
+    ++k;
+  }
+  model.zero_grad();
+  model.backward_from(tokens.data(), dl.data(), dv.data(), B, Tp);
+  o.grads_from = model.grads();
+  model.zero_grad();
+  o.loss = model.backward_lm(tokens.data(), targets.data(), B, Tp);
+  o.grads_lm = model.grads();
+  return o;
+}
+
+void expect_same(const PadOut& a, const PadOut& b) {
+  EXPECT_TRUE(same_bits(a.logits, b.logits));
+  EXPECT_TRUE(same_bits(a.probs, b.probs));
+  EXPECT_TRUE(same_bits(a.values, b.values));
+  EXPECT_TRUE(same_bits(a.grads_from, b.grads_from));
+  EXPECT_TRUE(same_bits(a.grads_lm, b.grads_lm));
+  EXPECT_TRUE(same_bits(&a.loss, &b.loss, 1));
+}
+
+}  // namespace
+
+TEST(GptPadding, PaddingAndRaggedLengthsLeaveEveryBitAlone) {
+  // Padding sits at the tail of each sequence and attention is causal, so
+  // no real row reads a padded one; padded rows' gradients are exact zeros,
+  // and an accumulator that starts at +0 never turns into -0, so their
+  // terms leave every sum as it is. Padding the same sequences further must
+  // not move a bit, and the ragged forward, which never touches a padded
+  // row, must give the padded all-rows computation's bits at any thread
+  // count.
+  const GptConfig cfg = GptConfig::small();
+  const int T = 40, V = cfg.vocab;
+  const std::vector<int> lens{1, 40, 23, 40, 9, 33, 17, 2};
+  Rng rng(23);
+  std::vector<std::vector<int>> seqs, tgts;
+  std::size_t real = 0;
+  for (const int L : lens) {
+    std::vector<int> seq, tgt;
+    for (int t = 0; t < L; ++t) {
+      seq.push_back(static_cast<int>(rng.below(V)));
+      tgt.push_back(rng.below(4) == 0 ? -1 : static_cast<int>(rng.below(V)));
+    }
+    seqs.push_back(seq);
+    tgts.push_back(tgt);
+    real += L;
+  }
+  std::vector<float> dl(real * V), dv(real);
+  for (float& x : dl) x = static_cast<float>(rng.uniform()) - 0.5f;
+  for (float& x : dv) x = static_cast<float>(rng.uniform()) - 0.5f;
+
+  const ThreadCountGuard guard;
+  kern::set_num_threads(1);
+  const auto run = [&](int Tp, PadMode mode) {
+    return run_padded(cfg, seqs, tgts, dl, dv, Tp, mode);
+  };
+  const PadOut want = run(T, PadMode::kAllRows);
+  EXPECT_NE(want.grads_from, std::vector<float>(want.grads_from.size(), 0.f));
+  for (const int Tp : {T, T + 1, T + 7, T + 30}) {
+    SCOPED_TRACE("Tp=" + std::to_string(Tp));
+    expect_same(run(Tp, PadMode::kHeadRows), want);
+    expect_same(run(Tp, PadMode::kAllRows), want);
+  }
+  for (const int nt : {1, 2, 3, 4}) {
+    kern::set_num_threads(nt);
+    for (const int Tp : {T, T + 7}) {
+      SCOPED_TRACE("threads=" + std::to_string(nt) + " Tp=" +
+                   std::to_string(Tp));
+      expect_same(run(Tp, PadMode::kRagged), want);
+    }
+  }
 }
 
 namespace {
