@@ -121,6 +121,21 @@ void elementwise(std::size_t n, const Body& body) {
   });
 }
 
+/// Zeroes p[0, n) across the pool.
+void zero_floats(float* p, std::size_t n) {
+  elementwise(n, [&](std::size_t lo, std::size_t hi) {
+    std::memset(p + lo, 0, (hi - lo) * sizeof(float));
+  });
+}
+
+/// Replaces `arena` with n floats that nothing has written yet. The old
+/// contents are dropped, not copied into the new block.
+template <typename Arena>
+void regrow(Arena& arena, std::size_t n) {
+  arena = Arena();
+  arena.resize(n);
+}
+
 void residual_forward(float* out, const float* a, const float* b,
                       std::size_t n) {
   elementwise(n, [&](std::size_t lo, std::size_t hi) {
@@ -350,9 +365,12 @@ void Gpt::forward(const int* tokens, int B, int T,
   // Every activation is written before anything reads it, so a new shape
   // reuses the arena as it is. It grows straight to the padded [B, T]
   // batch's size, so the ragged batches that follow, whose real-row counts
-  // vary, do not grow it again.
+  // vary, do not grow it again. A grown arena starts all zero, zeroed on
+  // the pool, so its fresh pages fault in on every kernel thread rather
+  // than all on the calling one.
   if (acts_.size() < a.total) {
-    acts_.assign(ActLayout::padded(cfg_, B, T).total, 0.f);
+    regrow(acts_, ActLayout::padded(cfg_, B, T).total);
+    zero_floats(acts_.data(), acts_.size());
   }
   float* acts = acts_.data();
   const float* prm = params_.data();
@@ -450,12 +468,10 @@ void Gpt::backward_from(const int* tokens, const float* dlogits,
   // attention probabilities, which it never touches, so the arena ends
   // there and is zeroed across the pool.
   if (dacts_.size() < a.logits) {
-    dacts_.assign(ActLayout::padded(cfg_, B, T).logits, 0.f);
+    regrow(dacts_, ActLayout::padded(cfg_, B, T).logits);
   }
   float* dacts = dacts_.data();
-  elementwise(a.logits, [&](std::size_t lo, std::size_t hi) {
-    std::memset(dacts + lo, 0, (hi - lo) * sizeof(float));
-  });
+  zero_floats(dacts, a.logits);
 
   // value head backward: dlnf += dvalues * valw; dvalw += sum dvalues*lnf
   if (dvalues != nullptr) {

@@ -6,7 +6,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ml/kernels.h"
@@ -30,6 +32,21 @@ struct GptConfig {
   static GptConfig tiny() { return GptConfig{64, 32, 1, 2, 16}; }
 
   int head_size() const { return n_embd / n_head; }
+};
+
+/// std::allocator whose value-initialization is default-initialization: a
+/// vector's resize() leaves new floats unwritten, so whoever fills them
+/// first takes their page faults.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
 };
 
 /// Flat-buffer GPT-2 model. All parameters live in one contiguous vector
@@ -189,11 +206,13 @@ class Gpt {
   // Activation & activation-gradient arenas for the last forward's real
   // rows (see "training-path" above). Each grows, when it must, to the size
   // of its padded [B, T] batch, so later ragged batches of that shape fit.
+  // Growing leaves the new floats for the pool to write.
+  using Arena = std::vector<float, DefaultInitAllocator<float>>;
   int B_ = 0, T_ = 0;
   std::vector<int> offs_;  // [B+1]: sequence b is rows [offs_[b], offs_[b+1])
   std::vector<int> src_;   // packed row -> flat token index b*T+t
-  std::vector<float> acts_;
-  std::vector<float> dacts_;
+  Arena acts_;
+  Arena dacts_;
   std::vector<int> head_rows_;    // ascending b*T+t rows of the last forward
   std::vector<int> head_packed_;  // the same rows' packed indices
   std::size_t att_size_ = 0;      // attention-probability floats per layer

@@ -11,11 +11,8 @@
 #include <mutex>
 #include <thread>
 
+#include "ml/lanes.h"
 #include "util/parse.h"
-
-#if defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#endif
 
 namespace chatfuzz::ml::kern {
 
@@ -175,26 +172,30 @@ inline float gelu_fast(float x) {
 // itself (the backward passes accumulate into their gradients). Each output
 // element gets one multiply-add per k, in ascending k, whatever the tiling,
 // the thread split or the k-blocking: the bits are those of a scalar chain
-// of madd() calls.
+// of multiply-adds. The multiply-add is the lane type's fma: one rounding
+// where the target has a fast fmaf (x86 FMA, aarch64 and others alike), two
+// (multiply, then add) where it does not. Both are spelled out rather than
+// left to FP contraction, which the compiler may apply to some loops of a
+// kernel and not to others.
 //
-// A tile holds kMR x 16 outputs in registers while k runs innermost, so an
-// accumulator is loaded and stored once per k-block instead of once per k.
-
-/// The build's multiply-add: one rounding where the target has a fast fmaf
-/// (x86 FMA, aarch64 and others alike), two (multiply, then add) where it
-/// does not. Both are spelled out rather than left to FP contraction, which
-/// the compiler may apply to some loops of a kernel and not to others.
+// A tile holds kMR rows of two lane vectors, 6 x 32 outputs at 16 lanes and
+// 6 x 16 at 8, in registers while k runs innermost, so an accumulator is
+// loaded and stored once per k-block instead of once per k.
 #if defined(__FP_FAST_FMAF)
 constexpr bool kFma = true;
-inline float madd(float a, float b, float c) { return std::fma(a, b, c); }
 #else
 constexpr bool kFma = false;
-inline float madd(float a, float b, float c) { return a * b + c; }
 #endif
 
-constexpr int kMR = 6;     // rows per tile: 2 x kMR accumulators + 3 inputs
-constexpr int kNR = 16;    // columns per tile
-constexpr int kKC = 256;   // k per block; a C reload between blocks is exact
+#if defined(__AVX2__) && defined(__FMA__)
+using Lanes = simd::Wide;
+#else
+using Lanes = simd::Portable;
+#endif
+
+constexpr int kMR = 6;  // rows per tile: 2 x kMR accumulators + 3 inputs
+constexpr int kNR = 2 * Lanes::kW;  // columns per tile
+constexpr int kKC = 256;  // k per block; a C reload between blocks is exact
 
 struct Gemm {
   const float* a;
@@ -208,24 +209,23 @@ struct Gemm {
   int K, cols;
 };
 
-#if defined(__AVX2__) && defined(__FMA__)
-/// Tile of MR rows from m and w <= 16 columns from j over k in [k0, k1), in
-/// 2 * MR ymm accumulators. `from_c` starts from C (accumulating, or any
-/// k-block after the first). A tail tile (w < 16) masks its loads and
+/// Tile of MR rows from m and w <= 2W columns from j over k in [k0, k1), in
+/// 2 * MR accumulators of W lanes. `from_c` starts from C (accumulating, or
+/// any k-block after the first). A tail tile (w < 2W) masks its loads and
 /// stores; its dead lanes compute on zeros and are never stored. With
-/// w <= 8 the upper half's mask is empty, and its pointers stay at the
+/// w <= W the upper half's mask is empty, and its pointers stay at the
 /// lower half's so that none points past the end of a row.
-template <int MR, bool kTail>
+template <class L, int MR, bool kTail>
 void tile(const Gemm& g, int m, int j, int w, int k0, int k1, bool from_c) {
-  const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m256i lo = _mm256_cmpgt_epi32(_mm256_set1_epi32(w), lanes);
-  const __m256i hi = _mm256_cmpgt_epi32(_mm256_set1_epi32(w - 8), lanes);
-  const int h = kTail && w <= 8 ? 0 : 8;  // offset of the upper half
-  const auto load = [&](const float* p, __m256i mask) {
-    if constexpr (kTail) return _mm256_maskload_ps(p, mask);
-    return _mm256_loadu_ps(p);
+  using F = typename L::F;
+  constexpr int W = L::kW;
+  const typename L::M lo = L::first(w), hi = L::first(w - W);
+  const int h = kTail && w <= W ? 0 : W;  // offset of the upper half
+  const auto load = [&](const float* p, typename L::M mask) {
+    if constexpr (kTail) return L::load(p, mask);
+    return L::load(p);
   };
-  __m256 acc[MR][2];
+  F acc[MR][2];
 #pragma GCC unroll 8
   for (int r = 0; r < MR; ++r) {
     if (from_c) {
@@ -236,20 +236,20 @@ void tile(const Gemm& g, int m, int j, int w, int k0, int k1, bool from_c) {
       acc[r][0] = load(g.bias + j, lo);
       acc[r][1] = load(g.bias + j + h, hi);
     } else {
-      acc[r][0] = acc[r][1] = _mm256_setzero_ps();
+      acc[r][0] = acc[r][1] = L::zero();
     }
   }
   const std::size_t a_row = g.a_row, a_k = g.a_k, ldb = g.ldb;
   const float* ak = g.a + m * a_row + k0 * a_k;
   const float* bk = g.b + k0 * ldb + j;
   for (int k = k0; k < k1; ++k) {
-    const __m256 b0 = load(bk, lo);
-    const __m256 b1 = load(bk + h, hi);
+    const F b0 = load(bk, lo);
+    const F b1 = load(bk + h, hi);
 #pragma GCC unroll 8
     for (int r = 0; r < MR; ++r) {
-      const __m256 a = _mm256_broadcast_ss(ak + r * a_row);
-      acc[r][0] = _mm256_fmadd_ps(a, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(a, b1, acc[r][1]);
+      const F a = L::set(ak[r * a_row]);
+      acc[r][0] = L::fma(a, b0, acc[r][0]);
+      acc[r][1] = L::fma(a, b1, acc[r][1]);
     }
     if (k + 1 < k1) {  // never step a pointer past its array
       ak += a_k;
@@ -260,52 +260,27 @@ void tile(const Gemm& g, int m, int j, int w, int k0, int k1, bool from_c) {
   for (int r = 0; r < MR; ++r) {
     float* cr = g.c + (m + r) * g.ldc + j;
     if constexpr (kTail) {
-      _mm256_maskstore_ps(cr, lo, acc[r][0]);
-      _mm256_maskstore_ps(cr + h, hi, acc[r][1]);
+      L::store(cr, lo, acc[r][0]);
+      L::store(cr + h, hi, acc[r][1]);
     } else {
-      _mm256_storeu_ps(cr, acc[r][0]);
-      _mm256_storeu_ps(cr + 8, acc[r][1]);
+      L::store(cr, acc[r][0]);
+      L::store(cr + W, acc[r][1]);
     }
   }
 }
-#else
-/// Portable tile, for targets without AVX2+FMA: the same loop nest over a
-/// plain array, one madd() per output and k. A full tile fixes w at 16,
-/// so the compiler can vectorize its column loop.
-template <int MR, bool kTail>
-void tile(const Gemm& g, int m, int j, int w, int k0, int k1, bool from_c) {
-  if constexpr (!kTail) w = kNR;
-  float acc[MR][kNR];
-  for (int r = 0; r < MR; ++r) {
-    const float* cr = g.c + (m + r) * g.ldc + j;
-    for (int c = 0; c < w; ++c) {
-      acc[r][c] = from_c ? cr[c] : (g.bias != nullptr ? g.bias[j + c] : 0.f);
-    }
-  }
-  for (int k = k0; k < k1; ++k) {
-    const float* bk = g.b + k * g.ldb + j;
-    for (int r = 0; r < MR; ++r) {
-      const float a = g.a[(m + r) * g.a_row + k * g.a_k];
-      for (int c = 0; c < w; ++c) acc[r][c] = madd(a, bk[c], acc[r][c]);
-    }
-  }
-  for (int r = 0; r < MR; ++r) {
-    float* cr = g.c + (m + r) * g.ldc + j;
-    for (int c = 0; c < w; ++c) cr[c] = acc[r][c];
-  }
-}
-#endif
 
 /// Rows [m0, m1) of C, every column, every k.
 void gemm_rows(const Gemm& g, int m0, int m1) {
   using TileFn = void (*)(const Gemm&, int, int, int, int, int, bool);
   static_assert(kMR == 6, "the tables below list one tile per row count");
   static constexpr TileFn kFull[kMR + 1] = {
-      nullptr,         tile<1, false>, tile<2, false>, tile<3, false>,
-      tile<4, false>,  tile<5, false>, tile<6, false>};
+      nullptr,
+      tile<Lanes, 1, false>, tile<Lanes, 2, false>, tile<Lanes, 3, false>,
+      tile<Lanes, 4, false>, tile<Lanes, 5, false>, tile<Lanes, 6, false>};
   static constexpr TileFn kPart[kMR + 1] = {
-      nullptr,        tile<1, true>, tile<2, true>, tile<3, true>,
-      tile<4, true>,  tile<5, true>, tile<6, true>};
+      nullptr,
+      tile<Lanes, 1, true>, tile<Lanes, 2, true>, tile<Lanes, 3, true>,
+      tile<Lanes, 4, true>, tile<Lanes, 5, true>, tile<Lanes, 6, true>};
   int k0 = 0;
   do {
     const int k1 = g.K - k0 < kKC ? g.K : k0 + kKC;

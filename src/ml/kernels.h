@@ -5,10 +5,18 @@
 //   *_ref    — the seed's naive triple loops, kept verbatim as the semantic
 //              reference for parity tests;
 //   the rest — cache-friendly, vectorized rewrites. Every matmul runs
-//              through one register-tiled GEMM kernel: a 6x16 block of
-//              outputs stays in registers while the reduction index runs
-//              innermost, with no -ffast-math, because no floating-point
-//              reduction is ever reassociated.
+//              through one register-tiled GEMM kernel: a 6x32 block of
+//              outputs (6x16 on a target without AVX-512) stays in
+//              registers while the reduction index runs innermost, with no
+//              -ffast-math, because no floating-point reduction is ever
+//              reassociated.
+//
+// Lane width: the GEMM tile and the exact-math vector bodies are written
+// once, as templates over a lane type (ml/lanes.h), and compiled at sixteen
+// lanes where the kernels' target has AVX-512 (CHATFUZZ_KERNEL_MARCH's
+// default on a host that runs it), eight where it has AVX2+FMA. Every lane
+// keeps its element's operations and their order, so both widths give the
+// same bits.
 //
 // Determinism contract: for a given build, every kernel accumulates each
 // output element in a fixed order (ascending reduction index) that does not
@@ -77,8 +85,9 @@ float exact_tanhf(float x);
 float exact_coshf(float x);
 float exact_expf(float x);
 
-/// out[i] = exact_*(x[i]) for i < n, eight lanes at a time where the build
-/// targets AVX2+FMA; any NaN input gives a NaN. `out` may alias `x`.
+/// out[i] = exact_*(x[i]) for i < n, eight or sixteen lanes at a time where
+/// the build targets AVX2+FMA or AVX-512; any NaN input gives a NaN. `out`
+/// may alias `x`.
 void exact_tanhf_n(float* out, const float* x, std::size_t n);
 void exact_coshf_n(float* out, const float* x, std::size_t n);
 void exact_expf_n(float* out, const float* x, std::size_t n);
@@ -159,11 +168,11 @@ void gelu_backward(float* dinp, const float* inp, const float* dout, int N);
 // The training path's attention, layernorm and softmax. Each reproduces its
 // *_ref loop bit for bit, so kernels_exact.cpp is compiled with FMA
 // contraction off; the loops are only reshaped where that keeps every
-// output element's operations and their order. The softmaxes' exponentials
-// run eight lanes at a time and are then summed in ascending order. The
-// attention kernels have one body: with AVX2 its 8-lane groups are
-// registers, in a generic build they are float[8] loops with the same
-// operations in the same order.
+// output element's operations and their order. The LM-head softmax's
+// exponentials run at the kernels' lane width and are then summed in
+// ascending order. The attention kernels have one body over 8-lane groups:
+// with AVX2 (or AVX-512) they are ymm registers, in a generic build float[8]
+// loops with the same operations in the same order.
 
 /// Causal self-attention over B ragged sequences packed back to back:
 /// sequence b is rows [offs[b], offs[b+1]) of qkv ([N, 3C]) and out ([N, C]),
@@ -210,7 +219,10 @@ void layernorm_backward(float* dinp, float* dw, float* db, const float* dout,
                         const float* inp, const float* mean, const float* rstd,
                         const float* w, const int* rows, int N, int C);
 
-/// Row-wise softmax over V logits, split by row.
+/// Row-wise softmax over V logits, split by row. A row's max is taken eight
+/// lanes at a time (the max of a set in any order, up to a zero's sign,
+/// which exp(l - max) does not see; NaN logits are skipped), its exponents
+/// summed in ascending order.
 void softmax_forward(float* probs, const float* logits, int N, int V);
 
 // ---- packed weights for incremental decode -----------------------------------

@@ -15,10 +15,15 @@
 // of 2^(i/32) and a cubic in double), with the four fused multiply-adds of
 // its x86-64 FMA build. They reproduce glibc 2.36's libm on x86-64 with FMA
 // bit for bit, but the bits are defined here, not by whichever libm is
-// installed. The AVX2 versions run the same IEEE operations eight lanes at
-// a time, every branch computed and blended; lanes outside the common range
-// take the scalar definition one at a time. Exponent arithmetic is done on
-// unsigned integers, so no shift or add overflows a signed type.
+// installed. Their vector versions run the same IEEE operations lane by
+// lane, every branch computed and blended, and lanes outside the common
+// range take the scalar definition one at a time. Each vector body — the
+// expm1f, expf, tanhf and coshf cores, patch(), the exact_*_n maps, the
+// GELU epilogue and backward, and exp_shifted — is written once over a lane
+// type (ml/lanes.h) and runs at the target's widest lanes: sixteen with
+// AVX-512 (k-masks; expf's double core on two halves of eight doubles),
+// eight with AVX2, so both widths give the scalar bits. Exponent arithmetic
+// is done on unsigned integers, so no shift or add overflows a signed type.
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -28,10 +33,7 @@
 #include <vector>
 
 #include "ml/kernels.h"
-
-#if defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#endif
+#include "ml/lanes.h"
 
 namespace chatfuzz::ml::kern {
 
@@ -220,193 +222,190 @@ float exact_expf(float x) {
 }
 
 // ===========================================================================
-// Exact math: AVX2 versions. Each computes every branch its scalar
-// definition takes in the common range and blends; the other lanes go
-// through patch().
+// Exact math: vector versions, one body each over a lane type L (ml/lanes.h),
+// run at the target's widest lanes (simd::Wide) and, for attention's 8-lane
+// groups, at 8. Each computes every branch its scalar definition takes in
+// the common range and blends; the other lanes go through patch().
 // ===========================================================================
 #if defined(__AVX2__) && defined(__FMA__)
 namespace {
 
-using V8 = __m256;
-using I8 = __m256i;
+using simd::L8;
+using simd::Wide;
 
-inline V8 vset(float x) { return _mm256_set1_ps(x); }
-inline I8 iset(u32 u) { return _mm256_set1_epi32(static_cast<int>(u)); }
-inline I8 ibits(V8 x) { return _mm256_castps_si256(x); }
-inline V8 fbits(I8 u) { return _mm256_castsi256_ps(u); }
-/// mask ? a : b, lane by lane (mask lanes all-ones or all-zeros).
-inline V8 sel(V8 mask, V8 a, V8 b) { return _mm256_blendv_ps(b, a, mask); }
-inline V8 sel(I8 mask, V8 a, V8 b) { return sel(fbits(mask), a, b); }
-/// Lane masks on integers; |x|'s bits compare as signed values.
-inline I8 gt(I8 a, I8 b) { return _mm256_cmpgt_epi32(a, b); }
-inline I8 gt(I8 a, u32 b) { return gt(a, iset(b)); }
-inline I8 lt(I8 a, u32 b) { return gt(iset(b), a); }
-inline I8 eq(I8 a, u32 b) { return _mm256_cmpeq_epi32(a, iset(b)); }
+/// Integer lanes against a constant; |x|'s bits compare as signed values.
+template <class L>
+typename L::M gt(typename L::I a, u32 b) {
+  return L::gt(a, L::iset(b));
+}
+template <class L>
+typename L::M lt(typename L::I a, u32 b) {
+  return L::gt(L::iset(b), a);
+}
+template <class L>
+typename L::M eq(typename L::I a, u32 b) {
+  return L::eq(a, L::iset(b));
+}
 
-/// Lanes where `fast` is clear take the scalar definition F.
-template <float (*F)(float)>
-inline V8 patch(V8 y, V8 x, I8 fast) {
-  const int slow = ~_mm256_movemask_ps(fbits(fast)) & 0xff;
+/// Lanes where `fast` is clear take the scalar definition SF.
+template <class L, float (*SF)(float)>
+typename L::F patch(typename L::F y, typename L::F x, typename L::M fast) {
+  constexpr unsigned kAll = (1u << L::kW) - 1;
+  const unsigned slow = ~L::mbits(fast) & kAll;
   if (slow == 0) return y;
-  alignas(32) float xs[8], ys[8];
-  _mm256_store_ps(xs, x);
-  _mm256_store_ps(ys, y);
-  for (int i = 0; i < 8; ++i) {
-    if ((slow >> i) & 1) ys[i] = F(xs[i]);
+  alignas(64) float xs[L::kW], ys[L::kW];
+  L::store(xs, x);
+  L::store(ys, y);
+  for (int i = 0; i < L::kW; ++i) {
+    if ((slow >> i) & 1) ys[i] = SF(xs[i]);
   }
-  return _mm256_load_ps(ys);
+  return L::load(ys);
 }
 
 /// exact_expm1f for x in (-27 ln2, 88).
-inline V8 v_expm1f(V8 x) {
-  const I8 hx = _mm256_and_si256(ibits(x), iset(0x7fffffffu));
-  const I8 neg = _mm256_srai_epi32(ibits(x), 31);
+template <class L>
+typename L::F v_expm1f(typename L::F x) {
+  using F = typename L::F;
+  using I = typename L::I;
+  const I hx = L::iand(L::bits(x), L::iset(0x7fffffffu));
+  const I neg = L::sar(L::bits(x), 31);
   // k = 0 up to ln2 / 2, +-1 below 3 ln2 / 2, (int)(x / ln2 +- 1/2) above.
-  const V8 half = _mm256_or_ps(vset(0.5f), fbits(_mm256_slli_epi32(neg, 31)));
-  const I8 kround = _mm256_cvttps_epi32(
-      _mm256_add_ps(_mm256_mul_ps(vset(kInvLn2), x), half));
-  I8 k = _mm256_blendv_epi8(kround, _mm256_or_si256(neg, iset(1)),
-                            lt(hx, 0x3f851592u));
-  k = _mm256_and_si256(k, gt(hx, 0x3eb17218u));
+  const F half = L::fbits(L::ior(L::bits(L::set(0.5f)), L::shl(neg, 31)));
+  const I kround = L::cvtt(L::set(kInvLn2) * x + half);
+  I k = L::sel(lt<L>(hx, 0x3f851592u), L::ior(neg, L::iset(1)), kround);
+  k = L::sel(gt<L>(hx, 0x3eb17218u), k, L::iset(0));
   // With k = +-1, t * ln2hi is +-ln2hi; with k = 0, x stays as it is.
-  const V8 t = _mm256_cvtepi32_ps(k);
-  const V8 hi = _mm256_sub_ps(x, _mm256_mul_ps(t, vset(kLn2Hi)));
-  const V8 lo = _mm256_mul_ps(t, vset(kLn2Lo));
-  const V8 xr = _mm256_sub_ps(hi, lo);
-  const V8 c = _mm256_sub_ps(_mm256_sub_ps(hi, xr), lo);
+  const F t = L::cvt(k);
+  const F hi = x - t * L::set(kLn2Hi);
+  const F lo = t * L::set(kLn2Lo);
+  const F xr = hi - lo;
+  const F c = (hi - xr) - lo;
 
-  const V8 hfx = _mm256_mul_ps(vset(0.5f), xr);
-  const V8 hxs = _mm256_mul_ps(xr, hfx);
-  V8 p = _mm256_add_ps(vset(kQ4), _mm256_mul_ps(hxs, vset(kQ5)));
-  p = _mm256_add_ps(vset(kQ3), _mm256_mul_ps(hxs, p));
-  p = _mm256_add_ps(vset(kQ2), _mm256_mul_ps(hxs, p));
-  p = _mm256_add_ps(vset(kQ1), _mm256_mul_ps(hxs, p));
-  const V8 r1 = _mm256_add_ps(vset(1.f), _mm256_mul_ps(hxs, p));
-  const V8 tt = _mm256_sub_ps(vset(3.f), _mm256_mul_ps(r1, hfx));
-  V8 e = _mm256_mul_ps(
-      hxs, _mm256_div_ps(_mm256_sub_ps(r1, tt),
-                         _mm256_sub_ps(vset(6.f), _mm256_mul_ps(xr, tt))));
-  const V8 y0 = _mm256_sub_ps(xr, _mm256_sub_ps(_mm256_mul_ps(xr, e), hxs));
-  e = _mm256_sub_ps(
-      _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c), hxs);
-  const V8 ym1 = _mm256_sub_ps(
-      _mm256_mul_ps(vset(0.5f), _mm256_sub_ps(xr, e)), vset(0.5f));
-  const V8 yp1 = sel(
-      _mm256_cmp_ps(xr, vset(-0.25f), _CMP_LT_OQ),
-      _mm256_mul_ps(vset(-2.f),
-                    _mm256_sub_ps(e, _mm256_add_ps(xr, vset(0.5f)))),
-      _mm256_add_ps(vset(1.f), _mm256_mul_ps(vset(2.f), _mm256_sub_ps(xr, e))));
-  const I8 kexp = _mm256_slli_epi32(k, 23);
-  const auto scale = [&](V8 y) {
-    return fbits(_mm256_add_epi32(ibits(y), kexp));
-  };
-  const V8 e_x = _mm256_sub_ps(e, xr);
-  const V8 yfar = _mm256_sub_ps(scale(_mm256_sub_ps(vset(1.f), e_x)),
-                                vset(1.f));
-  const V8 t_lo = fbits(_mm256_sub_epi32(
-      iset(0x3f800000u), _mm256_srlv_epi32(iset(0x1000000u), k)));
-  const V8 ylo = scale(_mm256_sub_ps(t_lo, e_x));
-  const V8 t_hi = fbits(_mm256_slli_epi32(_mm256_sub_epi32(iset(0x7fu), k), 23));
-  const V8 yhi = scale(_mm256_add_ps(
-      _mm256_sub_ps(xr, _mm256_add_ps(e, t_hi)), vset(1.f)));
+  const F hfx = L::set(0.5f) * xr;
+  const F hxs = xr * hfx;
+  F p = L::set(kQ4) + hxs * L::set(kQ5);
+  p = L::set(kQ3) + hxs * p;
+  p = L::set(kQ2) + hxs * p;
+  p = L::set(kQ1) + hxs * p;
+  const F r1 = L::set(1.f) + hxs * p;
+  const F tt = L::set(3.f) - r1 * hfx;
+  F e = hxs * ((r1 - tt) / (L::set(6.f) - xr * tt));
+  const F y0 = xr - (xr * e - hxs);
+  e = (xr * (e - c) - c) - hxs;
+  const F ym1 = L::set(0.5f) * (xr - e) - L::set(0.5f);
+  const F yp1 = L::sel(L::lt(xr, L::set(-0.25f)),
+                       L::set(-2.f) * (e - (xr + L::set(0.5f))),
+                       L::set(1.f) + L::set(2.f) * (xr - e));
+  const I kexp = L::shl(k, 23);
+  const auto scale = [&](F y) { return L::fbits(L::iadd(L::bits(y), kexp)); };
+  const F e_x = e - xr;
+  const F yfar = scale(L::set(1.f) - e_x) - L::set(1.f);
+  const F t_lo = L::fbits(
+      L::isub(L::iset(0x3f800000u), L::shrv(L::iset(0x1000000u), k)));
+  const F ylo = scale(t_lo - e_x);
+  const F t_hi = L::fbits(L::shl(L::isub(L::iset(0x7fu), k), 23));
+  const F yhi = scale((xr - (e + t_hi)) + L::set(1.f));
 
-  V8 y = sel(gt(k, 22u), yhi, ylo);
-  y = sel(_mm256_or_si256(lt(k, static_cast<u32>(-1)), gt(k, 56u)), yfar, y);
-  y = sel(eq(k, 1u), yp1, y);
-  y = sel(eq(k, static_cast<u32>(-1)), ym1, y);
-  y = sel(eq(k, 0u), y0, y);
-  return sel(lt(hx, 0x33000000u), x, y);
+  F y = L::sel(gt<L>(k, 22u), yhi, ylo);
+  y = L::sel(L::mor(lt<L>(k, static_cast<u32>(-1)), gt<L>(k, 56u)), yfar, y);
+  y = L::sel(eq<L>(k, 1u), yp1, y);
+  y = L::sel(eq<L>(k, static_cast<u32>(-1)), ym1, y);
+  y = L::sel(eq<L>(k, 0u), y0, y);
+  return L::sel(lt<L>(hx, 0x33000000u), x, y);
 }
 
-/// 4 lanes of exact_expf for |x| < 88, in double.
-inline __m128 v_expf4(__m128 xf) {
-  const __m256d xd = _mm256_cvtps_pd(xf);
-  const __m256d inv = _mm256_set1_pd(kInvLn2N), shift = _mm256_set1_pd(kShift);
-  __m256d kd = _mm256_fmadd_pd(inv, xd, shift);
-  const I8 ki = _mm256_castpd_si256(kd);
-  kd = _mm256_sub_pd(kd, shift);
-  const __m256d r = _mm256_fmsub_pd(inv, xd, kd);
-  const I8 tab = _mm256_i64gather_epi64(
-      reinterpret_cast<const long long*>(kExp2Tab),
-      _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8);
-  const __m256d s =
-      _mm256_castsi256_pd(_mm256_add_epi64(tab, _mm256_slli_epi64(ki, 47)));
-  const __m256d z =
-      _mm256_fmadd_pd(r, _mm256_set1_pd(kC0), _mm256_set1_pd(kC1));
-  const __m256d r2 = _mm256_mul_pd(r, r);
-  __m256d y = _mm256_fmadd_pd(r, _mm256_set1_pd(kC2), _mm256_set1_pd(1.0));
-  y = _mm256_fmadd_pd(z, r2, y);
-  return _mm256_cvtpd_ps(_mm256_mul_pd(y, s));
+/// Half the lanes of exact_expf for |x| < 88, in double.
+template <class L>
+typename L::D v_expf_half(typename L::D xd) {
+  using D = typename L::D;
+  using Q = typename L::Q;
+  const D inv = L::dset(kInvLn2N), shift = L::dset(kShift);
+  D kd = L::dfma(inv, xd, shift);
+  const Q ki = L::qbits(kd);
+  kd = kd - shift;
+  const D r = L::dfma(inv, xd, -kd);
+  const Q tab = L::gather(kExp2Tab, L::qand(ki, L::qset(31)));
+  const D s = L::dbits(L::qadd(tab, L::qshl(ki, 47)));
+  const D z = L::dfma(r, L::dset(kC0), L::dset(kC1));
+  const D r2 = r * r;
+  D y = L::dfma(r, L::dset(kC2), L::dset(1.0));
+  y = L::dfma(z, r2, y);
+  return y * s;
 }
 
 /// exact_expf for |x| < 88.
-inline V8 v_expf_core(V8 x) {
-  return _mm256_set_m128(v_expf4(_mm256_extractf128_ps(x, 1)),
-                         v_expf4(_mm256_castps256_ps128(x)));
+template <class L>
+typename L::F v_expf_core(typename L::F x) {
+  return L::join(v_expf_half<L>(L::lo(x)), v_expf_half<L>(L::hi(x)));
 }
 
-inline V8 v_expf(V8 x) {
-  const I8 ax = _mm256_and_si256(ibits(x), iset(0x7fffffffu));
-  return patch<exact_expf>(v_expf_core(x), x, lt(ax, 0x42b00000u));
+template <class L>
+typename L::F v_expf(typename L::F x) {
+  const typename L::I ax = L::iand(L::bits(x), L::iset(0x7fffffffu));
+  return patch<L, exact_expf>(v_expf_core<L>(x), x, lt<L>(ax, 0x42b00000u));
 }
 
 /// tanh and cosh share their common range, 2^-55 <= |x| < 22.
-inline I8 hyperbolic_range(I8 ax) {
-  return _mm256_andnot_si256(lt(ax, 0x24000000u), lt(ax, 0x41b00000u));
+template <class L>
+typename L::M hyperbolic_range(typename L::I ax) {
+  return L::mandnot(lt<L>(ax, 0x24000000u), lt<L>(ax, 0x41b00000u));
 }
 
-inline V8 v_tanhf(V8 x) {
-  const V8 sign = _mm256_and_ps(x, vset(-0.f));
-  const V8 ax = _mm256_xor_ps(x, sign);
-  const I8 big = gt(ibits(ax), 0x3f7fffffu);  // |x| >= 1
+template <class L>
+typename L::F v_tanhf(typename L::F x) {
+  using F = typename L::F;
+  const F sign = L::fand(x, L::set(-0.f));
+  const F ax = L::fxor(x, sign);
+  const typename L::M big = gt<L>(L::bits(ax), 0x3f7fffffu);  // |x| >= 1
   // expm1f(2|x|) at |x| >= 1, expm1f(-2|x|) below.
-  const V8 two_ax = _mm256_add_ps(ax, ax);
-  const V8 t = v_expm1f(sel(big, two_ax, _mm256_xor_ps(two_ax, vset(-0.f))));
-  const V8 q = _mm256_div_ps(sel(big, vset(2.f), _mm256_xor_ps(t, vset(-0.f))),
-                             _mm256_add_ps(t, vset(2.f)));
-  const V8 z = sel(big, _mm256_sub_ps(vset(1.f), q), q);
-  return patch<exact_tanhf>(_mm256_xor_ps(z, sign), x,
-                            hyperbolic_range(ibits(ax)));
+  const F two_ax = ax + ax;
+  const F t = v_expm1f<L>(L::sel(big, two_ax, -two_ax));
+  const F q = L::sel(big, L::set(2.f), -t) / (t + L::set(2.f));
+  const F z = L::sel(big, L::set(1.f) - q, q);
+  return patch<L, exact_tanhf>(L::fxor(z, sign), x,
+                               hyperbolic_range<L>(L::bits(ax)));
 }
 
-inline V8 v_coshf(V8 x) {
-  const V8 ax = _mm256_andnot_ps(vset(-0.f), x);
-  const I8 fast = hyperbolic_range(ibits(ax));
-  const I8 small = lt(ibits(ax), 0x3eb17218u);  // |x| < ln2 / 2
-  const int m_fast = _mm256_movemask_ps(fbits(fast));
-  const int m_small = _mm256_movemask_ps(fbits(_mm256_and_si256(small, fast)));
-  V8 ys = _mm256_setzero_ps(), yb = _mm256_setzero_ps();
+template <class L>
+typename L::F v_coshf(typename L::F x) {
+  using F = typename L::F;
+  const F ax = L::fandnot(L::set(-0.f), x);
+  const typename L::M fast = hyperbolic_range<L>(L::bits(ax));
+  const typename L::M small = lt<L>(L::bits(ax), 0x3eb17218u);  // < ln2 / 2
+  const unsigned m_fast = L::mbits(fast);
+  const unsigned m_small = L::mbits(L::mand(small, fast));
+  F ys = L::zero(), yb = L::zero();
   if (m_small != 0) {
-    const V8 t = v_expm1f(ax);
-    const V8 w = _mm256_add_ps(vset(1.f), t);
-    ys = _mm256_add_ps(vset(1.f),
-                       _mm256_div_ps(_mm256_mul_ps(t, t), _mm256_add_ps(w, w)));
+    const F t = v_expm1f<L>(ax);
+    const F w = L::set(1.f) + t;
+    ys = L::set(1.f) + (t * t) / (w + w);
   }
   if (m_small != m_fast) {
-    const V8 t = v_expf_core(ax);
-    yb = _mm256_add_ps(_mm256_mul_ps(vset(0.5f), t),
-                       _mm256_div_ps(vset(0.5f), t));
+    const F t = v_expf_core<L>(ax);
+    yb = L::set(0.5f) * t + L::set(0.5f) / t;
   }
-  return patch<exact_coshf>(sel(small, ys, yb), x, fast);
+  return patch<L, exact_coshf>(L::sel(small, ys, yb), x, fast);
 }
 
-template <V8 (*VF)(V8), float (*SF)(float)>
+/// out[i] = VF's lanes for whole vectors of x, SF one at a time after.
+template <class L, typename L::F (*VF)(typename L::F), float (*SF)(float)>
 void map_n(float* out, const float* x, std::size_t n) {
+  constexpr std::size_t kW = L::kW;
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(out + i, VF(_mm256_loadu_ps(x + i)));
+  for (; i + kW <= n; i += kW) L::store(out + i, VF(L::load(x + i)));
   for (; i < n; ++i) out[i] = SF(x[i]);
 }
 
 }  // namespace
 
 void exact_expf_n(float* out, const float* x, std::size_t n) {
-  map_n<v_expf, exact_expf>(out, x, n);
+  map_n<Wide, v_expf<Wide>, exact_expf>(out, x, n);
 }
 void exact_tanhf_n(float* out, const float* x, std::size_t n) {
-  map_n<v_tanhf, exact_tanhf>(out, x, n);
+  map_n<Wide, v_tanhf<Wide>, exact_tanhf>(out, x, n);
 }
 void exact_coshf_n(float* out, const float* x, std::size_t n) {
-  map_n<v_coshf, exact_coshf>(out, x, n);
+  map_n<Wide, v_coshf<Wide>, exact_coshf>(out, x, n);
 }
 #else
 void exact_expf_n(float* out, const float* x, std::size_t n) {
@@ -430,9 +429,9 @@ namespace {
 float exp_shifted(float* out, const float* in, float maxv, int n) {
   int i = 0;
 #if defined(__AVX2__) && defined(__FMA__)
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(out + i, v_expf(_mm256_sub_ps(_mm256_loadu_ps(in + i),
-                                                   vset(maxv))));
+  using L = Wide;
+  for (; i + L::kW <= n; i += L::kW) {
+    L::store(out + i, v_expf<L>(L::load(in + i) - L::set(maxv)));
   }
 #endif
   for (; i < n; ++i) out[i] = exact_expf(in[i] - maxv);
@@ -461,7 +460,7 @@ inline float gelu_epilogue_scalar(float x) {
 // two builds give the same bits.
 #if defined(__AVX2__) && defined(__FMA__)
 struct F8 {
-  V8 v;
+  __m256 v;
 };
 inline F8 f8_load(const float* p) { return {_mm256_loadu_ps(p)}; }
 inline void f8_store(float* p, F8 x) { _mm256_storeu_ps(p, x.v); }
@@ -473,9 +472,9 @@ inline F8 operator*(F8 a, F8 b) { return {_mm256_mul_ps(a.v, b.v)}; }
 inline F8 f8_max(F8 x, F8 m) { return {_mm256_max_ps(x.v, m.v)}; }
 /// a with lane `lane` taken from b; a itself when lane is outside [0, 8).
 inline F8 f8_with_lane(F8 a, F8 b, int lane) {
-  const I8 hit = _mm256_cmpeq_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-                                    _mm256_set1_epi32(lane));
-  return {sel(hit, b.v, a.v)};
+  const __m256i hit = L8::eq(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                             _mm256_set1_epi32(lane));
+  return {L8::sel(hit, b.v, a.v)};
 }
 inline float f8_hmax(F8 x) {
   __m128 m = _mm_max_ps(_mm256_castps256_ps128(x.v),
@@ -483,7 +482,7 @@ inline float f8_hmax(F8 x) {
   m = _mm_max_ps(m, _mm_movehl_ps(m, m));
   return _mm_cvtss_f32(_mm_max_ss(m, _mm_shuffle_ps(m, m, 1)));
 }
-inline F8 f8_exp(F8 x) { return {v_expf(x.v)}; }
+inline F8 f8_exp(F8 x) { return {v_expf<L8>(x.v)}; }
 #else
 struct F8 {
   float v[8];
@@ -989,8 +988,14 @@ void softmax_forward(float* probs, const float* logits, int N, int V) {
     for (int n = n0; n < n1; ++n) {
       const float* l = logits + static_cast<std::size_t>(n) * V;
       float* p = probs + static_cast<std::size_t>(n) * V;
-      float maxv = -1e30f;
-      for (int v = 0; v < V; ++v) maxv = l[v] > maxv ? l[v] : maxv;
+      // The max of a set in any order, up to a zero's sign, which
+      // exp(l - max) does not see; NaN lanes are skipped, as the ternary
+      // skips them.
+      F8 mx = f8_set(-1e30f);
+      int i = 0;
+      for (; i + 8 <= V; i += 8) mx = f8_max(f8_load(l + i), mx);
+      float maxv = f8_hmax(mx);
+      for (; i < V; ++i) maxv = l[i] > maxv ? l[i] : maxv;
       const float inv = 1.f / exp_shifted(p, l, maxv, V);
       for (int v = 0; v < V; ++v) p[v] *= inv;
     }
@@ -1000,13 +1005,14 @@ void softmax_forward(float* probs, const float* logits, int N, int V) {
 void gelu_epilogue(float* post, const float* pre, std::size_t n) {
   std::size_t i = 0;
 #if defined(__AVX2__) && defined(__FMA__)
+  using L = Wide;
+  using F = L::F;
   constexpr float kS = 0.7978845608028654f;  // sqrt(2/pi)
-  for (; i + 8 <= n; i += 8) {
-    const V8 x = _mm256_loadu_ps(pre + i);
-    const V8 x2 = _mm256_mul_ps(_mm256_mul_ps(vset(0.044715f), x), x);
-    const V8 t = v_tanhf(_mm256_mul_ps(vset(kS), _mm256_fmadd_ps(x2, x, x)));
-    _mm256_storeu_ps(post + i, _mm256_mul_ps(_mm256_add_ps(t, vset(1.f)),
-                                             _mm256_mul_ps(vset(0.5f), x)));
+  for (; i + L::kW <= n; i += L::kW) {
+    const F x = L::load(pre + i);
+    const F x2 = L::set(0.044715f) * x * x;
+    const F t = v_tanhf<L>(L::set(kS) * L::fma(x2, x, x));
+    L::store(post + i, (t + L::set(1.f)) * (L::set(0.5f) * x));
   }
 #endif
   for (; i < n; ++i) post[i] = gelu_epilogue_scalar(pre[i]);
@@ -1019,28 +1025,21 @@ void gelu_backward(float* dinp, const float* inp, const float* dout, int N) {
   parallel_ranges(N, 64, [&](int lo, int hi) {
     int i = lo;
 #if defined(__AVX2__) && defined(__FMA__)
+    using L = Wide;
+    using F = L::F;
     constexpr float kS = 0.7978845608028654f;  // sqrt(2/pi)
     constexpr float k3c = 3.f * 0.044715f;
-    for (; i + 8 <= hi; i += 8) {
-      const V8 x = _mm256_loadu_ps(inp + i);
-      const V8 cube = _mm256_mul_ps(
-          _mm256_mul_ps(_mm256_mul_ps(vset(0.044715f), x), x), x);
-      const V8 arg = _mm256_mul_ps(vset(kS), _mm256_add_ps(x, cube));
-      const V8 th = v_tanhf(arg);
-      const V8 ch = v_coshf(arg);
-      const V8 sech2 = _mm256_div_ps(vset(1.f), _mm256_mul_ps(ch, ch));
-      const V8 poly = _mm256_add_ps(
-          vset(1.f), _mm256_mul_ps(_mm256_mul_ps(vset(k3c), x), x));
-      const V8 slope = _mm256_mul_ps(
-          _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(x, vset(0.5f)), sech2),
-                        vset(kS)),
-          poly);
-      const V8 local = _mm256_add_ps(
-          _mm256_mul_ps(vset(0.5f), _mm256_add_ps(vset(1.f), th)), slope);
-      _mm256_storeu_ps(dinp + i,
-                       _mm256_add_ps(_mm256_loadu_ps(dinp + i),
-                                     _mm256_mul_ps(local,
-                                                   _mm256_loadu_ps(dout + i))));
+    for (; i + L::kW <= hi; i += L::kW) {
+      const F x = L::load(inp + i);
+      const F cube = L::set(0.044715f) * x * x * x;
+      const F arg = L::set(kS) * (x + cube);
+      const F th = v_tanhf<L>(arg);
+      const F ch = v_coshf<L>(arg);
+      const F sech2 = L::set(1.f) / (ch * ch);
+      const F poly = L::set(1.f) + L::set(k3c) * x * x;
+      const F slope = x * L::set(0.5f) * sech2 * L::set(kS) * poly;
+      const F local = L::set(0.5f) * (L::set(1.f) + th) + slope;
+      L::store(dinp + i, L::load(dinp + i) + local * L::load(dout + i));
     }
 #endif
     gelu_backward_ref(dinp + i, inp + i, dout + i, hi - i);

@@ -509,10 +509,12 @@ std::vector<float> oracle_forward(const std::vector<float>& inp,
 
 // N not a multiple of the tile's 6 rows, column tails of every width class
 // (Cout 1, 7, 91, 259), Cin = 1, and N > 256 so the dw pass spans several
-// reduction blocks.
+// reduction blocks. Cout and Cin (the backward passes' column count) of 32
+// and 33: one whole 16-lane tile, and one column past it.
 const Shape kGemmShapes[] = {
-    {1, 1, 1},    {5, 1, 7},     {13, 64, 1},  {7, 37, 91},  {11, 64, 259},
-    {19, 1, 259}, {8, 259, 7},   {301, 64, 91}, {263, 37, 259}, {50, 128, 48},
+    {1, 1, 1},      {5, 1, 7},      {13, 64, 1},   {7, 37, 91},
+    {11, 64, 259},  {19, 1, 259},   {8, 259, 7},   {301, 64, 91},
+    {263, 37, 259}, {50, 128, 48},  {9, 32, 33},   {14, 33, 32},
 };
 
 }  // namespace
@@ -679,9 +681,10 @@ TEST(ExactMath, VectorLanesMatchScalarDefinitionsAtBranchEdges) {
              {"expf", kern::exact_expf_n, kern::exact_expf}};
   for (const auto& f : fns) {
     SCOPED_TRACE(f.name);
-    // Every start offset and a length that is not a multiple of 8, so each
-    // input lands in every lane and in the scalar tail.
-    for (std::size_t off = 0; off < 9; ++off) {
+    // Every start offset up to 16 and lengths that are not a multiple of 8
+    // or 16, so each input lands in every lane of either width and in the
+    // scalar tail.
+    for (std::size_t off = 0; off <= 16; ++off) {
       const std::size_t n = in.size() - off;
       std::vector<float> out(n);
       f.vec(out.data(), in.data() + off, n);
@@ -771,6 +774,32 @@ TEST(Kernels, GeluKernelsMatchScalarBitsOnTailsAndSpecialValues) {
   std::vector<float> post(pre_want.size());
   kern::gelu_epilogue(post.data(), pre_want.data(), post.size());
   EXPECT_TRUE(same_bits(post, post_want));
+}
+
+TEST(Kernels, SoftmaxOnSignedZerosAndNaNMatchesRefBits) {
+  // Rows whose max is zero, with zeros of both signs spread over the lanes
+  // and the scalar tail, and rows with a NaN logit, which the max skips and
+  // the row's sum does not.
+  const int V = 259;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(35);
+  std::vector<float> logits;
+  for (int row = 0; row < 12; ++row) {
+    auto l = random_vec(rng, V, 20.f);
+    for (float& x : l) x = -std::fabs(x) - 1.f;
+    for (int v = row % 3; v < V; v += 5 + row) l[v] = (v / 7) % 2 ? -0.f : 0.f;
+    l[V - 1 - row % 3] = row % 2 ? -0.f : 0.f;
+    if (row >= 8) l[(row * 37) % V] = row % 2 ? -nan : nan;
+    logits.insert(logits.end(), l.begin(), l.end());
+  }
+  const int N = static_cast<int>(logits.size()) / V;
+  std::vector<float> ref(logits.size());
+  kern::softmax_forward_ref(ref.data(), logits.data(), N, V);
+  at_thread_counts([&] {
+    std::vector<float> probs(logits.size());
+    kern::softmax_forward(probs.data(), logits.data(), N, V);
+    EXPECT_TRUE(same_bits(probs, ref));
+  });
 }
 
 TEST(Kernels, SoftmaxMatchesRefBitsWhereExponentialsUnderflow) {

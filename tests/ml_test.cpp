@@ -761,6 +761,67 @@ TEST(GptPadding, PaddingAndRaggedLengthsLeaveEveryBitAlone) {
 
 namespace {
 
+/// Forward, backward_from and backward_lm of `model` over every row of tb.
+PadOut run_batch(Gpt& model, const TrainingBatch& tb) {
+  const std::size_t BT = static_cast<std::size_t>(tb.B) * tb.T;
+  const std::size_t V = static_cast<std::size_t>(model.config().vocab);
+  PadOut o;
+  model.forward(tb.tokens.data(), tb.B, tb.T);
+  o.logits.assign(model.logits(), model.logits() + BT * V);
+  o.probs.assign(model.probs(), model.probs() + BT * V);
+  o.values.assign(model.values(), model.values() + BT);
+  model.zero_grad();
+  model.backward_from(tb.tokens.data(), tb.dlogits.data(), tb.dvalues.data(),
+                      tb.B, tb.T);
+  o.grads_from = model.grads();
+  model.zero_grad();
+  o.loss = model.backward_lm(tb.tokens.data(), tb.targets.data(), tb.B, tb.T);
+  o.grads_lm = model.grads();
+  return o;
+}
+
+}  // namespace
+
+TEST(GptArena, GrowingAndReusingTheArenasLeavesEveryBitAlone) {
+  // A model that ran [B/2, T/2] grows both arenas at [B, T], from fresh,
+  // unwritten pages; then [B/2, T/2] runs again inside the larger arenas,
+  // over what [B, T] left there. Neither may move a bit: the [B, T] head
+  // outputs and gradients equal a fresh model's, and the second small run
+  // equals the first.
+  const GptConfig cfg = GptConfig::small();
+  const TrainingBatch big = make_training_batch(cfg, 44);
+  TrainingBatch small;  // the first B/2 sequences' first T/2 tokens
+  small.B = big.B / 2;
+  small.T = big.T / 2;
+  const std::size_t V = static_cast<std::size_t>(cfg.vocab);
+  for (int b = 0; b < small.B; ++b) {
+    for (int t = 0; t < small.T; ++t) {
+      const std::size_t n = static_cast<std::size_t>(b) * big.T + t;
+      small.tokens.push_back(big.tokens[n]);
+      small.targets.push_back(big.targets[n]);
+      small.dlogits.insert(small.dlogits.end(), big.dlogits.begin() + n * V,
+                           big.dlogits.begin() + (n + 1) * V);
+      small.dvalues.push_back(big.dvalues[n]);
+    }
+  }
+  const ThreadCountGuard guard;
+  for (const int nt : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(nt));
+    kern::set_num_threads(nt);
+    Gpt fresh(cfg, 8), reused(cfg, 8);
+    const PadOut small_first = run_batch(reused, small);
+    const PadOut big_grown = run_batch(reused, big);
+    const PadOut small_again = run_batch(reused, small);
+    const PadOut big_fresh = run_batch(fresh, big);
+    EXPECT_NE(big_fresh.grads_from,
+              std::vector<float>(big_fresh.grads_from.size(), 0.f));
+    expect_same(big_grown, big_fresh);
+    expect_same(small_again, small_first);
+  }
+}
+
+namespace {
+
 /// PpoTrainer::update as it was before the LM head ran only at action rows:
 /// every forward scores all B*T rows and the policy gradient goes through
 /// full [B*T, V] dlogits. Frozen here as the reference for the action-row
