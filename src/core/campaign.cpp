@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/bbv.h"
 #include "core/checkpoint.h"
 #include "core/sim_worker.h"
 #include "corpus/store.h"
@@ -14,7 +13,6 @@
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "riscv/superblock.h"
 #include "util/log.h"
 #include "util/rng.h"
 
@@ -200,13 +198,6 @@ CampaignResult run_engine(InputGenerator& gen, const CampaignConfig& cfg,
     if (!s.ok()) throw std::runtime_error(s.message());
   }
 
-  // BBV log: appended per test in canonical fold order (exactly like the
-  // sparse coverage deltas), rewritten atomically at every snapshot point
-  // and at campaign end. Purely additive instrumentation — collecting it
-  // changes no other campaign artifact.
-  const bool collect_bbv = !cfg.bbv_path.empty();
-  std::vector<BbvEntry> bbv_log;
-
   std::size_t since_checkpoint = 0;
   if (restored != nullptr) {
     // Rebuild the coordinator exactly as it was at the snapshot. The
@@ -234,15 +225,6 @@ CampaignResult run_engine(InputGenerator& gen, const CampaignConfig& cfg,
           store.truncate(static_cast<std::size_t>(restored->corpus_entries));
       if (!s.ok()) throw std::runtime_error(s.message());
     }
-    if (collect_bbv) {
-      // Reload the log written before the cut and roll it back to the
-      // checkpoint's test count — the same rollback the corpus store does —
-      // so the resumed run's file is byte-identical to an uninterrupted
-      // one's. A fresh path on resume simply starts the log at the cut.
-      std::vector<BbvEntry> prior;
-      if (load_bbv(cfg.bbv_path, &prior).ok()) bbv_log = std::move(prior);
-      if (bbv_log.size() > result.tests_run) bbv_log.resize(result.tests_run);
-    }
   }
 
   const auto snapshot = [&] {
@@ -250,10 +232,6 @@ CampaignResult run_engine(InputGenerator& gen, const CampaignConfig& cfg,
     obs::counter("campaign.checkpoints")->inc();
     ser::Status s = store.flush();
     if (!s.ok()) throw std::runtime_error(s.message());
-    if (collect_bbv) {
-      s = save_bbv(cfg.bbv_path, bbv_log);
-      if (!s.ok()) throw std::runtime_error(s.message());
-    }
     CheckpointData data;
     data.cfg = cfg;
     data.cfg.stop_after_tests = 0;  // a pause point is not part of the state
@@ -407,15 +385,8 @@ CampaignResult run_engine(InputGenerator& gen, const CampaignConfig& cfg,
               static_cast<std::uint32_t>(art.report.mismatches.size());
           meta.ctrl_new = ctrl.test_new_states();
           meta.new_bins = new_bins;  // copy: the scratch vector is pooled
-          // Phase signature comes free while BBVs are collected: stats and
-          // minimize can group archived tests by behavior without the
-          // re-simulation pass (which stamps the finer per-recorder hash).
-          if (collect_bbv) meta.phase_hash = riscv::bbv_phase_hash(art.bbv);
           const ser::Status s = store.append(batch[i], meta);
           if (!s.ok()) throw std::runtime_error(s.message());
-        }
-        if (collect_bbv) {
-          bbv_log.push_back(BbvEntry{base + i, art.bbv});
         }
         ++result.tests_run;
         ++since_checkpoint;
@@ -515,13 +486,6 @@ CampaignResult run_engine(InputGenerator& gen, const CampaignConfig& cfg,
     }
   }
 
-  if (collect_bbv) {
-    // Non-persistent campaigns never hit snapshot(); persistent ones get a
-    // final (identical) rewrite — write_file is atomic either way.
-    const ser::Status s = save_bbv(cfg.bbv_path, bbv_log);
-    if (!s.ok()) throw std::runtime_error(s.message());
-  }
-
   result.final_cov_percent = db.total_percent();
   result.uncovered = cov::uncovered_points(db);
   if (use_suite) {
@@ -602,7 +566,6 @@ CampaignResult resume_campaign(InputGenerator& gen, const std::string& dir,
   cfg.stop_after_tests = opts.stop_after_tests;
   cfg.dist = opts.dist;       // topology is per-run, never stored
   cfg.superblocks = opts.superblocks;  // dispatch engine likewise
-  cfg.bbv_path = opts.bbv_path;        // persistence paths likewise
   cfg.trace_path = opts.trace_path;    // telemetry likewise
   cfg.stats_path = opts.stats_path;
   cfg.stats_every_ms = opts.stats_every_ms;

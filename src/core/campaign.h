@@ -140,8 +140,8 @@ struct CampaignConfig {
   /// bit-identical for any workers × procs × resume topology, exactly like
   /// single-DUT output. Empty (the default) means {core}: the single-DUT
   /// campaign everything else in the repo runs. When non-empty, the first
-  /// entry is the *primary* DUT (metrics suite, BBV collection, step
-  /// totals); `core` is ignored. Replay and minimize (core/replay.h) run the
+  /// entry is the *primary* DUT (metrics suite, step totals); `core` is
+  /// ignored. Replay and minimize (core/replay.h) run the
   /// whole list, as the campaign does. Part of the campaign state:
   /// serialized into checkpoints, never overridden on resume (the coverage
   /// DB layout is the concatenation of every DUT's instrumentation).
@@ -180,18 +180,11 @@ struct CampaignConfig {
 
   /// Superblock dispatch in both simulators (`fuzz --no-superblocks` turns
   /// it off). Purely a speed knob — every campaign artifact (report,
-  /// coverage DB, mismatch DB, corpus store, BBV log) is bit-identical
-  /// either way, which the determinism suite pins. Never serialized into
-  /// checkpoints: like worker count it is per-run scheduling, and the
-  /// span caches are derived state that must not enter snapshots.
+  /// coverage DB, mismatch DB, corpus store) is bit-identical either way,
+  /// which the determinism suite pins. Never serialized into checkpoints:
+  /// like worker count it is per-run scheduling, and the span caches are
+  /// derived state that must not enter snapshots.
   bool superblocks = true;
-
-  /// When non-empty, record a per-test basic-block vector from the DUT's
-  /// commit stream and write the log (core/bbv.h) here, folded in canonical
-  /// test order and rewritten atomically at every snapshot point. Like
-  /// checkpoint_dir this is a persistence path: never serialized into
-  /// checkpoints ("-" means collect without writing — the dist worker mode).
-  std::string bbv_path;
 
   // ---- persistence (checkpoint/resume) -------------------------------------
   /// When non-empty, the campaign becomes durable: interesting tests (new
@@ -224,8 +217,8 @@ struct CampaignConfig {
   /// When non-empty, record scoped spans for the whole run and export them
   /// as Chrome trace_event JSON here (`fuzz --trace`). Observation-only and
   /// out-of-band by contract: every campaign artifact is byte-identical with
-  /// tracing on or off (the `obs` suite pins this). Like bbv_path these are
-  /// per-run output paths — never serialized into checkpoints, so enabling
+  /// tracing on or off (the `obs` suite pins this). Like checkpoint_dir
+  /// these are per-run output paths — never serialized into checkpoints, so enabling
   /// telemetry cannot perturb checkpoint bytes or config fingerprints.
   std::string trace_path;
   /// When non-empty, snapshot the obs metrics registry to this NDJSON file
@@ -315,13 +308,8 @@ struct ResumeOptions {
   /// Superblock dispatch for the resumed run (scheduling, not semantics —
   /// never stored; results are bit-identical either way).
   bool superblocks = true;
-  /// BBV log for the resumed run: persistence paths are per-run, like
-  /// checkpoint_dir. The engine reloads this file and truncates it to the
-  /// checkpoint's test count before appending, so a resumed campaign's log
-  /// is bit-identical to an uninterrupted one's. Empty = don't collect.
-  std::string bbv_path;
-  /// Telemetry outputs for the resumed run — per-run observation paths,
-  /// exactly like bbv_path (checkpoints never store them).
+  /// Telemetry outputs for the resumed run — per-run observation paths
+  /// (checkpoints never store them).
   std::string trace_path;
   std::string stats_path;
   std::uint64_t stats_every_ms = 1000;

@@ -91,15 +91,14 @@ void run_one(SimStack& w, const CampaignConfig& cfg, bool use_suite,
     reg_seed = Rng(cfg.seed).fork(test_index).next_u64();
     w.golden->set_reg_seed(reg_seed);
   }
-  const bool collect_bbv = !cfg.bbv_path.empty();
 
   // One golden ISS run per DUT backend, in list order. Everything a test
   // contributes — condition hits in the shared shard, ctrl states, the
   // mismatch report (comparator ordinal d accumulates all DUTs into one
   // Report) — lands in the same artifact, so the fold stays per-test and
-  // order-free exactly as in single-DUT mode. The metrics suite, BBV
-  // recorder and step count stay primary-DUT-only: they feed guidance and
-  // phase analyses whose semantics are per-program, not per-backend.
+  // order-free exactly as in single-DUT mode. The metrics suite and step
+  // count stay primary-DUT-only: they feed guidance, whose semantics are
+  // per-program, not per-backend.
   obs::SimCounters oc;
   for (std::size_t d = 0; d < w.duts.size(); ++d) {
     OBS_SPAN("sim.dut_run");
@@ -107,11 +106,6 @@ void run_one(SimStack& w, const CampaignConfig& cfg, bool use_suite,
     dut.ctrl_cov().begin_test();
     dut.ctrl_cov().set_recorder(&out.ctrl_states);
     if (cfg.randomize_regs) dut.set_reg_seed(reg_seed);
-    const bool bbv_this = collect_bbv && d == 0;
-    if (bbv_this) {
-      w.bbv.begin();
-      dut.set_bbv(&w.bbv);
-    }
     if (cfg.mismatch_detection) {
       // Arm the comparator (which sinks the golden model) before the golden
       // reset, so the reset skips its trace scratch like the DUT's does.
@@ -129,10 +123,6 @@ void run_one(SimStack& w, const CampaignConfig& cfg, bool use_suite,
     }
     dut.set_sink(nullptr);
     dut.ctrl_cov().set_recorder(nullptr);
-    if (bbv_this) {
-      dut.set_bbv(nullptr);  // run() already closed the trailing block
-      out.bbv = w.bbv.blocks();
-    }
     out.cycles += dut.cycles();
     if (d == 0) out.steps = dut_run.steps;
     oc += dut.take_obs_counters();

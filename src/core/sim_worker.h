@@ -43,10 +43,6 @@ struct TestArtifact {
   std::uint64_t cycles = 0;
   std::uint64_t steps = 0;
   mismatch::Report report;                  // per-test commit-stream diff
-  /// Basic-block vector from the DUT's commit stream, (start pc, count) in
-  /// per-test discovery order. Populated only when the campaign collects
-  /// BBVs (CampaignConfig::bbv_path non-empty); empty otherwise.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> bbv;
 
   void begin() {
     cond_bins.clear();
@@ -59,7 +55,6 @@ struct TestArtifact {
     report.mismatches.clear();
     report.raw_count = 0;
     report.filtered_count = 0;
-    bbv.clear();
   }
 };
 
@@ -82,15 +77,14 @@ struct SimStack {
   /// registrar DB, built from the same list). Single-DUT campaigns hold one
   /// entry here.
   std::vector<std::unique_ptr<rtl::DutCore>> duts;
-  /// Non-owning alias of duts[0]: the primary DUT (metrics suite, BBV,
-  /// step totals — and the only DUT of a classic single-DUT campaign).
+  /// Non-owning alias of duts[0]: the primary DUT (metrics suite, step
+  /// totals — and the only DUT of a classic single-DUT campaign).
   rtl::DutCore* dut = nullptr;
   std::unique_ptr<sim::IsaSim> golden;
   mismatch::MismatchDetector detector;  // filter rules only; the campaign-
                                         // wide tally lives on the coordinator
   mismatch::LockstepComparator comparator;
   sim::DiscardSink discard;
-  riscv::BbvRecorder bbv;  // attached to the DUT while the campaign collects
 };
 
 /// Whether this configuration attaches the toggle/FSM/statement suite.

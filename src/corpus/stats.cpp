@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <system_error>
-#include <unordered_map>
 
 #include "util/log.h"
 
@@ -28,24 +27,15 @@ StoreStats collect_store_stats(const CorpusStore& store) {
     if (!ec) s.disk_bytes += n;
   }
 
-  std::unordered_map<std::uint64_t, std::size_t> phases;
   for (std::size_t i = 0; i < store.size(); ++i) {
     const StoreEntryMeta& m = store.meta(i);
     s.program_words += store.program_words(i);
     s.attributed_bins += m.new_bins.size();
     s.ctrl_new += m.ctrl_new;
     if (m.mismatches > 0) ++s.with_mismatch;
-    if (m.phase_hash == 0) ++s.phases_unhashed;
-    else ++phases[m.phase_hash];
     std::size_t bucket = 0;
     for (std::size_t n = m.new_bins.size(); n != 0; n >>= 1) ++bucket;
     s.attribution[std::min(bucket, StoreStats::kBuckets - 1)] += 1;
-  }
-  s.phases_distinct = phases.size();
-  for (const auto& [hash, n] : phases) {
-    if (n >= 4) ++s.phase_mult_4_plus;
-    else if (n >= 2) ++s.phase_mult_2_3;
-    else ++s.phase_mult_unique;
   }
   return s;
 }
@@ -85,16 +75,6 @@ std::string render_store_stats(const StoreStats& s) {
                        " entries\n",
                        lo, hi, s.attribution[b]);
     }
-  }
-  out += strformat("  phase signatures: %" PRIu64 " distinct across %" PRIu64
-                   " hashed entries (%" PRIu64 " unhashed)\n",
-                   s.phases_distinct, s.entries - s.phases_unhashed,
-                   s.phases_unhashed);
-  if (s.phases_distinct > 0) {
-    out += strformat("    phase multiplicity: %" PRIu64 " unique, %" PRIu64
-                     " x2-3, %" PRIu64 " x4+\n",
-                     s.phase_mult_unique, s.phase_mult_2_3,
-                     s.phase_mult_4_plus);
   }
   return out;
 }
@@ -192,13 +172,7 @@ std::string store_stats_to_json(const StoreStats& s) {
     if (b != 0) out += ",";
     out += strformat("%" PRIu64, s.attribution[b]);
   }
-  out += "]";
-  append_field(&out, "phases_distinct", s.phases_distinct, &first);
-  append_field(&out, "phases_unhashed", s.phases_unhashed, &first);
-  append_field(&out, "phase_mult_unique", s.phase_mult_unique, &first);
-  append_field(&out, "phase_mult_2_3", s.phase_mult_2_3, &first);
-  append_field(&out, "phase_mult_4_plus", s.phase_mult_4_plus, &first);
-  out += "}\n";
+  out += "]}\n";
   return out;
 }
 
@@ -212,12 +186,7 @@ bool parse_store_stats_json(const std::string& json, StoreStats* out) {
             read_u64(json, "disk_bytes", &out->disk_bytes) &&
             read_u64(json, "attributed_bins", &out->attributed_bins) &&
             read_u64(json, "ctrl_new", &out->ctrl_new) &&
-            read_u64(json, "with_mismatch", &out->with_mismatch) &&
-            read_u64(json, "phases_distinct", &out->phases_distinct) &&
-            read_u64(json, "phases_unhashed", &out->phases_unhashed) &&
-            read_u64(json, "phase_mult_unique", &out->phase_mult_unique) &&
-            read_u64(json, "phase_mult_2_3", &out->phase_mult_2_3) &&
-            read_u64(json, "phase_mult_4_plus", &out->phase_mult_4_plus);
+            read_u64(json, "with_mismatch", &out->with_mismatch);
   if (!ok) return false;
   const std::size_t at = json.find("\"attribution_histogram\":[");
   if (at == std::string::npos) return false;

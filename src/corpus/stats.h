@@ -1,5 +1,5 @@
 // Replay-free corpus introspection, straight off the store index: size,
-// disk footprint, coverage-attribution histogram, phase-signature spread.
+// disk footprint, coverage-attribution histogram.
 // One collection pass feeds both renderings — the human table the
 // `chatfuzz corpus stats` command always printed, and a machine-readable
 // JSON object (`corpus stats --json`) for dashboards and CI. The JSON
@@ -30,13 +30,6 @@ struct StoreStats {
   std::uint64_t ctrl_new = 0;         // ctrl-reg states first observed
   std::uint64_t with_mismatch = 0;    // entries archived with a mismatch
   std::array<std::uint64_t, kBuckets> attribution = {};
-  std::uint64_t phases_distinct = 0;  // across hashed entries
-  std::uint64_t phases_unhashed = 0;  // phase_hash == 0 (never replayed)
-  /// Phase multiplicity: distinct phases represented by exactly 1, 2-3,
-  /// and 4+ archived tests.
-  std::uint64_t phase_mult_unique = 0;
-  std::uint64_t phase_mult_2_3 = 0;
-  std::uint64_t phase_mult_4_plus = 0;
 
   bool operator==(const StoreStats&) const = default;
 };

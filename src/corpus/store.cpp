@@ -10,9 +10,10 @@ namespace chatfuzz::corpus {
 namespace {
 
 constexpr std::uint32_t kIndexMagic = 0x43465A43;  // "CFZC"
-// v2: StoreEntryMeta::phase_hash joined the per-entry record (written as 0
-// by campaigns, filled in by `corpus minimize` replays).
-constexpr std::uint32_t kIndexVersion = 2;
+// v2: a per-entry phase signature joined the record.
+// v3: the phase signature left again, and so did each entry's shard and
+// offset, which open() now derives from the capacity and the entry lengths.
+constexpr std::uint32_t kIndexVersion = 3;
 
 std::string errno_detail() {
   const int e = errno;
@@ -56,16 +57,14 @@ ser::Status CorpusStore::open(const std::string& dir,
   shard_capacity_ = static_cast<std::size_t>(stored_capacity);
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
     Entry e;
-    e.shard = r.u32();
-    e.offset_words = r.u64();
     e.num_words = r.u32();
     e.meta.test_index = r.u64();
     e.meta.standalone_bins = r.u32();
     e.meta.incremental_bins = r.u32();
     e.meta.mismatches = r.u32();
     e.meta.ctrl_new = r.u64();
-    e.meta.phase_hash = r.u64();
     e.meta.new_bins = r.vec_u32();
+    place(e);
     entries_.push_back(std::move(e));
   }
   if (!r.done()) {
@@ -76,6 +75,18 @@ ser::Status CorpusStore::open(const std::string& dir,
   return {};
 }
 
+void CorpusStore::place(Entry& e) const {
+  if (entries_.empty()) {
+    e.shard = 0;
+    e.offset_words = 0;
+    return;
+  }
+  const Entry& last = entries_.back();
+  const bool shard_full = entries_.size() % shard_capacity_ == 0;
+  e.shard = shard_full ? last.shard + 1 : last.shard;
+  e.offset_words = shard_full ? 0 : last.offset_words + last.num_words;
+}
+
 ser::Status CorpusStore::append(const core::Program& program,
                                 const StoreEntryMeta& meta) {
   if (dir_.empty()) {
@@ -84,15 +95,7 @@ ser::Status CorpusStore::append(const core::Program& program,
   Entry e;
   e.num_words = static_cast<std::uint32_t>(program.size());
   e.meta = meta;
-  if (entries_.empty()) {
-    e.shard = 0;
-    e.offset_words = 0;
-  } else {
-    const Entry& last = entries_.back();
-    const bool shard_full = entries_.size() % shard_capacity_ == 0;
-    e.shard = shard_full ? last.shard + 1 : last.shard;
-    e.offset_words = shard_full ? 0 : last.offset_words + last.num_words;
-  }
+  place(e);
 
   const std::string path = shard_path(e.shard);
   // "r+b" keeps existing bytes (append at the tracked offset, which after a
@@ -138,15 +141,12 @@ ser::Status CorpusStore::flush() {
   w.u64(shard_capacity_);
   w.u64(entries_.size());
   for (const Entry& e : entries_) {
-    w.u32(e.shard);
-    w.u64(e.offset_words);
     w.u32(e.num_words);
     w.u64(e.meta.test_index);
     w.u32(e.meta.standalone_bins);
     w.u32(e.meta.incremental_bins);
     w.u32(e.meta.mismatches);
     w.u64(e.meta.ctrl_new);
-    w.u64(e.meta.phase_hash);
     w.vec_u32(e.meta.new_bins);
   }
   return ser::write_file(dir_ + "/index.bin", kIndexMagic, kIndexVersion,
@@ -174,7 +174,15 @@ ser::Status CorpusStore::truncate(std::size_t n) {
     std::error_code ec;
     if (!std::filesystem::exists(path, ec)) break;
     if (shard < shard_words.size()) {
-      std::filesystem::resize_file(path, shard_words[shard] * 4, ec);
+      // Trimming only ever shrinks: a shard shorter than the index claims
+      // is damaged, and growing it would pad the programs with zeros.
+      const std::uintmax_t size = std::filesystem::file_size(path, ec);
+      if (!ec && size < shard_words[shard] * 4) {
+        return ser::Status::error("corpus shard " + path +
+                                  " is truncated (index references missing "
+                                  "bytes)");
+      }
+      if (!ec) std::filesystem::resize_file(path, shard_words[shard] * 4, ec);
       if (ec) {
         return ser::Status::error("cannot trim corpus shard " + path + ": " +
                                   ec.message());
@@ -204,11 +212,20 @@ ser::Status CorpusStore::read_program(std::size_t i,
     return ser::Status::error("cannot open corpus shard " + path +
                               errno_detail());
   }
-  std::string bytes(static_cast<std::size_t>(e.num_words) * 4, '\0');
-  bool failed = std::fseek(f, static_cast<long>(e.offset_words * 4),
-                           SEEK_SET) != 0;
+  // Size the read against the shard before allocating: an index entry can
+  // claim up to 2^32 - 1 words, and the shard must hold them.
+  const std::uint64_t end_byte = (e.offset_words + e.num_words) * 4;
+  bool failed = std::fseek(f, 0, SEEK_END) != 0;
   if (!failed) {
-    failed = std::fread(bytes.data(), 1, bytes.size(), f) != bytes.size();
+    const long size = std::ftell(f);
+    failed = size < 0 || static_cast<std::uint64_t>(size) < end_byte;
+  }
+  std::string bytes;
+  if (!failed) {
+    bytes.resize(static_cast<std::size_t>(e.num_words) * 4);
+    failed = std::fseek(f, static_cast<long>(e.offset_words * 4),
+                        SEEK_SET) != 0 ||
+             std::fread(bytes.data(), 1, bytes.size(), f) != bytes.size();
   }
   std::fclose(f);
   if (failed) {

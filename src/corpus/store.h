@@ -2,8 +2,10 @@
 // campaign. Tests that earned their keep (new coverage, a mismatch) are
 // appended together with their metadata and coverage attribution; programs
 // live in fixed-capacity shard files and an index file carries all metadata
-// plus each entry's (shard, offset) — the layout long-running sharded
-// campaigns and cross-campaign corpus reuse are built on.
+// plus each entry's length — the layout long-running sharded campaigns and
+// cross-campaign corpus reuse are built on. Entry i lives in shard
+// i / capacity, right after the earlier entries of that shard, so the index
+// stores no (shard, offset) pair that could disagree with that rule.
 //
 // Layout of a store directory:
 //   <dir>/index.bin        versioned+checksummed index (util/serialize.h)
@@ -34,13 +36,6 @@ struct StoreEntryMeta {
   std::uint32_t incremental_bins = 0;// bins newly covered by this test
   std::uint32_t mismatches = 0;      // post-filter mismatch records
   std::uint64_t ctrl_new = 0;        // new ctrl-reg states
-  /// Phase signature of the test's basic-block vector (riscv::
-  /// bbv_phase_hash over the DUT's commit stream). 0 = not yet computed:
-  /// campaigns always archive 0 and `corpus minimize` fills it by replay,
-  /// then uses it to collapse phase-duplicate mismatch entries. Keeping the
-  /// campaign path hash-free makes the store bytes independent of whether
-  /// BBV collection (or superblock dispatch) was on.
-  std::uint64_t phase_hash = 0;
   /// Coverage attribution: the condition bins this test covered FIRST
   /// (disjoint across entries by construction — the basis for replay-free
   /// corpus audits).
@@ -53,7 +48,8 @@ class CorpusStore {
 
   /// Open an existing store or create an empty one at `dir` (the directory
   /// is created if needed). Fails cleanly on a corrupt/truncated/foreign
-  /// index file.
+  /// index file. Each entry's shard and offset are recomputed from the
+  /// capacity and the earlier entries' lengths, never read.
   ser::Status open(const std::string& dir,
                    std::size_t shard_capacity = kDefaultShardCapacity);
 
@@ -71,11 +67,6 @@ class CorpusStore {
 
   std::size_t size() const { return entries_.size(); }
   const StoreEntryMeta& meta(std::size_t i) const { return entries_[i].meta; }
-  /// Fill entry i's phase signature (tooling: `corpus minimize` replays the
-  /// entry to compute it). Buffered like appends; flush() persists it.
-  void set_phase_hash(std::size_t i, std::uint64_t h) {
-    entries_[i].meta.phase_hash = h;
-  }
   /// Stored program length in u32 instruction words (tooling/stats).
   std::size_t program_words(std::size_t i) const {
     return entries_[i].num_words;
@@ -84,6 +75,8 @@ class CorpusStore {
   std::size_t num_shards() const {
     return entries_.empty() ? 0 : entries_.back().shard + 1;
   }
+  /// Read entry i's program. Fails without allocating when the shard file
+  /// is shorter than the bytes the index claims for the entry.
   ser::Status read_program(std::size_t i, core::Program* out) const;
   const std::string& dir() const { return dir_; }
   std::size_t shard_capacity() const { return shard_capacity_; }
@@ -92,11 +85,15 @@ class CorpusStore {
 
  private:
   struct Entry {
-    std::uint32_t shard = 0;
-    std::uint64_t offset_words = 0;  // into the shard, in u32 words
     std::uint32_t num_words = 0;
     StoreEntryMeta meta;
+    // Derived by place(), not stored in the index.
+    std::size_t shard = 0;
+    std::uint64_t offset_words = 0;  // into the shard, in u32 words
   };
+
+  /// Assign `e` the shard and offset of the next entry after entries_.
+  void place(Entry& e) const;
 
   std::string dir_;
   std::size_t shard_capacity_ = kDefaultShardCapacity;

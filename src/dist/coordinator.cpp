@@ -139,7 +139,8 @@ bool Coordinator::add_peer(std::unique_ptr<Channel> chan,
   }
   if (reject.empty() &&
       hello.role != static_cast<std::uint8_t>(PeerRole::kWorker)) {
-    reject = "peer role is not 'worker' (federation endpoint is elsewhere)";
+    reject = "peer role " + std::to_string(hello.role) +
+             " is neither 'worker' nor 'status'";
   }
   if (!reject.empty()) {
     LOG_WARN("dist: rejected peer pid=%llu reason=\"%s\"",
@@ -163,7 +164,6 @@ bool Coordinator::add_peer(std::unique_ptr<Channel> chan,
       index == cfg_.dist.debug_hang_worker && !hang_sent_;
   if (config.debug_hang) hang_sent_ = true;
   config.superblocks = cfg_.superblocks;
-  config.collect_bbv = !cfg_.bbv_path.empty();
   config.config_crc = config_fingerprint(cfg_);
   config.heartbeat_ms = cfg_.dist.heartbeat_ms;
   s = chan->send_frame(encode_config(config), handshake_timeout_ms);

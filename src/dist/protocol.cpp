@@ -92,7 +92,6 @@ std::string encode_config(const ConfigMsg& msg) {
   w.u64(msg.max_lease_tests);
   w.boolean(msg.debug_hang);
   w.boolean(msg.superblocks);
-  w.boolean(msg.collect_bbv);
   w.u32(msg.config_crc);
   w.u32(msg.heartbeat_ms);
   return w.take();
@@ -112,7 +111,6 @@ ser::Status decode_config(const std::string& payload, ConfigMsg* msg) {
   msg->max_lease_tests = r.u64();
   msg->debug_hang = r.boolean();
   msg->superblocks = r.boolean();
-  msg->collect_bbv = r.boolean();
   msg->config_crc = r.u32();
   msg->heartbeat_ms = r.u32();
   if (!r.done()) return decode_error("config", r, payload, "malformed fields");
@@ -186,13 +184,6 @@ void write_artifact(ser::Writer& w, const core::TestArtifact& art) {
   w.varint(art.cycles);
   w.varint(art.steps);
   mismatch::write_report_summary(w, art.report);
-  // BBV: block starts are full addresses, counts are small — varints keep
-  // the non-collecting case at one zero byte per artifact.
-  w.varint(art.bbv.size());
-  for (const auto& [start, count] : art.bbv) {
-    w.u64(start);
-    w.varint(count);
-  }
 }
 
 bool read_artifact(ser::Reader& r, core::TestArtifact& art) {
@@ -207,19 +198,7 @@ bool read_artifact(ser::Reader& r, core::TestArtifact& art) {
   art.cycles = r.varint();
   art.steps = r.varint();
   if (!r.ok()) return false;
-  if (!mismatch::read_report_summary(r, art.report)) return false;
-  const std::uint64_t blocks = r.varint();
-  if (!r.ok() || blocks > r.remaining() / 9) {  // >= u64 + 1-byte varint
-    r.fail();
-    return false;
-  }
-  art.bbv.reserve(blocks);
-  for (std::uint64_t b = 0; b < blocks; ++b) {
-    const std::uint64_t start = r.u64();
-    const std::uint64_t count = r.varint();
-    art.bbv.emplace_back(start, count);
-  }
-  return r.ok();
+  return mismatch::read_report_summary(r, art.report);
 }
 
 std::string encode_lease_result(const LeaseResultMsg& msg) {
@@ -296,103 +275,6 @@ ser::Status decode_heartbeat(const std::string& payload, HeartbeatMsg* msg) {
   msg->served = r.u64();
   if (!r.done()) {
     return decode_error("heartbeat", r, payload, "malformed fields");
-  }
-  return {};
-}
-
-std::string encode_fed_request(const FedRequestMsg& msg) {
-  ser::Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kFedRequest));
-  w.u8(msg.mode);
-  return w.take();
-}
-
-ser::Status decode_fed_request(const std::string& payload,
-                               FedRequestMsg* msg) {
-  ser::Reader r(payload);
-  if (!take_type(r, MsgType::kFedRequest)) {
-    return decode_error("fed-request", r, payload, "wrong type tag");
-  }
-  msg->mode = r.u8();
-  if (!r.done() || msg->mode > static_cast<std::uint8_t>(FedMode::kPull)) {
-    return decode_error("fed-request", r, payload, "malformed fields");
-  }
-  return {};
-}
-
-std::string encode_fed_delta(const FedDeltaMsg& msg) {
-  ser::Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kFedDelta));
-  w.vec_u32(msg.program);
-  w.u64(msg.meta.test_index);
-  w.u32(msg.meta.standalone_bins);
-  w.u32(msg.meta.incremental_bins);
-  w.u32(msg.meta.mismatches);
-  w.u64(msg.meta.ctrl_new);
-  w.u64(msg.meta.phase_hash);
-  w.vec_u32(msg.meta.new_bins);
-  return w.take();
-}
-
-ser::Status decode_fed_delta(const std::string& payload, FedDeltaMsg* msg) {
-  ser::Reader r(payload);
-  if (!take_type(r, MsgType::kFedDelta)) {
-    return decode_error("fed-delta", r, payload, "wrong type tag");
-  }
-  msg->program = r.vec_u32();
-  if (!r.ok() || msg->program.empty()) {
-    return decode_error("fed-delta", r, payload, "malformed or empty program");
-  }
-  msg->meta.test_index = r.u64();
-  msg->meta.standalone_bins = r.u32();
-  msg->meta.incremental_bins = r.u32();
-  msg->meta.mismatches = r.u32();
-  msg->meta.ctrl_new = r.u64();
-  msg->meta.phase_hash = r.u64();
-  msg->meta.new_bins = r.vec_u32();
-  if (!r.done()) {
-    return decode_error("fed-delta", r, payload, "malformed fields");
-  }
-  return {};
-}
-
-std::string encode_fed_ack(const FedAckMsg& msg) {
-  ser::Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kFedAck));
-  w.u8(msg.status);
-  w.str(msg.detail);
-  return w.take();
-}
-
-ser::Status decode_fed_ack(const std::string& payload, FedAckMsg* msg) {
-  ser::Reader r(payload);
-  if (!take_type(r, MsgType::kFedAck)) {
-    return decode_error("fed-ack", r, payload, "wrong type tag");
-  }
-  msg->status = r.u8();
-  msg->detail = r.str();
-  if (!r.done() ||
-      msg->status > static_cast<std::uint8_t>(FedAckStatus::kCorrupt)) {
-    return decode_error("fed-ack", r, payload, "malformed fields");
-  }
-  return {};
-}
-
-std::string encode_fed_done(const FedDoneMsg& msg) {
-  ser::Writer w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kFedDone));
-  w.u64(msg.count);
-  return w.take();
-}
-
-ser::Status decode_fed_done(const std::string& payload, FedDoneMsg* msg) {
-  ser::Reader r(payload);
-  if (!take_type(r, MsgType::kFedDone)) {
-    return decode_error("fed-done", r, payload, "wrong type tag");
-  }
-  msg->count = r.u64();
-  if (!r.done()) {
-    return decode_error("fed-done", r, payload, "malformed fields");
   }
   return {};
 }

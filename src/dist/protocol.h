@@ -34,7 +34,6 @@
 
 #include "core/campaign.h"
 #include "core/sim_worker.h"
-#include "corpus/store.h"
 #include "util/serialize.h"
 
 namespace chatfuzz::dist {
@@ -58,7 +57,11 @@ namespace chatfuzz::dist {
 // with a kStatsReply snapshot of its own obs metrics registry, which the
 // coordinator folds into the --stats NDJSON stream. Observation-only: no
 // stats frame ever carries or mutates campaign state.
-inline constexpr std::uint32_t kProtocolVersion = 5;
+// v6: corpus federation and the BBV log are gone: the kFed* frames, the
+// federate role, ConfigMsg's BBV flag and the artifact's BBV varint. The
+// stats frames move down to 8 and 9, so the message types stay contiguous
+// and peek_type's range check stays exact.
+inline constexpr std::uint32_t kProtocolVersion = 6;
 inline constexpr std::uint32_t kFrameMagic = 0x4346444D;  // "CFDM"
 /// Upper bound on one frame's payload; a length prefix beyond this is
 /// treated as corruption (it would otherwise become an allocation bomb).
@@ -73,16 +76,13 @@ enum class MsgType : std::uint8_t {
   kShutdown = 5,
   kReject = 6,
   kHeartbeat = 7,
-  kFedRequest = 8,
-  kFedDelta = 9,
-  kFedAck = 10,
-  kFedDone = 11,
-  kStatsRequest = 12,
-  kStatsReply = 13,
+  kStatsRequest = 8,
+  kStatsReply = 9,
 };
 
-/// What a hello's sender wants from the connection.
-enum class PeerRole : std::uint8_t { kWorker = 0, kFederate = 1, kStatus = 2 };
+/// What a hello's sender wants from the connection. 1 is retired (see v6
+/// above); a hello carrying it is refused.
+enum class PeerRole : std::uint8_t { kWorker = 0, kStatus = 2 };
 
 struct HelloMsg {
   std::uint32_t protocol = kProtocolVersion;
@@ -103,7 +103,6 @@ struct ConfigMsg {
   // are scheduling/persistence, not checkpoint state) but that workers must
   // still honor for the current run:
   bool superblocks = true;         // dispatch engine selection
-  bool collect_bbv = false;        // record per-test BBVs into artifacts
   /// config_fingerprint() of cfg as the coordinator serialized it. The
   /// worker recomputes the fingerprint from its own decode and refuses the
   /// pairing on mismatch — catches layout drift between mixed builds that
@@ -120,39 +119,6 @@ struct RejectMsg {
 
 struct HeartbeatMsg {
   std::uint64_t served = 0;  // leases completed so far (diagnostics)
-};
-
-// ---- corpus federation ----------------------------------------------------
-// One session = hello, kFedRequest, then either the client streams
-// kFedDelta frames (push; each is acked) or the server does (pull), ended
-// by kFedDone. Deltas are keyed by program content, so a re-push after a
-// disconnect is idempotent: already-merged entries ack as kDuplicate.
-
-enum class FedMode : std::uint8_t { kPush = 0, kPull = 1 };
-
-struct FedRequestMsg {
-  std::uint8_t mode = static_cast<std::uint8_t>(FedMode::kPush);
-};
-
-/// One coverage-attributed corpus entry in flight.
-struct FedDeltaMsg {
-  core::Program program;
-  corpus::StoreEntryMeta meta;
-};
-
-enum class FedAckStatus : std::uint8_t {
-  kMerged = 0,
-  kDuplicate = 1,
-  kCorrupt = 2,  // quarantined on the receiver, session continues
-};
-
-struct FedAckMsg {
-  std::uint8_t status = static_cast<std::uint8_t>(FedAckStatus::kMerged);
-  std::string detail;
-};
-
-struct FedDoneMsg {
-  std::uint64_t count = 0;  // deltas the sender streamed
 };
 
 struct LeaseMsg {
@@ -200,10 +166,6 @@ std::string encode_lease_result(const LeaseResultMsg& msg);
 std::string encode_shutdown();
 std::string encode_reject(const RejectMsg& msg);
 std::string encode_heartbeat(const HeartbeatMsg& msg);
-std::string encode_fed_request(const FedRequestMsg& msg);
-std::string encode_fed_delta(const FedDeltaMsg& msg);
-std::string encode_fed_ack(const FedAckMsg& msg);
-std::string encode_fed_done(const FedDoneMsg& msg);
 std::string encode_stats_request();
 std::string encode_stats_reply(const StatsReplyMsg& msg);
 
@@ -218,10 +180,6 @@ ser::Status decode_lease_result(const std::string& payload,
                                 LeaseResultMsg* msg);
 ser::Status decode_reject(const std::string& payload, RejectMsg* msg);
 ser::Status decode_heartbeat(const std::string& payload, HeartbeatMsg* msg);
-ser::Status decode_fed_request(const std::string& payload, FedRequestMsg* msg);
-ser::Status decode_fed_delta(const std::string& payload, FedDeltaMsg* msg);
-ser::Status decode_fed_ack(const std::string& payload, FedAckMsg* msg);
-ser::Status decode_fed_done(const std::string& payload, FedDoneMsg* msg);
 ser::Status decode_stats_reply(const std::string& payload, StatsReplyMsg* msg);
 
 /// Per-test artifact encoding (shared by result frames; exposed for tests).

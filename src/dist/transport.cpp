@@ -73,23 +73,8 @@ bool resolve_ipv4(const std::string& host, in_addr* out) {
   return ::inet_pton(AF_INET, host.c_str(), out) == 1;
 }
 
-}  // namespace
-
-std::optional<HostPort> parse_hostport(const std::string& s) {
-  const std::size_t colon = s.rfind(':');
-  if (colon == std::string::npos || colon + 1 == s.size()) return std::nullopt;
-  HostPort hp;
-  hp.host = s.substr(0, colon);
-  const std::string port_str = s.substr(colon + 1);
-  char* end = nullptr;
-  const unsigned long port = std::strtoul(port_str.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || port > 65535) return std::nullopt;
-  hp.port = static_cast<std::uint16_t>(port);
-  in_addr dummy;
-  if (!resolve_ipv4(hp.host, &dummy)) return std::nullopt;
-  return hp;
-}
-
+/// Bind+listen; returns the fd (CLOEXEC, SO_REUSEADDR, nonblocking accepts)
+/// or -1 with *err set.
 int tcp_listen(const HostPort& hp, std::string* err) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -118,6 +103,33 @@ int tcp_listen(const HostPort& hp, std::string* err) {
   // Nonblocking so accept_peer() never stalls the coordinator's poll loop.
   ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
   return fd;
+}
+
+/// The locally bound port of a listening fd (resolves an ephemeral :0).
+std::uint16_t bound_port(int listen_fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    return 0;
+  }
+  return ntohs(addr.sin_port);
+}
+
+}  // namespace
+
+std::optional<HostPort> parse_hostport(const std::string& s) {
+  const std::size_t colon = s.rfind(':');
+  if (colon == std::string::npos || colon + 1 == s.size()) return std::nullopt;
+  HostPort hp;
+  hp.host = s.substr(0, colon);
+  const std::string port_str = s.substr(colon + 1);
+  char* end = nullptr;
+  const unsigned long port = std::strtoul(port_str.c_str(), &end, 10);
+  if (end == nullptr || *end != '\0' || port > 65535) return std::nullopt;
+  hp.port = static_cast<std::uint16_t>(port);
+  in_addr dummy;
+  if (!resolve_ipv4(hp.host, &dummy)) return std::nullopt;
+  return hp;
 }
 
 int tcp_connect(const HostPort& hp, int timeout_ms, std::string* err) {
@@ -171,15 +183,6 @@ int tcp_connect(const HostPort& hp, int timeout_ms, std::string* err) {
   ::fcntl(fd, F_SETFL, flags);  // back to blocking for frame I/O
   tune_stream_socket(fd);
   return fd;
-}
-
-std::uint16_t bound_port(int listen_fd) {
-  sockaddr_in addr{};
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    return 0;
-  }
-  return ntohs(addr.sin_port);
 }
 
 // ---- Transport -----------------------------------------------------------

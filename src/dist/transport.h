@@ -118,7 +118,7 @@ class Transport {
   std::vector<pid_t> children_;
 };
 
-// ---- TCP plumbing (shared with the worker / federation dial side) ---------
+// ---- TCP plumbing (shared with the worker and fleet-status dial side) -----
 
 struct HostPort {
   std::string host = "127.0.0.1";
@@ -129,14 +129,9 @@ struct HostPort {
 /// 0.0.0.0). Port 0 is allowed (ephemeral bind). nullopt on syntax errors.
 std::optional<HostPort> parse_hostport(const std::string& s);
 
-/// Bind+listen; returns the fd (CLOEXEC, SO_REUSEADDR, nonblocking accepts)
-/// or -1 with *err set.
-int tcp_listen(const HostPort& hp, std::string* err);
 /// Connect with a bounded wait; returns the fd (TCP_NODELAY + keepalive,
 /// so a vanished peer is detected even while blocked in a frame read) or
 /// -1 with *err set.
 int tcp_connect(const HostPort& hp, int timeout_ms, std::string* err);
-/// The locally bound port of a listening fd (resolves an ephemeral :0).
-std::uint16_t bound_port(int listen_fd);
 
 }  // namespace chatfuzz::dist

@@ -159,12 +159,9 @@ ServeOutcome serve(FrameChannel& chan, const WorkerOptions& opts,
   set_log_role("worker " + std::to_string(config.worker_index));
 
   core::CampaignConfig& cfg = config.cfg;
-  // Re-apply the per-run knobs write_campaign_config excludes: the dispatch
-  // engine, and BBV collection — run_one() keys collection off a non-empty
-  // bbv_path, so the worker sets the "collect without writing" sentinel (the
-  // coordinator owns the file; workers only ship BBVs inside artifacts).
+  // Re-apply the per-run knob write_campaign_config excludes: the dispatch
+  // engine.
   cfg.superblocks = config.superblocks;
-  cfg.bbv_path = config.collect_bbv ? "-" : "";
   const bool use_suite = config.use_suite;
 
   // Thread pool sizing mirrors the in-process engine: num_workers threads

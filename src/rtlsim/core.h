@@ -40,8 +40,7 @@ class RtlCore final : public DutCore {
   void reset(std::span<const std::uint32_t> program) override;
 
   sim::RunResult run() override;
-  /// One instruction through the pipeline. A manual step() loop closes the
-  /// BBV block itself (run() calls on_stop()).
+  /// One instruction through the pipeline.
   std::optional<sim::CommitRecord> step();
 
   std::uint64_t reg(unsigned i) const override { return regs_[i & 31]; }

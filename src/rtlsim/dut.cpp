@@ -50,7 +50,6 @@ void DutCore::reset_common(std::span<const std::uint32_t> program) {
 }
 
 sim::RunResult DutCore::finish_run() {
-  if (bbv_ != nullptr) bbv_->on_stop();
   sim::RunResult r;
   r.trace = trace_;
   r.stop = stop_reason_;

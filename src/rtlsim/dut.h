@@ -6,8 +6,8 @@
 // DutCore owns what both backends model identically: memory, caches, the
 // branch predictor, the predecode cache, the CLINT, the CSR file with its
 // WARL rules, trap and interrupt entry, the Sv39 TLB and page-table walker,
-// and the commit path (control-register coverage, sink or trace, BBV). What
-// the differential harness needs independent is a DUT versus the golden
+// and the commit path (control-register coverage, sink or trace). What the
+// differential harness needs independent is a DUT versus the golden
 // model (src/isasim is a separate implementation of the same rules), not one
 // DUT versus another, so each privileged rule is written once, here. The
 // shared code records no coverage: RtlCore turns what these calls return
@@ -32,7 +32,6 @@
 #include "riscv/csr.h"
 #include "riscv/instr.h"
 #include "riscv/predecode.h"
-#include "riscv/superblock.h"
 #include "rtlsim/caches.h"
 #include "rtlsim/config.h"
 
@@ -79,11 +78,6 @@ class DutCore {
   /// empty and run() returns an empty RunResult::trace — the streaming path
   /// never materializes one.
   void set_sink(sim::CommitSink* sink) { sink_ = sink; }
-  /// Attach a basic-block-vector recorder; every committed instruction is
-  /// reported as (pc, next_pc) so the recorder can close blocks on control
-  /// transfer. The recorder must outlive the run; nullptr detaches. run()
-  /// calls on_stop() when the run ends.
-  void set_bbv(riscv::BbvRecorder* bbv) { bbv_ = bbv; }
 
   /// Telemetry counters (predecode/TLB/superblock hit rates) accumulated
   /// since the last take; taking zeroes them. Observation-only.
@@ -110,7 +104,7 @@ class DutCore {
   /// state (pc at the RAM base, M-mode, CSR reset values), flush caches,
   /// predictor, predecode cache and TLB, and clear the run state.
   void reset_common(std::span<const std::uint32_t> program);
-  /// End of run(): close the trailing BBV block and report the run.
+  /// End of run(): report the run.
   sim::RunResult finish_run();
   void stop(sim::StopReason why) {
     stopped_ = true;
@@ -120,8 +114,8 @@ class DutCore {
   /// Retire `rec`, whose instruction decoded as `d` and was fetched with
   /// `icache_hit`: fold the DifuzzRTL control-register state (decoded
   /// opcode + commit-stage flags, XOR-chained with the previous state for
-  /// the sequence-sensitive half), hand the record to the sink or the
-  /// trace, and report it to the BBV recorder. Runs after pc_ has moved on.
+  /// the sequence-sensitive half) and hand the record to the sink or the
+  /// trace. Runs after pc_ has moved on.
   void commit(const sim::CommitRecord& rec, const riscv::Decoded& d,
               bool icache_hit) {
     std::uint64_t pack = d.valid() ? static_cast<std::uint64_t>(d.op) : 0x7f;
@@ -138,9 +132,6 @@ class DutCore {
       sink_->on_commit(rec);
     } else {
       trace_.push_back(rec);
-    }
-    if (bbv_ != nullptr) {
-      bbv_->on_commit(rec.pc, pc_, rec.exception != riscv::Exception::kNone);
     }
   }
 
@@ -296,7 +287,6 @@ class DutCore {
   // coverage point behave exactly as without it.
   riscv::PredecodeCache predecode_;
   cov::CtrlRegCoverage ctrl_cov_;
-  riscv::BbvRecorder* bbv_ = nullptr;
   // Telemetry tallies (see take_obs_counters); never read architecturally.
   obs::SimCounters obs_;
 

@@ -282,34 +282,10 @@ TEST(CampaignDeterminism, PrivVmSuperblockDispatchIsResultInvariant) {
   EXPECT_GT(a.raw_mismatches, 0u);  // the injected bugs still fire
 }
 
-TEST(CampaignDeterminism, BbvFilesAreDispatchAndWorkerCountInvariant) {
-  // Basic-block vectors are a pure function of the committed instruction
-  // stream: the --bbv file must be byte-identical whichever dispatch engine
-  // produced it and however many workers folded it.
-  const std::string dir = ::testing::TempDir() + "/bbv_invariance";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const auto run = [&](const char* name, bool superblocks,
-                       std::size_t workers) {
-    PrivCorpusFuzzer gen(77);
-    CampaignConfig c = small_campaign();
-    c.superblocks = superblocks;
-    c.num_workers = workers;
-    c.bbv_path = dir + "/" + name;
-    run_campaign(gen, c);
-    return file_bytes(c.bbv_path);
-  };
-  const std::string reference = run("on_w1.bbv", true, 1);
-  EXPECT_FALSE(reference.empty());
-  EXPECT_EQ(reference, run("off_w1.bbv", false, 1));
-  EXPECT_EQ(reference, run("on_w4.bbv", true, 4));
-  EXPECT_EQ(reference, run("off_w4.bbv", false, 4));
-}
-
 TEST(CampaignDeterminism, ResumeWithSuperblocksToggledMatches) {
-  // superblocks/bbv_path are per-run knobs, never serialized: a campaign
+  // superblocks is a per-run knob, never serialized: a campaign
   // checkpointed with superblocks ON resumes bit-identically with them OFF
-  // (and vice versa), including the BBV log across the resume cut.
+  // (and vice versa).
   const std::string dir = ::testing::TempDir() + "/sb_toggle_resume";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
@@ -318,7 +294,6 @@ TEST(CampaignDeterminism, ResumeWithSuperblocksToggledMatches) {
     PrivCorpusFuzzer gen(77);
     CampaignConfig c = small_campaign();
     c.num_workers = 1;
-    c.bbv_path = dir + "/ref.bbv";
     reference = run_campaign(gen, c);
     ASSERT_TRUE(reference.completed);
   }
@@ -329,16 +304,13 @@ TEST(CampaignDeterminism, ResumeWithSuperblocksToggledMatches) {
     c.num_workers = 1;
     c.checkpoint_dir = ckpt;
     c.stop_after_tests = 40;
-    c.bbv_path = dir + "/cut.bbv";
     ASSERT_FALSE(run_campaign(gen, c).completed);
   }
   PrivCorpusFuzzer fresh(12345);  // state comes from disk, not the seed
   ResumeOptions opts;
   opts.num_workers = 4;
   opts.superblocks = false;  // toggled across the cut
-  opts.bbv_path = dir + "/cut.bbv";
   expect_identical(reference, resume_campaign(fresh, ckpt, opts));
-  EXPECT_EQ(file_bytes(dir + "/ref.bbv"), file_bytes(dir + "/cut.bbv"));
 }
 
 TEST(CampaignDeterminism, MoreWorkersThanTestsIsSafe) {

@@ -247,12 +247,11 @@ TEST(DistDeterminism, CheckpointResumeCutCanSwitchTopology) {
   fs::remove_all(db);
 }
 
-TEST(DistDeterminism, SuperblockToggleAndBbvCrossProcessBoundary) {
-  // The dispatch engine and BBV collection ride the config wire (they are
-  // per-run knobs, never checkpointed): a 2-process campaign with
-  // superblocks OFF must fold to the same result and persisted bytes as a
-  // single-process superblock run, and the coordinator-written BBV files
-  // must match byte-for-byte (workers collect, the coordinator writes).
+TEST(DistDeterminism, SuperblockToggleCrossProcessBoundary) {
+  // The dispatch engine rides the config wire (it is a per-run knob, never
+  // checkpointed): a 2-process campaign with superblocks OFF must fold to
+  // the same result and persisted bytes as a single-process superblock
+  // run.
   const CampaignConfig cfg = small_campaign();
   const std::string da = fresh_dir("sb_a"), db = fresh_dir("sb_b");
   CampaignResult a, b;
@@ -262,7 +261,6 @@ TEST(DistDeterminism, SuperblockToggleAndBbvCrossProcessBoundary) {
     c.dist.num_procs = 1;
     c.num_workers = 1;
     c.checkpoint_dir = da;
-    c.bbv_path = da + ".bbv";
     a = run_campaign(gen, c);
   }
   {
@@ -272,18 +270,12 @@ TEST(DistDeterminism, SuperblockToggleAndBbvCrossProcessBoundary) {
     c.dist.num_procs = 2;
     c.num_workers = 2;
     c.checkpoint_dir = db;
-    c.bbv_path = db + ".bbv";
     b = run_campaign(gen, c);
   }
   expect_identical(a, b);
   expect_same_persisted_state(da, db);
-  const std::string bbv_a = file_bytes(da + ".bbv");
-  EXPECT_FALSE(bbv_a.empty());
-  EXPECT_EQ(bbv_a, file_bytes(db + ".bbv"));
   fs::remove_all(da);
   fs::remove_all(db);
-  fs::remove(da + ".bbv");
-  fs::remove(db + ".bbv");
 }
 
 // ---------------------------------------------------------------------------
@@ -403,7 +395,6 @@ TEST(DistProtocol, MessageRoundTrips) {
   cfg.worker_index = 3;
   cfg.max_lease_tests = 4;
   cfg.superblocks = false;
-  cfg.collect_bbv = true;
   dist::ConfigMsg cfg2;
   ASSERT_TRUE(dist::decode_config(dist::encode_config(cfg), &cfg2).ok());
   EXPECT_EQ(cfg2.cfg.seed, 77u);
@@ -414,7 +405,6 @@ TEST(DistProtocol, MessageRoundTrips) {
   EXPECT_EQ(cfg2.worker_index, 3u);
   EXPECT_EQ(cfg2.max_lease_tests, 4u);
   EXPECT_FALSE(cfg2.superblocks);
-  EXPECT_TRUE(cfg2.collect_bbv);
 
   dist::HelloMsg hello;
   hello.pid = 999;
@@ -433,7 +423,6 @@ TEST(DistProtocol, ArtifactRoundTripIncludesMismatchRecords) {
   art.stmt_bins = {};
   art.cycles = 4242;
   art.steps = 99;
-  art.bbv = {{0x8000'0000ull, 3}, {0x8000'0040ull, 1}};
   art.report.raw_count = 5;
   art.report.filtered_count = 1;
   mismatch::Mismatch m;
@@ -472,7 +461,6 @@ TEST(DistProtocol, ArtifactRoundTripIncludesMismatchRecords) {
   EXPECT_EQ(back.fsm_bins, art.fsm_bins);
   EXPECT_EQ(back.cycles, 4242u);
   EXPECT_EQ(back.steps, 99u);
-  EXPECT_EQ(back.bbv, art.bbv);
   // Mismatches travel as signature summaries: kind/finding/signature and
   // the per-run counts survive (everything campaign accumulation reads);
   // the commit-record details deliberately do not ride the wire.
@@ -525,6 +513,13 @@ TEST(DistProtocol, DecodersRejectGarbageAndWrongTypes) {
   EXPECT_EQ(dist::peek_type("\x63"), dist::MsgType::kInvalid);
   EXPECT_EQ(dist::peek_type(dist::encode_shutdown()),
             dist::MsgType::kShutdown);
+  // The type range is contiguous: the last type passes, one past it and
+  // 0xFF do not.
+  const auto last = static_cast<char>(dist::MsgType::kStatsReply);
+  EXPECT_EQ(dist::peek_type(std::string(1, last)), dist::MsgType::kStatsReply);
+  EXPECT_EQ(dist::peek_type(std::string(1, static_cast<char>(last + 1))),
+            dist::MsgType::kInvalid);
+  EXPECT_EQ(dist::peek_type("\xFF"), dist::MsgType::kInvalid);
 }
 
 }  // namespace

@@ -421,17 +421,20 @@ TEST(DistFault, WorkerRejectsAMalformedRetryCountBeforeDialing) {
   EXPECT_NE(err.find("0 consecutive"), std::string::npos) << err;
 }
 
-TEST(DistFault, DefaultFleetRejectsForeignDialIn) {
-  // A default fleet (no listen, no token) still listens on loopback, so it
-  // must not trust whoever dials in: the coordinator mints a per-campaign
-  // token that only its spawned children receive. A foreign local process
-  // that dials in mid-campaign with an empty token is rejected, and the
-  // campaign output stays byte-identical to a single-process run.
-  const std::string da = fresh_dir("priv_clean"), db = fresh_dir("priv_fleet");
+/// Run small_campaign() on a 2-process fleet whose token is `token` (empty:
+/// the coordinator mints one that only its spawned children receive), dial
+/// in once mid-campaign with `hello`, and put the reason of the coordinator's
+/// kReject in `*reason`. The fleet must count the rejection and its output
+/// must stay byte-identical to a single-process run.
+void dial_in_mid_campaign(const char* tag, const std::string& token,
+                          const dist::HelloMsg& hello, std::string* reason) {
+  const std::string da = fresh_dir((std::string(tag) + "_clean").c_str());
+  const std::string db = fresh_dir((std::string(tag) + "_fleet").c_str());
   const CampaignResult base = run_with(small_campaign(), 1, 1, da);
 
   CampaignConfig cfg = small_campaign();
   cfg.dist.num_procs = 2;
+  cfg.dist.token = token;
   cfg.num_workers = 1;
   cfg.dist.port_file = db + ".port";
   cfg.stats_path = db + ".ndjson";
@@ -442,8 +445,8 @@ TEST(DistFault, DefaultFleetRejectsForeignDialIn) {
       run_campaign(gen, cfg, [&](const CampaignPoint&) {
         if (foreign) return;
         // First curve point: the fleet is up and later batches remain. Dial
-        // in and say hello with no token; the coordinator answers when its
-        // poll loop next accepts.
+        // in and say hello; the coordinator answers when its poll loop next
+        // accepts.
         const auto hp =
             dist::parse_hostport(read_port_file(cfg.dist.port_file));
         ASSERT_TRUE(hp.has_value());
@@ -451,8 +454,6 @@ TEST(DistFault, DefaultFleetRejectsForeignDialIn) {
         const int fd = dist::tcp_connect(*hp, 5'000, &err);
         ASSERT_GE(fd, 0) << err;
         foreign = std::make_unique<dist::SocketChannel>(fd);
-        dist::HelloMsg hello;
-        hello.pid = static_cast<std::uint64_t>(::getpid());
         ASSERT_TRUE(
             foreign->send_frame(dist::encode_hello(hello), 5'000).ok());
       });
@@ -462,7 +463,7 @@ TEST(DistFault, DefaultFleetRejectsForeignDialIn) {
   ASSERT_TRUE(foreign->recv_frame(&payload, 5'000).ok());
   dist::RejectMsg reject;
   ASSERT_TRUE(dist::decode_reject(payload, &reject).ok());
-  EXPECT_EQ(reject.reason, "bad auth token");
+  *reason = reject.reason;
   const std::string ndjson = file_bytes(cfg.stats_path);
   const std::string key = "\"fleet.peers_rejected\":";
   const std::size_t at = ndjson.rfind(key);
@@ -474,6 +475,30 @@ TEST(DistFault, DefaultFleetRejectsForeignDialIn) {
   fs::remove_all(db);
   fs::remove(cfg.dist.port_file);
   fs::remove(cfg.stats_path);
+}
+
+TEST(DistFault, DefaultFleetRejectsForeignDialIn) {
+  // A default fleet (no listen, no token) still listens on loopback, so it
+  // must not trust whoever dials in: the coordinator mints a per-campaign
+  // token that only its spawned children receive. A foreign local process
+  // that dials in mid-campaign with an empty token is rejected.
+  dist::HelloMsg hello;
+  hello.pid = static_cast<std::uint64_t>(::getpid());
+  std::string reason;
+  dial_in_mid_campaign("priv", "", hello, &reason);
+  EXPECT_EQ(reason, "bad auth token");
+}
+
+TEST(DistFault, FleetRejectsAPeerRoleItDoesNotServe) {
+  // The right token does not make any peer a worker: a hello with role 1
+  // (retired in protocol v6) is refused by role.
+  dist::HelloMsg hello;
+  hello.pid = static_cast<std::uint64_t>(::getpid());
+  hello.token = "fleet-secret";
+  hello.role = 1;
+  std::string reason;
+  dial_in_mid_campaign("role", "fleet-secret", hello, &reason);
+  EXPECT_EQ(reason, "peer role 1 is neither 'worker' nor 'status'");
 }
 
 TEST(DistFault, HungWorkerIsNoProgressNotNoHeartbeat) {

@@ -369,7 +369,6 @@ corpus::StoreEntryMeta meta_for(std::uint64_t index) {
   m.incremental_bins = static_cast<std::uint32_t>(index % 5);
   m.mismatches = static_cast<std::uint32_t>(index % 2);
   m.ctrl_new = index * 7;
-  m.phase_hash = index * 11 + 1;
   m.new_bins = {static_cast<std::uint32_t>(index),
                 static_cast<std::uint32_t>(index + 100)};
   return m;
@@ -405,17 +404,17 @@ TEST(SnapshotRoundTrip, CorpusStorePersistsAcrossReopen) {
     ASSERT_TRUE(reopened.read_program(i, &p).ok());
     EXPECT_EQ(p, programs[i]) << "entry " << i;
     EXPECT_EQ(reopened.meta(i).test_index, i);
-    EXPECT_EQ(reopened.meta(i).phase_hash, meta_for(i).phase_hash);
+    EXPECT_EQ(reopened.meta(i).ctrl_new, meta_for(i).ctrl_new);
     EXPECT_EQ(reopened.meta(i).new_bins, meta_for(i).new_bins);
   }
 }
 
-TEST(SnapshotRoundTrip, CheckpointBytesIgnoreDispatchEngineAndBbv) {
-  // The superblock span caches are derived microarchitectural state and BBV
-  // collection is observation-only: neither may leak into a checkpoint. A
-  // campaign cut at the same test count must write byte-identical
-  // campaign.ckpt files with superblocks+BBV on and with both off.
-  const auto run_cut = [](const char* tag, bool superblocks, bool bbv) {
+TEST(SnapshotRoundTrip, CheckpointBytesIgnoreDispatchEngine) {
+  // The superblock span caches are derived microarchitectural state and
+  // must not leak into a checkpoint. A campaign cut at the same test count
+  // must write byte-identical campaign.ckpt files with superblocks on and
+  // off.
+  const auto run_cut = [](const char* tag, bool superblocks) {
     const std::string dir = temp_path(std::string("ckpt_sb_") + tag);
     std::filesystem::remove_all(dir);
     baselines::RandomFuzzer gen(11);
@@ -427,14 +426,13 @@ TEST(SnapshotRoundTrip, CheckpointBytesIgnoreDispatchEngineAndBbv) {
     cfg.superblocks = superblocks;
     cfg.checkpoint_dir = dir;
     cfg.stop_after_tests = 40;
-    if (bbv) cfg.bbv_path = dir + "/log.bbv";
     core::run_campaign(gen, cfg);
     std::ifstream f(core::checkpoint_path(dir), std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(f), {});
   };
-  const std::string with = run_cut("on", true, true);
+  const std::string with = run_cut("on", true);
   ASSERT_FALSE(with.empty());
-  EXPECT_EQ(with, run_cut("off", false, false));
+  EXPECT_EQ(with, run_cut("off", false));
 }
 
 TEST(SnapshotRoundTrip, CheckpointCampaignConfigRoundTripsDutList) {
@@ -646,6 +644,42 @@ TEST(SnapshotRoundTrip, CorpusStoreReportsMissingShardBytes) {
   const ser::Status s = store.read_program(0, &p);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("truncated"), std::string::npos) << s.message();
+}
+
+TEST(SnapshotRoundTrip, CorpusStoreChecksShardSizeBeforeAllocating) {
+  // An index whose checksum is valid can still claim an entry of 2^32 - 1
+  // words (16 GiB). read_program must refuse it against the shard's real
+  // size instead of allocating the claim.
+  const std::string dir = temp_path("store_oversized_entry");
+  std::filesystem::remove_all(dir);
+  {
+    corpus::CorpusStore store;
+    ASSERT_TRUE(store.open(dir).ok());
+    ASSERT_TRUE(store.append({1, 2, 3, 4}, meta_for(0)).ok());
+    ASSERT_TRUE(store.flush().ok());
+  }
+  // Index v3 payload: capacity u64, count u64, then entry 0's word count.
+  // 0x43465A43 is the index magic.
+  const std::string index = dir + "/index.bin";
+  std::string payload;
+  ASSERT_TRUE(ser::read_file(index, 0x43465A43, 3, "index", &payload).ok());
+  ASSERT_GE(payload.size(), 20u);
+  payload.replace(16, 4, 4, '\xff');
+  ASSERT_TRUE(ser::write_file(index, 0x43465A43, 3, payload).ok());
+
+  corpus::CorpusStore store;
+  ASSERT_TRUE(store.open(dir).ok());
+  EXPECT_EQ(store.program_words(0), 0xFFFFFFFFu);
+  EXPECT_EQ(store.num_shards(), 1u);
+  core::Program p;
+  ser::Status s = store.read_program(0, &p);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("truncated"), std::string::npos) << s.message();
+  // The resume path's rollback must not grow the shard to the claim either.
+  s = store.truncate(1);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("truncated"), std::string::npos) << s.message();
+  EXPECT_EQ(std::filesystem::file_size(store.shard_path(0)), 16u);
 }
 
 // ---- Gpt model files (the save/load diagnostics satellite) ------------------

@@ -13,13 +13,12 @@
 //   chatfuzz fuzz --resume <dir>          continue a checkpointed campaign
 //   chatfuzz corpus <export|import|minimize|stats> <dir> ...
 //                                          work with an on-disk corpus store
-//   chatfuzz federate <serve|push|pull> <dir> ...
-//                                          exchange corpus deltas over TCP
 //   chatfuzz fleet status <host:port>     live state of a fuzz --listen fleet
 //   chatfuzz solve <point-name>           directed test for a coverage point
 //   chatfuzz worker --connect <a>         distributed-campaign worker;
 //                                          spawned by fuzz --procs or
 //                                          dialing a fuzz --listen fleet
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -41,7 +40,6 @@
 #include "corpus/stats.h"
 #include "corpus/store.h"
 #include "coverage/merge.h"
-#include "dist/federation.h"
 #include "dist/fleet.h"
 #include "dist/worker.h"
 #include "riscv/asm.h"
@@ -75,13 +73,13 @@ constexpr CommandDoc kCommands[] = {
     {"fuzz",
      "<fuzzer> <tests> [workers] [--dut <list>] [--procs <n>] "
      "[--listen <host:port>] [--token <t>] [--port-file <f>] "
-     "[--checkpoint <dir>] [--every <n>] [--bbv <file>] [--no-superblocks] "
+     "[--checkpoint <dir>] [--every <n>] [--no-superblocks] "
      "[--trace <f.json>] [--stats <f.ndjson>] [--stats-every <ms>]",
      "campaign; fuzzer = random|thehuzz|difuzz|psofuzz|hypfuzz|chatfuzz;\n"
      "workers = simulation threads per process (default 1, 0 = all cores);\n"
      "--dut runs every test on each listed backend (inorder|rocket|boom|\n"
      "ooo, comma-separated; default inorder) against one golden model;\n"
-     "the first entry is primary (metrics/BBV). Stored in checkpoints;\n"
+     "the first entry is primary (metrics). Stored in checkpoints;\n"
      "resume and corpus minimize keep the stored list.\n"
      "--procs fans the campaign out across <n> worker processes that\n"
      "dial the coordinator back over loopback (coordinator folds, workers\n"
@@ -94,42 +92,29 @@ constexpr CommandDoc kCommands[] = {
      "SIGTERM drains gracefully: finish the batch, checkpoint, exit as\n"
      "paused.\n"
      "--checkpoint snapshots state + corpus to <dir> every <n> tests;\n"
-     "--bbv records per-test basic-block vectors to <file>;\n"
      "--no-superblocks disables superblock dispatch (same results, slower);\n"
      "--trace writes a Chrome trace_event JSON of engine/ML/dist spans\n"
      "(load in Perfetto); --stats appends a metrics snapshot to <f.ndjson>\n"
      "every --stats-every ms (default 1000). Telemetry is out-of-band:\n"
      "results are byte-identical with it on or off"},
     {"fuzz", "--resume <dir> [workers] [--procs <n>] [--listen <host:port>] "
-     "[--token <t>] [--port-file <f>] [--bbv <file>] [--no-superblocks] "
+     "[--token <t>] [--port-file <f>] [--no-superblocks] "
      "[--trace <f.json>] [--stats <f.ndjson>] [--stats-every <ms>]",
      "continue a checkpointed campaign bit-identically to an\n"
      "uninterrupted run (workers: default = checkpoint's count,\n"
-     "0 = all cores; --procs/--listen/--bbv/--no-superblocks/--trace/\n"
-     "--stats are per-run, never stored)"},
+     "0 = all cores; --procs/--listen/--no-superblocks/--trace/--stats\n"
+     "are per-run, never stored)"},
     {"corpus", "export <dir> <out.txt>", "store -> text corpus"},
     {"corpus", "import <dir> <in.txt>", "text corpus -> store"},
     {"corpus", "minimize <dir>",
      "replay each test as its campaign ran it (the sibling checkpoint's\n"
      "config and DUT list, at the test's archived index; defaults for a\n"
-     "bare store) and keep only tests that add coverage or mismatch;\n"
-     "mismatch-only tests whose basic-block-vector phase signature\n"
-     "duplicates an earlier kept test are dropped"},
+     "bare store) and keep only tests that add a coverage bin or carry a\n"
+     "mismatch signature no earlier kept test carries; a second pass\n"
+     "drops nothing and leaves the store's bytes as they are"},
     {"corpus", "stats <dir> [--json]",
-     "entry/shard/byte totals, first-covered-bin attribution histogram,\n"
-     "phase-signature histogram (phase hashes filled by corpus minimize);\n"
+     "entry/shard/byte totals, first-covered-bin attribution histogram;\n"
      "--json emits one machine-readable object instead of the table"},
-    {"federate", "serve <dir> --listen <host:port> [--token <t>] "
-     "[--port-file <f>] [--sessions <n>]",
-     "corpus hub: accept push/pull sessions and merge deltas into <dir>\n"
-     "order-canonically (store bytes independent of push order; corrupt\n"
-     "deltas quarantined to <dir>/quarantine, never fatal). --sessions\n"
-     "exits after n sessions (default: run until killed)"},
-    {"federate", "push <dir> --connect <host:port> [--token <t>]",
-     "send every local corpus entry to the hub; reconnects with backoff\n"
-     "and re-pushes idempotently after a disconnect"},
-    {"federate", "pull <dir> --connect <host:port> [--token <t>]",
-     "fetch the hub's entries into the local store (same canonical merge)"},
     {"fleet", "status <host:port> [--token <t>]",
      "query a running fuzz --listen coordinator for live fleet state:\n"
      "per-peer pid/liveness/leases/results/heartbeat age plus the\n"
@@ -334,7 +319,7 @@ struct NetArgs {
 };
 
 /// Telemetry options shared by fuzz and resume: per-run knobs, never
-/// stored in checkpoints (like --bbv).
+/// stored in checkpoints.
 struct ObsArgs {
   const char* trace = nullptr;
   const char* stats = nullptr;
@@ -393,9 +378,8 @@ bool parse_dut_list(const char* list, std::vector<rtl::CoreConfig>* out) {
 
 int cmd_fuzz(const char* which, std::size_t tests, std::size_t workers,
              std::size_t procs, const char* checkpoint_dir,
-             std::size_t checkpoint_every, const char* bbv_path,
-             bool superblocks, const char* dut_list, const NetArgs& net,
-             const ObsArgs& obs) {
+             std::size_t checkpoint_every, bool superblocks,
+             const char* dut_list, const NetArgs& net, const ObsArgs& obs) {
   core::CampaignConfig cfg;
   cfg.num_tests = tests;
   cfg.checkpoint_every = std::max<std::size_t>(tests / 10, 10);
@@ -406,7 +390,6 @@ int cmd_fuzz(const char* which, std::size_t tests, std::size_t workers,
   cfg.superblocks = superblocks;
   install_drain_handler();
   if (dut_list != nullptr && !parse_dut_list(dut_list, &cfg.duts)) return 2;
-  if (bbv_path != nullptr) cfg.bbv_path = bbv_path;
   if (checkpoint_dir != nullptr) {
     cfg.checkpoint_dir = checkpoint_dir;
     cfg.checkpoint_every_tests = checkpoint_every;
@@ -431,8 +414,8 @@ int cmd_fuzz(const char* which, std::size_t tests, std::size_t workers,
 }
 
 int cmd_resume(const char* dir, std::optional<std::size_t> workers,
-               std::size_t procs, const char* bbv_path, bool superblocks,
-               const NetArgs& net, const ObsArgs& obs) {
+               std::size_t procs, bool superblocks, const NetArgs& net,
+               const ObsArgs& obs) {
   install_drain_handler();
   // One read of what may be a large checkpoint: the loaded image hands the
   // stored fuzzer kind to make_generator() and then resumes directly.
@@ -463,7 +446,6 @@ int cmd_resume(const char* dir, std::optional<std::size_t> workers,
   net.apply(&opts.dist);
   obs.apply(&opts);
   opts.superblocks = superblocks;
-  if (bbv_path != nullptr) opts.bbv_path = bbv_path;
   try {
     const core::CampaignResult r = core::resume_campaign(
         *gen, dir, std::move(data), opts, progress_hook());
@@ -511,8 +493,8 @@ int cmd_corpus_import(const char* dir, const char* in_path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   // Lenient parse: one corrupt entry must not sink a whole (possibly
-  // federated, possibly hand-edited) import. Bad blocks are skipped,
-  // reported individually, and parked verbatim in a quarantine file.
+  // hand-edited) import. Bad blocks are skipped, reported individually,
+  // and parked verbatim in a quarantine file.
   const core::CorpusParse parsed = core::corpus_from_text_lenient(buf.str());
   for (const std::string& err : parsed.errors) {
     std::fprintf(stderr, "corpus import: skipping %s\n", err.c_str());
@@ -557,71 +539,16 @@ int cmd_corpus_import(const char* dir, const char* in_path) {
   return 0;
 }
 
-int cmd_federate(int argc, char** argv) {
-  // argv: federate <serve|push|pull> <dir> --listen/--connect <hp> ...
-  if (argc < 5) return usage();
-  const std::string mode = argv[2];
-  dist::FederateOptions opts;
-  opts.dir = argv[3];
-  bool bad = false;
-  for (int i = 4; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--listen") == 0 && i + 1 < argc) {
-      opts.listen = argv[++i];
-    } else if (std::strcmp(argv[i], "--connect") == 0 && i + 1 < argc) {
-      opts.connect = argv[++i];
-    } else if (std::strcmp(argv[i], "--token") == 0 && i + 1 < argc) {
-      opts.token = argv[++i];
-    } else if (std::strcmp(argv[i], "--port-file") == 0 && i + 1 < argc) {
-      opts.port_file = argv[++i];
-    } else if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
-      const auto n = parse_count(argv[++i]);
-      if (!n) bad = true;
-      else opts.max_sessions = *n;
-    } else {
-      bad = true;
-    }
-  }
-  if (bad) {
-    std::fprintf(stderr, "federate: bad arguments; see usage\n");
-    return usage();
-  }
-  dist::FedStats stats;
-  if (mode == "serve") {
-    if (opts.listen.empty()) return usage();
-    return dist::federate_serve(opts, nullptr, nullptr, &stats);
-  }
-  if (mode == "push") {
-    if (opts.connect.empty()) return usage();
-    const int rc = dist::federate_push(opts, &stats);
-    if (rc == 0) {
-      std::printf("pushed %zu entries: %zu merged, %zu duplicates, "
-                  "%zu rejected as corrupt\n",
-                  stats.streamed, stats.merged, stats.duplicates,
-                  stats.corrupt);
-    }
-    return rc;
-  }
-  if (mode == "pull") {
-    if (opts.connect.empty()) return usage();
-    const int rc = dist::federate_pull(opts, &stats);
-    if (rc == 0) {
-      std::printf("pulled %zu new entries (%zu duplicates, "
-                  "%zu quarantined)\n",
-                  stats.merged, stats.duplicates, stats.corrupt);
-    }
-    return rc;
-  }
-  return usage();
-}
-
 /// Corpus minimization: re-simulate every stored test in order and keep
-/// only those that still contribute (new condition bins or a mismatch) —
-/// the classic cmin pass. Each test replays as its campaign ran it, on the
-/// campaign's own simulation stack. The replay also computes each test's
-/// basic-block-vector phase signature; a mismatch-only test whose phase
-/// duplicates an earlier kept test is redundant (same execution phases, no
-/// new coverage) and is dropped. The store is rewritten with fresh
-/// attribution + phase hashes.
+/// only those that still contribute — the classic cmin pass. Each test
+/// replays as its campaign ran it, on the campaign's own simulation stack.
+/// A test is kept when it covers a condition bin no earlier kept test
+/// covered, or carries a post-filter mismatch signature (the detector's
+/// dedup key, what "unique mismatches" counts) no earlier kept test
+/// carries; a mismatch-only test whose signatures are all archived already
+/// is dropped. The store is rewritten with fresh attribution. Dropped tests
+/// add neither bins nor signatures, so a second pass keeps every test and
+/// rewrites the same bytes.
 int cmd_corpus_minimize(const char* dir) {
   corpus::CorpusStore store;
   ser::Status s = store.open(dir);
@@ -639,7 +566,6 @@ int cmd_corpus_minimize(const char* dir) {
     std::fprintf(stderr, "using campaign config from %s\n",
                  core::checkpoint_path(parent).c_str());
   }
-  cfg.bbv_path = "-";  // collect each test's BBV for its phase hash
   core::SimStack stack(cfg, false);
   core::TestArtifact art;
   std::vector<bool> covered(stack.db.num_bins());
@@ -648,8 +574,8 @@ int cmd_corpus_minimize(const char* dir) {
     corpus::StoreEntryMeta meta;
   };
   std::vector<Kept> kept;
-  std::unordered_set<std::uint64_t> seen_phases;
-  std::size_t phase_dropped = 0;
+  std::unordered_set<std::string> kept_signatures;
+  std::size_t signature_dropped = 0;
   for (std::size_t i = 0; i < store.size(); ++i) {
     core::Program p;
     s = store.read_program(i, &p);
@@ -669,14 +595,18 @@ int cmd_corpus_minimize(const char* dir) {
     meta.standalone_bins = static_cast<std::uint32_t>(art.cond_bins.size());
     meta.incremental_bins = static_cast<std::uint32_t>(meta.new_bins.size());
     meta.mismatches = static_cast<std::uint32_t>(art.report.mismatches.size());
-    meta.phase_hash = stack.bbv.phase_hash();
-    const bool phase_dup = seen_phases.count(meta.phase_hash) != 0;
-    if (meta.incremental_bins > 0 ||
-        (meta.mismatches > 0 && !phase_dup)) {
-      seen_phases.insert(meta.phase_hash);
+    const bool new_signature = std::any_of(
+        art.report.mismatches.begin(), art.report.mismatches.end(),
+        [&](const mismatch::Mismatch& m) {
+          return kept_signatures.count(m.signature) == 0;
+        });
+    if (meta.incremental_bins > 0 || new_signature) {
+      for (const mismatch::Mismatch& m : art.report.mismatches) {
+        kept_signatures.insert(m.signature);
+      }
       kept.push_back({std::move(p), std::move(meta)});
     } else if (meta.mismatches > 0) {
-      ++phase_dropped;  // mismatch-only, but an identical phase is archived
+      ++signature_dropped;  // mismatch-only, every signature already kept
     }
   }
   const std::size_t original = store.size();
@@ -698,8 +628,8 @@ int cmd_corpus_minimize(const char* dir) {
     return 1;
   }
   std::printf("minimized %s: %zu -> %zu tests "
-              "(%zu phase-duplicate mismatches dropped)\n",
-              dir, original, store.size(), phase_dropped);
+              "(%zu signature-duplicate tests dropped)\n",
+              dir, original, store.size(), signature_dropped);
   return 0;
 }
 
@@ -778,7 +708,6 @@ int main(int argc, char** argv) {
       std::strcmp(argv[2], "--resume") == 0) {
     std::optional<std::size_t> workers;  // absent = checkpoint's value
     std::size_t procs = 1;
-    const char* bbv_path = nullptr;
     bool superblocks = true;
     NetArgs net;
     ObsArgs obs;
@@ -788,8 +717,6 @@ int main(int argc, char** argv) {
         const auto p = parse_count(argv[++i]);
         if (!p) bad = true;
         else procs = *p;
-      } else if (std::strcmp(argv[i], "--bbv") == 0 && i + 1 < argc) {
-        bbv_path = argv[++i];
       } else if (net.parse(argc, argv, &i)) {
       } else if (obs.parse(argc, argv, &i)) {
       } else if (std::strcmp(argv[i], "--no-superblocks") == 0) {
@@ -805,8 +732,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "fuzz --resume: bad arguments; see usage\n");
       return usage();
     }
-    return cmd_resume(argv[3], workers, procs, bbv_path, superblocks, net,
-                      obs);
+    return cmd_resume(argv[3], workers, procs, superblocks, net, obs);
   }
   if (std::strcmp(cmd, "fuzz") == 0 && argc >= 4) {
     const auto tests = parse_count(argv[3]);
@@ -814,7 +740,6 @@ int main(int argc, char** argv) {
     std::size_t procs = 1;
     const char* checkpoint_dir = nullptr;
     std::size_t checkpoint_every = 0;
-    const char* bbv_path = nullptr;
     const char* dut_list = nullptr;
     bool superblocks = true;
     NetArgs net;
@@ -833,8 +758,6 @@ int main(int argc, char** argv) {
         const auto p = parse_count(argv[++i]);
         if (!p) bad = true;
         else procs = *p;
-      } else if (std::strcmp(argv[i], "--bbv") == 0 && i + 1 < argc) {
-        bbv_path = argv[++i];
       } else if (net.parse(argc, argv, &i)) {
       } else if (obs.parse(argc, argv, &i)) {
       } else if (std::strcmp(argv[i], "--no-superblocks") == 0) {
@@ -850,8 +773,7 @@ int main(int argc, char** argv) {
       return usage();
     }
     return cmd_fuzz(argv[2], *tests, *workers, procs, checkpoint_dir,
-                    checkpoint_every, bbv_path, superblocks, dut_list, net,
-                    obs);
+                    checkpoint_every, superblocks, dut_list, net, obs);
   }
   if (std::strcmp(cmd, "corpus") == 0 && argc >= 4) {
     if (std::strcmp(argv[2], "export") == 0 && argc >= 5) {
@@ -876,7 +798,6 @@ int main(int argc, char** argv) {
     }
     return usage();
   }
-  if (std::strcmp(cmd, "federate") == 0) return cmd_federate(argc, argv);
   if (std::strcmp(cmd, "fleet") == 0 && argc >= 4 &&
       std::strcmp(argv[2], "status") == 0) {
     const char* token = "";
