@@ -10,8 +10,11 @@
 
 namespace chatfuzz::corpus {
 
-StoreStats collect_store_stats(const CorpusStore& store) {
-  StoreStats s;
+ser::Status collect_store_stats(const CorpusStore& store, StoreStats* out) {
+  // The word counts below come from the index; the shards must hold them.
+  if (ser::Status st = store.check_shards(); !st.ok()) return st;
+  StoreStats& s = *out;
+  s = StoreStats{};
   s.dir = store.dir();
   s.entries = store.size();
   s.shards = store.num_shards();
@@ -37,7 +40,7 @@ StoreStats collect_store_stats(const CorpusStore& store) {
     for (std::size_t n = m.new_bins.size(); n != 0; n >>= 1) ++bucket;
     s.attribution[std::min(bucket, StoreStats::kBuckets - 1)] += 1;
   }
-  return s;
+  return {};
 }
 
 std::string render_store_stats(const StoreStats& s) {

@@ -34,8 +34,10 @@ struct StoreStats {
   bool operator==(const StoreStats&) const = default;
 };
 
-/// One pass over an open store's index (no program reads, no replay).
-StoreStats collect_store_stats(const CorpusStore& store);
+/// One pass over an open store's index (no program reads, no replay) into
+/// *out. Fails, as the store's readers do, when a shard file is shorter
+/// than the bytes the index claims for it.
+ser::Status collect_store_stats(const CorpusStore& store, StoreStats* out);
 
 /// The classic `corpus stats` table.
 std::string render_store_stats(const StoreStats& s);

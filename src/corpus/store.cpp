@@ -21,6 +21,11 @@ std::string errno_detail() {
          std::strerror(e) + ")";
 }
 
+ser::Status truncated_shard(const std::string& path) {
+  return ser::Status::error("corpus shard " + path +
+                            " is truncated (index references missing bytes)");
+}
+
 }  // namespace
 
 std::string CorpusStore::shard_path(std::size_t shard) const {
@@ -164,25 +169,17 @@ ser::Status CorpusStore::truncate(std::size_t n) {
   // Trim shard files to exactly the referenced bytes so future appends
   // reproduce an uninterrupted run's files byte-for-byte; drop shards past
   // the last referenced one entirely.
-  std::vector<std::uint64_t> shard_words;
-  for (const Entry& e : entries_) {
-    if (e.shard >= shard_words.size()) shard_words.resize(e.shard + 1, 0);
-    shard_words[e.shard] = e.offset_words + e.num_words;
-  }
+  const std::vector<std::uint64_t> words = shard_words();
   for (std::size_t shard = 0;; ++shard) {
     const std::string path = shard_path(shard);
     std::error_code ec;
     if (!std::filesystem::exists(path, ec)) break;
-    if (shard < shard_words.size()) {
+    if (shard < words.size()) {
       // Trimming only ever shrinks: a shard shorter than the index claims
       // is damaged, and growing it would pad the programs with zeros.
       const std::uintmax_t size = std::filesystem::file_size(path, ec);
-      if (!ec && size < shard_words[shard] * 4) {
-        return ser::Status::error("corpus shard " + path +
-                                  " is truncated (index references missing "
-                                  "bytes)");
-      }
-      if (!ec) std::filesystem::resize_file(path, shard_words[shard] * 4, ec);
+      if (!ec && size < words[shard] * 4) return truncated_shard(path);
+      if (!ec) std::filesystem::resize_file(path, words[shard] * 4, ec);
       if (ec) {
         return ser::Status::error("cannot trim corpus shard " + path + ": " +
                                   ec.message());
@@ -196,6 +193,26 @@ ser::Status CorpusStore::truncate(std::size_t n) {
     }
   }
   return flush();
+}
+
+std::vector<std::uint64_t> CorpusStore::shard_words() const {
+  std::vector<std::uint64_t> words;
+  for (const Entry& e : entries_) {
+    if (e.shard >= words.size()) words.resize(e.shard + 1, 0);
+    words[e.shard] = e.offset_words + e.num_words;
+  }
+  return words;
+}
+
+ser::Status CorpusStore::check_shards() const {
+  const std::vector<std::uint64_t> words = shard_words();
+  for (std::size_t shard = 0; shard < words.size(); ++shard) {
+    const std::string path = shard_path(shard);
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if ((ec ? 0 : size) < words[shard] * 4) return truncated_shard(path);
+  }
+  return {};
 }
 
 ser::Status CorpusStore::read_program(std::size_t i,

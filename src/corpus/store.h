@@ -78,6 +78,9 @@ class CorpusStore {
   /// Read entry i's program. Fails without allocating when the shard file
   /// is shorter than the bytes the index claims for the entry.
   ser::Status read_program(std::size_t i, core::Program* out) const;
+  /// Fails when a shard file is shorter than the end its last entry claims,
+  /// the check read_program makes for one entry, for every shard at once.
+  ser::Status check_shards() const;
   const std::string& dir() const { return dir_; }
   std::size_t shard_capacity() const { return shard_capacity_; }
   /// Shard file the entry lives in (for tests / tooling).
@@ -94,6 +97,8 @@ class CorpusStore {
 
   /// Assign `e` the shard and offset of the next entry after entries_.
   void place(Entry& e) const;
+  /// Words each shard must hold: where its last entry ends.
+  std::vector<std::uint64_t> shard_words() const;
 
   std::string dir_;
   std::size_t shard_capacity_ = kDefaultShardCapacity;

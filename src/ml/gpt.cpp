@@ -58,100 +58,12 @@ struct Gpt::Layout {
 
 namespace {
 
-// ---- matmul/GELU dispatch --------------------------------------------------
-// The heavy kernels live in ml/kernels.{h,cpp}; `ref` selects the seed's
-// naive loops (benchmark baseline, parity tests) over the vectorized path.
-
-void mm_fwd(bool ref, float* out, const float* inp, const float* w,
-            const float* bias, int N, int Cin, int Cout) {
-  if (ref) {
-    kern::matmul_forward_ref(out, inp, w, bias, N, Cin, Cout);
-  } else {
-    kern::matmul_forward(out, inp, w, bias, N, Cin, Cout);
-  }
-}
-
-void mm_bwd(bool ref, float* dinp, float* dw, float* dbias, const float* dout,
-            const float* inp, const float* w, int N, int Cin, int Cout) {
-  if (ref) {
-    kern::matmul_backward_ref(dinp, dw, dbias, dout, inp, w, N, Cin, Cout);
-  } else {
-    kern::matmul_backward(dinp, dw, dbias, dout, inp, w, N, Cin, Cout);
-  }
-}
-
-// ---- embedding and residual loops (llm.c style) ----------------------------
-// Attention, layernorm and softmax live in ml/kernels (kernels_exact.cpp).
-// Row n of the packed activations holds token src[n] = b*T+t, whose
-// position is t.
-
-void encoder_forward(float* out, const int* tokens, const int* src,
-                     const float* wte, const float* wpe, int N, int T, int C) {
-  const std::size_t work = 2 * static_cast<std::size_t>(C);
-  kern::parallel_ranges(N, work, [&](int n0, int n1) {
-    for (int n = n0; n < n1; ++n) {
-      float* o = out + static_cast<std::size_t>(n) * C;
-      const float* we = wte + static_cast<std::size_t>(tokens[src[n]]) * C;
-      const float* pe = wpe + static_cast<std::size_t>(src[n] % T) * C;
-      for (int c = 0; c < C; ++c) o[c] = we[c] + pe[c];
-    }
-  });
-}
-
-void encoder_backward(float* dwte, float* dwpe, const float* dout,
-                      const int* tokens, const int* src, int N, int T, int C) {
-  for (int n = 0; n < N; ++n) {
-    const float* d = dout + static_cast<std::size_t>(n) * C;
-    float* dwt = dwte + static_cast<std::size_t>(tokens[src[n]]) * C;
-    float* dwp = dwpe + static_cast<std::size_t>(src[n] % T) * C;
-    for (int c = 0; c < C; ++c) {
-      dwt[c] += d[c];
-      dwp[c] += d[c];
-    }
-  }
-}
-
-/// Runs body(lo, hi) over [0, n) elements in pool-sized chunks.
-template <typename Body>
-void elementwise(std::size_t n, const Body& body) {
-  constexpr std::size_t kChunk = std::size_t{1} << 12;
-  kern::parallel_ranges(static_cast<int>((n + kChunk - 1) / kChunk), kChunk,
-                        [&](int c0, int c1) {
-    body(c0 * kChunk, std::min(n, c1 * kChunk));
-  });
-}
-
-/// Zeroes p[0, n) across the pool.
-void zero_floats(float* p, std::size_t n) {
-  elementwise(n, [&](std::size_t lo, std::size_t hi) {
-    std::memset(p + lo, 0, (hi - lo) * sizeof(float));
-  });
-}
-
 /// Replaces `arena` with n floats that nothing has written yet. The old
 /// contents are dropped, not copied into the new block.
 template <typename Arena>
 void regrow(Arena& arena, std::size_t n) {
   arena = Arena();
   arena.resize(n);
-}
-
-void residual_forward(float* out, const float* a, const float* b,
-                      std::size_t n) {
-  elementwise(n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) out[i] = a[i] + b[i];
-  });
-}
-
-/// Backward of out = a + b: da += dout and db += dout.
-void residual_backward(float* da, float* db, const float* dout,
-                       std::size_t n) {
-  elementwise(n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      da[i] += dout[i];
-      db[i] += dout[i];
-    }
-  });
 }
 
 // ---- precondition checks ------------------------------------------------------
@@ -175,8 +87,7 @@ void residual_backward(float* da, float* db, const float* dout,
 // Activation arena layout: N packed real rows, R head rows, and A
 // attention-probability floats per layer.
 // ---------------------------------------------------------------------------
-namespace {
-struct ActLayout {
+struct Gpt::ActLayout {
   // The final layernorm and the heads (lnf .. values) hold only the head
   // rows of the last forward, packed in head-row order. Backward's gradient
   // arena covers everything before `logits`: it never touches the head
@@ -231,7 +142,22 @@ struct ActLayout {
     return make(c, BT, BT, BT * T * c.n_head);
   }
 };
+
+namespace {
+
+// Packed weights (kern::PackedMat), in pack_weights' order: four per layer,
+// then the tied LM head and the value head.
+enum PackedWeight : int { kQkv, kAttProj, kFc, kFcProj, kPerLayer };
+
 }  // namespace
+
+/// Offset of the residual stream the final layernorm reads: the last
+/// layer's output, or the embedding without layers.
+std::size_t Gpt::final_residual(const ActLayout& a) const {
+  return cfg_.n_layer > 0
+             ? a.layer_base + (cfg_.n_layer - 1) * a.per_layer + a.res3
+             : a.encoded;
+}
 
 Gpt::Gpt(GptConfig cfg, std::uint64_t seed) : cfg_(cfg) {
   // Hard config validation (kept in release builds): every downstream
@@ -293,15 +219,47 @@ void Gpt::copy_params_from(const Gpt& other) {
   params_ = other.params_;
 }
 
+Gpt::ActLayout Gpt::act_layout() const {
+  return ActLayout::make(cfg_, offs_.empty() ? 0 : offs_.back(),
+                         head_rows_.size(), att_size_);
+}
+
 const float* Gpt::acts_ptr(ActName which) const {
-  const ActLayout a = ActLayout::make(cfg_, src_.size(), head_rows_.size(),
-                                      att_size_);
+  const ActLayout a = act_layout();
   switch (which) {
     case kActLogits: return acts_.data() + a.logits;
     case kActProbs: return acts_.data() + a.probs;
     case kActValues: return acts_.data() + a.values;
   }
   return nullptr;
+}
+
+void Gpt::pack_weights(std::vector<kern::PackedMat>& wp) const {
+  const Layout p = Layout::make(cfg_);
+  const float* prm = params_.data();
+  const int C = cfg_.n_embd;
+  const std::size_t head = static_cast<std::size_t>(cfg_.n_layer) * kPerLayer;
+  wp.resize(head + 2);
+  for (int l = 0; l < cfg_.n_layer; ++l) {
+    const std::size_t pb = p.layer_base + l * p.per_layer;
+    kern::PackedMat* w = wp.data() + static_cast<std::size_t>(l) * kPerLayer;
+    kern::pack_transpose(w[kQkv], prm + pb + p.qkvw, 3 * C, C);
+    kern::pack_transpose(w[kAttProj], prm + pb + p.attprojw, C, C);
+    kern::pack_transpose(w[kFc], prm + pb + p.fcw, 4 * C, C);
+    kern::pack_transpose(w[kFcProj], prm + pb + p.fcprojw, C, 4 * C);
+  }
+  kern::pack_transpose(wp[head], prm + p.wte, cfg_.vocab, C);
+  kern::pack_transpose(wp[head + 1], prm + p.valw, 1, C);
+}
+
+std::size_t Gpt::sequence_work() const {
+  // Rough forward flops of the longest sequence, for the pool's split.
+  const std::size_t L = order_.empty()
+                            ? 0
+                            : static_cast<std::size_t>(offs_[order_[0] + 1] -
+                                                       offs_[order_[0]]);
+  const std::size_t C = cfg_.n_embd, NL = cfg_.n_layer;
+  return 2 * L * C * (12 * C * NL + cfg_.vocab) + 4 * L * L * C * NL;
 }
 
 // The [B, T] overloads are the ragged forward with every length T.
@@ -331,100 +289,146 @@ void Gpt::forward(const int* tokens, int B, int T,
   }
   B_ = B;
   T_ = T;
+  const int NH = cfg_.n_head, V = cfg_.vocab;
   offs_.assign(static_cast<std::size_t>(B) + 1, 0);
+  att_offs_.assign(static_cast<std::size_t>(B) + 1, 0);
   for (int b = 0; b < B; ++b) {
     require(lengths[b] >= 0 && lengths[b] <= T,
             "Gpt::forward: length %d of sequence %d is outside [0, T=%d]",
             lengths[b], b, T);
     offs_[b + 1] = offs_[b] + lengths[b];
+    const std::size_t L = lengths[b];
+    att_offs_[b + 1] = att_offs_[b] + NH * L * L;
+    for (int t = 0; t < lengths[b]; ++t) {
+      require(tokens[b * T + t] >= 0 && tokens[b * T + t] < V,
+              "Gpt::forward: token %d at %d is outside the vocabulary [0, %d)",
+              tokens[b * T + t], b * T + t, V);
+    }
   }
+  att_size_ = att_offs_[B];
   head_rows_ = head_rows;
-  const int C = cfg_.n_embd, NH = cfg_.n_head, V = cfg_.vocab;
-  const int N = offs_[B];
-  src_.resize(N);
-  for (int b = 0; b < B; ++b) {
-    for (int t = 0; t < lengths[b]; ++t) src_[offs_[b] + t] = b * T + t;
-  }
-  for (int n = 0; n < N; ++n) {
-    require(tokens[src_[n]] >= 0 && tokens[src_[n]] < V,
-            "Gpt::forward: token %d at %d is outside the vocabulary [0, %d)",
-            tokens[src_[n]], src_[n], V);
-  }
   const int R = static_cast<int>(head_rows_.size());
   head_packed_.resize(R);
+  hoffs_.assign(static_cast<std::size_t>(B) + 1, 0);
   for (int r = 0; r < R; ++r) {
     const int b = head_rows_[r] / T, t = head_rows_[r] % T;
     require(t < offs_[b + 1] - offs_[b],
             "Gpt::forward: head row %d is padding (sequence %d has length %d)",
             head_rows_[r], b, offs_[b + 1] - offs_[b]);
     head_packed_[r] = offs_[b] + t;
+    ++hoffs_[b + 1];
   }
-  att_size_ = kern::attention_att_size(offs_.data(), B, NH);
-  const Layout p = Layout::make(cfg_);
-  const ActLayout a = ActLayout::make(cfg_, N, R, att_size_);
+  for (int b = 0; b < B; ++b) hoffs_[b + 1] += hoffs_[b];
+  order_.resize(B);
+  std::iota(order_.begin(), order_.end(), 0);
+  std::stable_sort(order_.begin(), order_.end(), [&](int x, int y) {
+    return lengths[x] > lengths[y];
+  });
   // Every activation is written before anything reads it, so a new shape
   // reuses the arena as it is. It grows straight to the padded [B, T]
   // batch's size, so the ragged batches that follow, whose real-row counts
-  // vary, do not grow it again. A grown arena starts all zero, zeroed on
-  // the pool, so its fresh pages fault in on every kernel thread rather
-  // than all on the calling one.
-  if (acts_.size() < a.total) {
+  // vary, do not grow it again; each sequence's thread then takes the page
+  // faults of the rows it writes.
+  if (acts_.size() < act_layout().total) {
     regrow(acts_, ActLayout::padded(cfg_, B, T).total);
-    zero_floats(acts_.data(), acts_.size());
   }
-  float* acts = acts_.data();
+  if (!use_ref_kernels_) pack_weights(wpack_);
+  // One dispatch: every sequence runs the whole model on one thread.
+  kern::parallel_items(B, sequence_work(),
+                       [&](int i) { forward_sequence(tokens, order_[i]); });
+}
+
+void Gpt::forward_sequence(const int* tokens, int b) {
+  const int o = offs_[b], L = offs_[b + 1] - o;
+  const int h0 = hoffs_[b], R = hoffs_[b + 1] - h0;
+  if (L == 0) return;  // nor has it head rows
+  const int C = cfg_.n_embd, NH = cfg_.n_head, V = cfg_.vocab;
+  const Layout p = Layout::make(cfg_);
+  const ActLayout a = act_layout();
   const float* prm = params_.data();
-  const std::size_t NC = static_cast<std::size_t>(N) * C;
-
+  float* acts = acts_.data();
   const bool ref = use_ref_kernels_;
+  // Row o of the activation at `off`, `width` floats per row.
+  const auto at = [&](std::size_t off, int width) {
+    return acts + off + static_cast<std::size_t>(o) * width;
+  };
+  // out = inp @ w^T + bias over n rows; w is packed as wpack_[k].
+  const auto linear = [&](float* out, const float* inp, std::size_t k,
+                          std::size_t w, const float* bias, int n, int Cin,
+                          int Cout) {
+    if (ref) {
+      kern::matmul_forward_ref(out, inp, prm + w, bias, n, Cin, Cout);
+    } else {
+      kern::matmul_forward_packed(out, inp, wpack_[k], bias, n);
+    }
+  };
+  const auto add = [L, C](float* out, const float* x, const float* y) {
+    for (std::size_t i = 0; i < static_cast<std::size_t>(L) * C; ++i) {
+      out[i] = x[i] + y[i];
+    }
+  };
 
-  encoder_forward(acts + a.encoded, tokens, src_.data(), prm + p.wte,
-                  prm + p.wpe, N, T, C);
-  const float* residual = acts + a.encoded;
+  float* x = at(a.encoded, C);
+  const int* tok = tokens + static_cast<std::size_t>(b) * T_;
+  for (int t = 0; t < L; ++t) {
+    const float* we = prm + p.wte + static_cast<std::size_t>(tok[t]) * C;
+    const float* pe = prm + p.wpe + static_cast<std::size_t>(t) * C;
+    for (int c = 0; c < C; ++c) x[t * C + c] = we[c] + pe[c];
+  }
+  const float* residual = x;
   for (int l = 0; l < cfg_.n_layer; ++l) {
     const std::size_t pb = p.layer_base + l * p.per_layer;
     const std::size_t ab = a.layer_base + l * a.per_layer;
-    kern::layernorm_forward(acts + ab + a.ln1, acts + ab + a.ln1_mean,
-                            acts + ab + a.ln1_rstd, residual, prm + pb + p.ln1w,
-                            prm + pb + p.ln1b, nullptr, N, C);
-    mm_fwd(ref, acts + ab + a.qkv, acts + ab + a.ln1, prm + pb + p.qkvw,
-           prm + pb + p.qkvb, N, C, 3 * C);
-    kern::attention_forward(acts + ab + a.atty, acts + a.att + l * att_size_,
-                            acts + ab + a.qkv, offs_.data(), B, C, NH);
-    mm_fwd(ref, acts + ab + a.attproj, acts + ab + a.atty,
-           prm + pb + p.attprojw, prm + pb + p.attprojb, N, C, C);
-    residual_forward(acts + ab + a.res2, residual, acts + ab + a.attproj, NC);
-    kern::layernorm_forward(acts + ab + a.ln2, acts + ab + a.ln2_mean,
-                            acts + ab + a.ln2_rstd, acts + ab + a.res2,
-                            prm + pb + p.ln2w, prm + pb + p.ln2b, nullptr, N,
-                            C);
+    const std::size_t k = static_cast<std::size_t>(l) * kPerLayer;
+    float* ln1 = at(ab + a.ln1, C);
+    float* qkv = at(ab + a.qkv, 3 * C);
+    float* atty = at(ab + a.atty, C);
+    float* attproj = at(ab + a.attproj, C);
+    float* res2 = at(ab + a.res2, C);
+    float* ln2 = at(ab + a.ln2, C);
+    float* fch = at(ab + a.fch, 4 * C);
+    float* fch_gelu = at(ab + a.fch_gelu, 4 * C);
+    float* fcproj = at(ab + a.fcproj, C);
+    float* res3 = at(ab + a.res3, C);
+    kern::layernorm_forward(ln1, at(ab + a.ln1_mean, 1), at(ab + a.ln1_rstd, 1),
+                            residual, prm + pb + p.ln1w, prm + pb + p.ln1b,
+                            nullptr, L, C);
+    linear(qkv, ln1, k + kQkv, pb + p.qkvw, prm + pb + p.qkvb, L, C, 3 * C);
+    kern::attention_forward(atty, acts + a.att + l * att_size_ + att_offs_[b],
+                            qkv, L, C, NH);
+    linear(attproj, atty, k + kAttProj, pb + p.attprojw, prm + pb + p.attprojb,
+           L, C, C);
+    add(res2, residual, attproj);
+    kern::layernorm_forward(ln2, at(ab + a.ln2_mean, 1), at(ab + a.ln2_rstd, 1),
+                            res2, prm + pb + p.ln2w, prm + pb + p.ln2b, nullptr,
+                            L, C);
     if (ref) {
-      kern::matmul_forward_ref(acts + ab + a.fch, acts + ab + a.ln2,
-                               prm + pb + p.fcw, prm + pb + p.fcb, N, C,
-                               4 * C);
-      kern::gelu_forward_ref(acts + ab + a.fch_gelu, acts + ab + a.fch,
-                             N * 4 * C);
+      kern::matmul_forward_ref(fch, ln2, prm + pb + p.fcw, prm + pb + p.fcb, L,
+                               C, 4 * C);
+      kern::gelu_forward_ref(fch_gelu, fch, L * 4 * C);
     } else {
-      kern::matmul_bias_gelu_forward(acts + ab + a.fch, acts + ab + a.fch_gelu,
-                                     acts + ab + a.ln2, prm + pb + p.fcw,
-                                     prm + pb + p.fcb, N, C, 4 * C);
+      kern::matmul_bias_gelu_forward(fch, fch_gelu, ln2, wpack_[k + kFc],
+                                     prm + pb + p.fcb, L);
     }
-    mm_fwd(ref, acts + ab + a.fcproj, acts + ab + a.fch_gelu,
-           prm + pb + p.fcprojw, prm + pb + p.fcprojb, N, 4 * C, C);
-    residual_forward(acts + ab + a.res3, acts + ab + a.res2,
-                     acts + ab + a.fcproj, NC);
-    residual = acts + ab + a.res3;
+    linear(fcproj, fch_gelu, k + kFcProj, pb + p.fcprojw, prm + pb + p.fcprojb,
+           L, 4 * C, C);
+    add(res3, res2, fcproj);
+    residual = res3;
   }
   // Final layernorm, tied LM head (logits = lnf @ wte^T), softmax and value
-  // head at the head rows only. Every row is computed independently, so a
-  // head row's outputs do not depend on which other rows are heads.
-  kern::layernorm_forward(acts + a.lnf, acts + a.lnf_mean, acts + a.lnf_rstd,
-                          residual, prm + p.lnfw, prm + p.lnfb,
-                          head_packed_.data(), R, C);
-  mm_fwd(ref, acts + a.logits, acts + a.lnf, prm + p.wte, nullptr, R, C, V);
-  kern::softmax_forward(acts + a.probs, acts + a.logits, R, V);
-  mm_fwd(ref, acts + a.values, acts + a.lnf, prm + p.valw, prm + p.valb,
-         R, C, 1);
+  // head at this sequence's head rows, which are packed rows of the last
+  // residual. Every row is computed independently, so a head row's outputs
+  // do not depend on which other rows are heads.
+  const std::size_t head = static_cast<std::size_t>(cfg_.n_layer) * kPerLayer;
+  float* lnf = acts + a.lnf + static_cast<std::size_t>(h0) * C;
+  float* logits = acts + a.logits + static_cast<std::size_t>(h0) * V;
+  kern::layernorm_forward(lnf, acts + a.lnf_mean + h0, acts + a.lnf_rstd + h0,
+                          acts + final_residual(a), prm + p.lnfw,
+                          prm + p.lnfb, head_packed_.data() + h0, R, C);
+  linear(logits, lnf, head, p.wte, nullptr, R, C, V);
+  kern::softmax_forward(acts + a.probs + static_cast<std::size_t>(h0) * V,
+                        logits, R, V);
+  linear(acts + a.values + h0, lnf, head + 1, p.valw, prm + p.valb, R, C, 1);
 }
 
 int Gpt::head_index(int b, int t) const {
@@ -453,97 +457,265 @@ void Gpt::backward_from(const int* tokens, const float* dlogits,
   require(B == B_ && T == T_,
           "Gpt::backward_from: (B=%d, T=%d) is not the last forward's (%d, %d)",
           B, T, B_, T_);
-  const Layout p = Layout::make(cfg_);
-  const int N = offs_[B];
-  const int R = static_cast<int>(head_rows_.size());
-  const ActLayout a = ActLayout::make(cfg_, N, R, att_size_);
-  const int C = cfg_.n_embd, NH = cfg_.n_head, V = cfg_.vocab;
-  const std::size_t NC = static_cast<std::size_t>(N) * C;
-  const float* acts = acts_.data();
-  const float* prm = params_.data();
-  float* grd = grads_.data();
   // Sized here rather than with acts_: a model that only runs forward (the
   // frozen PPO reference) never holds a gradient arena. Backward accumulates
   // into every slot before the head outputs (logits, probs, values) and the
   // attention probabilities, which it never touches, so the arena ends
-  // there and is zeroed across the pool.
-  if (dacts_.size() < a.logits) {
+  // there. Each sequence's thread zeroes its own rows.
+  if (dacts_.size() < act_layout().logits) {
     regrow(dacts_, ActLayout::padded(cfg_, B, T).logits);
   }
-  float* dacts = dacts_.data();
-  zero_floats(dacts, a.logits);
+  // Dispatch 1: the activation-gradient chain, one sequence per item. Rows
+  // of different sequences never meet in it.
+  kern::parallel_items(B, 2 * sequence_work(), [&](int i) {
+    backward_sequence(dlogits, dvalues, order_[i]);
+  });
+  // Dispatch 2: the weight, bias and layernorm gradients, the only sums
+  // across rows, which therefore wait for every sequence's chain.
+  weight_gradients(tokens, dlogits, dvalues);
+}
 
-  // value head backward: dlnf += dvalues * valw; dvalw += sum dvalues*lnf
+void Gpt::backward_sequence(const float* dlogits, const float* dvalues,
+                            int b) {
+  const int o = offs_[b], L = offs_[b + 1] - o;
+  const int h0 = hoffs_[b], R = hoffs_[b + 1] - h0;
+  if (L == 0) return;
+  const int C = cfg_.n_embd, NH = cfg_.n_head, V = cfg_.vocab;
+  const Layout p = Layout::make(cfg_);
+  const ActLayout a = act_layout();
+  const float* prm = params_.data();
+  const float* acts = acts_.data();
+  float* dacts = dacts_.data();
+  const std::size_t LC = static_cast<std::size_t>(L) * C;
+  // Row o of the activation, or of its gradient, at `off`.
+  const auto act = [&](std::size_t off, int width) {
+    return acts + off + static_cast<std::size_t>(o) * width;
+  };
+  const auto grad = [&](std::size_t off, int width) {
+    return dacts + off + static_cast<std::size_t>(o) * width;
+  };
+  // Every gradient slot starts at zero and accumulates; a first write that
+  // stored instead would turn 0 + (-0) = +0 into -0.
+  const auto zero = [&](std::size_t off, int width) {
+    std::memset(grad(off, width), 0,
+                static_cast<std::size_t>(L) * width * sizeof(float));
+  };
+  // da += dout and db += dout: the backward of out = a + b.
+  const auto residual_backward = [LC](float* da, float* db, const float* d) {
+    for (std::size_t i = 0; i < LC; ++i) {
+      da[i] += d[i];
+      db[i] += d[i];
+    }
+  };
+
+  zero(a.encoded, C);
+  for (int l = 0; l < cfg_.n_layer; ++l) {
+    const std::size_t ab = a.layer_base + l * a.per_layer;
+    for (const std::size_t off : {a.ln1, a.atty, a.attproj, a.res2, a.ln2,
+                                  a.fcproj, a.res3}) {
+      zero(ab + off, C);
+    }
+    zero(ab + a.qkv, 3 * C);
+    zero(ab + a.fch, 4 * C);
+    zero(ab + a.fch_gelu, 4 * C);
+  }
+  float* dlnf = dacts + a.lnf + static_cast<std::size_t>(h0) * C;
+  std::memset(dlnf, 0, static_cast<std::size_t>(R) * C * sizeof(float));
+
+  // The value head's term enters dlnf before the LM head's (tied weights:
+  // dlnf += dlogits @ wte).
   if (dvalues != nullptr) {
     for (int r = 0; r < R; ++r) {
-      const float g = dvalues[r];
+      const float g = dvalues[h0 + r];
       if (g == 0.f) continue;
-      grd[p.valb] += g;
-      const float* lnfx = acts + a.lnf + static_cast<std::size_t>(r) * C;
-      float* dlnfx = dacts + a.lnf + static_cast<std::size_t>(r) * C;
-      for (int c = 0; c < C; ++c) {
-        grd[p.valw + c] += g * lnfx[c];
-        dlnfx[c] += g * prm[p.valw + c];
-      }
+      float* dlnfx = dlnf + static_cast<std::size_t>(r) * C;
+      for (int c = 0; c < C; ++c) dlnfx[c] += g * prm[p.valw + c];
     }
   }
-  const bool ref = use_ref_kernels_;
-  // LM head backward (tied weights): dlnf += dlogits @ wte; dwte += ...
-  mm_bwd(ref, dacts + a.lnf, grd + p.wte, nullptr, dlogits, acts + a.lnf,
-         prm + p.wte, R, C, V);
-
-  // final layernorm
-  const std::size_t last_ab = a.layer_base + (cfg_.n_layer - 1) * a.per_layer;
-  const float* residual = cfg_.n_layer > 0 ? acts + last_ab + a.res3
-                                           : acts + a.encoded;
-  float* dresidual = cfg_.n_layer > 0 ? dacts + last_ab + a.res3
-                                      : dacts + a.encoded;
-  kern::layernorm_backward(dresidual, grd + p.lnfw, grd + p.lnfb,
-                           dacts + a.lnf, residual, acts + a.lnf_mean,
-                           acts + a.lnf_rstd, prm + p.lnfw, head_packed_.data(),
-                           R, C);
+  kern::matmul_backward_dx(dlnf, dlogits + static_cast<std::size_t>(h0) * V,
+                           prm + p.wte, R, C, V);
+  const std::size_t res_off = final_residual(a);
+  kern::layernorm_backward_dx(dacts + res_off, dlnf, acts + res_off,
+                              acts + a.lnf_mean + h0, acts + a.lnf_rstd + h0,
+                              prm + p.lnfw, head_packed_.data() + h0, R, C);
 
   for (int l = cfg_.n_layer - 1; l >= 0; --l) {
     const std::size_t pb = p.layer_base + l * p.per_layer;
     const std::size_t ab = a.layer_base + l * a.per_layer;
-    const float* res_in =
-        l == 0 ? acts + a.encoded : acts + a.layer_base + (l - 1) * a.per_layer + a.res3;
-    float* dres_in =
-        l == 0 ? dacts + a.encoded
-               : dacts + a.layer_base + (l - 1) * a.per_layer + a.res3;
-    // res3 = res2 + fcproj
-    float* dres2 = dacts + ab + a.res2;
-    residual_backward(dres2, dacts + ab + a.fcproj, dacts + ab + a.res3, NC);
-    mm_bwd(ref, dacts + ab + a.fch_gelu, grd + pb + p.fcprojw,
-           grd + pb + p.fcprojb, dacts + ab + a.fcproj, acts + ab + a.fch_gelu,
-           prm + pb + p.fcprojw, N, 4 * C, C);
-    kern::gelu_backward(dacts + ab + a.fch, acts + ab + a.fch,
-                        dacts + ab + a.fch_gelu, N * 4 * C);
-    mm_bwd(ref, dacts + ab + a.ln2, grd + pb + p.fcw, grd + pb + p.fcb,
-           dacts + ab + a.fch, acts + ab + a.ln2, prm + pb + p.fcw,
-           N, C, 4 * C);
-    kern::layernorm_backward(dres2, grd + pb + p.ln2w, grd + pb + p.ln2b,
-                             dacts + ab + a.ln2, acts + ab + a.res2,
-                             acts + ab + a.ln2_mean, acts + ab + a.ln2_rstd,
-                             prm + pb + p.ln2w, nullptr, N, C);
+    const std::size_t in =
+        l == 0 ? a.encoded : a.layer_base + (l - 1) * a.per_layer + a.res3;
+    // res3 = res2 + fcproj. Each residual_backward runs before the
+    // layernorm dx that adds into the same rows.
+    residual_backward(grad(ab + a.res2, C), grad(ab + a.fcproj, C),
+                      grad(ab + a.res3, C));
+    kern::matmul_backward_dx(grad(ab + a.fch_gelu, 4 * C),
+                             grad(ab + a.fcproj, C), prm + pb + p.fcprojw, L,
+                             4 * C, C);
+    kern::gelu_backward(grad(ab + a.fch, 4 * C), act(ab + a.fch, 4 * C),
+                        grad(ab + a.fch_gelu, 4 * C), L * 4 * C);
+    kern::matmul_backward_dx(grad(ab + a.ln2, C), grad(ab + a.fch, 4 * C),
+                             prm + pb + p.fcw, L, C, 4 * C);
+    kern::layernorm_backward_dx(grad(ab + a.res2, C), grad(ab + a.ln2, C),
+                                act(ab + a.res2, C), act(ab + a.ln2_mean, 1),
+                                act(ab + a.ln2_rstd, 1), prm + pb + p.ln2w,
+                                nullptr, L, C);
     // res2 = residual_in + attproj
-    residual_backward(dres_in, dacts + ab + a.attproj, dres2, NC);
-    mm_bwd(ref, dacts + ab + a.atty, grd + pb + p.attprojw,
-           grd + pb + p.attprojb, dacts + ab + a.attproj, acts + ab + a.atty,
-           prm + pb + p.attprojw, N, C, C);
-    kern::attention_backward(dacts + ab + a.qkv, dacts + ab + a.atty,
-                             acts + ab + a.qkv, acts + a.att + l * att_size_,
-                             offs_.data(), B, C, NH);
-    mm_bwd(ref, dacts + ab + a.ln1, grd + pb + p.qkvw, grd + pb + p.qkvb,
-           dacts + ab + a.qkv, acts + ab + a.ln1, prm + pb + p.qkvw,
-           N, C, 3 * C);
-    kern::layernorm_backward(dres_in, grd + pb + p.ln1w, grd + pb + p.ln1b,
-                             dacts + ab + a.ln1, res_in, acts + ab + a.ln1_mean,
-                             acts + ab + a.ln1_rstd, prm + pb + p.ln1w, nullptr,
-                             N, C);
+    residual_backward(grad(in, C), grad(ab + a.attproj, C),
+                      grad(ab + a.res2, C));
+    kern::matmul_backward_dx(grad(ab + a.atty, C), grad(ab + a.attproj, C),
+                             prm + pb + p.attprojw, L, C, C);
+    kern::attention_backward(grad(ab + a.qkv, 3 * C), grad(ab + a.atty, C),
+                             act(ab + a.qkv, 3 * C),
+                             acts + a.att + l * att_size_ + att_offs_[b], L, C,
+                             NH);
+    kern::matmul_backward_dx(grad(ab + a.ln1, C), grad(ab + a.qkv, 3 * C),
+                             prm + pb + p.qkvw, L, C, 3 * C);
+    kern::layernorm_backward_dx(grad(in, C), grad(ab + a.ln1, C), act(in, C),
+                                act(ab + a.ln1_mean, 1), act(ab + a.ln1_rstd, 1),
+                                prm + pb + p.ln1w, nullptr, L, C);
   }
-  encoder_backward(grd + p.wte, grd + p.wpe, dacts + a.encoded, tokens,
-                   src_.data(), N, T, C);
+}
+
+void Gpt::weight_gradients(const int* tokens, const float* dlogits,
+                           const float* dvalues) {
+  const int C = cfg_.n_embd, V = cfg_.vocab;
+  const int N = offs_[B_], R = static_cast<int>(head_rows_.size());
+  const Layout p = Layout::make(cfg_);
+  const ActLayout a = act_layout();
+  const float* acts = acts_.data();
+  const float* dacts = dacts_.data();
+  float* grd = grads_.data();
+
+  // dw[o, i] += sum_n dout[n, o] * inp[n, i] and db[o] += sum_n dout[n, o]
+  // over n < rows: one weight matrix's gradient.
+  struct Linear {
+    float* dw;
+    float* db;
+    const float* dout;
+    const float* inp;
+    int rows, Cin, Cout;
+  };
+  // A layernorm's: dw[c] and db[c] add every row's term, ascending.
+  struct Norm {
+    float* dw;
+    float* db;
+    const float* dout;
+    const float* inp;
+    const float* mean;
+    const float* rstd;
+    const int* rows;
+    int n;
+  };
+  std::vector<Linear> lin{{grd + p.wte, nullptr, dlogits, acts + a.lnf, R, C,
+                           V}};  // the tied LM head comes first
+  std::vector<Norm> norms{{grd + p.lnfw, grd + p.lnfb, dacts + a.lnf,
+                           acts + final_residual(a), acts + a.lnf_mean,
+                           acts + a.lnf_rstd, head_packed_.data(), R}};
+  for (int l = 0; l < cfg_.n_layer; ++l) {
+    float* pb = grd + p.layer_base + l * p.per_layer;
+    const std::size_t ab = a.layer_base + l * a.per_layer;
+    const std::size_t in =
+        l == 0 ? a.encoded : a.layer_base + (l - 1) * a.per_layer + a.res3;
+    lin.push_back({pb + p.qkvw, pb + p.qkvb, dacts + ab + a.qkv,
+                   acts + ab + a.ln1, N, C, 3 * C});
+    lin.push_back({pb + p.attprojw, pb + p.attprojb, dacts + ab + a.attproj,
+                   acts + ab + a.atty, N, C, C});
+    lin.push_back({pb + p.fcw, pb + p.fcb, dacts + ab + a.fch,
+                   acts + ab + a.ln2, N, C, 4 * C});
+    lin.push_back({pb + p.fcprojw, pb + p.fcprojb, dacts + ab + a.fcproj,
+                   acts + ab + a.fch_gelu, N, 4 * C, C});
+    norms.push_back({pb + p.ln1w, pb + p.ln1b, dacts + ab + a.ln1, acts + in,
+                     acts + ab + a.ln1_mean, acts + ab + a.ln1_rstd, nullptr,
+                     N});
+    norms.push_back({pb + p.ln2w, pb + p.ln2b, dacts + ab + a.ln2,
+                     acts + ab + a.res2, acts + ab + a.ln2_mean,
+                     acts + ab + a.ln2_rstd, nullptr, N});
+  }
+
+  // One item per (tensor, output block), biggest first; every element of a
+  // gradient is one ascending-row sum inside one item.
+  enum Kind { kLinear, kNorm, kPositions, kValue };
+  struct Item {
+    Kind kind;
+    int index, o0, o1;  // o0, o1: a kLinear item's output rows
+    std::size_t work;
+  };
+  // An item of a weight gradient covers about kItemWeights weights (96
+  // output rows at Cin = 64, 24 at Cin = 256): each block of input rows it
+  // streams then serves several 6-row GEMM tiles, and the items of a PPO
+  // batch still outnumber the threads several times over.
+  constexpr int kItemWeights = 6144;
+  std::vector<Item> items;
+  for (std::size_t i = 0; i < lin.size(); ++i) {
+    const Linear& g = lin[i];
+    const int block = std::max(6, kItemWeights / g.Cin / 6 * 6);
+    for (int o0 = 0; o0 < g.Cout; o0 += block) {
+      const int o1 = std::min(o0 + block, g.Cout);
+      items.push_back({kLinear, static_cast<int>(i), o0, o1,
+                       static_cast<std::size_t>(o1 - o0) * g.Cin * g.rows});
+    }
+  }
+  for (std::size_t i = 0; i < norms.size(); ++i) {
+    items.push_back({kNorm, static_cast<int>(i), 0, 0,
+                     static_cast<std::size_t>(4) * C * norms[i].n});
+  }
+  items.push_back({kPositions, 0, 0, 0, static_cast<std::size_t>(C) * N});
+  if (dvalues != nullptr) {
+    items.push_back({kValue, 0, 0, 0, static_cast<std::size_t>(2) * C * R});
+  }
+  std::stable_sort(items.begin(), items.end(),
+                   [](const Item& x, const Item& y) { return x.work > y.work; });
+  std::size_t work = 0;
+  for (const Item& it : items) work += it.work;
+
+  // Embedding rows scattered from the gradient of the encoder's output, in
+  // ascending packed row: rows [o0, o1) of dwte (by token) or every row of
+  // dwpe (by position).
+  const auto scatter = [&](float* dst, bool by_token, int o0, int o1) {
+    for (int b = 0; b < B_; ++b) {
+      const int* tok = tokens + static_cast<std::size_t>(b) * T_;
+      for (int t = 0; t < offs_[b + 1] - offs_[b]; ++t) {
+        const int row = by_token ? tok[t] : t;
+        if (row < o0 || row >= o1) continue;
+        const float* d =
+            dacts + a.encoded + static_cast<std::size_t>(offs_[b] + t) * C;
+        float* dw = dst + static_cast<std::size_t>(row) * C;
+        for (int c = 0; c < C; ++c) dw[c] += d[c];
+      }
+    }
+  };
+  kern::parallel_items(static_cast<int>(items.size()), work / items.size(),
+                       [&](int k) {
+    const Item& it = items[k];
+    switch (it.kind) {
+      case kLinear: {
+        const Linear& g = lin[it.index];
+        kern::matmul_backward_dw(g.dw, g.db, g.dout, g.inp, g.rows, g.Cin,
+                                 g.Cout, it.o0, it.o1);
+        // The embedding's share of the tied wte follows the LM head's.
+        if (it.index == 0) scatter(grd + p.wte, true, it.o0, it.o1);
+        break;
+      }
+      case kNorm: {
+        const Norm& g = norms[it.index];
+        kern::layernorm_backward_dw(g.dw, g.db, g.dout, g.inp, g.mean, g.rstd,
+                                    g.rows, g.n, C);
+        break;
+      }
+      case kPositions:
+        scatter(grd + p.wpe, false, 0, T_);
+        break;
+      case kValue:
+        for (int r = 0; r < R; ++r) {
+          const float g = dvalues[r];
+          if (g == 0.f) continue;
+          grd[p.valb] += g;
+          const float* lnfx = acts + a.lnf + static_cast<std::size_t>(r) * C;
+          for (int c = 0; c < C; ++c) grd[p.valw + c] += g * lnfx[c];
+        }
+        break;
+    }
+  });
 }
 
 float Gpt::backward_lm(const int* tokens, const int* targets, int B, int T) {
@@ -606,24 +778,10 @@ Gpt::GenState Gpt::gen_begin(int B) const {
   s.norm.assign(static_cast<std::size_t>(2) * B, 0.f);
   s.logits.assign(static_cast<std::size_t>(B) * cfg_.vocab, 0.f);
   s.live.assign(B, 1);
-  if (!use_ref_kernels_) {
-    // Packed (transposed) weight views: one pack per generation, then every
-    // per-token matvec streams weights linearly (see kern::PackedMat). Pack
-    // cost is one pass over the parameters — amortized across ctx tokens.
-    const Layout p = Layout::make(cfg_);
-    const float* prm = params_.data();
-    const int Ci = cfg_.n_embd;
-    s.wpack.resize(static_cast<std::size_t>(cfg_.n_layer) * 4 + 1);
-    for (int l = 0; l < cfg_.n_layer; ++l) {
-      const std::size_t pb = p.layer_base + l * p.per_layer;
-      kern::pack_transpose(s.wpack[l * 4 + 0], prm + pb + p.qkvw, 3 * Ci, Ci);
-      kern::pack_transpose(s.wpack[l * 4 + 1], prm + pb + p.attprojw, Ci, Ci);
-      kern::pack_transpose(s.wpack[l * 4 + 2], prm + pb + p.fcw, 4 * Ci, Ci);
-      kern::pack_transpose(s.wpack[l * 4 + 3], prm + pb + p.fcprojw, Ci,
-                           4 * Ci);
-    }
-    kern::pack_transpose(s.wpack.back(), prm + p.wte, cfg_.vocab, Ci);
-  }
+  // Packed (transposed) weight views: one pack per generation, then every
+  // per-token matvec streams weights linearly (see kern::PackedMat). Pack
+  // cost is one pass over the parameters — amortized across ctx tokens.
+  if (!use_ref_kernels_) pack_weights(s.wpack);
   return s;
 }
 
@@ -704,13 +862,14 @@ void Gpt::gen_rows(GenState& s, const int* tokens_t, float* logits_out,
 
   for (int l = 0; l < cfg_.n_layer; ++l) {
     const std::size_t pb = p.layer_base + l * p.per_layer;
+    const std::size_t k = static_cast<std::size_t>(l) * kPerLayer;
     kern::layernorm_forward(ln, mean, rstd, x, prm + pb + p.ln1w,
                             prm + pb + p.ln1b, nullptr, nb, C);
     if (ref) {
       kern::matmul_forward_ref(qkv, ln, prm + pb + p.qkvw, prm + pb + p.qkvb,
                                nb, C, 3 * C);
     } else {
-      kern::matmul_forward_packed(qkv, ln, s.wpack[l * 4 + 0],
+      kern::matmul_forward_packed(qkv, ln, s.wpack[k + kQkv],
                                   prm + pb + p.qkvb, nb);
     }
     // Append k (transposed) and v to the cache, then attend over it with
@@ -735,7 +894,7 @@ void Gpt::gen_rows(GenState& s, const int* tokens_t, float* logits_out,
       kern::matmul_forward_ref(proj, atty, prm + pb + p.attprojw,
                                prm + pb + p.attprojb, nb, C, C);
     } else {
-      kern::matmul_forward_packed(proj, atty, s.wpack[l * 4 + 1],
+      kern::matmul_forward_packed(proj, atty, s.wpack[k + kAttProj],
                                   prm + pb + p.attprojb, nb);
     }
     for (int n = 0; n < nb * C; ++n) x[n] += proj[n];
@@ -748,19 +907,20 @@ void Gpt::gen_rows(GenState& s, const int* tokens_t, float* logits_out,
       kern::matmul_forward_ref(proj, fgel, prm + pb + p.fcprojw,
                                prm + pb + p.fcprojb, nb, 4 * C, C);
     } else {
-      kern::matmul_bias_gelu_forward_packed(fch, fgel, ln, s.wpack[l * 4 + 2],
+      kern::matmul_bias_gelu_forward_packed(fch, fgel, ln, s.wpack[k + kFc],
                                             prm + pb + p.fcb, nb);
-      kern::matmul_forward_packed(proj, fgel, s.wpack[l * 4 + 3],
+      kern::matmul_forward_packed(proj, fgel, s.wpack[k + kFcProj],
                                   prm + pb + p.fcprojb, nb);
     }
     for (int n = 0; n < nb * C; ++n) x[n] += proj[n];
   }
   kern::layernorm_forward(ln, mean, rstd, x, prm + p.lnfw, prm + p.lnfb,
                           nullptr, nb, C);
+  const std::size_t head = static_cast<std::size_t>(cfg_.n_layer) * kPerLayer;
   if (ref) {
     kern::matmul_forward_ref(logits, ln, prm + p.wte, nullptr, nb, C, V);
   } else {
-    kern::matmul_forward_packed(logits, ln, s.wpack.back(), nullptr, nb);
+    kern::matmul_forward_packed(logits, ln, s.wpack[head], nullptr, nb);
   }
   for (int j = 0; j < nb; ++j) {
     std::memcpy(logits_out + static_cast<std::size_t>(rows[i0 + j]) * V,

@@ -82,6 +82,18 @@ class Gpt {
   // causal, so a real row never reads a padded one, and a padded row's
   // gradients would be exact zeros: its outputs and the gradients equal the
   // padded all-rows computation's, bit for bit.
+  //
+  // The passes are sequence-major. A forward enters the kernel pool once: it
+  // packs every GEMM weight, then hands whole sequences, longest first, to
+  // whichever thread is free, and that thread runs its sequence through the
+  // embedding, every layer, and the final layernorm and heads at its head
+  // rows. A backward enters the pool twice: first each sequence's
+  // activation-gradient chain, from the value and LM heads back to the
+  // embedding, on one thread per sequence; then the weight, bias and
+  // layernorm gradients, as (tensor, output block) items, biggest first.
+  // Rows of different sequences meet only in those gradient sums, and each
+  // of their elements is one sum over the rows in ascending order, so every
+  // output and gradient has the same bits at any thread count.
 
   /// Forward over a [B,T] token batch. Computes logits, log-softmax-ready
   /// probs, and the value head at every row. T must be <= ctx; tokens in
@@ -147,8 +159,9 @@ class Gpt {
     std::vector<float> norm;    // [2, B] layernorm mean/rstd scratch
     std::vector<float> logits;  // [B, vocab] head outputs before scatter
     std::vector<unsigned char> live;  // 1 while a row has run every step
-    std::vector<kern::PackedMat> wpack;  // per layer: qkv, attproj, fc,
-                                         // fcproj; then the tied LM head
+    std::vector<kern::PackedMat> wpack;  // pack_weights(): per layer qkv,
+                                         // attproj, fc, fcproj; then the
+                                         // tied LM head and the value head
   };
 
   /// Begin incremental generation for a batch of B > 0 sequences.
@@ -182,18 +195,39 @@ class Gpt {
   void save_state(ser::Writer& w) const;
   bool restore_state(ser::Reader& r);
 
-  /// Route all matmul/GELU work through the seed's naive reference kernels
-  /// instead of the vectorized subsystem (ml/kernels.h). Benchmark and
-  /// parity-test hook; off by default. Attention, layernorm and softmax
+  /// Route the forward passes' matmul/GELU work (the training forward and
+  /// decode) through the seed's naive reference kernels instead of the
+  /// vectorized subsystem (ml/kernels.h). Parity-test hook; off by default.
+  /// Backward always runs the vectorized kernels, which kernels_test checks
+  /// against the references one by one. Attention, layernorm and softmax
   /// reproduce their references bit for bit, so they have no switch.
   void set_use_ref_kernels(bool ref) { use_ref_kernels_ = ref; }
   bool use_ref_kernels() const { return use_ref_kernels_; }
 
  private:
   enum ActName { kActLogits, kActProbs, kActValues };
+  struct Layout;     // parameter offset table
+  struct ActLayout;  // activation arena offset table
+  ActLayout act_layout() const;  // the last forward's
+  /// Offset of the residual stream the final layernorm reads.
+  std::size_t final_residual(const ActLayout& a) const;
   /// Position of row (b, t) among the last forward's head rows, or -1.
   int head_index(int b, int t) const;
   const float* acts_ptr(ActName which) const;
+  /// Transpose every GEMM weight into `wp`: per layer qkv, attproj, fc and
+  /// fcproj, then the tied LM head and the value head.
+  void pack_weights(std::vector<kern::PackedMat>& wp) const;
+  /// Rough flops of the last forward's longest sequence, for the pool.
+  std::size_t sequence_work() const;
+  /// The forward of sequence b: embedding, every layer, then the final
+  /// layernorm, LM head, softmax and value head at its head rows.
+  void forward_sequence(const int* tokens, int b);
+  /// Backward's first dispatch, for sequence b: zero its gradient rows, then
+  /// run the chain from the value and LM heads back to the embedding.
+  void backward_sequence(const float* dlogits, const float* dvalues, int b);
+  /// Backward's second dispatch: every weight, bias and layernorm gradient.
+  void weight_gradients(const int* tokens, const float* dlogits,
+                        const float* dvalues);
   /// gen_step's work for active rows rows[i0, i1), every layer.
   void gen_rows(GenState& s, const int* tokens_t, float* logits_out,
                 const int* rows, int i0, int i1) const;
@@ -209,15 +243,17 @@ class Gpt {
   // Growing leaves the new floats for the pool to write.
   using Arena = std::vector<float, DefaultInitAllocator<float>>;
   int B_ = 0, T_ = 0;
-  std::vector<int> offs_;  // [B+1]: sequence b is rows [offs_[b], offs_[b+1])
-  std::vector<int> src_;   // packed row -> flat token index b*T+t
+  std::vector<int> offs_;   // [B+1]: sequence b is rows [offs_[b], offs_[b+1])
+  std::vector<int> hoffs_;  // [B+1]: its head rows are [hoffs_[b], hoffs_[b+1])
+  std::vector<std::size_t> att_offs_;  // [B+1]: where its att blocks start
+                                       // in each layer's att
+  std::vector<int> order_;  // sequences, longest first: the passes' order
   Arena acts_;
   Arena dacts_;
   std::vector<int> head_rows_;    // ascending b*T+t rows of the last forward
   std::vector<int> head_packed_;  // the same rows' packed indices
   std::size_t att_size_ = 0;      // attention-probability floats per layer
-
-  struct Layout;  // parameter/activation offset tables
+  std::vector<kern::PackedMat> wpack_;  // the last forward's packed weights
 };
 
 }  // namespace chatfuzz::ml

@@ -19,10 +19,12 @@ namespace chatfuzz::ml::kern {
 // ===========================================================================
 // Thread splitter: a lazily started persistent pool. Work is dispatched as a
 // fixed list of disjoint [lo, hi) ranges — one per participant, computed from
-// the range arithmetic alone — so the partitioning (and therefore every
-// output bit) is independent of scheduling. The calling thread always
-// executes partition 0 itself. One dispatch owns the pool at a time; any
-// other call runs all of its partitions inline, in partition order.
+// the range arithmetic alone — or as items that each participant takes from
+// a shared counter. Either way every output is written by one participant
+// from inputs no other participant writes, so every output bit is
+// independent of scheduling. The calling thread always executes partition 0
+// itself. One dispatch owns the pool at a time; any other call runs all of
+// its partitions inline, in partition order.
 // ===========================================================================
 namespace {
 
@@ -55,6 +57,7 @@ class Pool {
       return;
     }
     ensure_workers(parts - 1);
+    dispatches_.fetch_add(1, std::memory_order_relaxed);
     {
       const std::lock_guard<std::mutex> lock(mu_);
       fn_ = &fn;
@@ -68,6 +71,10 @@ class Pool {
     done_cv_.wait(lock, [this] { return pending_ == 0; });
     fn_ = nullptr;
     busy_.store(false, std::memory_order_release);
+  }
+
+  std::size_t dispatches() const {
+    return dispatches_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -111,6 +118,7 @@ class Pool {
   std::uint64_t epoch_ = 0;
   bool quit_ = false;
   std::atomic<bool> busy_{false};
+  std::atomic<std::size_t> dispatches_{0};
 };
 
 std::atomic<int> g_threads{0};  // 0 = not yet initialized from the environment
@@ -307,14 +315,7 @@ void forward_rows(float* out, const float* inp, const float* wt,
             n0, n1);
 }
 
-/// Per-thread transpose scratch. Each campaign/training thread that calls
-/// matmul_forward keeps its own buffer, so concurrent models never share.
-std::vector<float>& transpose_scratch() {
-  static thread_local std::vector<float> scratch;
-  return scratch;
-}
-
-/// Transpose w [Cout, Cin] into scratch [Cin, Cout], blocked so each tile's
+/// Transpose w [Cout, Cin] into dst [Cin, Cout], blocked so each tile's
 /// source and destination lines stay cache-resident; the inner loop walks
 /// the destination contiguously (strided reads prefetch much better than
 /// strided writes).
@@ -386,6 +387,18 @@ void parallel_ranges(int total, std::size_t work_per_item,
   });
 }
 
+void parallel_items(int total, std::size_t work_per_item,
+                    const std::function<void(int)>& body) {
+  std::atomic<int> next{0};
+  parallel_ranges(total, work_per_item, [&](int, int) {
+    for (int i; (i = next.fetch_add(1, std::memory_order_relaxed)) < total;) {
+      body(i);
+    }
+  });
+}
+
+std::size_t pool_dispatches() { return Pool::instance().dispatches(); }
+
 // ===========================================================================
 // Optimized kernels.
 // ===========================================================================
@@ -411,55 +424,39 @@ void matmul_bias_gelu_forward_packed(float* pre, float* post, const float* inp,
 
 bool madd_is_fused() { return kFma; }
 
-void matmul_forward(float* out, const float* inp, const float* w,
-                    const float* bias, int N, int Cin, int Cout) {
-  std::vector<float>& wt = transpose_scratch();
-  wt.resize(static_cast<std::size_t>(Cout) * Cin);
-  transpose_into(wt.data(), w, Cout, Cin);
-  parallel_ranges(N, static_cast<std::size_t>(Cin) * Cout, [&](int n0, int n1) {
-    forward_rows(out, inp, wt.data(), bias, n0, n1, Cin, Cout);
-  });
-}
-
 void matmul_bias_gelu_forward(float* pre, float* post, const float* inp,
-                              const float* w, const float* bias, int N,
-                              int Cin, int Cout) {
-  std::vector<float>& wt = transpose_scratch();
-  wt.resize(static_cast<std::size_t>(Cout) * Cin);
-  transpose_into(wt.data(), w, Cout, Cin);
-  parallel_ranges(N, static_cast<std::size_t>(Cin) * Cout, [&](int n0, int n1) {
-    forward_rows(pre, inp, wt.data(), bias, n0, n1, Cin, Cout);
-    const std::size_t at = static_cast<std::size_t>(n0) * Cout;
-    gelu_epilogue(post + at, pre + at, static_cast<std::size_t>(n1 - n0) * Cout);
-  });
+                              const PackedMat& wt, const float* bias, int N) {
+  forward_rows(pre, inp, wt.t.data(), bias, 0, N, wt.cin, wt.cout);
+  gelu_epilogue(post, pre, static_cast<std::size_t>(N) * wt.cout);
 }
 
-void matmul_backward(float* dinp, float* dw, float* dbias, const float* dout,
-                     const float* inp, const float* w, int N, int Cin,
-                     int Cout) {
-  // dinp[n, i] += sum_oc dout[n, oc] * w[oc, i]: rows are independent, so
-  // split by n.
+void matmul_backward_dx(float* dinp, const float* dout, const float* w, int N,
+                        int Cin, int Cout) {
+  // dinp[n, i] += sum_oc dout[n, oc] * w[oc, i]: w is already [K, cols].
   const auto cin = static_cast<std::size_t>(Cin);
   const auto cout = static_cast<std::size_t>(Cout);
-  const Gemm dx{.a = dout, .a_row = cout, .a_k = 1, .b = w, .ldb = cin,
-                .c = dinp, .ldc = cin, .bias = nullptr, .accumulate = true,
-                .K = Cout, .cols = Cin};
-  parallel_ranges(N, cin * cout,
-                  [&](int n0, int n1) { gemm_rows(dx, n0, n1); });
-  // dw[oc, i] += sum_n dout[n, oc] * inp[n, i] and dbias[oc] += sum_n
-  // dout[n, oc], split by output channel; every element sums over n in
-  // ascending order, as the reference does.
-  const Gemm dwg{.a = dout, .a_row = 1, .a_k = cout, .b = inp, .ldb = cin,
+  gemm_rows(Gemm{.a = dout, .a_row = cout, .a_k = 1, .b = w, .ldb = cin,
+                 .c = dinp, .ldc = cin, .bias = nullptr, .accumulate = true,
+                 .K = Cout, .cols = Cin},
+            0, N);
+}
+
+void matmul_backward_dw(float* dw, float* dbias, const float* dout,
+                        const float* inp, int N, int Cin, int Cout, int o0,
+                        int o1) {
+  // dw[oc, i] += sum_n dout[n, oc] * inp[n, i], A(oc, n) = dout[n, oc]; every
+  // element sums over n in ascending order, as the reference does.
+  const auto cin = static_cast<std::size_t>(Cin);
+  const auto cout = static_cast<std::size_t>(Cout);
+  gemm_rows(Gemm{.a = dout, .a_row = 1, .a_k = cout, .b = inp, .ldb = cin,
                  .c = dw, .ldc = cin, .bias = nullptr, .accumulate = true,
-                 .K = N, .cols = Cin};
-  parallel_ranges(Cout, cin * N, [&](int o0, int o1) {
-    gemm_rows(dwg, o0, o1);
-    if (dbias == nullptr) return;
-    for (int n = 0; n < N; ++n) {
-      const float* d = dout + static_cast<std::size_t>(n) * Cout;
-      for (int oc = o0; oc < o1; ++oc) dbias[oc] += d[oc];
-    }
-  });
+                 .K = N, .cols = Cin},
+            o0, o1);
+  if (dbias == nullptr) return;
+  for (int n = 0; n < N; ++n) {
+    const float* d = dout + static_cast<std::size_t>(n) * cout;
+    for (int oc = o0; oc < o1; ++oc) dbias[oc] += d[oc];
+  }
 }
 
 }  // namespace chatfuzz::ml::kern

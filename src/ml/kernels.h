@@ -19,23 +19,33 @@
 // same bits.
 //
 // Determinism contract: for a given build, every kernel accumulates each
-// output element in a fixed order (ascending reduction index) that does not
-// depend on the thread count, so results are bit-identical run to run and
-// for any set_num_threads() value. Threads only ever split work across
-// *disjoint* output ranges (rows for forward/dinp, output channels for
-// dweight/dbias, (sequence, head) pairs for attention, active batch rows
-// for decode), never across a reduction. A matmul output element is one
-// multiply-add per reduction index from its start value (bias, zero or the
-// accumulator): fused, with one rounding, when the kernels' target has FMA,
-// and a multiply then an add otherwise. The fusing is explicit
-// (intrinsics, std::fma), not left to the compiler's FP contraction.
+// output element in a fixed order (ascending reduction index), so results
+// are bit-identical run to run and for any set_num_threads() value. The
+// kernels run on the calling thread; the thread split lives in their
+// callers, and only ever across *disjoint* outputs, never across a
+// reduction. Gpt's training passes hand whole sequences to the pool for the
+// forward and for the activation-gradient chain (rows of different
+// sequences never meet there), and (tensor, output block) items for the
+// weight, bias and layernorm gradients, each element of which is one
+// ascending-row sum over the whole batch; decode splits its active batch
+// rows. A matmul output element is one multiply-add per reduction index
+// from its start value (bias, zero or the accumulator): fused, with one
+// rounding, when the kernels' target has FMA, and a multiply then an add
+// otherwise. The fusing is explicit (intrinsics, std::fma), not left to the
+// compiler's FP contraction.
 //
-// Exact math: the training path's tanhf, coshf and expf (GELU forward and
+// Exact math: the kernels' tanhf, coshf and expf (GELU forward and
 // backward, the attention and LM-head softmaxes, and decode's attention,
 // which runs the training row kernel) are the exact_* functions below,
 // ports of glibc's, not calls into the installed libm. Their vector
 // versions return the scalar definition's bits in every lane, so the
-// training bits depend on neither the libm nor the vector width.
+// kernels' bits depend on neither the libm nor the vector width. Outside
+// the kernels the training path still calls the installed libm, so these
+// values carry its bits: Gpt::logprob and backward_lm's loss (logf); the
+// PPO update's ratio (expf) and entropy (logf), which feed its gradients;
+// AdamW's bias corrections (powf); the sampler's prepare (expf, and log of
+// a double sum), whose log-probabilities become PPO's logp_old; and Gpt's
+// weight initialization (log and cos of doubles).
 #pragma once
 
 #include <cmath>
@@ -47,13 +57,14 @@ namespace chatfuzz::ml::kern {
 
 // ---- intra-batch thread splitter -------------------------------------------
 // A small persistent worker pool (the campaign engine's pool idiom, scoped
-// to kernel calls). It defaults to every hardware thread: in a closed-loop
-// campaign the simulation workers sit idle while the model trains, so the
-// training kernels take the cores. CHATFUZZ_ML_THREADS overrides the default
-// ("0" = all hardware threads; larger values are clamped to the hardware
-// thread count). The pool runs one dispatch at a time: a kernel called from
-// a second thread while it is busy, or from inside a pool body, runs its
-// ranges inline on the caller. The ranges are the same, so the bits are too.
+// to the model's passes). It defaults to every hardware thread: in a
+// closed-loop campaign the simulation workers sit idle while the model
+// trains, so training takes the cores. CHATFUZZ_ML_THREADS overrides the
+// default ("0" = all hardware threads; larger values are clamped to the
+// hardware thread count). The pool runs one dispatch at a time: a dispatch
+// from a second thread while it is busy, or from inside a pool body, runs
+// its parts inline on the caller. The parts are the same, so the bits are
+// too.
 
 /// Current kernel thread count (>= 1).
 int num_threads();
@@ -73,6 +84,19 @@ int env_threads();
 /// the split pays for waking the pool; small calls run inline.
 void parallel_ranges(int total, std::size_t work_per_item,
                      const std::function<void(int, int)>& body);
+
+/// Run body(i) for every i in [0, total) in one dispatch, each thread taking
+/// the next index whenever it finishes one, so items of uneven size keep
+/// every thread busy; pass the biggest first. Items must write disjoint
+/// outputs: which thread runs one then changes no bit. `work_per_item` as
+/// for parallel_ranges; no more threads than items take part.
+void parallel_items(int total, std::size_t work_per_item,
+                    const std::function<void(int)>& body);
+
+/// Dispatches the pool has woken its workers for since the process started
+/// (a dispatch that runs inline does not count). Lets tests pin how often
+/// a pass enters the pool.
+std::size_t pool_dispatches();
 
 // ---- exact math (kernels_exact.cpp) -----------------------------------------
 // Ports of glibc 2.36's expm1f, tanhf and coshf (fdlibm) and expf
@@ -126,42 +150,69 @@ void layernorm_backward_ref(float* dinp, float* dw, float* db,
 void softmax_forward_ref(float* probs, const float* logits, int N, int V);
 
 // ---- optimized kernels -------------------------------------------------------
+// Every kernel below runs on the calling thread, over the rows (or output
+// blocks) it is given; the model's passes split the work across the pool.
+
 /// Whether the matmul kernels' multiply-add is fused (one rounding, on a
 /// target with a fast fmaf) or a multiply then an add (two roundings).
 /// Every matmul output is a chain of these, one per reduction index in
 /// ascending order, from its start value (bias, zero or the accumulator).
 bool madd_is_fused();
 
-/// Tiled matmul. Same signature and math as the reference; internally
-/// transposes `w` into a per-thread scratch so the tile reads weight rows
-/// with unit stride. Split by row.
-void matmul_forward(float* out, const float* inp, const float* w,
-                    const float* bias, int N, int Cin, int Cout);
+/// A transposed ([Cin, Cout], unit stride over Cout) copy of a [Cout, Cin]
+/// weight matrix, so the GEMM tile reads weight rows with unit stride. The
+/// training forward packs every weight once per pass and gen_step once per
+/// generation; each matmul then streams the packed buffer linearly.
+struct PackedMat {
+  int cout = 0, cin = 0;
+  std::vector<float> t;  // [cin, cout]
 
-/// dinp += dout @ w (split by row), dw += dout^T @ inp and dbias +=
-/// colsum(dout) (split by output channel). Accumulation order per element
-/// matches the reference exactly.
-void matmul_backward(float* dinp, float* dw, float* dbias, const float* dout,
-                     const float* inp, const float* w, int N, int Cin,
-                     int Cout);
+  bool empty() const { return t.empty(); }
+};
 
-/// Fused bias + GELU epilogue: pre = inp @ w^T + bias, post =
-/// gelu_epilogue(pre), computed row by row so `pre` is still hot in cache
-/// when the activation runs. Both buffers are written (backward needs the
+/// Fill `dst` with the transpose of w ([Cout, Cin] row-major).
+void pack_transpose(PackedMat& dst, const float* w, int Cout, int Cin);
+
+/// out[n, o] = bias[o] + sum_i inp[n, i] * W[o, i] for n < N, with W
+/// pre-packed (bias may be null: zero).
+void matmul_forward_packed(float* out, const float* inp, const PackedMat& wt,
+                           const float* bias, int N);
+
+/// Fused bias + GELU epilogue: pre = inp @ W^T + bias, post =
+/// gelu_epilogue(pre). Both buffers are written (backward needs the
 /// pre-activation).
 void matmul_bias_gelu_forward(float* pre, float* post, const float* inp,
-                              const float* w, const float* bias, int N,
-                              int Cin, int Cout);
+                              const PackedMat& wt, const float* bias, int N);
+
+/// matmul_bias_gelu_forward for decode only: the activation uses a
+/// vectorizable polynomial tanh (|rel err| < 3e-6) instead of exact_tanhf,
+/// so its bits differ; training keeps the exact GELU.
+void matmul_bias_gelu_forward_packed(float* pre, float* post, const float* inp,
+                                     const PackedMat& wt, const float* bias,
+                                     int N);
+
+/// dinp[n, i] += sum_o dout[n, o] * w[o, i] for n < N (w is [Cout, Cin]
+/// rows, as the forward's weight): the input gradient, row by row.
+void matmul_backward_dx(float* dinp, const float* dout, const float* w, int N,
+                        int Cin, int Cout);
+
+/// dw[o, i] += sum_n dout[n, o] * inp[n, i] and, unless dbias is null,
+/// dbias[o] += sum_n dout[n, o], for the output channels o in [o0, o1) and
+/// every n < N in ascending order: the weight and bias gradients of one
+/// output block. Blocks are disjoint, so any split gives the same bits.
+void matmul_backward_dw(float* dw, float* dbias, const float* dout,
+                        const float* inp, int N, int Cin, int Cout, int o0,
+                        int o1);
 
 /// post[i] = GELU(pre[i]) for i < n, as matmul_bias_gelu_forward computes
 /// it: where madd_is_fused(), the tanh argument is kS * fma(0.044715 x * x,
 /// x, x) and the result (t + 1) * (0.5 x), with t = exact_tanhf(argument);
-/// otherwise gelu_scalar's bits. Runs on the calling thread.
+/// otherwise gelu_scalar's bits.
 void gelu_epilogue(float* post, const float* pre, std::size_t n);
 
-/// dinp += gelu'(inp) * dout, split by element, with gelu_backward_ref's
-/// bits: tanh and cosh are recomputed from the unfused argument (the fused
-/// forward's argument rounds differently, so reusing it would change bits).
+/// dinp += gelu'(inp) * dout, with gelu_backward_ref's bits: tanh and cosh
+/// are recomputed from the unfused argument (the fused forward's argument
+/// rounds differently, so reusing it would change bits).
 void gelu_backward(float* dinp, const float* inp, const float* dout, int N);
 
 // ---- transformer layer kernels (kernels_exact.cpp) -------------------------
@@ -174,85 +225,54 @@ void gelu_backward(float* dinp, const float* inp, const float* dout, int N);
 // with AVX2 (or AVX-512) they are ymm registers, in a generic build float[8]
 // loops with the same operations in the same order.
 
-/// Causal self-attention over B ragged sequences packed back to back:
-/// sequence b is rows [offs[b], offs[b+1]) of qkv ([N, 3C]) and out ([N, C]),
-/// N = offs[B], so no padded row is ever touched. att holds one row-major
-/// L x L block per (sequence, head), L the sequence's length, sequence b's
-/// NH blocks starting at NH * sum_{b' < b} L_b'^2 (attention_att_size).
-/// Only the entries on and below the diagonal are written. Each
-/// (sequence, head) runs on one thread, longest sequences first, handed to
-/// whichever thread is free: K is transposed once, every row goes through
-/// attention_row's softmax, and A.V keeps four query rows' outputs in
-/// registers. No [T, T] scratch besides att itself.
-void attention_forward(float* out, float* att, const float* qkv,
-                       const int* offs, int B, int C, int NH);
+/// Causal self-attention over one sequence of L rows: qkv is [L, 3C] and
+/// out [L, C]. att holds one row-major L x L block per head, NH * L * L
+/// floats; only the entries on and below the diagonal are written. Per
+/// head, K is transposed once, every row goes through attention_row's
+/// softmax, and A.V keeps four query rows' outputs in registers. No [T, T]
+/// scratch besides att itself.
+void attention_forward(float* out, float* att, const float* qkv, int L, int C,
+                       int NH);
 /// Accumulates into dqkv (callers zero it); att is attention_forward's.
-/// Per (sequence, head) in phases, each keeping every element's operations
-/// and their order: dA and the softmax Jacobian row by row (8-lane
-/// accumulators held across the whole key loop) into a per-thread G = dS /
-/// sqrt(hs), then dV = A^T dO, dK = G^T Q and dQ = G K with several rows
-/// held in registers.
+/// Per head in phases, each keeping every element's operations and their
+/// order: dA and the softmax Jacobian row by row (8-lane accumulators held
+/// across the whole key loop) into a per-thread G = dS / sqrt(hs), then
+/// dV = A^T dO, dK = G^T Q and dQ = G K with several rows held in
+/// registers.
 void attention_backward(float* dqkv, const float* dout, const float* qkv,
-                        const float* att, const int* offs, int B, int C,
-                        int NH);
-/// Floats of attention_forward's att for the sequences of `offs`.
-std::size_t attention_att_size(const int* offs, int B, int NH);
+                        const float* att, int L, int C, int NH);
 
 /// One query row of causal attention, the row kernel attention_forward runs
 /// at every row and gen_step at every decode position: a[t2] =
 /// softmax(q . k_t2 / sqrt(hs)) over t2 < n, then out = sum_t2 a[t2] v_t2 in
 /// ascending t2. kt holds the keys transposed (element i of key t2 at
 /// kt[i * ldk + t2]) and is read up to n rounded up to 8, as a is written;
-/// value rows are v + t2 * ldv. Runs on the calling thread.
+/// value rows are v + t2 * ldv.
 void attention_row(float* out, float* a, const float* q, const float* kt,
                    std::size_t ldk, const float* v, std::size_t ldv, int n,
                    int hs);
 
 /// Row n of out (and mean[n], rstd[n]) normalizes input row rows[n], or
-/// row n when rows is null. Split by row.
+/// row n when rows is null.
 void layernorm_forward(float* out, float* mean, float* rstd, const float* inp,
                        const float* w, const float* b, const int* rows, int N,
                        int C);
 /// Backward of layernorm_forward with the same `rows` (which must be
-/// distinct): dinp rows split by row, dw/db split by channel.
-void layernorm_backward(float* dinp, float* dw, float* db, const float* dout,
-                        const float* inp, const float* mean, const float* rstd,
-                        const float* w, const int* rows, int N, int C);
+/// distinct), in two halves. The input gradient, row by row: dinp row
+/// rows[n] (or n) += the gradient through row n of dout.
+void layernorm_backward_dx(float* dinp, const float* dout, const float* inp,
+                           const float* mean, const float* rstd,
+                           const float* w, const int* rows, int N, int C);
+/// The weight and bias gradients: dw[c] and db[c] add row n's terms for
+/// every n < N in ascending order.
+void layernorm_backward_dw(float* dw, float* db, const float* dout,
+                           const float* inp, const float* mean,
+                           const float* rstd, const int* rows, int N, int C);
 
-/// Row-wise softmax over V logits, split by row. A row's max is taken eight
-/// lanes at a time (the max of a set in any order, up to a zero's sign,
-/// which exp(l - max) does not see; NaN logits are skipped), its exponents
-/// summed in ascending order.
+/// Row-wise softmax over V logits. A row's max is taken eight lanes at a
+/// time (the max of a set in any order, up to a zero's sign, which
+/// exp(l - max) does not see; NaN logits are skipped), its exponents summed
+/// in ascending order.
 void softmax_forward(float* probs, const float* logits, int N, int V);
-
-// ---- packed weights for incremental decode -----------------------------------
-/// A transposed ([Cin, Cout], unit stride over Cout) copy of a [Cout, Cin]
-/// weight matrix. gen_step packs every weight once per generation so each
-/// per-token matvec streams the packed buffer linearly front to back —
-/// exactly the access pattern hardware prefetchers are built for.
-struct PackedMat {
-  int cout = 0, cin = 0;
-  std::vector<float> t;  // [cin, cout]
-
-  bool empty() const { return t.empty(); }
-};
-
-/// Fill `dst` with the transpose of w ([Cout, Cin] row-major).
-/// The packed matvecs below never wake the pool themselves: gen_step
-/// already splits its batch rows across it, once per token, and each part
-/// runs them on its own rows.
-void pack_transpose(PackedMat& dst, const float* w, int Cout, int Cin);
-
-/// out[n, o] = bias[o] + sum_i inp[n, i] * W[o, i], with W pre-packed.
-void matmul_forward_packed(float* out, const float* inp, const PackedMat& wt,
-                           const float* bias, int N);
-
-/// Fused packed matmul + bias + GELU (see matmul_bias_gelu_forward).
-/// Inference-only: the activation uses a vectorizable polynomial tanh
-/// (|rel err| < 3e-6) instead of exact_tanhf — training paths keep the
-/// exact GELU.
-void matmul_bias_gelu_forward_packed(float* pre, float* post, const float* inp,
-                                     const PackedMat& wt, const float* bias,
-                                     int N);
 
 }  // namespace chatfuzz::ml::kern

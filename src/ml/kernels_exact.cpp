@@ -1,13 +1,12 @@
 // Transformer layer kernels for the training path — causal attention,
-// layernorm, softmax and GELU, split across the kernel pool (ml/kernels.h) —
-// and the exact math they call: the repository's own tanhf, coshf and expf.
+// layernorm, softmax and GELU, each run on the calling thread over the rows
+// it is given (ml/kernels.h) — and the exact math they call: the repository's own tanhf, coshf and expf.
 //
 // Every kernel here reproduces its *_ref loop in kernels_ref.cpp bit for bit.
 // That is why this file is compiled with -ffp-contract=off (CMakeLists.txt):
 // contracting a*b+c into an FMA rounds once instead of twice. The loops are
 // reshaped only in ways that keep each output element's operations and their
-// order — work is split across independent outputs (batch rows, rows,
-// channels) and vector lanes run across independent keys or elements, never
+// order — vector lanes run across independent keys or elements, never
 // across a sum.
 //
 // Exact math. exact_expm1f, exact_tanhf and exact_coshf are ports of
@@ -25,7 +24,6 @@
 // eight with AVX2, so both widths give the scalar bits. Exponent arithmetic
 // is done on unsigned integers, so no shift or add overflows a signed type.
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -784,46 +782,7 @@ void transpose_head(float* dst, std::size_t ld, const float* src, int L,
   }
 }
 
-/// Start of each sequence's att blocks; entry B is the total.
-std::vector<std::size_t> att_offsets(const int* offs, int B, int NH) {
-  std::vector<std::size_t> at(static_cast<std::size_t>(B) + 1, 0);
-  for (int b = 0; b < B; ++b) {
-    const std::size_t L = static_cast<std::size_t>(offs[b + 1] - offs[b]);
-    at[b + 1] = at[b] + static_cast<std::size_t>(NH) * L * L;
-  }
-  return at;
-}
-
-/// Runs item(b, h) for every (sequence, head) on the pool. Each part takes
-/// the next item when it finishes one, longest sequences first, so ragged
-/// lengths do not leave threads idle; an item writes only its own outputs
-/// from its own inputs, so which thread runs it does not change a bit.
-template <typename Item>
-void for_each_head(const int* offs, int B, int NH, int hs, bool backward,
-                   const Item& item) {
-  const auto len = [offs](int b) { return offs[b + 1] - offs[b]; };
-  std::vector<int> order(B);
-  for (int b = 0; b < B; ++b) order[b] = b;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](int x, int y) { return len(x) > len(y); });
-  // Rough flops of one item at the longest length, for the pool's split.
-  const std::size_t L = B > 0 ? static_cast<std::size_t>(len(order[0])) : 0;
-  const std::size_t work = L * L * (4 * static_cast<std::size_t>(hs) +
-                                    (backward ? L : 8));
-  std::atomic<int> next{0};
-  const int total = B * NH;
-  parallel_ranges(total, work, [&](int, int) {
-    for (int i; (i = next.fetch_add(1, std::memory_order_relaxed)) < total;) {
-      if (len(order[i / NH]) > 0) item(order[i / NH], i % NH);
-    }
-  });
-}
-
 }  // namespace
-
-std::size_t attention_att_size(const int* offs, int B, int NH) {
-  return att_offsets(offs, B, NH)[B];
-}
 
 void attention_row(float* out, float* a, const float* q, const float* kt,
                    std::size_t ldk, const float* v, std::size_t ldv, int n,
@@ -833,173 +792,149 @@ void attention_row(float* out, float* a, const float* q, const float* kt,
   rows_by_keys(out, 0, a, 0, v, ldv, n, 1, hs);
 }
 
-void attention_forward(float* out, float* att, const float* qkv,
-                       const int* offs, int B, int C, int NH) {
+void attention_forward(float* out, float* att, const float* qkv, int L, int C,
+                       int NH) {
   const int hs = C / NH;
   const std::size_t C3 = static_cast<std::size_t>(3) * C;
-  const std::vector<std::size_t> at = att_offsets(offs, B, NH);
-  for_each_head(offs, B, NH, hs, false, [&](int b, int h) {
-    const int L = offs[b + 1] - offs[b];
+  for (int h = 0; h < NH; ++h) {
     AttnScratch& s = attn_scratch(hs, L, false);
     const std::size_t ld = s.row.size();
-    const float* qkv_b = qkv + static_cast<std::size_t>(offs[b]) * C3;
-    float* out_b = out + static_cast<std::size_t>(offs[b]) * C + h * hs;
-    float* att_bh = att + at[b] + static_cast<std::size_t>(h) * L * L;
-    transpose_head(s.xt.data(), ld, qkv_b + C + h * hs, L, hs, C3);
+    float* out_h = out + h * hs;
+    float* att_h = att + static_cast<std::size_t>(h) * L * L;
+    transpose_head(s.xt.data(), ld, qkv + C + h * hs, L, hs, C3);
     for (int t0 = 0; t0 < L; t0 += 4) {
       const int rows = std::min(4, L - t0);
       for (int t = t0; t < t0 + rows; ++t) {
-        softmax_row(s.row.data(), qkv_b + t * C3 + h * hs, s.xt.data(), ld,
+        softmax_row(s.row.data(), qkv + t * C3 + h * hs, s.xt.data(), ld,
                     t + 1, hs);
         std::copy_n(s.row.data(), t + 1,
-                    att_bh + static_cast<std::size_t>(t) * L);
-        std::fill_n(out_b + t * static_cast<std::size_t>(C), hs, 0.f);
+                    att_h + static_cast<std::size_t>(t) * L);
+        std::fill_n(out_h + t * static_cast<std::size_t>(C), hs, 0.f);
       }
-      rows_by_keys(out_b + t0 * static_cast<std::size_t>(C), C,
-                   att_bh + static_cast<std::size_t>(t0) * L, L,
-                   qkv_b + 2 * C + h * hs, C3, t0 + 1, rows, hs);
+      rows_by_keys(out_h + t0 * static_cast<std::size_t>(C), C,
+                   att_h + static_cast<std::size_t>(t0) * L, L,
+                   qkv + 2 * C + h * hs, C3, t0 + 1, rows, hs);
     }
-  });
+  }
 }
 
 void attention_backward(float* dqkv, const float* dout, const float* qkv,
-                        const float* att, const int* offs, int B, int C,
-                        int NH) {
+                        const float* att, int L, int C, int NH) {
   const int hs = C / NH;
   const float scale = 1.f / std::sqrt(static_cast<float>(hs));
   const std::size_t C3 = static_cast<std::size_t>(3) * C;
-  const std::vector<std::size_t> at = att_offsets(offs, B, NH);
   // The reference walks t outermost and h inside it; heads own disjoint
   // slices of dqkv, and dq, dk and dv are disjoint too, so each can run as
   // its own phase as long as every element keeps its order: dv[t2] and
   // dk[t2] ascending in t, dq[t] ascending in t2.
-  for_each_head(offs, B, NH, hs, true, [&](int b, int h) {
-    const int L = offs[b + 1] - offs[b];
+  for (int h = 0; h < NH; ++h) {
     AttnScratch& s = attn_scratch(hs, L, true);
     const std::size_t ld = s.row.size();
-    const std::size_t o = offs[b];
-    const float* qkv_b = qkv + o * C3 + h * hs;
-    float* dqkv_b = dqkv + o * C3 + h * hs;
-    const float* dout_b = dout + o * C + h * hs;
-    const float* att_bh = att + at[b] + static_cast<std::size_t>(h) * L * L;
+    const float* qkv_h = qkv + h * hs;
+    float* dqkv_h = dqkv + h * hs;
+    const float* dout_h = dout + h * hs;
+    const float* att_h = att + static_cast<std::size_t>(h) * L * L;
     float* g = s.g.data();
-    transpose_head(s.xt.data(), ld, qkv_b + 2 * C, L, hs, C3);
+    transpose_head(s.xt.data(), ld, qkv_h + 2 * C, L, hs, C3);
     for (int t = 0; t < L; ++t) {
       const int n = t + 1;
-      std::copy_n(att_bh + static_cast<std::size_t>(t) * L, n, s.arow.data());
+      std::copy_n(att_h + static_cast<std::size_t>(t) * L, n, s.arow.data());
       std::fill(s.arow.begin() + n, s.arow.end(), 0.f);
       // da[t2] = v[t2] . dout[t], through the weighted sum of V.
-      dot_row(s.da.data(), dout_b + t * static_cast<std::size_t>(C),
+      dot_row(s.da.data(), dout_h + t * static_cast<std::size_t>(C),
               s.xt.data(), ld, groups(n), hs);
       jacobian_row(g + t * ld, s.arow.data(), s.da.data(), n, scale);
     }
     for (int k0 = 0; k0 < L; k0 += 4) {
       const int rows = std::min(4, L - k0);
-      keys_by_rows(dqkv_b + k0 * C3 + 2 * C, C3, att_bh, L, dout_b, C, k0,
+      keys_by_rows(dqkv_h + k0 * C3 + 2 * C, C3, att_h, L, dout_h, C, k0,
                    rows, L, hs);                                       // dv
-      keys_by_rows(dqkv_b + k0 * C3 + C, C3, g, ld, qkv_b, C3, k0, rows, L,
+      keys_by_rows(dqkv_h + k0 * C3 + C, C3, g, ld, qkv_h, C3, k0, rows, L,
                    hs);                                                // dk
-      rows_by_keys(dqkv_b + k0 * C3, C3, g + k0 * ld, ld, qkv_b + C, C3,
+      rows_by_keys(dqkv_h + k0 * C3, C3, g + k0 * ld, ld, qkv_h + C, C3,
                    k0 + 1, rows, hs);                                  // dq
     }
-  });
+  }
 }
 
 void layernorm_forward(float* out, float* mean, float* rstd, const float* inp,
                        const float* w, const float* b, const int* rows, int N,
                        int C) {
-  parallel_ranges(N, static_cast<std::size_t>(8) * C, [&](int n0, int n1) {
-    for (int n = n0; n < n1; ++n) {
-      const float* x = inp + static_cast<std::size_t>(rows ? rows[n] : n) * C;
-      float m = 0.f;
-      for (int c = 0; c < C; ++c) m += x[c];
-      m /= static_cast<float>(C);
-      float v = 0.f;
-      for (int c = 0; c < C; ++c) {
-        const float d = x[c] - m;
-        v += d * d;
-      }
-      v /= static_cast<float>(C);
-      const float rs = 1.f / std::sqrt(v + 1e-5f);
-      float* o = out + static_cast<std::size_t>(n) * C;
-      for (int c = 0; c < C; ++c) o[c] = (x[c] - m) * rs * w[c] + b[c];
-      mean[n] = m;
-      rstd[n] = rs;
+  for (int n = 0; n < N; ++n) {
+    const float* x = inp + static_cast<std::size_t>(rows ? rows[n] : n) * C;
+    float m = 0.f;
+    for (int c = 0; c < C; ++c) m += x[c];
+    m /= static_cast<float>(C);
+    float v = 0.f;
+    for (int c = 0; c < C; ++c) {
+      const float d = x[c] - m;
+      v += d * d;
     }
-  });
+    v /= static_cast<float>(C);
+    const float rs = 1.f / std::sqrt(v + 1e-5f);
+    float* o = out + static_cast<std::size_t>(n) * C;
+    for (int c = 0; c < C; ++c) o[c] = (x[c] - m) * rs * w[c] + b[c];
+    mean[n] = m;
+    rstd[n] = rs;
+  }
 }
 
-void layernorm_backward(float* dinp, float* dw, float* db, const float* dout,
-                        const float* inp, const float* mean, const float* rstd,
-                        const float* w, const int* rows, int N, int C) {
-  // dinp: one row per output row.
-  parallel_ranges(N, static_cast<std::size_t>(12) * C, [&](int n0, int n1) {
-    for (int n = n0; n < n1; ++n) {
-      const std::size_t r = static_cast<std::size_t>(rows ? rows[n] : n);
-      const float* x = inp + r * C;
-      const float* d = dout + static_cast<std::size_t>(n) * C;
-      const float m = mean[n], rs = rstd[n];
-      float dnorm_mean = 0.f, dnorm_norm_mean = 0.f;
-      for (int c = 0; c < C; ++c) {
-        const float norm = (x[c] - m) * rs;
-        const float dnorm = w[c] * d[c];
-        dnorm_mean += dnorm;
-        dnorm_norm_mean += dnorm * norm;
-      }
-      dnorm_mean /= static_cast<float>(C);
-      dnorm_norm_mean /= static_cast<float>(C);
-      float* di = dinp + r * C;
-      for (int c = 0; c < C; ++c) {
-        const float norm = (x[c] - m) * rs;
-        const float dnorm = w[c] * d[c];
-        di[c] += (dnorm - dnorm_mean - norm * dnorm_norm_mean) * rs;
-      }
+void layernorm_backward_dx(float* dinp, const float* dout, const float* inp,
+                           const float* mean, const float* rstd,
+                           const float* w, const int* rows, int N, int C) {
+  for (int n = 0; n < N; ++n) {
+    const std::size_t r = static_cast<std::size_t>(rows ? rows[n] : n);
+    const float* x = inp + r * C;
+    const float* d = dout + static_cast<std::size_t>(n) * C;
+    const float m = mean[n], rs = rstd[n];
+    float dnorm_mean = 0.f, dnorm_norm_mean = 0.f;
+    for (int c = 0; c < C; ++c) {
+      const float norm = (x[c] - m) * rs;
+      const float dnorm = w[c] * d[c];
+      dnorm_mean += dnorm;
+      dnorm_norm_mean += dnorm * norm;
     }
-  });
-  // dw/db sum over rows: each thread owns a channel range and walks the
-  // rows in ascending order, as the reference does. The sums run in a
-  // private buffer and are stored once, so no thread writes a cache line
-  // it shares with a neighbouring channel range row after row.
-  parallel_ranges(C, static_cast<std::size_t>(4) * N, [&](int c0, int c1) {
-    static thread_local std::vector<float> sums;
-    const int w = c1 - c0;
-    sums.assign(dw + c0, dw + c1);
-    sums.insert(sums.end(), db + c0, db + c1);
-    float* sw = sums.data();
-    float* sb = sw + w;
-    for (int n = 0; n < N; ++n) {
-      const std::size_t r = static_cast<std::size_t>(rows ? rows[n] : n);
-      const float* x = inp + r * C + c0;
-      const float* d = dout + static_cast<std::size_t>(n) * C + c0;
-      const float m = mean[n], rs = rstd[n];
-      for (int c = 0; c < w; ++c) {
-        const float norm = (x[c] - m) * rs;
-        sw[c] += norm * d[c];
-        sb[c] += d[c];
-      }
+    dnorm_mean /= static_cast<float>(C);
+    dnorm_norm_mean /= static_cast<float>(C);
+    float* di = dinp + r * C;
+    for (int c = 0; c < C; ++c) {
+      const float norm = (x[c] - m) * rs;
+      const float dnorm = w[c] * d[c];
+      di[c] += (dnorm - dnorm_mean - norm * dnorm_norm_mean) * rs;
     }
-    std::copy(sw, sw + w, dw + c0);
-    std::copy(sb, sb + w, db + c0);
-  });
+  }
+}
+
+void layernorm_backward_dw(float* dw, float* db, const float* dout,
+                           const float* inp, const float* mean,
+                           const float* rstd, const int* rows, int N, int C) {
+  for (int n = 0; n < N; ++n) {
+    const std::size_t r = static_cast<std::size_t>(rows ? rows[n] : n);
+    const float* x = inp + r * C;
+    const float* d = dout + static_cast<std::size_t>(n) * C;
+    const float m = mean[n], rs = rstd[n];
+    for (int c = 0; c < C; ++c) {
+      const float norm = (x[c] - m) * rs;
+      dw[c] += norm * d[c];
+      db[c] += d[c];
+    }
+  }
 }
 
 void softmax_forward(float* probs, const float* logits, int N, int V) {
-  parallel_ranges(N, static_cast<std::size_t>(16) * V, [&](int n0, int n1) {
-    for (int n = n0; n < n1; ++n) {
-      const float* l = logits + static_cast<std::size_t>(n) * V;
-      float* p = probs + static_cast<std::size_t>(n) * V;
-      // The max of a set in any order, up to a zero's sign, which
-      // exp(l - max) does not see; NaN lanes are skipped, as the ternary
-      // skips them.
-      F8 mx = f8_set(-1e30f);
-      int i = 0;
-      for (; i + 8 <= V; i += 8) mx = f8_max(f8_load(l + i), mx);
-      float maxv = f8_hmax(mx);
-      for (; i < V; ++i) maxv = l[i] > maxv ? l[i] : maxv;
-      const float inv = 1.f / exp_shifted(p, l, maxv, V);
-      for (int v = 0; v < V; ++v) p[v] *= inv;
-    }
-  });
+  for (int n = 0; n < N; ++n) {
+    const float* l = logits + static_cast<std::size_t>(n) * V;
+    float* p = probs + static_cast<std::size_t>(n) * V;
+    // The max of a set in any order, up to a zero's sign, which exp(l - max)
+    // does not see; NaN lanes are skipped, as the ternary skips them.
+    F8 mx = f8_set(-1e30f);
+    int i = 0;
+    for (; i + 8 <= V; i += 8) mx = f8_max(f8_load(l + i), mx);
+    float maxv = f8_hmax(mx);
+    for (; i < V; ++i) maxv = l[i] > maxv ? l[i] : maxv;
+    const float inv = 1.f / exp_shifted(p, l, maxv, V);
+    for (int v = 0; v < V; ++v) p[v] *= inv;
+  }
 }
 
 void gelu_epilogue(float* post, const float* pre, std::size_t n) {
@@ -1019,31 +954,29 @@ void gelu_epilogue(float* post, const float* pre, std::size_t n) {
 }
 
 void gelu_backward(float* dinp, const float* inp, const float* dout, int N) {
-  // Per element and free of reductions, so any split keeps the bits. The
-  // vector body runs gelu_backward_ref's operations, unfused, in its order;
-  // the tail runs gelu_backward_ref itself.
-  parallel_ranges(N, 64, [&](int lo, int hi) {
-    int i = lo;
+  // Per element and free of reductions. The vector body runs
+  // gelu_backward_ref's operations, unfused, in its order; the tail runs
+  // gelu_backward_ref itself.
+  int i = 0;
 #if defined(__AVX2__) && defined(__FMA__)
-    using L = Wide;
-    using F = L::F;
-    constexpr float kS = 0.7978845608028654f;  // sqrt(2/pi)
-    constexpr float k3c = 3.f * 0.044715f;
-    for (; i + L::kW <= hi; i += L::kW) {
-      const F x = L::load(inp + i);
-      const F cube = L::set(0.044715f) * x * x * x;
-      const F arg = L::set(kS) * (x + cube);
-      const F th = v_tanhf<L>(arg);
-      const F ch = v_coshf<L>(arg);
-      const F sech2 = L::set(1.f) / (ch * ch);
-      const F poly = L::set(1.f) + L::set(k3c) * x * x;
-      const F slope = x * L::set(0.5f) * sech2 * L::set(kS) * poly;
-      const F local = L::set(0.5f) * (L::set(1.f) + th) + slope;
-      L::store(dinp + i, L::load(dinp + i) + local * L::load(dout + i));
-    }
+  using L = Wide;
+  using F = L::F;
+  constexpr float kS = 0.7978845608028654f;  // sqrt(2/pi)
+  constexpr float k3c = 3.f * 0.044715f;
+  for (; i + L::kW <= N; i += L::kW) {
+    const F x = L::load(inp + i);
+    const F cube = L::set(0.044715f) * x * x * x;
+    const F arg = L::set(kS) * (x + cube);
+    const F th = v_tanhf<L>(arg);
+    const F ch = v_coshf<L>(arg);
+    const F sech2 = L::set(1.f) / (ch * ch);
+    const F poly = L::set(1.f) + L::set(k3c) * x * x;
+    const F slope = x * L::set(0.5f) * sech2 * L::set(kS) * poly;
+    const F local = L::set(0.5f) * (L::set(1.f) + th) + slope;
+    L::store(dinp + i, L::load(dinp + i) + local * L::load(dout + i));
+  }
 #endif
-    gelu_backward_ref(dinp + i, inp + i, dout + i, hi - i);
-  });
+  gelu_backward_ref(dinp + i, inp + i, dout + i, N - i);
 }
 
 }  // namespace chatfuzz::ml::kern

@@ -3,8 +3,8 @@
 // randomized shapes (bit for bit for the layer kernels), the GEMM and the
 // GELU epilogue against scalar oracles bit for bit, the vector exact-math
 // functions against their scalar definitions at every branch edge,
-// bit-identical results across thread counts, pool re-entrancy, and
-// end-to-end incremental-vs-full generation parity.
+// bit-identical results across row and output-block splits, pool
+// re-entrancy, and end-to-end incremental-vs-full generation parity.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -58,25 +58,28 @@ const Shape kShapes[] = {
 
 }  // namespace
 
-TEST(Kernels, MatmulForwardMatchesRef) {
+TEST(Kernels, MatmulForwardPackedMatchesRef) {
   Rng rng(11);
   for (const Shape& s : kShapes) {
     const auto inp = random_vec(rng, static_cast<std::size_t>(s.N) * s.Cin);
     const auto w =
         random_vec(rng, static_cast<std::size_t>(s.Cout) * s.Cin, 0.2f);
     const auto bias = random_vec(rng, s.Cout);
+    kern::PackedMat packed;
+    kern::pack_transpose(packed, w.data(), s.Cout, s.Cin);
+    ASSERT_EQ(packed.cout, s.Cout);
+    ASSERT_EQ(packed.cin, s.Cin);
     std::vector<float> ref(static_cast<std::size_t>(s.N) * s.Cout);
     std::vector<float> fast(ref.size());
     kern::matmul_forward_ref(ref.data(), inp.data(), w.data(), bias.data(),
                              s.N, s.Cin, s.Cout);
-    kern::matmul_forward(fast.data(), inp.data(), w.data(), bias.data(), s.N,
-                         s.Cin, s.Cout);
+    kern::matmul_forward_packed(fast.data(), inp.data(), packed, bias.data(),
+                                s.N);
     expect_close(fast, ref, 1e-5f);
     // nullptr bias path
     kern::matmul_forward_ref(ref.data(), inp.data(), w.data(), nullptr, s.N,
                              s.Cin, s.Cout);
-    kern::matmul_forward(fast.data(), inp.data(), w.data(), nullptr, s.N,
-                         s.Cin, s.Cout);
+    kern::matmul_forward_packed(fast.data(), inp.data(), packed, nullptr, s.N);
     expect_close(fast, ref, 1e-5f);
   }
 }
@@ -98,9 +101,10 @@ TEST(Kernels, MatmulBackwardMatchesRef) {
     kern::matmul_backward_ref(di_ref.data(), dw_ref.data(), db_ref.data(),
                               dout.data(), inp.data(), w.data(), s.N, s.Cin,
                               s.Cout);
-    kern::matmul_backward(di_fast.data(), dw_fast.data(), db_fast.data(),
-                          dout.data(), inp.data(), w.data(), s.N, s.Cin,
-                          s.Cout);
+    kern::matmul_backward_dx(di_fast.data(), dout.data(), w.data(), s.N, s.Cin,
+                             s.Cout);
+    kern::matmul_backward_dw(dw_fast.data(), db_fast.data(), dout.data(),
+                             inp.data(), s.N, s.Cin, s.Cout, 0, s.Cout);
     expect_close(di_fast, di_ref, 1e-5f);
     expect_close(dw_fast, dw_ref, 1e-5f);
     expect_close(db_fast, db_ref, 1e-5f);
@@ -119,75 +123,54 @@ TEST(Kernels, FusedBiasGeluMatchesComposition) {
                            s.N, s.Cin, s.Cout);
   kern::gelu_forward_ref(post_ref.data(), pre_ref.data(),
                          static_cast<int>(pre_ref.size()));
+  kern::PackedMat packed;
+  kern::pack_transpose(packed, w.data(), s.Cout, s.Cin);
   std::vector<float> pre(pre_ref.size()), post(pre_ref.size());
-  kern::matmul_bias_gelu_forward(pre.data(), post.data(), inp.data(), w.data(),
-                                 bias.data(), s.N, s.Cin, s.Cout);
+  kern::matmul_bias_gelu_forward(pre.data(), post.data(), inp.data(), packed,
+                                 bias.data(), s.N);
   expect_close(pre, pre_ref, 1e-5f);
   expect_close(post, post_ref, 1e-5f);
 }
 
-TEST(Kernels, PackedMatvecMatchesRef) {
-  Rng rng(14);
-  for (const Shape& s : kShapes) {
-    const auto inp = random_vec(rng, static_cast<std::size_t>(s.N) * s.Cin);
-    const auto w =
-        random_vec(rng, static_cast<std::size_t>(s.Cout) * s.Cin, 0.2f);
-    const auto bias = random_vec(rng, s.Cout);
-    kern::PackedMat packed;
-    kern::pack_transpose(packed, w.data(), s.Cout, s.Cin);
-    ASSERT_EQ(packed.cout, s.Cout);
-    ASSERT_EQ(packed.cin, s.Cin);
-    std::vector<float> ref(static_cast<std::size_t>(s.N) * s.Cout);
-    std::vector<float> fast(ref.size());
-    kern::matmul_forward_ref(ref.data(), inp.data(), w.data(), bias.data(),
-                             s.N, s.Cin, s.Cout);
-    kern::matmul_forward_packed(fast.data(), inp.data(), packed, bias.data(),
-                                s.N);
-    expect_close(fast, ref, 1e-5f);
-  }
-}
-
-TEST(Kernels, ThreadSplitterIsBitIdentical) {
+TEST(Kernels, BackwardBlocksAndRowRangesAreBitIdentical) {
+  // The model's passes split the input gradient by sequence (row ranges)
+  // and the weight gradient by output block. Neither split may move a bit:
+  // every element keeps its one ascending chain.
   Rng rng(15);
-  const Shape s{61, 96, 224};  // enough work to actually engage the pool
+  const Shape s{61, 96, 224};
   const auto inp = random_vec(rng, static_cast<std::size_t>(s.N) * s.Cin);
   const auto w = random_vec(rng, static_cast<std::size_t>(s.Cout) * s.Cin, 0.2f);
-  const auto bias = random_vec(rng, s.Cout);
   const auto dout = random_vec(rng, static_cast<std::size_t>(s.N) * s.Cout);
-
-  const int saved = kern::num_threads();
-  std::vector<std::vector<float>> outs, dis, dws, dbs;
-  for (const int nt : {1, 3, 7}) {
-    kern::set_num_threads(nt);
-    std::vector<float> out(static_cast<std::size_t>(s.N) * s.Cout);
-    kern::matmul_forward(out.data(), inp.data(), w.data(), bias.data(), s.N,
-                         s.Cin, s.Cout);
-    std::vector<float> di(inp.size(), 0.f), dw(w.size(), 0.f),
-        db(s.Cout, 0.f);
-    kern::matmul_backward(di.data(), dw.data(), db.data(), dout.data(),
-                          inp.data(), w.data(), s.N, s.Cin, s.Cout);
-    outs.push_back(std::move(out));
-    dis.push_back(std::move(di));
-    dws.push_back(std::move(dw));
-    dbs.push_back(std::move(db));
-  }
-  kern::set_num_threads(saved);
-  for (std::size_t i = 1; i < outs.size(); ++i) {
+  std::vector<float> di(inp.size(), 0.f), dw(w.size(), 0.f), db(s.Cout, 0.f);
+  kern::matmul_backward_dx(di.data(), dout.data(), w.data(), s.N, s.Cin,
+                           s.Cout);
+  kern::matmul_backward_dw(dw.data(), db.data(), dout.data(), inp.data(), s.N,
+                           s.Cin, s.Cout, 0, s.Cout);
+  for (const int step : {1, 5, 12, 50}) {
+    SCOPED_TRACE("step=" + std::to_string(step));
+    std::vector<float> di2(inp.size(), 0.f), dw2(w.size(), 0.f),
+        db2(s.Cout, 0.f);
+    for (int n0 = 0; n0 < s.N; n0 += step) {
+      const int rows = std::min(step, s.N - n0);
+      kern::matmul_backward_dx(di2.data() + static_cast<std::size_t>(n0) * s.Cin,
+                               dout.data() + static_cast<std::size_t>(n0) * s.Cout,
+                               w.data(), rows, s.Cin, s.Cout);
+    }
+    for (int o0 = 0; o0 < s.Cout; o0 += step) {
+      kern::matmul_backward_dw(dw2.data(), db2.data(), dout.data(), inp.data(),
+                               s.N, s.Cin, s.Cout, o0,
+                               std::min(o0 + step, s.Cout));
+    }
     // Bit-identical, not merely close: the determinism contract.
-    EXPECT_EQ(0, std::memcmp(outs[0].data(), outs[i].data(),
-                             outs[0].size() * sizeof(float)));
-    EXPECT_EQ(0, std::memcmp(dis[0].data(), dis[i].data(),
-                             dis[0].size() * sizeof(float)));
-    EXPECT_EQ(0, std::memcmp(dws[0].data(), dws[i].data(),
-                             dws[0].size() * sizeof(float)));
-    EXPECT_EQ(0, std::memcmp(dbs[0].data(), dbs[i].data(),
-                             dbs[0].size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(di.data(), di2.data(), di.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(dw.data(), dw2.data(), dw.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(db.data(), db2.data(), db.size() * sizeof(float)));
   }
 }
 
 // ---- transformer layer kernels: bit-exact against the seed loops ----------
 // The attention, layernorm and softmax kernels promise the *_ref bits, not
-// merely close values, at every thread count.
+// merely close values.
 
 namespace {
 
@@ -216,8 +199,7 @@ struct AttnShape {
 
 // Length 1; lengths that are and are not multiples of 4 and 8 in one batch;
 // head sizes 4 (no whole lane group), 8, 12 (a group and a remainder), 16
-// and 32 (two 16-column tiles); and shapes with enough work per (sequence,
-// head) to engage the pool.
+// and 32 (two 16-column tiles); and the lengths of real training batches.
 const AttnShape kAttnShapes[] = {
     {{1, 1}, 16, 2},         {{5}, 8, 1},          {{13, 7, 1}, 32, 4},
     {{16, 16}, 16, 2},       {{37, 20, 33}, 64, 4}, {{9, 30}, 24, 2},
@@ -254,12 +236,12 @@ RefSeq ref_forward(const std::vector<float>& qkv, int o, int L, int C, int NH) {
 }
 
 /// att's lower triangles, which attention_forward writes, equal the ref's.
-bool same_att_triangles(const std::vector<float>& att, std::size_t at,
+bool same_att_triangles(const std::vector<float>& att,
                         const std::vector<float>& ref, int L, int NH) {
   for (std::size_t h = 0; h < static_cast<std::size_t>(NH); ++h) {
     for (std::size_t t = 0; t < static_cast<std::size_t>(L); ++t) {
       const std::size_t row = (h * L + t) * L;
-      if (std::memcmp(att.data() + at + row, ref.data() + row,
+      if (std::memcmp(att.data() + row, ref.data() + row,
                       (t + 1) * sizeof(float)) != 0) {
         return false;
       }
@@ -278,26 +260,23 @@ TEST(Kernels, AttentionForwardMatchesRefBits) {
     const int B = static_cast<int>(s.lens.size()), N = offs.back();
     const std::size_t NC = static_cast<std::size_t>(N) * s.C;
     const auto qkv = random_vec(rng, 3 * NC, 4.f);
-    const std::size_t A = kern::attention_att_size(offs.data(), B, s.NH);
-    at_thread_counts([&] {
-      // Stale values in out must be overwritten, as the ref does.
-      std::vector<float> out(NC, 7.f), att(A, 7.f);
-      kern::attention_forward(out.data(), att.data(), qkv.data(), offs.data(),
-                              B, s.C, s.NH);
-      std::size_t at = 0;
-      for (int b = 0; b < B; ++b) {
-        const int L = s.lens[b];
-        const RefSeq r = ref_forward(qkv, offs[b], L, s.C, s.NH);
-        const float* got = out.data() + static_cast<std::size_t>(offs[b]) * s.C;
-        EXPECT_EQ(0,
-                  std::memcmp(got, r.out.data(), r.out.size() * sizeof(float)))
-            << "out of sequence " << b;
-        EXPECT_TRUE(same_att_triangles(att, at, r.att, L, s.NH))
-            << "att of sequence " << b;
-        at += r.att.size();
-      }
-      EXPECT_EQ(at, A);
-    });
+    // Stale values in out must be overwritten, as the ref does.
+    std::vector<float> out(NC, 7.f);
+    for (int b = 0; b < B; ++b) {
+      const int L = s.lens[b];
+      const RefSeq r = ref_forward(qkv, offs[b], L, s.C, s.NH);
+      std::vector<float> att(r.att.size(), 7.f);
+      float* got = out.data() + static_cast<std::size_t>(offs[b]) * s.C;
+      kern::attention_forward(got, att.data(),
+                              qkv.data() + static_cast<std::size_t>(offs[b]) *
+                                               3 * s.C,
+                              L, s.C, s.NH);
+      EXPECT_EQ(0,
+                std::memcmp(got, r.out.data(), r.out.size() * sizeof(float)))
+          << "out of sequence " << b;
+      EXPECT_TRUE(same_att_triangles(att, r.att, L, s.NH))
+          << "att of sequence " << b;
+    }
   }
 }
 
@@ -309,35 +288,31 @@ TEST(Kernels, AttentionBackwardMatchesRefBits) {
     const int B = static_cast<int>(s.lens.size()), N = offs.back();
     const std::size_t C3 = 3 * static_cast<std::size_t>(s.C);
     const auto qkv = random_vec(rng, N * C3, 4.f);
-    std::vector<float> out(static_cast<std::size_t>(N) * s.C);
-    std::vector<float> att(kern::attention_att_size(offs.data(), B, s.NH));
-    kern::attention_forward(out.data(), att.data(), qkv.data(), offs.data(), B,
-                            s.C, s.NH);
-    const auto dout = random_vec(rng, out.size());
+    const auto dout = random_vec(rng, static_cast<std::size_t>(N) * s.C);
     // A non-zero initial accumulator: the kernel adds into dqkv.
     const auto seed_dqkv = random_vec(rng, qkv.size(), 0.1f);
-    // The reference, one sequence at a time, with the zeroed dpreatt and
-    // datt scratch the model used to pass it.
-    std::vector<float> dqkv_ref = seed_dqkv;
     for (int b = 0; b < B; ++b) {
       const int L = s.lens[b];
-      const RefSeq r = ref_forward(qkv, offs[b], L, s.C, s.NH);
       const std::size_t o = static_cast<std::size_t>(offs[b]);
+      // The reference, with the zeroed dpreatt and datt scratch the model
+      // used to pass it.
+      const RefSeq r = ref_forward(qkv, offs[b], L, s.C, s.NH);
       std::vector<float> q(qkv.begin() + o * C3, qkv.begin() + (o + L) * C3);
-      std::vector<float> dq(dqkv_ref.begin() + o * C3,
-                            dqkv_ref.begin() + (o + L) * C3);
+      std::vector<float> want(seed_dqkv.begin() + o * C3,
+                              seed_dqkv.begin() + (o + L) * C3);
       std::vector<float> dpre(r.att.size(), 0.f), datt(r.att.size(), 0.f);
-      kern::attention_backward_ref(dq.data(), dpre.data(), datt.data(),
+      kern::attention_backward_ref(want.data(), dpre.data(), datt.data(),
                                    dout.data() + o * s.C, q.data(),
                                    r.att.data(), 1, L, s.C, s.NH);
-      std::copy(dq.begin(), dq.end(), dqkv_ref.begin() + o * C3);
+      std::vector<float> att(r.att.size());
+      std::vector<float> out(static_cast<std::size_t>(L) * s.C);
+      kern::attention_forward(out.data(), att.data(), q.data(), L, s.C, s.NH);
+      std::vector<float> got(seed_dqkv.begin() + o * C3,
+                             seed_dqkv.begin() + (o + L) * C3);
+      kern::attention_backward(got.data(), dout.data() + o * s.C, q.data(),
+                               att.data(), L, s.C, s.NH);
+      EXPECT_TRUE(same_bits(got, want)) << "sequence " << b;
     }
-    at_thread_counts([&] {
-      auto dqkv = seed_dqkv;
-      kern::attention_backward(dqkv.data(), dout.data(), qkv.data(), att.data(),
-                               offs.data(), B, s.C, s.NH);
-      EXPECT_TRUE(same_bits(dqkv, dqkv_ref));
-    });
   }
 }
 
@@ -363,21 +338,21 @@ TEST(Kernels, LayernormMatchesRefBits) {
     kern::layernorm_backward_ref(dinp_ref.data(), dw_ref.data(), db_ref.data(),
                                  dout.data(), inp.data(), mean_ref.data(),
                                  rstd_ref.data(), w.data(), N, C);
-    at_thread_counts([&] {
-      std::vector<float> out(NC), mean(N), rstd(N);
-      kern::layernorm_forward(out.data(), mean.data(), rstd.data(), inp.data(),
-                              w.data(), b.data(), nullptr, N, C);
-      EXPECT_TRUE(same_bits(out, out_ref));
-      EXPECT_TRUE(same_bits(mean, mean_ref));
-      EXPECT_TRUE(same_bits(rstd, rstd_ref));
-      auto dinp = seed_dinp, dw = seed_dw, db = seed_db;
-      kern::layernorm_backward(dinp.data(), dw.data(), db.data(), dout.data(),
-                               inp.data(), mean.data(), rstd.data(), w.data(),
-                               nullptr, N, C);
-      EXPECT_TRUE(same_bits(dinp, dinp_ref));
-      EXPECT_TRUE(same_bits(dw, dw_ref));
-      EXPECT_TRUE(same_bits(db, db_ref));
-    });
+    std::vector<float> out(NC), mean(N), rstd(N);
+    kern::layernorm_forward(out.data(), mean.data(), rstd.data(), inp.data(),
+                            w.data(), b.data(), nullptr, N, C);
+    EXPECT_TRUE(same_bits(out, out_ref));
+    EXPECT_TRUE(same_bits(mean, mean_ref));
+    EXPECT_TRUE(same_bits(rstd, rstd_ref));
+    auto dinp = seed_dinp, dw = seed_dw, db = seed_db;
+    kern::layernorm_backward_dx(dinp.data(), dout.data(), inp.data(),
+                                mean.data(), rstd.data(), w.data(), nullptr, N,
+                                C);
+    kern::layernorm_backward_dw(dw.data(), db.data(), dout.data(), inp.data(),
+                                mean.data(), rstd.data(), nullptr, N, C);
+    EXPECT_TRUE(same_bits(dinp, dinp_ref));
+    EXPECT_TRUE(same_bits(dw, dw_ref));
+    EXPECT_TRUE(same_bits(db, db_ref));
   }
 }
 
@@ -413,22 +388,21 @@ TEST(Kernels, LayernormOnGatheredRowsMatchesRefOnCopies) {
     std::copy(g_dinp.begin() + n * C, g_dinp.begin() + (n + 1) * C,
               dinp_ref.begin() + rows[n] * C);
   }
-  at_thread_counts([&] {
-    std::vector<float> out(out_ref.size()), mean(N), rstd(N);
-    kern::layernorm_forward(out.data(), mean.data(), rstd.data(), inp.data(),
-                            w.data(), b.data(), rows.data(), N, C);
-    EXPECT_TRUE(same_bits(out, out_ref));
-    EXPECT_TRUE(same_bits(mean, mean_ref));
-    EXPECT_TRUE(same_bits(rstd, rstd_ref));
-    auto dinp = seed_dinp;
-    std::vector<float> dw(C, 0.f), db(C, 0.f);
-    kern::layernorm_backward(dinp.data(), dw.data(), db.data(), dout.data(),
-                             inp.data(), mean.data(), rstd.data(), w.data(),
-                             rows.data(), N, C);
-    EXPECT_TRUE(same_bits(dinp, dinp_ref));
-    EXPECT_TRUE(same_bits(dw, dw_ref));
-    EXPECT_TRUE(same_bits(db, db_ref));
-  });
+  std::vector<float> out(out_ref.size()), mean(N), rstd(N);
+  kern::layernorm_forward(out.data(), mean.data(), rstd.data(), inp.data(),
+                          w.data(), b.data(), rows.data(), N, C);
+  EXPECT_TRUE(same_bits(out, out_ref));
+  EXPECT_TRUE(same_bits(mean, mean_ref));
+  EXPECT_TRUE(same_bits(rstd, rstd_ref));
+  auto dinp = seed_dinp;
+  std::vector<float> dw(C, 0.f), db(C, 0.f);
+  kern::layernorm_backward_dx(dinp.data(), dout.data(), inp.data(), mean.data(),
+                              rstd.data(), w.data(), rows.data(), N, C);
+  kern::layernorm_backward_dw(dw.data(), db.data(), dout.data(), inp.data(),
+                              mean.data(), rstd.data(), rows.data(), N, C);
+  EXPECT_TRUE(same_bits(dinp, dinp_ref));
+  EXPECT_TRUE(same_bits(dw, dw_ref));
+  EXPECT_TRUE(same_bits(db, db_ref));
 }
 
 TEST(Kernels, SoftmaxMatchesRefBits) {
@@ -439,27 +413,23 @@ TEST(Kernels, SoftmaxMatchesRefBits) {
     const auto logits = random_vec(rng, static_cast<std::size_t>(N) * V, 20.f);
     std::vector<float> ref(logits.size());
     kern::softmax_forward_ref(ref.data(), logits.data(), N, V);
-    at_thread_counts([&] {
-      std::vector<float> probs(logits.size());
-      kern::softmax_forward(probs.data(), logits.data(), N, V);
-      EXPECT_TRUE(same_bits(probs, ref));
-    });
+    std::vector<float> probs(logits.size());
+    kern::softmax_forward(probs.data(), logits.data(), N, V);
+    EXPECT_TRUE(same_bits(probs, ref));
   }
 }
 
 TEST(Kernels, GeluBackwardMatchesRefBits) {
   Rng rng(26);
-  const int N = 40000;  // enough to split across the pool
+  const int N = 40000;
   const auto inp = random_vec(rng, N, 8.f);
   const auto dout = random_vec(rng, N);
   const auto seed = random_vec(rng, N, 0.1f);
   auto ref = seed;
   kern::gelu_backward_ref(ref.data(), inp.data(), dout.data(), N);
-  at_thread_counts([&] {
-    auto d = seed;
-    kern::gelu_backward(d.data(), inp.data(), dout.data(), N);
-    EXPECT_TRUE(same_bits(d, ref));
-  });
+  auto d = seed;
+  kern::gelu_backward(d.data(), inp.data(), dout.data(), N);
+  EXPECT_TRUE(same_bits(d, ref));
 }
 
 // ---- the GEMM kernel: bit-exact against a scalar multiply-add chain --------
@@ -533,28 +503,17 @@ TEST(Kernels, GemmForwardPathsMatchScalarMaddChainBits) {
     const auto want_post = oracle_gelu(want);
     kern::PackedMat packed;
     kern::pack_transpose(packed, w.data(), s.Cout, s.Cin);
-    at_thread_counts([&] {
-      std::vector<float> out(want.size(), 7.f), post(want.size());
-      kern::matmul_forward(out.data(), inp.data(), w.data(), bias.data(), s.N,
-                           s.Cin, s.Cout);
-      EXPECT_TRUE(same_bits(out, want));
-      kern::matmul_forward(out.data(), inp.data(), w.data(), nullptr, s.N,
-                           s.Cin, s.Cout);
-      EXPECT_TRUE(same_bits(out, want_nobias));
-      std::fill(out.begin(), out.end(), 7.f);
-      kern::matmul_bias_gelu_forward(out.data(), post.data(), inp.data(),
-                                     w.data(), bias.data(), s.N, s.Cin,
-                                     s.Cout);
-      EXPECT_TRUE(same_bits(out, want));
-      EXPECT_TRUE(same_bits(post, want_post));
-      std::fill(out.begin(), out.end(), 7.f);
-      kern::matmul_forward_packed(out.data(), inp.data(), packed, bias.data(),
-                                  s.N);
-      EXPECT_TRUE(same_bits(out, want));
-      kern::matmul_forward_packed(out.data(), inp.data(), packed, nullptr,
-                                  s.N);
-      EXPECT_TRUE(same_bits(out, want_nobias));
-    });
+    std::vector<float> out(want.size(), 7.f), post(want.size());
+    kern::matmul_forward_packed(out.data(), inp.data(), packed, bias.data(),
+                                s.N);
+    EXPECT_TRUE(same_bits(out, want));
+    kern::matmul_forward_packed(out.data(), inp.data(), packed, nullptr, s.N);
+    EXPECT_TRUE(same_bits(out, want_nobias));
+    std::fill(out.begin(), out.end(), 7.f);
+    kern::matmul_bias_gelu_forward(out.data(), post.data(), inp.data(), packed,
+                                   bias.data(), s.N);
+    EXPECT_TRUE(same_bits(out, want));
+    EXPECT_TRUE(same_bits(post, want_post));
   }
 }
 
@@ -593,20 +552,19 @@ TEST(Kernels, GemmBackwardMatchesScalarMaddChainBits) {
         want_db[o] += dout[static_cast<std::size_t>(n) * s.Cout + o];
       }
     }
-    at_thread_counts([&] {
-      auto di = seed_di, dw = seed_dw, db = seed_db;
-      kern::matmul_backward(di.data(), dw.data(), db.data(), dout.data(),
-                            inp.data(), w.data(), s.N, s.Cin, s.Cout);
-      EXPECT_TRUE(same_bits(di, want_di));
-      EXPECT_TRUE(same_bits(dw, want_dw));
-      EXPECT_TRUE(same_bits(db, want_db));
-      // No bias gradient: dinp and dw are unchanged.
-      auto di2 = seed_di, dw2 = seed_dw;
-      kern::matmul_backward(di2.data(), dw2.data(), nullptr, dout.data(),
-                            inp.data(), w.data(), s.N, s.Cin, s.Cout);
-      EXPECT_TRUE(same_bits(di2, want_di));
-      EXPECT_TRUE(same_bits(dw2, want_dw));
-    });
+    auto di = seed_di, dw = seed_dw, db = seed_db;
+    kern::matmul_backward_dx(di.data(), dout.data(), w.data(), s.N, s.Cin,
+                             s.Cout);
+    kern::matmul_backward_dw(dw.data(), db.data(), dout.data(), inp.data(), s.N,
+                             s.Cin, s.Cout, 0, s.Cout);
+    EXPECT_TRUE(same_bits(di, want_di));
+    EXPECT_TRUE(same_bits(dw, want_dw));
+    EXPECT_TRUE(same_bits(db, want_db));
+    // No bias gradient: dw is unchanged.
+    auto dw2 = seed_dw;
+    kern::matmul_backward_dw(dw2.data(), nullptr, dout.data(), inp.data(), s.N,
+                             s.Cin, s.Cout, 0, s.Cout);
+    EXPECT_TRUE(same_bits(dw2, want_dw));
   }
 }
 
@@ -747,30 +705,42 @@ std::vector<float> gelu_inputs(Rng& rng, std::size_t n) {
 TEST(Kernels, GeluKernelsMatchScalarBitsOnTailsAndSpecialValues) {
   Rng rng(33);
   // The backward kernel against gelu_backward_ref; 8k + 5 elements, split
-  // at arbitrary points, so lanes and scalar tails both run.
+  // at arbitrary points, as the model splits it by sequence, so lanes and
+  // scalar tails both run.
   const int N = 8 * 5000 + 5;
   const auto inp = gelu_inputs(rng, N);
   const auto dout = random_vec(rng, N);
   const auto seed = random_vec(rng, N, 0.1f);
   auto want = seed;
   kern::gelu_backward_ref(want.data(), inp.data(), dout.data(), N);
-  // The forward epilogue, through matmul_bias_gelu_forward with Cout = 13:
-  // each thread's row range ends in a partial vector.
+  // The forward epilogue, through matmul_bias_gelu_forward with Cout = 13
+  // over row ranges, each of which ends in a partial vector.
   const Shape s{3001, 1, 13};
   const auto x = gelu_inputs(rng, s.N);
   const std::vector<float> w(s.Cout, 1.f), bias(s.Cout, 0.f);
   const auto pre_want = oracle_forward(x, w, bias.data(), s);
   const auto post_want = oracle_gelu(pre_want);
-  at_thread_counts([&] {
+  kern::PackedMat packed;
+  kern::pack_transpose(packed, w.data(), s.Cout, s.Cin);
+  for (const int parts : {1, 3, 7}) {
+    SCOPED_TRACE("parts=" + std::to_string(parts));
     auto d = seed;
-    kern::gelu_backward(d.data(), inp.data(), dout.data(), N);
-    EXPECT_TRUE(same_bits(d, want));
     std::vector<float> pre(pre_want.size()), post(pre_want.size());
-    kern::matmul_bias_gelu_forward(pre.data(), post.data(), x.data(), w.data(),
-                                   bias.data(), s.N, s.Cin, s.Cout);
+    for (int k = 0; k < parts; ++k) {
+      const int lo = N * k / parts, hi = N * (k + 1) / parts;
+      kern::gelu_backward(d.data() + lo, inp.data() + lo, dout.data() + lo,
+                          hi - lo);
+      const std::size_t n0 = static_cast<std::size_t>(s.N) * k / parts;
+      const std::size_t n1 = static_cast<std::size_t>(s.N) * (k + 1) / parts;
+      kern::matmul_bias_gelu_forward(pre.data() + n0 * s.Cout,
+                                     post.data() + n0 * s.Cout,
+                                     x.data() + n0 * s.Cin, packed,
+                                     bias.data(), static_cast<int>(n1 - n0));
+    }
+    EXPECT_TRUE(same_bits(d, want));
     EXPECT_TRUE(same_bits(pre, pre_want));
     EXPECT_TRUE(same_bits(post, post_want));
-  });
+  }
   std::vector<float> post(pre_want.size());
   kern::gelu_epilogue(post.data(), pre_want.data(), post.size());
   EXPECT_TRUE(same_bits(post, post_want));
@@ -795,11 +765,9 @@ TEST(Kernels, SoftmaxOnSignedZerosAndNaNMatchesRefBits) {
   const int N = static_cast<int>(logits.size()) / V;
   std::vector<float> ref(logits.size());
   kern::softmax_forward_ref(ref.data(), logits.data(), N, V);
-  at_thread_counts([&] {
-    std::vector<float> probs(logits.size());
-    kern::softmax_forward(probs.data(), logits.data(), N, V);
-    EXPECT_TRUE(same_bits(probs, ref));
-  });
+  std::vector<float> probs(logits.size());
+  kern::softmax_forward(probs.data(), logits.data(), N, V);
+  EXPECT_TRUE(same_bits(probs, ref));
 }
 
 TEST(Kernels, SoftmaxMatchesRefBitsWhereExponentialsUnderflow) {
@@ -811,45 +779,45 @@ TEST(Kernels, SoftmaxMatchesRefBitsWhereExponentialsUnderflow) {
     const auto logits = random_vec(rng, static_cast<std::size_t>(N) * V, 300.f);
     std::vector<float> ref(logits.size());
     kern::softmax_forward_ref(ref.data(), logits.data(), N, V);
-    at_thread_counts([&] {
-      std::vector<float> probs(logits.size());
-      kern::softmax_forward(probs.data(), logits.data(), N, V);
-      EXPECT_TRUE(same_bits(probs, ref));
-    });
+    std::vector<float> probs(logits.size());
+    kern::softmax_forward(probs.data(), logits.data(), N, V);
+    EXPECT_TRUE(same_bits(probs, ref));
   }
 }
 
 // ---- the pool itself -------------------------------------------------------
 
-TEST(Kernels, NestedAndConcurrentCallsRunInlineWithSameBits) {
+TEST(Kernels, NestedAndConcurrentPassesRunInlineWithSameBits) {
+  // Model passes dispatch to the pool. A pass inside a pool body, or on a
+  // second thread while another pass owns the pool, runs its items inline
+  // and must give the same bits.
+  const GptConfig cfg{64, 32, 2, 2, 32};
+  const Gpt model(cfg, 27);
   Rng rng(27);
-  const Shape s{61, 96, 224};
-  const auto inp = random_vec(rng, static_cast<std::size_t>(s.N) * s.Cin);
-  const auto w =
-      random_vec(rng, static_cast<std::size_t>(s.Cout) * s.Cin, 0.2f);
-  std::vector<float> want(static_cast<std::size_t>(s.N) * s.Cout);
-  kern::matmul_forward(want.data(), inp.data(), w.data(), nullptr, s.N, s.Cin,
-                       s.Cout);
+  const int B = 6, T = 24;
+  std::vector<int> toks(B * T);
+  for (int& t : toks) t = static_cast<int>(rng.below(cfg.vocab));
+  const auto logits_of = [&](Gpt& m) {
+    m.forward(toks.data(), B, T);
+    return std::vector<float>(m.logits(),
+                              m.logits() + std::size_t{1} * B * T * cfg.vocab);
+  };
+  Gpt first = model;
+  const std::vector<float> want = logits_of(first);
   const int saved = kern::num_threads();
   kern::set_num_threads(4);
-  // A kernel inside a pool body finds the pool busy and runs inline.
-  std::vector<std::vector<float>> nested(4, std::vector<float>(want.size()));
+  std::vector<Gpt> nested_models(4, model);
+  std::vector<std::vector<float>> nested(4);
   kern::parallel_ranges(4, 1 << 20, [&](int lo, int hi) {
-    for (int k = lo; k < hi; ++k) {
-      kern::matmul_forward(nested[k].data(), inp.data(), w.data(), nullptr,
-                           s.N, s.Cin, s.Cout);
-    }
+    for (int k = lo; k < hi; ++k) nested[k] = logits_of(nested_models[k]);
   });
-  // Several threads dispatching at once: one owns the pool, the rest run
-  // inline.
-  std::vector<std::vector<float>> concurrent(4,
-                                            std::vector<float>(want.size()));
+  std::vector<Gpt> concurrent_models(4, model);
+  std::vector<std::vector<float>> concurrent(4);
   std::vector<std::thread> callers;
-  for (auto& out : concurrent) {
-    callers.emplace_back([&] {
-      for (int rep = 0; rep < 20; ++rep) {
-        kern::matmul_forward(out.data(), inp.data(), w.data(), nullptr, s.N,
-                             s.Cin, s.Cout);
+  for (int k = 0; k < 4; ++k) {
+    callers.emplace_back([&, k] {
+      for (int rep = 0; rep < 5; ++rep) {
+        concurrent[k] = logits_of(concurrent_models[k]);
       }
     });
   }

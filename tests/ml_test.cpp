@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <string>
 
@@ -817,6 +818,406 @@ TEST(GptArena, GrowingAndReusingTheArenasLeavesEveryBitAlone) {
               std::vector<float>(big_fresh.grads_from.size(), 0.f));
     expect_same(big_grown, big_fresh);
     expect_same(small_again, small_first);
+  }
+}
+
+// ---- the sequence-major passes against the layer-major order ---------------
+
+namespace {
+
+/// Offsets into Gpt's flat parameter buffer: wte, wpe, then per layer ln1,
+/// qkv, attproj, ln2, fc and fcproj (weights, then biases), then lnf and the
+/// value head.
+struct ParamLayout {
+  std::size_t wte, wpe, layer_base, per_layer, lnfw, lnfb, valw, valb, total;
+  std::size_t ln1w, ln1b, qkvw, qkvb, attprojw, attprojb;  // within a layer
+  std::size_t ln2w, ln2b, fcw, fcb, fcprojw, fcprojb;
+
+  explicit ParamLayout(const GptConfig& c) {
+    const std::size_t C = c.n_embd;
+    std::size_t at = 0;
+    const auto take = [&at](std::size_t n) { return (at += n) - n; };
+    wte = take(c.vocab * C);
+    wpe = take(c.ctx * C);
+    layer_base = at;
+    at = 0;
+    ln1w = take(C), ln1b = take(C), qkvw = take(3 * C * C), qkvb = take(3 * C);
+    attprojw = take(C * C), attprojb = take(C);
+    ln2w = take(C), ln2b = take(C), fcw = take(4 * C * C), fcb = take(4 * C);
+    fcprojw = take(4 * C * C), fcprojb = take(C);
+    per_layer = at;
+    at = layer_base + per_layer * c.n_layer;
+    lnfw = take(C), lnfb = take(C), valw = take(C), valb = take(1);
+    total = at;
+  }
+};
+
+/// The model's passes as they ran before they became sequence-major, over
+/// the public kernels: each kernel once over every row of the batch (and
+/// attention one sequence at a time), layer after layer, and in backward
+/// each weight gradient right after its layer's input gradient.
+class LayerMajor {
+ public:
+  LayerMajor(const Gpt& m, const std::vector<int>& tokens, int T,
+             const std::vector<int>& lengths, const std::vector<int>& heads)
+      : cfg_(m.config()), p_(cfg_), prm_(m.params()), tokens_(tokens), T_(T),
+        heads_(heads) {
+    offs_.push_back(0);
+    for (const int L : lengths) offs_.push_back(offs_.back() + L);
+    for (std::size_t b = 0; b < lengths.size(); ++b) {
+      const std::size_t L = lengths[b];
+      att_offs_.push_back(att_size_);
+      att_size_ += cfg_.n_head * L * L;
+    }
+    for (const int h : heads) packed_.push_back(offs_[h / T] + h % T);
+    N_ = offs_.back();
+    R_ = static_cast<int>(heads.size());
+  }
+
+  std::vector<float> logits, probs, values;
+
+  void forward() {
+    const int C = cfg_.n_embd, V = cfg_.vocab, L = cfg_.n_layer;
+    layers_.assign(L, {});
+    enc_ = rows(C);
+    for (int b = 0; b + 1 < static_cast<int>(offs_.size()); ++b) {
+      for (int t = 0; t < offs_[b + 1] - offs_[b]; ++t) {
+        const std::size_t n = offs_[b] + t;
+        const int tok = tokens_[b * T_ + t];
+        for (int c = 0; c < C; ++c) {
+          enc_[n * C + c] = prm_[p_.wte + tok * C + c] + prm_[p_.wpe + t * C + c];
+        }
+      }
+    }
+    const std::vector<float>* res = &enc_;
+    for (int l = 0; l < L; ++l) {
+      Acts& a = layers_[l];
+      const std::size_t pb = p_.layer_base + l * p_.per_layer;
+      a.ln1 = rows(C), a.m1 = rows(1), a.r1 = rows(1), a.qkv = rows(3 * C);
+      a.atty = rows(C), a.attproj = rows(C), a.res2 = rows(C), a.ln2 = rows(C);
+      a.m2 = rows(1), a.r2 = rows(1), a.fch = rows(4 * C), a.gelu = rows(4 * C);
+      a.fcproj = rows(C), a.res3 = rows(C), a.att.assign(att_size_, 0.f);
+      kern::layernorm_forward(a.ln1.data(), a.m1.data(), a.r1.data(),
+                              res->data(), w(pb + p_.ln1w), w(pb + p_.ln1b),
+                              nullptr, N_, C);
+      linear(a.qkv, a.ln1, pb + p_.qkvw, w(pb + p_.qkvb), N_, C, 3 * C);
+      for (std::size_t b = 0; b + 1 < offs_.size(); ++b) {
+        kern::attention_forward(a.atty.data() + offs_[b] * C,
+                                a.att.data() + att_offs_[b],
+                                a.qkv.data() + offs_[b] * 3 * C,
+                                offs_[b + 1] - offs_[b], C, cfg_.n_head);
+      }
+      linear(a.attproj, a.atty, pb + p_.attprojw, w(pb + p_.attprojb), N_, C,
+             C);
+      for (std::size_t i = 0; i < a.res2.size(); ++i) {
+        a.res2[i] = (*res)[i] + a.attproj[i];
+      }
+      kern::layernorm_forward(a.ln2.data(), a.m2.data(), a.r2.data(),
+                              a.res2.data(), w(pb + p_.ln2w), w(pb + p_.ln2b),
+                              nullptr, N_, C);
+      kern::matmul_bias_gelu_forward(a.fch.data(), a.gelu.data(), a.ln2.data(),
+                                     pack(pb + p_.fcw, 4 * C, C),
+                                     w(pb + p_.fcb), N_);
+      linear(a.fcproj, a.gelu, pb + p_.fcprojw, w(pb + p_.fcprojb), N_, 4 * C,
+             C);
+      for (std::size_t i = 0; i < a.res3.size(); ++i) {
+        a.res3[i] = a.res2[i] + a.fcproj[i];
+      }
+      res = &a.res3;
+    }
+    res_ = res;
+    lnf_.assign(static_cast<std::size_t>(R_) * C, 0.f);
+    lnf_m_.assign(R_, 0.f);
+    lnf_r_.assign(R_, 0.f);
+    kern::layernorm_forward(lnf_.data(), lnf_m_.data(), lnf_r_.data(),
+                            res->data(), w(p_.lnfw), w(p_.lnfb), packed_.data(),
+                            R_, C);
+    logits.assign(static_cast<std::size_t>(R_) * V, 0.f);
+    probs = logits;
+    values.assign(R_, 0.f);
+    linear(logits, lnf_, p_.wte, nullptr, R_, C, V);
+    kern::softmax_forward(probs.data(), logits.data(), R_, V);
+    linear(values, lnf_, p_.valw, w(p_.valb), R_, C, 1);
+  }
+
+  /// backward_from into `g` (grads-sized, accumulated).
+  void backward(const float* dlogits, const float* dvalues,
+                std::vector<float>& g) const {
+    const int C = cfg_.n_embd, V = cfg_.vocab, L = cfg_.n_layer;
+    const std::size_t NC = static_cast<std::size_t>(N_) * C;
+    std::vector<float> dlnf(static_cast<std::size_t>(R_) * C, 0.f);
+    if (dvalues != nullptr) {
+      for (int r = 0; r < R_; ++r) {
+        const float gv = dvalues[r];
+        if (gv == 0.f) continue;
+        g[p_.valb] += gv;
+        for (int c = 0; c < C; ++c) {
+          g[p_.valw + c] += gv * lnf_[r * C + c];
+          dlnf[r * C + c] += gv * prm_[p_.valw + c];
+        }
+      }
+    }
+    kern::matmul_backward_dx(dlnf.data(), dlogits, w(p_.wte), R_, C, V);
+    kern::matmul_backward_dw(&g[p_.wte], nullptr, dlogits, lnf_.data(), R_, C,
+                             V, 0, V);
+    std::vector<float> dres(NC, 0.f);  // gradient of the current residual
+    kern::layernorm_backward_dx(dres.data(), dlnf.data(), res_->data(),
+                                lnf_m_.data(), lnf_r_.data(), w(p_.lnfw),
+                                packed_.data(), R_, C);
+    kern::layernorm_backward_dw(&g[p_.lnfw], &g[p_.lnfb], dlnf.data(),
+                                res_->data(), lnf_m_.data(), lnf_r_.data(),
+                                packed_.data(), R_, C);
+    for (int l = L - 1; l >= 0; --l) {
+      const Acts& a = layers_[l];
+      const std::vector<float>& in = l == 0 ? enc_ : layers_[l - 1].res3;
+      const std::size_t pb = p_.layer_base + l * p_.per_layer;
+      std::vector<float> dres2(NC, 0.f), dfcproj(NC, 0.f), dgelu(4 * NC, 0.f),
+          dfch(4 * NC, 0.f), dln2(NC, 0.f), din(NC, 0.f), dattproj(NC, 0.f),
+          datty(NC, 0.f), dqkv(3 * NC, 0.f), dln1(NC, 0.f);
+      for (std::size_t i = 0; i < NC; ++i) {
+        dres2[i] += dres[i];
+        dfcproj[i] += dres[i];
+      }
+      linear_backward(dgelu, g, dfcproj, a.gelu, pb + p_.fcprojw,
+                      pb + p_.fcprojb, 4 * C, C);
+      kern::gelu_backward(dfch.data(), a.fch.data(), dgelu.data(),
+                          static_cast<int>(4 * NC));
+      linear_backward(dln2, g, dfch, a.ln2, pb + p_.fcw, pb + p_.fcb, C, 4 * C);
+      norm_backward(dres2, g, dln2, a.res2, a.m2, a.r2, pb + p_.ln2w,
+                    pb + p_.ln2b);
+      for (std::size_t i = 0; i < NC; ++i) {
+        din[i] += dres2[i];
+        dattproj[i] += dres2[i];
+      }
+      linear_backward(datty, g, dattproj, a.atty, pb + p_.attprojw,
+                      pb + p_.attprojb, C, C);
+      for (std::size_t b = 0; b + 1 < offs_.size(); ++b) {
+        kern::attention_backward(dqkv.data() + offs_[b] * 3 * C,
+                                 datty.data() + offs_[b] * C,
+                                 a.qkv.data() + offs_[b] * 3 * C,
+                                 a.att.data() + att_offs_[b],
+                                 offs_[b + 1] - offs_[b], C, cfg_.n_head);
+      }
+      linear_backward(dln1, g, dqkv, a.ln1, pb + p_.qkvw, pb + p_.qkvb, C,
+                      3 * C);
+      norm_backward(din, g, dln1, in, a.m1, a.r1, pb + p_.ln1w, pb + p_.ln1b);
+      dres = std::move(din);
+    }
+    for (std::size_t b = 0; b + 1 < offs_.size(); ++b) {
+      for (int t = 0; t < offs_[b + 1] - offs_[b]; ++t) {
+        const std::size_t n = offs_[b] + t;
+        const int tok = tokens_[b * T_ + t];
+        for (int c = 0; c < C; ++c) {
+          g[p_.wte + tok * C + c] += dres[n * C + c];
+          g[p_.wpe + t * C + c] += dres[n * C + c];
+        }
+      }
+    }
+  }
+
+  /// backward_lm: the mean cross-entropy's dlogits, then backward.
+  float backward_lm(const std::vector<int>& targets,
+                    std::vector<float>& g) const {
+    const int V = cfg_.vocab;
+    int count = 0;
+    for (const int tgt : targets) count += tgt >= 0 ? 1 : 0;
+    std::vector<float> dl(static_cast<std::size_t>(R_) * V, 0.f);
+    const float inv = 1.f / static_cast<float>(count);
+    float loss = 0.f;
+    for (int r = 0; r < R_; ++r) {
+      const int tgt = targets[heads_[r]];
+      if (tgt < 0) continue;
+      const float* pr = probs.data() + static_cast<std::size_t>(r) * V;
+      loss += -std::log(pr[tgt] + 1e-10f);
+      for (int v = 0; v < V; ++v) dl[r * V + v] = pr[v] * inv;
+      dl[r * V + tgt] -= inv;
+    }
+    backward(dl.data(), nullptr, g);
+    return loss * inv;
+  }
+
+ private:
+  struct Acts {
+    std::vector<float> ln1, m1, r1, qkv, atty, att, attproj, res2, ln2, m2, r2,
+        fch, gelu, fcproj, res3;
+  };
+
+  std::vector<float> rows(int width) const {
+    return std::vector<float>(static_cast<std::size_t>(N_) * width, 0.f);
+  }
+  const float* w(std::size_t off) const { return prm_.data() + off; }
+  kern::PackedMat pack(std::size_t off, int Cout, int Cin) const {
+    kern::PackedMat m;
+    kern::pack_transpose(m, w(off), Cout, Cin);
+    return m;
+  }
+  void linear(std::vector<float>& out, const std::vector<float>& inp,
+              std::size_t wo, const float* bias, int n, int Cin,
+              int Cout) const {
+    kern::matmul_forward_packed(out.data(), inp.data(), pack(wo, Cout, Cin),
+                                bias, n);
+  }
+  /// A matmul's whole backward at once: dinp over every row, then dw and db.
+  void linear_backward(std::vector<float>& dinp, std::vector<float>& g,
+                       const std::vector<float>& dout,
+                       const std::vector<float>& inp, std::size_t wo,
+                       std::size_t bo, int Cin, int Cout) const {
+    kern::matmul_backward_dx(dinp.data(), dout.data(), w(wo), N_, Cin, Cout);
+    kern::matmul_backward_dw(&g[wo], &g[bo], dout.data(), inp.data(), N_, Cin,
+                             Cout, 0, Cout);
+  }
+  void norm_backward(std::vector<float>& dinp, std::vector<float>& g,
+                     const std::vector<float>& dout,
+                     const std::vector<float>& inp,
+                     const std::vector<float>& mean,
+                     const std::vector<float>& rstd, std::size_t wo,
+                     std::size_t bo) const {
+    kern::layernorm_backward_dx(dinp.data(), dout.data(), inp.data(),
+                                mean.data(), rstd.data(), w(wo), nullptr, N_,
+                                cfg_.n_embd);
+    kern::layernorm_backward_dw(&g[wo], &g[bo], dout.data(), inp.data(),
+                                mean.data(), rstd.data(), nullptr, N_,
+                                cfg_.n_embd);
+  }
+
+  GptConfig cfg_;
+  ParamLayout p_;
+  const std::vector<float>& prm_;
+  const std::vector<int>& tokens_;
+  int T_;
+  const std::vector<int>& heads_;
+  std::vector<int> offs_, packed_;
+  std::vector<std::size_t> att_offs_;
+  std::size_t att_size_ = 0;
+  int N_ = 0, R_ = 0;
+  std::vector<Acts> layers_;
+  std::vector<float> enc_, lnf_, lnf_m_, lnf_r_;
+  const std::vector<float>* res_ = nullptr;
+};
+
+/// A ragged batch: lengths, each real row's head-ness, targets and head
+/// gradients. `heads` picks which real rows are head rows.
+struct ScheduleBatch {
+  int T = 0;
+  std::vector<int> lengths, tokens, targets, heads;
+  std::vector<float> dlogits, dvalues;
+};
+
+ScheduleBatch schedule_batch(const GptConfig& cfg, std::vector<int> lengths,
+                             int T, std::uint64_t seed,
+                             const std::function<bool(int, int)>& is_head) {
+  ScheduleBatch sb;
+  sb.T = T;
+  sb.lengths = std::move(lengths);
+  const int B = static_cast<int>(sb.lengths.size());
+  Rng rng(seed);
+  sb.tokens.assign(static_cast<std::size_t>(B) * T, 0);
+  sb.targets.assign(sb.tokens.size(), -1);
+  for (int b = 0; b < B; ++b) {
+    for (int t = 0; t < sb.lengths[b]; ++t) {
+      sb.tokens[b * T + t] = static_cast<int>(rng.below(cfg.vocab));
+      if (!is_head(b, t)) continue;
+      sb.heads.push_back(b * T + t);
+      sb.targets[b * T + t] =
+          rng.below(5) == 0 ? -1 : static_cast<int>(rng.below(cfg.vocab));
+    }
+  }
+  for (std::size_t i = 0; i < sb.heads.size() * cfg.vocab; ++i) {
+    sb.dlogits.push_back(static_cast<float>(rng.uniform()) - 0.5f);
+  }
+  for (std::size_t r = 0; r < sb.heads.size(); ++r) {
+    // Some exact zeros, which the value head skips.
+    sb.dvalues.push_back(r % 7 == 3 ? 0.f
+                                    : static_cast<float>(rng.uniform()) - 0.5f);
+  }
+  return sb;
+}
+
+}  // namespace
+
+TEST(GptSchedule, SequenceMajorPassesMatchTheLayerMajorOrder) {
+  // Outputs, backward_from's gradients (with values) and backward_lm's
+  // gradients and loss must be the layer-major pass's bits at 1-4 threads:
+  // with fewer sequences than threads, with an empty sequence, a sequence
+  // without head rows, and head rows only in the last sequence.
+  const GptConfig cfg = GptConfig::small();
+  const auto every = [](int, int) { return true; };
+  const auto some = [](int b, int t) { return (b + t) % 3 != 0; };
+  struct Case {
+    const char* name;
+    ScheduleBatch batch;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"B=1", schedule_batch(cfg, {37}, 40, 61, some)});
+  cases.push_back({"B=3", schedule_batch(cfg, {9, 40, 23}, 40, 62, some)});
+  cases.push_back(
+      {"B=16, one empty, one headless",
+       schedule_batch(cfg, {12, 40, 0, 33, 7, 40, 18, 1, 25, 40, 3, 29, 16,
+                            38, 5, 21},
+                      40, 63, [](int b, int t) { return b != 6 && t % 2 == 0; })});
+  std::vector<int> lens32;
+  for (int b = 0; b < 32; ++b) lens32.push_back(1 + (b * 37) % 48);
+  cases.push_back({"B=32", schedule_batch(cfg, lens32, 48, 64, every)});
+  cases.push_back({"heads only in the last sequence",
+                   schedule_batch(cfg, {20, 31, 8, 26}, 32, 65,
+                                  [](int b, int) { return b == 3; })});
+  const ThreadCountGuard guard;
+  Rng init(66);
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ScheduleBatch& sb = c.batch;
+    const int B = static_cast<int>(sb.lengths.size()), V = cfg.vocab;
+    const std::size_t R = sb.heads.size();
+    Gpt model(cfg, 9);
+    // Non-trivial layernorm weights and biases, so every gradient matters.
+    for (float& x : model.params()) {
+      x += 0.01f * (static_cast<float>(init.uniform()) - 0.5f);
+    }
+    ASSERT_EQ(ParamLayout(cfg).total, model.num_params());
+    LayerMajor want(model, sb.tokens, sb.T, sb.lengths, sb.heads);
+    want.forward();
+    std::vector<float> want_from(model.num_params(), 0.f);
+    want.backward(sb.dlogits.data(), sb.dvalues.data(), want_from);
+    std::vector<float> want_lm(model.num_params(), 0.f);
+    const float want_loss = want.backward_lm(sb.targets, want_lm);
+    for (const int nt : {1, 2, 3, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(nt));
+      kern::set_num_threads(nt);
+      Gpt m = model;
+      m.forward(sb.tokens.data(), B, sb.T, sb.heads, sb.lengths);
+      EXPECT_TRUE(same_bits(m.logits(), want.logits.data(), R * V));
+      EXPECT_TRUE(same_bits(m.probs(), want.probs.data(), R * V));
+      EXPECT_TRUE(same_bits(m.values(), want.values.data(), R));
+      m.zero_grad();
+      m.backward_from(sb.tokens.data(), sb.dlogits.data(), sb.dvalues.data(), B,
+                      sb.T);
+      EXPECT_TRUE(same_bits(m.grads(), want_from));
+      m.zero_grad();
+      const float loss =
+          m.backward_lm(sb.tokens.data(), sb.targets.data(), B, sb.T);
+      EXPECT_TRUE(same_bits(&loss, &want_loss, 1));
+      EXPECT_TRUE(same_bits(m.grads(), want_lm));
+    }
+  }
+}
+
+TEST(GptSchedule, ForwardEntersThePoolOnceAndBackwardTwice) {
+  const GptConfig cfg = GptConfig::small();
+  const TrainingBatch tb = make_training_batch(cfg, 45);
+  const ThreadCountGuard guard;
+  kern::set_num_threads(4);
+  Gpt model(cfg, 10);
+  for (int rep = 0; rep < 2; ++rep) {  // the first grows both arenas
+    std::size_t before = kern::pool_dispatches();
+    model.forward(tb.tokens.data(), tb.B, tb.T);
+    EXPECT_EQ(kern::pool_dispatches() - before, 1u);
+    before = kern::pool_dispatches();
+    model.backward_from(tb.tokens.data(), tb.dlogits.data(), tb.dvalues.data(),
+                        tb.B, tb.T);
+    EXPECT_EQ(kern::pool_dispatches() - before, 2u);
+    before = kern::pool_dispatches();
+    (void)model.backward_lm(tb.tokens.data(), tb.targets.data(), tb.B, tb.T);
+    EXPECT_EQ(kern::pool_dispatches() - before, 2u);
   }
 }
 

@@ -405,7 +405,8 @@ TEST(CorpusStatsJson, RoundTripsThroughParseExactly) {
   ASSERT_TRUE(store.append({0xdeadbeefu}, m2).ok());
   ASSERT_TRUE(store.flush().ok());
 
-  const corpus::StoreStats s = corpus::collect_store_stats(store);
+  corpus::StoreStats s;
+  ASSERT_TRUE(corpus::collect_store_stats(store, &s).ok());
   EXPECT_EQ(s.entries, 3u);
   EXPECT_EQ(s.shards, 2u);  // capacity 2 forces a second shard
   EXPECT_EQ(s.program_words, 4u);

@@ -17,6 +17,7 @@
 #include "core/chatfuzz.h"
 #include "core/checkpoint.h"
 #include "corpus/generator.h"
+#include "corpus/stats.h"
 #include "corpus/store.h"
 #include "coverage/cover.h"
 #include "coverage/multi.h"
@@ -646,27 +647,36 @@ TEST(SnapshotRoundTrip, CorpusStoreReportsMissingShardBytes) {
   EXPECT_NE(s.message().find("truncated"), std::string::npos) << s.message();
 }
 
-TEST(SnapshotRoundTrip, CorpusStoreChecksShardSizeBeforeAllocating) {
-  // An index whose checksum is valid can still claim an entry of 2^32 - 1
-  // words (16 GiB). read_program must refuse it against the shard's real
-  // size instead of allocating the claim.
-  const std::string dir = temp_path("store_oversized_entry");
+namespace {
+
+/// A store whose index has a valid checksum but claims an entry of
+/// 2^32 - 1 words (16 GiB) in a 16-byte shard.
+std::string hostile_store(const char* name) {
+  const std::string dir = temp_path(name);
   std::filesystem::remove_all(dir);
   {
     corpus::CorpusStore store;
-    ASSERT_TRUE(store.open(dir).ok());
-    ASSERT_TRUE(store.append({1, 2, 3, 4}, meta_for(0)).ok());
-    ASSERT_TRUE(store.flush().ok());
+    EXPECT_TRUE(store.open(dir).ok());
+    EXPECT_TRUE(store.append({1, 2, 3, 4}, meta_for(0)).ok());
+    EXPECT_TRUE(store.flush().ok());
   }
   // Index v3 payload: capacity u64, count u64, then entry 0's word count.
   // 0x43465A43 is the index magic.
   const std::string index = dir + "/index.bin";
   std::string payload;
-  ASSERT_TRUE(ser::read_file(index, 0x43465A43, 3, "index", &payload).ok());
-  ASSERT_GE(payload.size(), 20u);
+  EXPECT_TRUE(ser::read_file(index, 0x43465A43, 3, "index", &payload).ok());
+  EXPECT_GE(payload.size(), 20u);
   payload.replace(16, 4, 4, '\xff');
-  ASSERT_TRUE(ser::write_file(index, 0x43465A43, 3, payload).ok());
+  EXPECT_TRUE(ser::write_file(index, 0x43465A43, 3, payload).ok());
+  return dir;
+}
 
+}  // namespace
+
+TEST(SnapshotRoundTrip, CorpusStoreChecksShardSizeBeforeAllocating) {
+  // read_program must refuse the claim against the shard's real size
+  // instead of allocating it.
+  const std::string dir = hostile_store("store_oversized_entry");
   corpus::CorpusStore store;
   ASSERT_TRUE(store.open(dir).ok());
   EXPECT_EQ(store.program_words(0), 0xFFFFFFFFu);
@@ -680,6 +690,33 @@ TEST(SnapshotRoundTrip, CorpusStoreChecksShardSizeBeforeAllocating) {
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("truncated"), std::string::npos) << s.message();
   EXPECT_EQ(std::filesystem::file_size(store.shard_path(0)), 16u);
+}
+
+TEST(SnapshotRoundTrip, CorpusStatsChecksShardSizes) {
+  // `corpus stats` sums the index's word counts; it must not report 16 GiB
+  // of programs from a 16-byte shard, but fail as the readers do.
+  const std::string dir = hostile_store("store_oversized_stats");
+  corpus::CorpusStore store;
+  ASSERT_TRUE(store.open(dir).ok());
+  corpus::StoreStats stats;
+  const ser::Status s = corpus::collect_store_stats(store, &stats);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("is truncated"), std::string::npos)
+      << s.message();
+  // A shard that holds what the index claims passes, with the same words.
+  const std::string ok_dir = temp_path("store_stats_ok");
+  std::filesystem::remove_all(ok_dir);
+  corpus::CorpusStore fine;
+  ASSERT_TRUE(fine.open(ok_dir, /*shard_capacity=*/1).ok());
+  ASSERT_TRUE(fine.append({1, 2, 3, 4}, meta_for(0)).ok());
+  ASSERT_TRUE(fine.append({5}, meta_for(1)).ok());
+  ASSERT_TRUE(fine.flush().ok());
+  ASSERT_TRUE(corpus::collect_store_stats(fine, &stats).ok());
+  EXPECT_EQ(stats.program_words, 5u);
+  EXPECT_EQ(stats.shards, 2u);
+  // Cutting the second shard short fails the whole report.
+  std::filesystem::resize_file(fine.shard_path(1), 3);
+  EXPECT_FALSE(corpus::collect_store_stats(fine, &stats).ok());
 }
 
 // ---- Gpt model files (the save/load diagnostics satellite) ------------------

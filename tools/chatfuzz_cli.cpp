@@ -643,7 +643,12 @@ int cmd_corpus_stats(const char* dir, bool json) {
     std::fprintf(stderr, "%s\n", s.message().c_str());
     return 1;
   }
-  const corpus::StoreStats stats = corpus::collect_store_stats(store);
+  corpus::StoreStats stats;
+  if (const ser::Status st = corpus::collect_store_stats(store, &stats);
+      !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.message().c_str());
+    return 1;
+  }
   const std::string text = json ? corpus::store_stats_to_json(stats)
                                 : corpus::render_store_stats(stats);
   std::fwrite(text.data(), 1, text.size(), stdout);
